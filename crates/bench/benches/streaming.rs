@@ -1,8 +1,8 @@
-//! Criterion bench: streaming vs batch ingest of one default trace,
-//! plus the chunked pcap reader's parse throughput.
+//! Criterion bench: single-pass online vs batch ingest of one default
+//! trace, plus the chunked pcap reader's parse throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mawilab_core::{MawilabPipeline, PipelineConfig, StreamingPipeline};
+use mawilab_core::{MawilabPipeline, OnlinePipeline, PipelineConfig};
 use mawilab_model::{pcap, PacketSource, StreamingPcapReader, TraceChunker, DEFAULT_CHUNK_US};
 use mawilab_synth::{SynthConfig, TraceGenerator};
 use std::hint::black_box;
@@ -20,15 +20,15 @@ fn bench_streaming_pipeline(c: &mut Criterion) {
         b.iter(|| black_box(batch.run(black_box(&lt.trace))))
     });
 
-    let streaming = StreamingPipeline::new(PipelineConfig::default());
+    let online = OnlinePipeline::new(PipelineConfig::default());
     for bin_us in [DEFAULT_CHUNK_US, 30_000_000] {
         g.bench_with_input(
-            BenchmarkId::new("streaming", format!("{}s_chunks", bin_us / 1_000_000)),
+            BenchmarkId::new("online", format!("{}s_chunks", bin_us / 1_000_000)),
             &bin_us,
             |b, &bin_us| {
                 b.iter(|| {
                     let mut source = TraceChunker::new(lt.trace.clone(), bin_us);
-                    black_box(streaming.run(&mut source).unwrap())
+                    black_box(online.run(&mut source).unwrap())
                 })
             },
         );

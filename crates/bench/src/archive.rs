@@ -18,11 +18,11 @@
 //! in-process and assert the schema.
 
 use crate::harness::{
-    peak_rss_kb, run_days_streaming, run_days_streaming_two_pass, run_days_streaming_warm,
-    run_days_streaming_wrapped, DayFailure, SourceWrap, StreamingDayContext,
+    peak_rss_kb, run_days_streaming, run_days_streaming_wrapped, DayFailure, SourceWrap,
+    StreamingDayContext,
 };
 use mawilab_combiner::{strategy_agreement, ConfidenceThresholds};
-use mawilab_core::{PipelineConfig, StrategyKind, WarmState};
+use mawilab_core::{PipelineConfig, StrategyKind};
 use mawilab_eval::ground_truth::DEFAULT_MIN_COVERAGE;
 use mawilab_eval::{stability_report, DaySummary, GroundTruthMatcher, StabilityReport, WormStatus};
 use mawilab_label::MawilabLabel;
@@ -33,10 +33,9 @@ use std::collections::HashSet;
 /// The pipeline configuration every archive sweep runs with: the
 /// default pipeline plus the default dual confidence thresholds, so
 /// labels carry a real abstention tier and the stability report's
-/// `churn_confident` measures something. All four collectors (cold,
-/// wrapped, two-pass oracle, warm) share this one function — the
-/// oracle and determinism comparisons only hold if every path labels
-/// under the same thresholds.
+/// `churn_confident` measures something. Both collectors (plain and
+/// wrapped) share this one function — the determinism comparisons
+/// only hold if every sweep labels under the same thresholds.
 pub fn archive_config() -> PipelineConfig {
     PipelineConfig {
         confidence_thresholds: Some(ConfidenceThresholds::default()),
@@ -56,28 +55,6 @@ const WORMS: [(&str, AnomalyKind); 2] = [
     ("sasser", AnomalyKind::SasserWorm),
 ];
 
-/// Default exponential decay of the warm sweep's carried baselines —
-/// yesterday enters today's thresholds at this weight, the day before
-/// at its square, and so on. 0.15 is the measured sweet spot on the
-/// 61-day sweep: heavier coupling (0.35) makes day *k+1*'s thresholds
-/// track day *k* closely enough that marginal alarms flicker and
-/// pooled churn exceeds the cold sweep by ~0.08, while a near-zero
-/// prior (0.05) perturbs thresholds without stabilising them
-/// (excess ~0.036). At 0.15 the warm sweep's excess churn stays
-/// under 0.02 with the estimate-stage speedup intact.
-pub const DEFAULT_WARM_DECAY: f64 = 0.15;
-
-/// Commit whose `results/BENCH_archive.json` the warm block's
-/// `speedup_vs_committed` is measured against (the last cold-only
-/// baseline, 61-day default sweep at scale 1).
-pub const BASELINE_COMMIT: &str = "295383b (PR 7)";
-/// Committed per-day median of `graph_s` at [`BASELINE_COMMIT`].
-pub const BASELINE_GRAPH_S: f64 = 0.008897;
-/// Committed per-day median of `louvain_s` at [`BASELINE_COMMIT`].
-pub const BASELINE_LOUVAIN_S: f64 = 0.000725;
-/// Committed pooled day-over-day label churn at [`BASELINE_COMMIT`].
-pub const BASELINE_CHURN: f64 = 0.329502;
-
 /// Benchmark configuration.
 #[derive(Debug, Clone)]
 pub struct ArchiveBenchArgs {
@@ -89,13 +66,6 @@ pub struct ArchiveBenchArgs {
     pub out_dir: String,
     /// The sampled days, date-ordered.
     pub days: Vec<TraceDate>,
-    /// Additionally run the sweep **warm** at this decay and report
-    /// the cold/warm comparison in the JSON's `warm` block.
-    pub warm_decay: Option<f64>,
-    /// With a warm sweep: also rerun it at `decay = 0` and assert its
-    /// deterministic reductions are byte-identical to the cold
-    /// sweep's (the warm path's cold-start oracle).
-    pub verify_cold: bool,
 }
 
 impl Default for ArchiveBenchArgs {
@@ -105,8 +75,6 @@ impl Default for ArchiveBenchArgs {
             chunk_us: DEFAULT_CHUNK_US,
             out_dir: "results".to_string(),
             days: default_archive_days(),
-            warm_decay: None,
-            verify_cold: false,
         }
     }
 }
@@ -181,8 +149,7 @@ pub struct ArchiveDayRecord {
     pub packets: u64,
     /// Chunks of the stream (first drain's view).
     pub chunks: usize,
-    /// Times the source was drained: 1 on the single-pass path, 2 on
-    /// the two-pass oracle.
+    /// Times the source was drained (1: the pipeline is single-pass).
     pub passes: usize,
     /// Largest single chunk.
     pub peak_chunk_packets: usize,
@@ -202,15 +169,13 @@ pub struct ArchiveDayRecord {
     /// communities where exactly `k` of the four paper strategies
     /// agree with the day's decision.
     pub agreement_hist: [u64; 5],
-    /// Wall-clock of the streaming pipeline run, seconds.
+    /// Wall-clock of the single-pass pipeline run, seconds.
     pub wall_s: f64,
     /// Pipeline throughput, packets/second.
     pub pps: f64,
-    /// Wall-clock of producing the day ahead of the pipeline's drain,
-    /// seconds (single-pass: the generator's day plan only — packets
-    /// generate lazily inside the drain; two-pass oracle: the whole
-    /// truth pre-pass). For the generation-only engine comparison see
-    /// [`GenThroughput`].
+    /// Wall-clock of producing the generator's day plan ahead of the
+    /// drain, seconds (packets generate lazily inside the drain). For
+    /// the generation-only engine comparison see [`GenThroughput`].
     pub gen_s: f64,
     /// Day-production throughput over `gen_s`, packets/second.
     pub gen_pps: f64,
@@ -368,82 +333,13 @@ pub fn collect_archive_wrapped(args: &ArchiveBenchArgs, wrap: &dyn SourceWrap) -
     ))
 }
 
-/// [`collect_archive`] through the legacy two-pass oracle
-/// ([`run_days_streaming_two_pass`]): same sweep, same reductions,
-/// but the source is drained twice through the rewind-based pipeline.
-/// Oracle-verification runs byte-compare its [`deterministic_view`]
-/// against the single-pass sweep's.
-pub fn collect_archive_two_pass(args: &ArchiveBenchArgs) -> ArchiveOutcome {
-    assemble_outcome(run_days_streaming_two_pass(
-        &args.days,
-        args.scale,
-        args.chunk_us,
-        archive_config(),
-        reduce_day,
-    ))
-}
-
-/// Warm-state bookkeeping of one warm sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct WarmSweepStats {
-    /// The decay the sweep ran at.
-    pub decay: f64,
-    /// Era-boundary resets performed (the 61-day default sweep
-    /// crosses 2006-07-01 and must reset exactly once).
-    pub era_resets: u64,
-    /// Days whose Louvain stage ran from a carried community seed.
-    pub seeded_days: u64,
-    /// Alarm signatures still carried when the sweep ended.
-    pub carried_signatures: usize,
-}
-
-/// A finished warm sweep next to the cold sweep it is compared with.
-#[derive(Debug, Clone)]
-pub struct WarmReport {
-    /// Warm-state bookkeeping.
-    pub stats: WarmSweepStats,
-    /// The warm sweep's outcome (same reductions as the cold sweep).
-    pub outcome: ArchiveOutcome,
-    /// `Some(true)` when the `decay = 0` rerun was byte-identical to
-    /// the cold sweep; `None` when verification was not requested.
-    pub verified_cold: Option<bool>,
-}
-
-/// [`collect_archive`] **warm**: the same sweep run sequentially
-/// through [`run_days_streaming_warm`], one
-/// [`WarmState`] threaded across all days. At `decay = 0.0` the
-/// outcome's [`deterministic_view`] is byte-identical to
-/// [`collect_archive`]'s.
-pub fn collect_archive_warm(
-    args: &ArchiveBenchArgs,
-    decay: f64,
-) -> (ArchiveOutcome, WarmSweepStats) {
-    let mut warm = WarmState::new(decay);
-    let outcome = assemble_outcome(run_days_streaming_warm(
-        &args.days,
-        args.scale,
-        args.chunk_us,
-        archive_config(),
-        &mut warm,
-        reduce_day,
-    ));
-    let stats = WarmSweepStats {
-        decay,
-        era_resets: warm.resets(),
-        seeded_days: warm.seeded_days(),
-        carried_signatures: warm.carried_signatures(),
-    };
-    (outcome, stats)
-}
-
-/// Everything thread-count- and ingest-mode-invariant in an
-/// [`ArchiveOutcome`]: the per-day reductions minus their wall-clock
-/// and drain-count fields, plus the whole stability report (which
-/// holds no timing data). Two sweeps over the same days must render
-/// identical views whatever `MAWILAB_THREADS` was and whichever
-/// ingest path (single-pass or two-pass oracle) ran them — the
-/// comparison key of the thread-determinism suite and the
-/// `--verify-oracle` mode.
+/// Everything thread-count-invariant in an [`ArchiveOutcome`]: the
+/// per-day reductions minus their wall-clock and drain-count fields,
+/// plus the whole stability report (which holds no timing data). Two
+/// sweeps over the same days must render identical views whatever
+/// `MAWILAB_THREADS` was — the comparison key of the
+/// thread-determinism suite, and the byte-identity check a change to
+/// the labeling path must pass on the 61-day sweep.
 pub fn deterministic_view(outcome: &ArchiveOutcome) -> String {
     let days: Vec<String> = outcome
         .records
@@ -537,96 +433,6 @@ pub fn generation_throughput(date: TraceDate, scale: f64, reps: usize) -> GenThr
     }
 }
 
-fn median_of(mut v: Vec<f64>) -> f64 {
-    if v.is_empty() {
-        return 0.0;
-    }
-    v.sort_by(|a, b| a.total_cmp(b));
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        0.5 * (v[n / 2 - 1] + v[n / 2])
-    }
-}
-
-/// Per-day medians of a sweep, in the order the `warm` block reports:
-/// wall, detect, estimate (graph+louvain — the pipeline's
-/// `EstimateTimings` stages), louvain, alarms, communities.
-fn sweep_medians(outcome: &ArchiveOutcome) -> [f64; 6] {
-    let of = |pick: &dyn Fn(&ArchiveDayRecord) -> f64| {
-        median_of(outcome.records.iter().map(pick).collect())
-    };
-    [
-        of(&|r| r.wall_s),
-        of(&|r| r.stage_s[0]),
-        of(&|r| r.stage_s[2] + r.stage_s[3]),
-        of(&|r| r.stage_s[3]),
-        of(&|r| r.alarms as f64),
-        of(&|r| r.communities as f64),
-    ]
-}
-
-/// Formats the `warm` block: warm-state bookkeeping, cold/warm
-/// per-day medians, the estimate-stage/louvain/wall speedups — both
-/// against the same-run cold sweep and against the committed
-/// [`BASELINE_COMMIT`] medians — and the label-stability comparison
-/// (any churn the warm sweep adds over the cold sweep is reported as
-/// `excess_drift`, never hidden).
-fn format_warm_json(cold: &ArchiveOutcome, warm: &WarmReport) -> String {
-    let c = sweep_medians(cold);
-    let w = sweep_medians(&warm.outcome);
-    let speedup = |cold_s: f64, warm_s: f64| f(cold_s / warm_s.max(1e-9));
-    let median_obj = |m: &[f64; 6]| {
-        format!(
-            "{{\"wall_s\": {}, \"detect_s\": {}, \"estimate_s\": {}, \
-             \"louvain_s\": {}, \"alarms\": {}, \"communities\": {}}}",
-            f(m[0]),
-            f(m[1]),
-            f(m[2]),
-            f(m[3]),
-            f(m[4]),
-            f(m[5]),
-        )
-    };
-    let baseline_estimate = BASELINE_GRAPH_S + BASELINE_LOUVAIN_S;
-    let churn_cold = cold.stability.label_churn;
-    let churn_warm = warm.outcome.stability.label_churn;
-    format!(
-        "{{\n    \"decay\": {},\n    \"days\": {},\n    \"era_resets\": {},\n    \
-         \"seeded_days\": {},\n    \"carried_signatures\": {},\n    \
-         \"verified_cold\": {},\n    \
-         \"median_cold\": {},\n    \"median_warm\": {},\n    \
-         \"speedup\": {{\"estimate\": {}, \"louvain\": {}, \"wall\": {}}},\n    \
-         \"committed_baseline\": {{\"commit\": \"{}\", \"graph_s\": {}, \
-         \"louvain_s\": {}, \"estimate_s\": {}, \"label_churn\": {}}},\n    \
-         \"speedup_vs_committed\": {{\"estimate\": {}, \"louvain\": {}}},\n    \
-         \"churn\": {{\"cold\": {}, \"warm\": {}, \"excess_drift\": {}}}\n  }}",
-        f(warm.stats.decay),
-        warm.outcome.records.len(),
-        warm.stats.era_resets,
-        warm.stats.seeded_days,
-        warm.stats.carried_signatures,
-        warm.verified_cold
-            .map_or("null".to_string(), |v| v.to_string()),
-        median_obj(&c),
-        median_obj(&w),
-        speedup(c[2], w[2]),
-        speedup(c[3], w[3]),
-        speedup(c[0], w[0]),
-        BASELINE_COMMIT,
-        f(BASELINE_GRAPH_S),
-        f(BASELINE_LOUVAIN_S),
-        f(baseline_estimate),
-        f(BASELINE_CHURN),
-        speedup(baseline_estimate, w[2]),
-        speedup(BASELINE_LOUVAIN_S, w[3]),
-        f(churn_cold),
-        f(churn_warm),
-        f((churn_warm - churn_cold).max(0.0)),
-    )
-}
-
 fn f(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.6}")
@@ -718,7 +524,6 @@ fn format_archive_json(
     args: &ArchiveBenchArgs,
     outcome: &ArchiveOutcome,
     gen: &GenThroughput,
-    warm: Option<&WarmReport>,
 ) -> String {
     let ArchiveOutcome {
         records,
@@ -918,7 +723,7 @@ fn format_archive_json(
     format!(
         "{{\n  \"generated_by\": \"cargo run --release -p mawilab-bench --bin archive\",\n  \
          \"hardware_threads\": {},\n  \
-         \"note\": \"wall times measured on a host with {} hardware thread(s){}; speedups over the committed baseline are algorithmic — counting co-occurrence graph build (cold and warm alike) plus warm-carried Louvain seeds and detector baselines — not parallel\",\n  \
+         \"note\": \"wall times measured on a host with {} hardware thread(s){}; no parallel-scaling claim is made from them\",\n  \
          \"scale\": {},\n  \"chunk_us\": {},\n  \"sampled_days\": {},\n  \
          \"first_day\": {},\n  \"last_day\": {},\n  \
          \"era_boundaries_crossed\": {},\n  \
@@ -935,7 +740,6 @@ fn format_archive_json(
          \"outbreaks\": [\n{}\n  ],\n  \
          \"generation\": {{\n    \"date\": \"{}\", \"packets\": {}, \
          \"sequential_s\": {},\n    \"sharded\": [\n{}\n    ]\n  }},\n  \
-         \"warm\": {},\n  \
          \"peak_rss_kb\": {}\n}}\n",
         hardware,
         hardware,
@@ -970,7 +774,6 @@ fn format_archive_json(
         gen.packets,
         f(gen.sequential_s),
         gen_rows.join(",\n"),
-        warm.map_or("null".to_string(), |w| format_warm_json(outcome, w)),
         peak_rss_kb().unwrap_or(0),
     )
 }
@@ -984,36 +787,6 @@ pub fn run_archive_bench(args: &ArchiveBenchArgs) -> String {
         args.scale
     );
     let outcome = collect_archive(args);
-    let warm = args.warm_decay.map(|decay| {
-        eprintln!("warm sweep: decay {decay}, {} days …", args.days.len());
-        let (warm_outcome, stats) = collect_archive_warm(args, decay);
-        let verified_cold = args.verify_cold.then(|| {
-            // The cold-start oracle: a decay-0 warm sweep must be
-            // byte-identical to the cold sweep. Reuse the warm sweep
-            // itself when it already ran at zero decay.
-            let zero = if decay == 0.0 {
-                warm_outcome.clone()
-            } else {
-                eprintln!("verify-cold: decay-0 warm sweep …");
-                collect_archive_warm(args, 0.0).0
-            };
-            assert_eq!(
-                deterministic_view(&zero),
-                deterministic_view(&outcome),
-                "decay-0 warm sweep diverged from the cold sweep"
-            );
-            eprintln!(
-                "verify-cold: warm(decay=0) == cold over {} days ✓",
-                zero.records.len()
-            );
-            true
-        });
-        WarmReport {
-            stats,
-            outcome: warm_outcome,
-            verified_cold,
-        }
-    });
     // Generation throughput on the sweep's last day — the
     // highest-volume regime of a chronological sweep (eras only ever
     // upgrade), which is what month-scale generation cost is
@@ -1024,7 +797,7 @@ pub fn run_archive_bench(args: &ArchiveBenchArgs) -> String {
         .copied()
         .unwrap_or_else(default_sweep_start);
     let gen = generation_throughput(gen_day, args.scale, 9);
-    let json = format_archive_json(args, &outcome, &gen, warm.as_ref());
+    let json = format_archive_json(args, &outcome, &gen);
 
     std::fs::create_dir_all(&args.out_dir).expect("creating out dir");
     let path = format!("{}/BENCH_archive.json", args.out_dir);
@@ -1096,9 +869,9 @@ mod tests {
             sequential_s: 1.0,
             sharded: vec![(1, 1.0)],
         };
-        let json = format_archive_json(&ArchiveBenchArgs::default(), &outcome, &gen, None);
+        let json = format_archive_json(&ArchiveBenchArgs::default(), &outcome, &gen);
         assert!(json.contains("\"failed_days\": [\n"));
-        assert!(json.contains("\"warm\": null"));
+        assert!(!json.contains("\"warm\""));
         assert!(json.contains("{\"date\": \"2006-07-01\", \"error\": \"day 2006-07-01: source \\\"x\\\" broke\\nbadly\"}"));
         assert!(json.contains("\"sampled_days\": 0"));
         assert!(json.contains("\"first_day\": null"));
@@ -1217,43 +990,6 @@ mod tests {
             .parse::<f64>()
             .expect("label_churn is a number");
         assert!((0.0..=1.0).contains(&churn));
-    }
-
-    /// The in-process twin of the CI `warm-smoke` job: a tiny warm
-    /// sweep with cold-oracle verification. The `verify_cold` path
-    /// asserts label identity internally; here we additionally pin
-    /// the `warm` block's schema and that its metrics are finite.
-    #[test]
-    fn warm_smoke_verifies_cold_oracle_and_renders_block() {
-        let dir = std::env::temp_dir().join("mawilab-warm-smoke");
-        let args = ArchiveBenchArgs {
-            scale: 0.25,
-            days: smoke_archive_days(),
-            out_dir: dir.to_str().unwrap().to_string(),
-            warm_decay: Some(DEFAULT_WARM_DECAY),
-            verify_cold: true,
-            ..Default::default()
-        };
-        let json = run_archive_bench(&args);
-        for key in [
-            "\"warm\": {",
-            "\"decay\"",
-            "\"era_resets\"",
-            "\"seeded_days\"",
-            "\"verified_cold\": true",
-            "\"median_cold\"",
-            "\"median_warm\"",
-            "\"estimate_s\"",
-            "\"speedup\"",
-            "\"committed_baseline\"",
-            "\"speedup_vs_committed\"",
-            "\"excess_drift\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
-        // The smoke days sit inside one era: no reset may fire.
-        assert!(json.contains("\"era_resets\": 0"));
     }
 
     /// A seconds-scale consecutive sweep through the era boundary —

@@ -1,5 +1,5 @@
 //! Archive-scale longitudinal benchmark: month-scale label stability
-//! over the streaming pipeline.
+//! over the single-pass pipeline.
 //!
 //! Streams an archive day sample — the curated 2001–2009 default (all
 //! three link eras, both worm epochs), or a consecutive month-scale
@@ -13,10 +13,7 @@
 //!
 //! The sweep runs **single-pass**: each day's source streams once
 //! through the online pipeline, sealed behind a rewind-refusing
-//! wrapper. `--verify-oracle` additionally reruns the sweep through
-//! the legacy two-pass pipeline and asserts the deterministic
-//! reductions are byte-identical — the in-process equivalence check
-//! CI's `online-smoke` job leans on.
+//! wrapper.
 //!
 //! ```sh
 //! cargo run --release -p mawilab-bench --bin archive [-- --scale 1.0 --out results]
@@ -24,21 +21,11 @@
 //! cargo run --release -p mawilab-bench --bin archive -- --days 30 --from 2006-06-15
 //! cargo run --release -p mawilab-bench --bin archive -- --smoke           # tiny CI pass
 //! cargo run --release -p mawilab-bench --bin archive -- --smoke --days 6  # month-smoke
-//! cargo run --release -p mawilab-bench --bin archive -- --smoke --verify-oracle
-//! cargo run --release -p mawilab-bench --bin archive -- --months --warm 0.35
-//! cargo run --release -p mawilab-bench --bin archive -- --smoke --warm --verify-cold
 //! ```
-//!
-//! `--warm [DECAY]` additionally runs the sweep **warm** — days run
-//! sequentially, each starting from the previous day's detector
-//! baselines and communities — and reports the cold/warm comparison
-//! in the JSON's `warm` block. `--verify-cold` reruns the warm sweep
-//! at `decay = 0` and asserts it is byte-identical to the cold sweep.
 
 use mawilab_bench::archive::{
-    collect_archive, collect_archive_two_pass, default_month_days, default_sweep_start,
-    deterministic_view, month_sweep_days, run_archive_bench, smoke_archive_days, ArchiveBenchArgs,
-    DEFAULT_WARM_DECAY,
+    default_month_days, default_sweep_start, month_sweep_days, run_archive_bench,
+    smoke_archive_days, ArchiveBenchArgs,
 };
 use mawilab_model::TraceDate;
 
@@ -69,9 +56,8 @@ fn main() {
     let mut scale_set = false;
     let mut sweep_days: Option<usize> = None;
     let mut months = false;
-    let mut verify_oracle = false;
     let mut from: Option<TraceDate> = None;
-    let mut it = std::env::args().skip(1).peekable();
+    let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--scale" => {
@@ -91,19 +77,6 @@ fn main() {
             "--months" => months = true,
             "--from" => from = Some(parse_date(&it.next().expect("bad --from"))),
             "--smoke" => smoke = true,
-            "--verify-oracle" => verify_oracle = true,
-            "--warm" => {
-                // Optional decay operand: `--warm 0.5` or bare
-                // `--warm` (default decay).
-                args.warm_decay = Some(match it.peek().and_then(|v| v.parse::<f64>().ok()) {
-                    Some(d) => {
-                        it.next();
-                        d
-                    }
-                    None => DEFAULT_WARM_DECAY,
-                });
-            }
-            "--verify-cold" => args.verify_cold = true,
             other => eprintln!("ignoring unknown flag {other}"),
         }
     }
@@ -131,37 +104,6 @@ fn main() {
         // Seconds-scale CI pass at low volume unless the caller picked
         // a scale explicitly.
         args.scale = 0.25;
-    }
-    if args.verify_cold && args.warm_decay.is_none() {
-        // Verifying the warm path implies running it.
-        args.warm_decay = Some(DEFAULT_WARM_DECAY);
-    }
-    if verify_oracle {
-        // Run the same sweep through both ingest paths and compare
-        // the thread- and mode-invariant reductions byte for byte.
-        eprintln!("verify-oracle: single-pass sweep …");
-        let single = collect_archive(&args);
-        assert!(
-            single.failed.is_empty(),
-            "single-pass sweep had failed days: {:?}",
-            single.failed
-        );
-        eprintln!("verify-oracle: two-pass oracle sweep …");
-        let oracle = collect_archive_two_pass(&args);
-        assert!(
-            oracle.failed.is_empty(),
-            "oracle sweep had failed days: {:?}",
-            oracle.failed
-        );
-        assert_eq!(
-            deterministic_view(&single),
-            deterministic_view(&oracle),
-            "single-pass and two-pass sweeps diverged"
-        );
-        eprintln!(
-            "verify-oracle: single-pass == two-pass over {} days ✓",
-            single.records.len()
-        );
     }
     let json = run_archive_bench(&args);
     println!("{json}");

@@ -1,30 +1,28 @@
-//! Batch-vs-streaming ingest benchmark: wall clock, peak RSS and
+//! Batch-vs-online ingest benchmark: wall clock, peak RSS and
 //! per-chunk throughput on a seeded synth day, plus a multi-day
-//! streaming sweep through the archive harness.
+//! single-pass sweep through the archive harness.
 //!
 //! The parent process generates one 900-second archive day, writes it
-//! to a pcap file, and then measures the three real ingest paths
+//! to a pcap file, and then measures the two real ingest paths
 //! against that file: `read_pcap` + `MawilabPipeline` (materialise
-//! everything), `StreamingPcapReader` + `StreamingPipeline` (constant
-//! packet memory, two drains), and `StreamingPcapReader` +
-//! `OnlinePipeline` (constant packet memory, **one** drain — the
-//! single-pass sliding-horizon labeler). Peak RSS is a
-//! process-lifetime high-water mark, so each mode runs in its own
-//! child process (`--mode batch|streaming|online --pcap FILE`) and
-//! the parent collects the reports into `BENCH_streaming.json`.
+//! everything) and `StreamingPcapReader` + `OnlinePipeline` (constant
+//! packet memory, **one** drain — the single-pass sliding-horizon
+//! labeler). Peak RSS is a process-lifetime high-water mark, so each
+//! mode runs in its own child process (`--mode batch|online --pcap
+//! FILE`) and the parent collects the reports into
+//! `BENCH_streaming.json`.
 //!
-//! Schema note: ingest stats are **per drain** — each streaming block
-//! carries `ingest_passes` (2 for the two-pass oracle, 1 for online)
-//! and `packets_drained` (total packets pulled across all drains, the
-//! real ingest cost); `packets` is the stream's size as one drain saw
-//! it. The online block adds `horizon_lag_us`.
+//! Schema note: the online block carries `ingest_passes` (always 1)
+//! and `packets_drained` (total packets pulled from the source, the
+//! real ingest cost); `packets` is the stream's size. It adds
+//! `horizon_lag_us` and the label window count.
 //!
 //! ```sh
 //! cargo run --release -p mawilab-bench --bin streaming [-- --scale 1.0 --out results]
 //! ```
 
 use mawilab_bench::harness::{peak_rss_kb, run_days_streaming};
-use mawilab_core::{MawilabPipeline, OnlinePipeline, PipelineConfig, StreamingPipeline};
+use mawilab_core::{MawilabPipeline, OnlinePipeline, PipelineConfig};
 use mawilab_model::{pcap, StreamingPcapReader, TraceDate, TraceMeta, DEFAULT_CHUNK_US};
 use mawilab_synth::{archive::first_days_of_month, ArchiveConfig, ArchiveSimulator};
 use std::io::BufReader;
@@ -86,30 +84,6 @@ fn run_mode(mode: &str, pcap_path: &str) {
                 peak_rss_kb().unwrap_or(0),
                 report.alarm_count(),
                 report.community_count(),
-            );
-        }
-        "streaming" => {
-            let file = std::fs::File::open(pcap_path).expect("opening pcap");
-            let t0 = Instant::now();
-            let mut source = StreamingPcapReader::new(BufReader::new(file), meta, DEFAULT_CHUNK_US)
-                .expect("opening pcap stream");
-            let pipeline = StreamingPipeline::new(PipelineConfig::default());
-            let report = pipeline.run(&mut source).expect("streaming run failed");
-            let wall = t0.elapsed();
-            println!(
-                "mode=streaming packets={} packets_drained={} ingest_passes={} wall_s={:.3} \
-                 peak_rss_kb={} alarms={} communities={} chunks={} peak_chunk_packets={} \
-                 chunk_throughput_pps={:.0}",
-                report.stats.packets(),
-                report.stats.packets_drained(),
-                report.stats.passes(),
-                wall.as_secs_f64(),
-                peak_rss_kb().unwrap_or(0),
-                report.alarm_count(),
-                report.community_count(),
-                report.stats.chunks(),
-                report.stats.peak_chunk_packets,
-                report.stats.packets_drained() as f64 / wall.as_secs_f64().max(1e-9),
             );
         }
         "online" => {
@@ -196,15 +170,13 @@ fn main() {
 
     eprintln!("batch child …");
     let batch = spawn_child("batch", &pcap_path);
-    eprintln!("streaming (two-pass) child …");
-    let streaming = spawn_child("streaming", &pcap_path);
     eprintln!("online (single-pass) child …");
     let online = spawn_child("online", &pcap_path);
     let _ = std::fs::remove_file(&pcap_path);
-    eprintln!("{batch}\n{streaming}\n{online}");
+    eprintln!("{batch}\n{online}");
 
-    // Multi-day streaming sweep through the archive harness.
-    eprintln!("multi-day streaming sweep …");
+    // Multi-day single-pass sweep through the archive harness.
+    eprintln!("multi-day single-pass sweep …");
     let days = first_days_of_month(2004, 6, 4);
     let sweep: Vec<String> = run_days_streaming(
         &days,
@@ -230,35 +202,28 @@ fn main() {
         },
     )
     .into_iter()
-    .map(|day| day.expect("synthetic streaming day failed"))
+    .map(|day| day.expect("synthetic single-pass day failed"))
     .collect();
 
-    let stream_block = |line: &str| {
-        format!(
-            "{{\"packets\": {}, \"packets_drained\": {}, \"ingest_passes\": {}, \
-             \"wall_s\": {}, \"peak_rss_kb\": {}, \"alarms\": {}, \"communities\": {}, \
-             \"chunks\": {}, \"peak_chunk_packets\": {}, \"chunk_throughput_pps\": {}}}",
-            field(line, "packets"),
-            field(line, "packets_drained"),
-            field(line, "ingest_passes"),
-            field(line, "wall_s"),
-            field(line, "peak_rss_kb"),
-            field(line, "alarms"),
-            field(line, "communities"),
-            field(line, "chunks"),
-            field(line, "peak_chunk_packets"),
-            field(line, "chunk_throughput_pps"),
-        )
-    };
-    // Schema note: `streaming` is the two-pass oracle (ingest_passes
-    // = 2, packets_drained = 2x packets), `online` the single-pass
-    // sliding-horizon labeler (ingest_passes = 1) with its lag and
-    // per-horizon window count alongside.
+    let online_block = format!(
+        "{{\"packets\": {}, \"packets_drained\": {}, \"ingest_passes\": {}, \
+         \"wall_s\": {}, \"peak_rss_kb\": {}, \"alarms\": {}, \"communities\": {}, \
+         \"chunks\": {}, \"peak_chunk_packets\": {}, \"chunk_throughput_pps\": {}}}",
+        field(&online, "packets"),
+        field(&online, "packets_drained"),
+        field(&online, "ingest_passes"),
+        field(&online, "wall_s"),
+        field(&online, "peak_rss_kb"),
+        field(&online, "alarms"),
+        field(&online, "communities"),
+        field(&online, "chunks"),
+        field(&online, "peak_chunk_packets"),
+        field(&online, "chunk_throughput_pps"),
+    );
     let json = format!(
         "{{\n  \"generated_by\": \"cargo run --release -p mawilab-bench --bin streaming\",\n  \
          \"day\": \"{:04}-{:02}-{:02}\",\n  \"scale\": {},\n  \"chunk_us\": {},\n  \
          \"batch\": {{\"packets\": {}, \"wall_s\": {}, \"peak_rss_kb\": {}, \"alarms\": {}, \"communities\": {}}},\n  \
-         \"streaming\": {},\n  \
          \"online\": {{\"base\": {}, \"horizon_lag_us\": {}, \"labeled_windows\": {}}},\n  \
          \"multi_day_streaming\": [\n{}\n  ]\n}}\n",
         DAY.0, DAY.1, DAY.2,
@@ -269,8 +234,7 @@ fn main() {
         field(&batch, "peak_rss_kb"),
         field(&batch, "alarms"),
         field(&batch, "communities"),
-        stream_block(&streaming),
-        stream_block(&online),
+        online_block,
         field(&online, "horizon_lag_us"),
         field(&online, "windows"),
         sweep.join(",\n"),
@@ -281,29 +245,17 @@ fn main() {
     println!("{json}");
     eprintln!("wrote {path}");
 
-    // Sanity: identical decisions imply identical counts, and the
-    // single-pass path must agree with both while draining half the
-    // packets the two-pass oracle did.
+    // Sanity: the single-pass path must agree with the batch oracle
+    // while draining the pcap once.
     assert_eq!(
         field(&batch, "alarms"),
-        field(&streaming, "alarms"),
-        "alarm counts diverged"
-    );
-    assert_eq!(
-        field(&batch, "communities"),
-        field(&streaming, "communities"),
-        "community counts diverged"
-    );
-    assert_eq!(
-        field(&streaming, "alarms"),
         field(&online, "alarms"),
         "online alarm count diverged"
     );
     assert_eq!(
-        field(&streaming, "communities"),
+        field(&batch, "communities"),
         field(&online, "communities"),
         "online community count diverged"
     );
     assert_eq!(field(&online, "ingest_passes"), "1");
-    assert_eq!(field(&streaming, "ingest_passes"), "2");
 }

@@ -8,14 +8,13 @@
 
 use mawilab_combiner::Decision;
 use mawilab_core::{
-    MawilabPipeline, OnlinePipeline, PipelineConfig, PipelineReport, StrategyKind,
-    StreamingPipeline, StreamingReport, WarmState,
+    MawilabPipeline, OnlinePipeline, PipelineConfig, PipelineReport, StrategyKind, StreamingReport,
 };
 use mawilab_detectors::TraceView;
 use mawilab_label::LabeledWindow;
 use mawilab_model::{
-    FlowTable, ItemIndex, NoRewindSource, PacketSource, SourceError, StreamTruthCollector,
-    TapSource, TraceDate,
+    FlowTable, NoRewindSource, PacketSource, SourceError, StreamTruthCollector, TapSource,
+    TraceDate,
 };
 use mawilab_synth::{ArchiveConfig, ArchiveSimulator, GroundTruth, LabeledTrace, TraceGenerator};
 use std::fmt;
@@ -98,7 +97,7 @@ where
 
 /// Everything a streaming per-day reducer can look at. Unlike
 /// [`DayContext`] there is no materialised trace or flow table — the
-/// day was drained chunk by chunk through the streaming pipeline.
+/// day was drained chunk by chunk through the single-pass pipeline.
 pub struct StreamingDayContext<'a> {
     /// The archive day.
     pub date: TraceDate,
@@ -110,21 +109,17 @@ pub struct StreamingDayContext<'a> {
     /// (per packet) and the report's community traffic sets (per
     /// unit). Feed it to `GroundTruthMatcher::from_item_ids`.
     pub item_ids: &'a [u32],
-    /// Full streaming pipeline output, including ingest stats.
+    /// Full pipeline output, including ingest stats.
     pub report: &'a StreamingReport,
-    /// The per-horizon label feed of the single-pass run, in window
-    /// order. Empty on the two-pass oracle path, which labels the
-    /// whole day at once.
+    /// The day's labels bucketed by horizon window, in window order.
     pub windows: &'a [LabeledWindow],
-    /// Wall-clock of the whole streaming run for this day.
+    /// Wall-clock of the whole single-pass run for this day.
     pub wall: Duration,
-    /// Wall-clock of producing the day ahead of the pipeline's drain:
-    /// on the single-pass path only the generator's day plan (the
-    /// packets themselves are generated lazily *inside* the drain, so
-    /// they land in `wall`); on the two-pass oracle path the whole
-    /// truth pre-pass (sharded generation plus per-packet unit-id/tag
-    /// collection). For a generation-only engine comparison see the
-    /// benchmark's `generation` block (`generation_throughput`).
+    /// Wall-clock of producing the generator's day plan ahead of the
+    /// drain (the packets themselves are generated lazily *inside*
+    /// the drain, so they land in `wall`). For a generation-only
+    /// engine comparison see the benchmark's `generation` block
+    /// (`generation_throughput`).
     pub gen_wall: Duration,
 }
 
@@ -183,7 +178,7 @@ impl SourceWrap for NoWrap {
 ///
 /// Per-packet truth tags stream out of the generator through a
 /// [`TapSource`]/[`StreamTruthCollector`] pair riding the pipeline's
-/// own drain (the collector's incremental [`ItemIndex`] assigns
+/// own drain (the collector's incremental [`ItemIndex`](mawilab_model::ItemIndex) assigns
 /// exactly the unit ids the pipeline's extraction does), so each day
 /// pays generation exactly **once**. The source is additionally
 /// sealed behind a [`NoRewindSource`]: any rewind attempt is a
@@ -247,141 +242,6 @@ where
             item_ids: &item_ids,
             report: &online.report,
             windows: &online.windows,
-            wall,
-            gen_wall,
-        }))
-    })
-}
-
-/// The **warm** form of [`run_days_streaming`]: days run
-/// **sequentially, in date order**, threading one
-/// [`WarmState`](mawilab_core::WarmState) through the whole sweep so
-/// each day starts from the previous day's detector baselines and
-/// communities (see [`OnlinePipeline::run_warm`]). Sequencing is
-/// inherent — day *k+1*'s input *is* day *k*'s output — so this path
-/// gives up the cold sweep's day-level fan-out and must win on
-/// per-day algorithmic savings instead.
-///
-/// With `warm.decay() == 0.0` every day is an exact cold start and
-/// the sweep's labels are byte-identical to [`run_days_streaming`] —
-/// the archive bench's `--verify-cold` flag checks exactly that.
-///
-/// A failed day is reported as `Err(DayFailure)` and the sweep
-/// continues; the warm state simply carries the last completed day's
-/// baselines across the gap (same policy as a real service skipping
-/// a corrupt pcap).
-pub fn run_days_streaming_warm<T, F>(
-    days: &[TraceDate],
-    scale: f64,
-    chunk_us: u64,
-    pipeline_config: PipelineConfig,
-    warm: &mut WarmState,
-    mut reduce: F,
-) -> Vec<Result<T, DayFailure>>
-where
-    F: FnMut(&StreamingDayContext<'_>) -> T,
-{
-    let sim = ArchiveSimulator::new(ArchiveConfig {
-        scale,
-        ..Default::default()
-    });
-    let pipeline = OnlinePipeline::new(pipeline_config.clone());
-    let mut out = Vec::with_capacity(days.len());
-    for (done, &date) in days.iter().enumerate() {
-        let generator = TraceGenerator::new(sim.config_for(date));
-        let t0 = std::time::Instant::now();
-        let source = generator.stream(chunk_us);
-        let records = source.records().to_vec();
-        let gen_wall = t0.elapsed();
-        let mut collector = StreamTruthCollector::new(pipeline_config.granularity);
-        let t0 = std::time::Instant::now();
-        let online = {
-            let tap = TapSource::new(source, &mut collector);
-            let mut sealed = NoRewindSource::new(tap);
-            match pipeline.run_warm(&mut sealed, Some(warm)) {
-                Ok(online) => online,
-                Err(error) => {
-                    out.push(Err(DayFailure { date, error }));
-                    continue;
-                }
-            }
-        };
-        let wall = t0.elapsed();
-        let (item_ids, tags) = collector.into_parts();
-        let truth = GroundTruth::new(tags, records);
-        out.push(Ok(reduce(&StreamingDayContext {
-            date,
-            truth: &truth,
-            item_ids: &item_ids,
-            report: &online.report,
-            windows: &online.windows,
-            wall,
-            gen_wall,
-        })));
-        let d = done + 1;
-        if d.is_multiple_of(25) || d == days.len() {
-            eprintln!("  [{d}/{} days]", days.len());
-        }
-    }
-    out
-}
-
-/// The **two-pass oracle** form of [`run_days_streaming`]: the same
-/// sweep through the legacy [`StreamingPipeline`] (truth pre-pass,
-/// rewind, detection pass, rewind, extraction pass). Kept as the
-/// independently-built path to the same labels — equivalence suites
-/// byte-compare its output against the single-pass run — and for
-/// profiling the replay cost the single-pass path eliminates. Its
-/// contexts carry no [`LabeledWindow`]s (`windows` is empty): the
-/// oracle labels the day all at once.
-pub fn run_days_streaming_two_pass<T, F>(
-    days: &[TraceDate],
-    scale: f64,
-    chunk_us: u64,
-    pipeline_config: PipelineConfig,
-    reduce: F,
-) -> Vec<Result<T, DayFailure>>
-where
-    T: Send,
-    F: Fn(&StreamingDayContext<'_>) -> T + Sync,
-{
-    schedule_days(days, scale, |date, sim| {
-        let generator = TraceGenerator::new(sim.config_for(date));
-        let t0 = std::time::Instant::now();
-        let mut source = generator.stream(chunk_us);
-        // Streaming pre-pass: per-packet truth tags and traffic-unit
-        // ids in stream order, one chunk live at a time.
-        let mut item_index = ItemIndex::new(pipeline_config.granularity);
-        let mut item_ids = Vec::new();
-        let mut tags = Vec::new();
-        loop {
-            match source.next_chunk() {
-                Ok(Some(chunk)) => {
-                    item_ids.extend(chunk.packets.iter().map(|p| item_index.id_of(p)));
-                    tags.extend_from_slice(source.chunk_tags());
-                }
-                Ok(None) => break,
-                Err(error) => return Err(DayFailure { date, error }),
-            }
-        }
-        let truth = GroundTruth::new(tags, source.records().to_vec());
-        let gen_wall = t0.elapsed();
-        if let Err(error) = source.rewind() {
-            return Err(DayFailure { date, error });
-        }
-        let pipeline = StreamingPipeline::new(pipeline_config.clone());
-        let t0 = std::time::Instant::now();
-        let report = match pipeline.run(&mut source) {
-            Ok(report) => report,
-            Err(error) => return Err(DayFailure { date, error }),
-        };
-        let wall = t0.elapsed();
-        Ok(reduce(&StreamingDayContext {
-            date,
-            truth: &truth,
-            item_ids: &item_ids,
-            report: &report,
-            windows: &[],
             wall,
             gen_wall,
         }))
@@ -470,93 +330,33 @@ mod tests {
     }
 
     #[test]
-    fn warm_sweep_at_zero_decay_matches_cold_sweep() {
-        let days = first_days_of_month(2005, 6, 3);
-        let reduce = |ctx: &StreamingDayContext<'_>| {
-            (ctx.report.alarm_count(), ctx.report.decisions.clone())
-        };
-        let cold: Vec<_> = run_days_streaming(
-            &days,
-            0.3,
-            mawilab_model::DEFAULT_CHUNK_US,
-            PipelineConfig::default(),
-            reduce,
-        )
-        .into_iter()
-        .map(|day| day.expect("synthetic day cannot fail"))
-        .collect();
-        let mut warm = mawilab_core::WarmState::new(0.0);
-        let warmed: Vec<_> = run_days_streaming_warm(
-            &days,
-            0.3,
-            mawilab_model::DEFAULT_CHUNK_US,
-            PipelineConfig::default(),
-            &mut warm,
-            reduce,
-        )
-        .into_iter()
-        .map(|day| day.expect("synthetic day cannot fail"))
-        .collect();
-        assert_eq!(cold, warmed, "decay = 0 must be an exact cold start");
-        assert_eq!(warm.days(), 3);
-        assert_eq!(warm.seeded_days(), 0);
-    }
-
-    #[test]
-    fn warm_sweep_carries_state_between_days() {
-        let days = first_days_of_month(2005, 6, 2);
-        let mut warm = mawilab_core::WarmState::new(0.5);
-        let alarms: Vec<usize> = run_days_streaming_warm(
-            &days,
-            0.3,
-            mawilab_model::DEFAULT_CHUNK_US,
-            PipelineConfig::default(),
-            &mut warm,
-            |ctx| ctx.report.alarm_count(),
-        )
-        .into_iter()
-        .map(|day| day.expect("synthetic day cannot fail"))
-        .collect();
-        assert_eq!(alarms.len(), 2);
-        assert_eq!(warm.days(), 2);
-        assert!(warm.carried_signatures() > 0);
-    }
-
-    #[test]
-    fn two_pass_oracle_agrees_with_the_single_pass_run() {
+    fn single_pass_truth_and_unit_ids_agree_with_batch() {
         let days = first_days_of_month(2003, 9, 2);
-        let reduce = |ctx: &StreamingDayContext<'_>| {
+        let config = PipelineConfig::default();
+        assert_eq!(config.granularity, mawilab_model::Granularity::Uniflow);
+        let batch = run_days(&days, 0.3, config.clone(), |ctx| {
+            let n = ctx.labeled_trace.trace.len();
             (
                 ctx.report.alarm_count(),
                 ctx.report.decisions.clone(),
-                ctx.truth.tags().to_vec(),
-                ctx.item_ids.to_vec(),
+                ctx.labeled_trace.truth.tags().to_vec(),
+                (0..n)
+                    .map(|i| ctx.view.flows.uniflow_of(i))
+                    .collect::<Vec<u32>>(),
             )
-        };
-        let single: Vec<_> = run_days_streaming(
-            &days,
-            0.3,
-            mawilab_model::DEFAULT_CHUNK_US,
-            PipelineConfig::default(),
-            reduce,
-        )
-        .into_iter()
-        .map(|day| day.expect("synthetic day cannot fail"))
-        .collect();
-        let oracle: Vec<_> = run_days_streaming_two_pass(
-            &days,
-            0.3,
-            mawilab_model::DEFAULT_CHUNK_US,
-            PipelineConfig::default(),
-            |ctx| {
-                assert_eq!(ctx.report.stats.passes(), 2, "oracle drains twice");
-                assert!(ctx.windows.is_empty(), "oracle emits no horizon feed");
-                reduce(ctx)
-            },
-        )
-        .into_iter()
-        .map(|day| day.expect("synthetic day cannot fail"))
-        .collect();
-        assert_eq!(single, oracle);
+        });
+        let single: Vec<_> =
+            run_days_streaming(&days, 0.3, mawilab_model::DEFAULT_CHUNK_US, config, |ctx| {
+                (
+                    ctx.report.alarm_count(),
+                    ctx.report.decisions.clone(),
+                    ctx.truth.tags().to_vec(),
+                    ctx.item_ids.to_vec(),
+                )
+            })
+            .into_iter()
+            .map(|day| day.expect("synthetic day cannot fail"))
+            .collect();
+        assert_eq!(single, batch);
     }
 }

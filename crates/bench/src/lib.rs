@@ -25,6 +25,6 @@ pub mod out;
 
 pub use cli::Args;
 pub use harness::{
-    peak_rss_kb, run_days, run_days_streaming, run_days_streaming_two_pass,
-    run_days_streaming_wrapped, DayContext, DayFailure, NoWrap, SourceWrap, StreamingDayContext,
+    peak_rss_kb, run_days, run_days_streaming, run_days_streaming_wrapped, DayContext, DayFailure,
+    NoWrap, SourceWrap, StreamingDayContext,
 };

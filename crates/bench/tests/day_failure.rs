@@ -84,8 +84,6 @@ fn failing_day_is_reported_skipped_and_survived() {
             .unwrap()
             .to_string(),
         chunk_us: DEFAULT_CHUNK_US,
-        warm_decay: None,
-        verify_cold: false,
     };
     let outcome = collect_archive_wrapped(&args, &InjectOn { bad_day, allow: 3 });
 

@@ -12,8 +12,8 @@
 //! `uncertain` in between.
 //!
 //! The score is a pure function of the [`VoteTable`] — it does not
-//! depend on which strategy the pipeline happens to run, so batch,
-//! streaming, online and warm paths agree on it by construction.
+//! depend on which strategy the pipeline happens to run, so the batch
+//! and single-pass paths agree on it by construction.
 //!
 //! **Thresholds-off contract.** With `thresholds = None` the tier
 //! degenerates to the hard decision (accepted → `Anomalous`, else

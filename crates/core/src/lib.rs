@@ -12,24 +12,25 @@
 //! 4. label the trace: taxonomy labels, Table-1 heuristics, and
 //!    association-rule summaries (`mawilab-label`).
 //!
-//! [`MawilabPipeline`] is the main entry point; [`OnlinePipeline`]
-//! is its single-pass streaming form (one drain, labels emitted per
-//! horizon window); [`benchmark`] hosts the downstream use-case the
-//! database exists for — scoring a *new* detector's alarms against
-//! the labels through the same similarity machinery (paper §5).
+//! [`OnlinePipeline`] is the production labeler: it drains a packet
+//! source once and buckets the labels per horizon window.
+//! [`MawilabPipeline`] is the batch form over an in-memory trace and
+//! the oracle the single-pass path is tested against, byte for byte.
+//! [`benchmark`] hosts the downstream use-case the database exists
+//! for — scoring a *new* detector's alarms against the labels through
+//! the same similarity machinery (paper §5).
 
 #![forbid(unsafe_code)]
 
 pub mod benchmark;
 pub mod online;
 pub mod pipeline;
-pub mod streaming;
-pub mod warm;
 
 pub use benchmark::{benchmark_alarms, BenchmarkResult};
-pub use online::{OnlinePipeline, OnlineReport, DEFAULT_HORIZON_US, DEFAULT_LAG_US};
+pub use online::{
+    DrainStats, OnlinePipeline, OnlineReport, StreamStats, StreamingReport, DEFAULT_HORIZON_US,
+    DEFAULT_LAG_US,
+};
 pub use pipeline::{
     LabeledReport, MawilabPipeline, PipelineConfig, PipelineReport, PipelineTimings, StrategyKind,
 };
-pub use streaming::{DrainStats, StreamStats, StreamingPipeline, StreamingReport};
-pub use warm::WarmState;

@@ -1,11 +1,11 @@
 //! The single-pass online MAWILab pipeline: one drain, labels on a
 //! sliding horizon.
 //!
-//! [`StreamingPipeline`](crate::StreamingPipeline) drains every
-//! source twice — detect, then rewind and extract — which a live
-//! link cannot do. [`OnlinePipeline`] folds both jobs into **one
-//! drain**: as each chunk streams past, every detector configuration
-//! observes it *and* the extraction/labeling evidence is banked
+//! [`OnlinePipeline`] is the production labeler. It drains a source
+//! **once** — a live link cannot be replayed — doing detection and
+//! evidence gathering in the same pass: as each chunk streams past,
+//! every detector configuration observes it *and* the
+//! extraction/labeling evidence is banked
 //! (traffic-unit ids from the incremental `ItemIndex`, compact
 //! `(FlowKey, ts, id)` records in the
 //! [`HorizonExtractor`], monoidal per-unit
@@ -29,28 +29,27 @@
 //! The lag governs **evidence retention**, not alarm timing: the
 //! paper's detectors calibrate on whole-trace state (PCA subspace,
 //! Gamma fits, KL reference histograms), so alarms finalize at end of
-//! stream and byte-identity with the oracle holds at *every* lag —
+//! stream and byte-identity with the batch oracle
+//! ([`MawilabPipeline`](crate::MawilabPipeline)) holds at *every* lag —
 //! `lag = 0` (all evidence compacted on arrival) through
 //! `lag ≥ stream` (all evidence raw) produce identical labels, which
 //! `tests/online_equivalence.rs` pins across seeds × chunk widths ×
 //! thread counts.
 //!
-//! ## Per-horizon emission
+//! ## Per-horizon windows
 //!
-//! Labels are published as [`LabeledWindow`]s on a fixed horizon grid
-//! (default [`DEFAULT_HORIZON_US`]): window *W* seals when the
-//! high-water mark passes `W.end + lag`, so on a dense stream the
-//! label latency is bounded by **lag + one chunk** (an empty-bin gap
-//! defers the seal to the next traffic, like any event-driven
-//! system). Windows not yet sealed when the stream ends seal at
-//! end-of-stream with `sealed_by_finish` set. The flattened windows
-//! are exactly the run's labeled communities — emission re-buckets,
-//! it never re-labels.
+//! Labels are bucketed into [`LabeledWindow`]s on a fixed horizon
+//! grid (default [`DEFAULT_HORIZON_US`]). Every label is computed at
+//! end of stream, because the detectors alarm in `finish()`; no label
+//! can be read before the drain ends. A window's `sealed_at_us` is
+//! the high-water mark at which its evidence was complete (`W.end +
+//! lag` passed, or stream end with `sealed_by_finish` set), so
+//! `latency_us` measures evidence completeness, not label
+//! availability. The flattened windows are exactly the run's labeled
+//! communities — bucketing never re-labels.
 
 use crate::pipeline::{LabeledReport, PipelineConfig, PipelineTimings};
-use crate::streaming::{DrainStats, StreamStats, StreamingReport, FANOUT_MIN_CHUNK_PACKETS};
-use crate::warm::WarmState;
-use mawilab_combiner::{label_confidences, VoteTable};
+use mawilab_combiner::{label_confidences, Decision, VoteTable};
 use mawilab_detectors::{
     finish_all, observe_all, standard_configurations, ChunkView, Detector, IncrementalDetector,
 };
@@ -58,7 +57,7 @@ use mawilab_label::{
     label_communities_streaming, window_communities, CommunityEvidence, LabeledWindow,
 };
 use mawilab_model::{ItemIndex, PacketSource, SourceError};
-use mawilab_similarity::{HorizonExtractor, HorizonStats};
+use mawilab_similarity::{AlarmCommunities, HorizonExtractor, HorizonStats};
 use std::time::Instant;
 
 /// Default evidence-retention lag: 30 s — six default chunks, two
@@ -66,21 +65,107 @@ use std::time::Instant;
 /// detector's analysis bin.
 pub const DEFAULT_LAG_US: u64 = 30_000_000;
 
-/// Default horizon window width: 60 s of labels per emission.
+/// Default horizon window width: 60 s of labels per window.
 pub const DEFAULT_HORIZON_US: u64 = 60_000_000;
 
+/// Chunks below this packet count are observed inline rather than
+/// fanned out: `observe_all` spins up a scoped-thread round per call,
+/// and for near-empty chunks (narrow `--chunk-us` bins, quiet
+/// periods) the spawn/join barrier would dwarf the detector work
+/// itself. The cutover is by chunk size only — never by thread count
+/// — so output stays identical at any `MAWILAB_THREADS` setting
+/// (detectors are independent; only the schedule changes).
+pub(crate) const FANOUT_MIN_CHUNK_PACKETS: usize = 1024;
+
+/// Chunk/packet counters of one full drain of a source.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DrainStats {
+    /// Chunks the drain consumed.
+    pub chunks: usize,
+    /// Packets the drain consumed.
+    pub packets: u64,
+}
+
+/// Ingest statistics of one run, with one [`DrainStats`] entry per
+/// drain of the source — exactly one for [`OnlinePipeline`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StreamStats {
+    /// One entry per drain of the source, in drain order.
+    pub drains: Vec<DrainStats>,
+    /// Evidence-retention lag of the sliding horizon.
+    pub horizon_lag_us: Option<u64>,
+    /// Largest number of packets alive at once — the size of the
+    /// biggest single chunk. This is the constant-memory bound.
+    pub peak_chunk_packets: usize,
+    /// Distinct traffic units assigned during extraction.
+    pub items: usize,
+}
+
+impl StreamStats {
+    /// Number of times the source was drained (1 = single-pass).
+    pub fn passes(&self) -> usize {
+        self.drains.len()
+    }
+
+    /// Chunks of the stream, as seen by the first drain.
+    pub fn chunks(&self) -> usize {
+        self.drains.first().map_or(0, |d| d.chunks)
+    }
+
+    /// Packets of the stream, as seen by the first drain.
+    pub fn packets(&self) -> u64 {
+        self.drains.first().map_or(0, |d| d.packets)
+    }
+
+    /// Total packets pulled across **all** drains — the real ingest
+    /// cost.
+    pub fn packets_drained(&self) -> u64 {
+        self.drains.iter().map(|d| d.packets).sum()
+    }
+}
+
+/// Everything the pipeline produced for one stream — the same
+/// step outputs as the batch [`PipelineReport`](crate::PipelineReport),
+/// plus ingest statistics.
+#[derive(Debug)]
+pub struct StreamingReport {
+    /// Step-2 output: alarms, traffic sets, graph, partition.
+    pub communities: AlarmCommunities,
+    /// Step-3 input: the 12-configuration vote table.
+    pub votes: VoteTable,
+    /// Step-3 output: one decision per community.
+    pub decisions: Vec<Decision>,
+    /// Step-4 output: labeled communities.
+    pub labeled: LabeledReport,
+    /// Wall-clock accounting (detect = the drain, extract = horizon
+    /// finalize, then graph / Louvain / combine / label).
+    pub timings: PipelineTimings,
+    /// Ingest statistics.
+    pub stats: StreamStats,
+}
+
+impl StreamingReport {
+    /// Total number of alarms the detectors raised.
+    pub fn alarm_count(&self) -> usize {
+        self.communities.alarms.len()
+    }
+
+    /// Number of communities.
+    pub fn community_count(&self) -> usize {
+        self.communities.community_count()
+    }
+}
+
 /// Everything one single-pass run produced: the full
-/// [`StreamingReport`] (same shape as the two-pass pipeline's, so
-/// every consumer and oracle comparison works unchanged) plus the
-/// per-horizon label feed.
+/// [`StreamingReport`] plus the per-horizon label windows.
 #[derive(Debug)]
 pub struct OnlineReport {
-    /// The run's report — byte-identical to what the two-pass
-    /// [`StreamingPipeline`](crate::StreamingPipeline) produces on
-    /// the same stream.
+    /// The run's report — byte-identical to what the batch oracle
+    /// [`MawilabPipeline::run`](crate::MawilabPipeline::run) produces
+    /// on the materialised trace.
     pub report: StreamingReport,
-    /// The label feed: one [`LabeledWindow`] per horizon window, in
-    /// window order. Flattening their communities reproduces
+    /// The labels bucketed by horizon window: one [`LabeledWindow`]
+    /// per window, in window order. Flattening their communities reproduces
     /// `report.labeled.communities` exactly.
     pub windows: Vec<LabeledWindow>,
     /// The evidence-retention lag the run used, µs.
@@ -92,9 +177,9 @@ pub struct OnlineReport {
 }
 
 impl OnlineReport {
-    /// Largest label latency across windows sealed by the moving
-    /// high-water mark (finish-sealed windows measure stream end, not
-    /// the horizon mechanism).
+    /// Largest seal latency ([`LabeledWindow::latency_us`]) across
+    /// windows sealed by the moving high-water mark (finish-sealed
+    /// windows measure stream end, not the horizon mechanism).
     pub fn max_sealed_latency_us(&self) -> u64 {
         self.windows
             .iter()
@@ -208,11 +293,15 @@ impl OnlinePipeline {
         self
     }
 
-    /// Sets the horizon window width (µs) of the label feed.
-    pub fn with_horizon_us(mut self, horizon_us: u64) -> Self {
-        assert!(horizon_us > 0, "horizon width must be positive");
+    /// Sets the horizon window width (µs) of the label windows,
+    /// rejecting a zero width with
+    /// [`SourceError::InvalidHorizonWidth`].
+    pub fn with_horizon_us(mut self, horizon_us: u64) -> Result<Self, SourceError> {
+        if horizon_us == 0 {
+            return Err(SourceError::InvalidHorizonWidth(horizon_us));
+        }
         self.horizon_us = horizon_us;
-        self
+        Ok(self)
     }
 
     /// The active configuration.
@@ -226,20 +315,6 @@ impl OnlinePipeline {
         &self,
         source: &mut S,
     ) -> Result<OnlineReport, SourceError> {
-        self.run_warm(source, None)
-    }
-
-    /// [`run`](Self::run) with day-over-day warm state: detector
-    /// baselines start from the carried priors
-    /// ([`warm_begin`](IncrementalDetector::warm_begin)), the Louvain
-    /// stage is seeded from yesterday's communities, and the finished
-    /// day's state is absorbed back for tomorrow. `None` — or warm
-    /// state with `decay == 0.0` — is the cold path, byte for byte.
-    pub fn run_warm<S: PacketSource + ?Sized>(
-        &self,
-        source: &mut S,
-        mut warm: Option<&mut WarmState>,
-    ) -> Result<OnlineReport, SourceError> {
         let meta = source.meta().clone();
         let origin_us = meta.window().start_us;
         let mut stats = StreamStats {
@@ -248,28 +323,16 @@ impl OnlinePipeline {
         };
         let mut drain = DrainStats::default();
 
-        // The one drain: detectors observe each chunk (same fan-out
-        // and same inline cutover as the two-pass pipeline, so the
-        // observation schedule — and therefore every alarm — is
-        // identical), while the extraction/labeling evidence is
-        // banked alongside.
+        // The one drain: detectors observe each chunk (fanned out
+        // across configurations through `mawilab-exec`, inline below
+        // the cutover; detector state is chunk-boundary invariant, so
+        // every alarm equals the batch pipeline's), while the
+        // extraction/labeling evidence is banked alongside.
         let t0 = Instant::now();
-        if let Some(w) = warm.as_deref_mut() {
-            w.begin_day(meta.era, meta.date);
-        }
         let mut incs: Vec<Box<dyn IncrementalDetector>> =
             self.detectors.iter().map(|d| d.incremental()).collect();
         for inc in &mut incs {
-            match warm.as_deref() {
-                Some(w) => {
-                    let label = inc.label();
-                    // The gap-compounded decay: a multi-day calendar
-                    // gap shrinks yesterday's priors by decay^gap, so
-                    // an epoch jump is effectively a cold start.
-                    inc.warm_begin(&meta, w.prior_for(&label), w.effective_decay());
-                }
-                None => inc.begin(&meta),
-            }
+            inc.begin(&meta);
         }
         let mut index = ItemIndex::new(self.config.granularity);
         let mut evidence = CommunityEvidence::new(self.config.granularity);
@@ -294,19 +357,12 @@ impl OnlinePipeline {
             seals.advance(chunk.window.end_us);
         }
         let alarms = finish_all(&mut incs);
-        if let Some(w) = warm.as_deref_mut() {
-            for inc in &mut incs {
-                let label = inc.label();
-                w.absorb_prior(label, inc.export_prior());
-            }
-        }
         drop(incs);
         stats.drains = vec![drain];
         let detect = t0.elapsed();
 
         // End of stream: resolve the finished alarms against the
-        // banked evidence — the deferred half of what the two-pass
-        // extraction pass did per chunk.
+        // banked evidence.
         let t1 = Instant::now();
         let resolved = horizon.finalize(&alarms);
         evidence.retain_matched(&resolved.matched);
@@ -314,21 +370,12 @@ impl OnlinePipeline {
         let horizon_stats = resolved.stats;
         let extract = t1.elapsed();
 
-        // Steps 2–4: same batch code as the two-pass path. Warm state
-        // only *seeds* Louvain — the similarity graph itself is built
-        // exactly as in the cold path, so the fixed point refinement
-        // converges to is still a cold-reachable partition. At zero
-        // decay (or no warm state) the seed is `None` and the cold
-        // path runs, byte for byte.
-        let seed = warm.as_deref_mut().and_then(|w| w.seed_for(&alarms));
-        let (communities, mining) = self.config.estimator().estimate_from_traffic_seeded(
-            alarms,
-            resolved.traffic,
-            seed.as_ref(),
-        );
-        if let Some(w) = warm {
-            w.absorb_day(&communities);
-        }
+        // Steps 2–4: the batch pipeline's graph, Louvain, combine
+        // and label code.
+        let (communities, mining) = self
+            .config
+            .estimator()
+            .estimate_from_traffic_timed(alarms, resolved.traffic);
 
         let t2 = Instant::now();
         let votes = VoteTable::from_communities(&communities);
@@ -350,8 +397,9 @@ impl OnlinePipeline {
         };
         let label = t3.elapsed();
 
-        // Bucket the labels onto the horizon grid and attach seal
-        // times. Stream end seals every still-open window.
+        // Bucket the labels onto the horizon grid and attach the
+        // times their evidence completed. Stream end seals every
+        // still-open window.
         let max_start = labeled.communities.iter().map(|c| c.window.start_us).max();
         let n_windows = seals.window_count(max_start);
         let stream_end_us = seals.high_water_us;
@@ -401,7 +449,7 @@ impl OnlinePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streaming::StreamingPipeline;
+    use crate::pipeline::MawilabPipeline;
     use mawilab_model::{NoRewindSource, TraceChunker, DEFAULT_CHUNK_US};
     use mawilab_synth::{SynthConfig, TraceGenerator};
 
@@ -410,13 +458,10 @@ mod tests {
     }
 
     #[test]
-    fn single_pass_report_matches_two_pass_through_a_sealed_source() {
+    fn single_pass_report_matches_batch_through_a_sealed_source() {
         let lt = small_trace();
         let config = PipelineConfig::default();
-        let mut oracle_source = TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US);
-        let oracle = StreamingPipeline::new(config.clone())
-            .run(&mut oracle_source)
-            .unwrap();
+        let oracle = MawilabPipeline::new(config.clone()).run(&lt.trace);
 
         let mut source = NoRewindSource::new(TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US));
         let online = OnlinePipeline::new(config).run(&mut source).unwrap();
@@ -433,14 +478,18 @@ mod tests {
             online.report.labeled.communities.len(),
             oracle.labeled.communities.len()
         );
-        // Ingest accounting: one drain of the same stream.
+        // Ingest accounting: one drain of the whole stream.
         assert_eq!(online.report.stats.passes(), 1);
-        assert_eq!(online.report.stats.chunks(), oracle.stats.chunks());
-        assert_eq!(online.report.stats.packets(), oracle.stats.packets());
-        assert_eq!(
-            online.report.stats.packets_drained() * 2,
-            oracle.stats.packets_drained()
+        assert!(
+            online.report.stats.chunks() > 1,
+            "expected a multi-chunk stream"
         );
+        assert_eq!(online.report.stats.packets(), lt.trace.len() as u64);
+        assert_eq!(
+            online.report.stats.packets_drained(),
+            online.report.stats.packets()
+        );
+        assert!(online.report.stats.peak_chunk_packets < lt.trace.len());
         assert_eq!(online.report.stats.horizon_lag_us, Some(DEFAULT_LAG_US));
     }
 
@@ -465,7 +514,7 @@ mod tests {
             .iter()
             .map(|c| c.community)
             .collect();
-        assert_eq!(flattened, direct, "emission re-buckets, never re-labels");
+        assert_eq!(flattened, direct, "bucketing never re-labels");
         // Interior windows hold exactly the communities whose span
         // starts inside them (window 0 / the last window also absorb
         // off-grid folds).
@@ -496,6 +545,7 @@ mod tests {
         let online = OnlinePipeline::new(PipelineConfig::default())
             .with_lag_us(lag)
             .with_horizon_us(horizon)
+            .unwrap()
             .run(&mut source)
             .unwrap();
         let sealed: Vec<&LabeledWindow> = online
@@ -521,54 +571,15 @@ mod tests {
     }
 
     #[test]
-    fn warm_run_at_zero_decay_matches_cold_run() {
-        let lt = small_trace();
-        let config = PipelineConfig::default();
-        let mut cold_source = TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US);
-        let cold = OnlinePipeline::new(config.clone())
-            .run(&mut cold_source)
-            .unwrap();
-
-        let mut warm_state = WarmState::new(0.0);
-        let mut source = TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US);
-        let warm = OnlinePipeline::new(config)
-            .run_warm(&mut source, Some(&mut warm_state))
-            .unwrap();
-
-        assert_eq!(
-            warm.report.communities.alarms,
-            cold.report.communities.alarms
-        );
-        assert_eq!(
-            warm.report.communities.partition,
-            cold.report.communities.partition
-        );
-        assert_eq!(warm.report.votes, cold.report.votes);
-        assert_eq!(warm.report.decisions, cold.report.decisions);
-        assert_eq!(warm_state.days(), 1);
-        assert_eq!(warm_state.seeded_days(), 0, "zero decay must never seed");
-        assert_eq!(warm_state.carried_signatures(), 0);
-    }
-
-    #[test]
-    fn warm_state_carries_priors_and_communities_across_days() {
-        let config = PipelineConfig::default();
-        let pipeline = OnlinePipeline::new(config);
-        let mut warm = WarmState::new(0.5);
-        for seed in [99u64, 100] {
-            let lt = TraceGenerator::new(SynthConfig::default().with_seed(seed)).generate();
-            let mut source = TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US);
-            pipeline.run_warm(&mut source, Some(&mut warm)).unwrap();
-        }
-        assert_eq!(warm.days(), 2);
-        assert!(
-            warm.carried_signatures() > 0,
-            "an alarming day must leave a community carry"
-        );
-        assert!(
-            warm.prior_for("PCA/optimal").is_some(),
-            "PCA baselines must be carried"
-        );
+    fn zero_horizon_width_is_a_typed_error() {
+        let err = OnlinePipeline::new(PipelineConfig::default())
+            .with_horizon_us(0)
+            .err()
+            .expect("a zero horizon width must be rejected");
+        assert!(matches!(err, SourceError::InvalidHorizonWidth(0)), "{err}");
+        assert!(OnlinePipeline::new(PipelineConfig::default())
+            .with_horizon_us(1)
+            .is_ok());
     }
 
     #[test]

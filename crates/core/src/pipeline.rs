@@ -104,7 +104,7 @@ impl Default for PipelineConfig {
 impl PipelineConfig {
     /// The similarity estimator this configuration describes — the
     /// single place the pipeline's four estimator knobs are wired
-    /// through, shared by the batch and streaming pipelines.
+    /// through, shared by the batch and single-pass pipelines.
     pub fn estimator(&self) -> SimilarityEstimator {
         SimilarityEstimator {
             granularity: self.granularity,
@@ -123,8 +123,8 @@ impl PipelineConfig {
 pub struct PipelineTimings {
     /// Detector execution (all configurations, parallel).
     pub detect: Duration,
-    /// Traffic extraction (batch: per-alarm scan; streaming: pass 2
-    /// drain).
+    /// Traffic extraction (batch: per-alarm scan; single-pass:
+    /// horizon finalize).
     pub extract: Duration,
     /// Sharded similarity-graph construction.
     pub graph: Duration,

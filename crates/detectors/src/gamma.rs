@@ -18,7 +18,6 @@
 //! reports source or destination IP addresses".
 
 use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
-use crate::warm::{blend, DetectorPrior, GammaPrior, GammaRowPrior};
 use crate::{ChunkView, Detector, IncrementalDetector};
 use mawilab_model::{TimeWindow, TraceMeta};
 use mawilab_sketch::SketchFamily;
@@ -106,19 +105,8 @@ impl GammaDetector {
         }
     }
 
-    /// Analyses one direction's accumulated sketch state. `dir_idx`
-    /// selects this direction's block of carried reference
-    /// trajectories; the (possibly blended) references are appended to
-    /// `export` in the same `dir * sketch_rows + row` order.
-    fn finish_direction(
-        &self,
-        state: &GammaDirState,
-        window: TimeWindow,
-        dir_idx: usize,
-        warm: Option<(&GammaPrior, f64)>,
-        export: &mut GammaPrior,
-        out: &mut Vec<Alarm>,
-    ) {
+    /// Analyses one direction's accumulated sketch state.
+    fn finish_direction(&self, state: &GammaDirState, window: TimeWindow, out: &mut Vec<Alarm>) {
         let GammaDirState {
             dir,
             sketch,
@@ -131,7 +119,7 @@ impl GammaDetector {
         let mut flagged: Vec<Vec<bool>> = Vec::with_capacity(self.sketch_rows);
         let mut flagged_any = false;
         let mut max_score: f64 = 0.0;
-        for (row, per_bin) in series.iter().enumerate() {
+        for per_bin in series {
             let trajs: Vec<Option<Vec<f64>>> = per_bin.iter().map(|s| self.trajectory(s)).collect();
             let dim = self.scales * 2;
             // Reference: per-coordinate median and MAD over valid bins.
@@ -142,22 +130,6 @@ impl GammaDetector {
                 med[d] = median(&col);
                 scale[d] = mad(&col);
             }
-            // Pull the reference toward the carried prior
-            // (shape-checked); cold runs keep today's values bitwise.
-            if let Some((p, w)) = warm {
-                if let Some(pr) = p.rows.get(dir_idx * self.sketch_rows + row) {
-                    if pr.med.len() == dim && pr.scale.len() == dim {
-                        for d in 0..dim {
-                            med[d] = blend(med[d], pr.med[d], w);
-                            scale[d] = blend(scale[d], pr.scale[d], w);
-                        }
-                    }
-                }
-            }
-            export.rows.push(GammaRowPrior {
-                med: med.clone(),
-                scale: scale.clone(),
-            });
             let mut flags = vec![false; self.sketch_width];
             for (bin, traj) in trajs.iter().enumerate() {
                 let Some(t) = traj else { continue };
@@ -222,8 +194,6 @@ impl Detector for GammaDetector {
             t_bins: 0,
             seen: 0,
             dirs: Vec::new(),
-            warm: None,
-            export: None,
         })
     }
 }
@@ -246,10 +216,6 @@ pub struct GammaAccumulator {
     t_bins: usize,
     seen: u64,
     dirs: Vec<GammaDirState>,
-    /// Carried reference trajectories + decay; `None` = cold start.
-    warm: Option<(GammaPrior, f64)>,
-    /// Updated references, filled by `finish` for `export_prior`.
-    export: Option<GammaPrior>,
 }
 
 impl IncrementalDetector for GammaAccumulator {
@@ -266,8 +232,6 @@ impl IncrementalDetector for GammaAccumulator {
         self.window = Some(window);
         self.t_bins = (window.len_us() / self.det.delta_us) as usize;
         self.seen = 0;
-        self.warm = None;
-        self.export = None;
         self.dirs = if self.t_bins < 8 {
             Vec::new() // too short to analyse; observe() becomes a no-op
         } else {
@@ -311,27 +275,10 @@ impl IncrementalDetector for GammaAccumulator {
             return out;
         }
         let window = self.window.expect("finish before begin"); // lint:allow(panic-free-data-plane): begin() runs before finish() in the chunk driver
-        let warm = self.warm.as_ref().map(|(p, w)| (p, *w));
-        let mut export = GammaPrior::default();
-        for (dir_idx, state) in self.dirs.iter().enumerate() {
-            self.det
-                .finish_direction(state, window, dir_idx, warm, &mut export, &mut out);
+        for state in &self.dirs {
+            self.det.finish_direction(state, window, &mut out);
         }
-        self.export = Some(export);
         out
-    }
-
-    fn warm_begin(&mut self, meta: &TraceMeta, prior: Option<&DetectorPrior>, decay: f64) {
-        self.begin(meta);
-        if decay > 0.0 {
-            if let Some(DetectorPrior::Gamma(p)) = prior {
-                self.warm = Some((p.clone(), decay));
-            }
-        }
-    }
-
-    fn export_prior(&mut self) -> Option<DetectorPrior> {
-        self.export.take().map(DetectorPrior::Gamma)
     }
 }
 

@@ -17,7 +17,6 @@
 //! is why its tunings are the most precise rather than the loudest.
 
 use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
-use crate::warm::{blend, DetectorPrior, KlPrior};
 use crate::{ChunkView, Detector, IncrementalDetector};
 use mawilab_mining::{mine_rules, Transaction};
 use mawilab_model::{TimeWindow, TraceMeta};
@@ -157,8 +156,6 @@ impl Detector for KlDetector {
             seen: 0,
             hists: Vec::new(),
             bin_tuples: Vec::new(),
-            warm: None,
-            export: None,
         })
     }
 }
@@ -176,10 +173,6 @@ pub struct KlAccumulator {
     hists: Vec<Vec<Histogram>>,
     /// Distinct 4-tuples with multiplicities, per time bin.
     bin_tuples: Vec<HashMap<PacketTuple, u32>>,
-    /// Carried divergence baselines + decay; `None` = cold start.
-    warm: Option<(KlPrior, f64)>,
-    /// Updated baselines, filled by `finish` for `export_prior`.
-    export: Option<KlPrior>,
 }
 
 impl IncrementalDetector for KlAccumulator {
@@ -196,8 +189,6 @@ impl IncrementalDetector for KlAccumulator {
         self.window = Some(window);
         self.t_bins = (window.len_us() / self.det.bin_us) as usize;
         self.seen = 0;
-        self.warm = None;
-        self.export = None;
         if self.t_bins < 3 {
             self.hists = Vec::new();
             self.bin_tuples = Vec::new();
@@ -235,44 +226,21 @@ impl IncrementalDetector for KlAccumulator {
             return Vec::new();
         }
         let window = self.window.expect("finish before begin"); // lint:allow(panic-free-data-plane): begin() runs before finish() in the chunk driver
-        let warm = self.warm.as_ref().map(|(p, w)| (p, *w));
-        let (alarms, export) =
-            self.det
-                .finish_analysis(window, self.t_bins, &self.hists, &self.bin_tuples, warm);
-        self.export = Some(export);
-        alarms
-    }
-
-    fn warm_begin(&mut self, meta: &TraceMeta, prior: Option<&DetectorPrior>, decay: f64) {
-        self.begin(meta);
-        if decay > 0.0 {
-            if let Some(DetectorPrior::Kl(p)) = prior {
-                self.warm = Some((p.clone(), decay));
-            }
-        }
-    }
-
-    fn export_prior(&mut self) -> Option<DetectorPrior> {
-        self.export.take().map(DetectorPrior::Kl)
+        self.det
+            .finish_analysis(window, self.t_bins, &self.hists, &self.bin_tuples)
     }
 }
 
 impl KlDetector {
-    /// The batch analysis over fully accumulated histogram state. When
-    /// a carried prior is supplied, the per-feature divergence
-    /// baselines are EWMA-blended with it before thresholding; the
-    /// blended baselines are returned as the next day's prior either
-    /// way.
+    /// The batch analysis over fully accumulated histogram state.
     fn finish_analysis(
         &self,
         window: TimeWindow,
         t_bins: usize,
         hists: &[Vec<Histogram>],
         bin_tuples: &[HashMap<PacketTuple, u32>],
-        warm: Option<(&KlPrior, f64)>,
-    ) -> (Vec<Alarm>, KlPrior) {
+    ) -> Vec<Alarm> {
         let mut alarms = Vec::new();
-        let mut export = KlPrior::default();
         let mut seen: HashSet<(usize, mawilab_model::TrafficRule)> = HashSet::new();
         for (fi, f) in FEATURES.iter().enumerate() {
             // Divergence series between consecutive bins, on raw
@@ -286,18 +254,9 @@ impl KlDetector {
                 })
                 .collect();
             // Robust baseline: the anomaly's own spikes must not lift
-            // the threshold (median/MAD instead of mean/σ); blended
-            // with the carried prior when one applies (cold runs keep
-            // today's values bitwise).
-            let mut spread = mad(&series);
-            let mut center = median(&series);
-            if let Some((p, w)) = warm {
-                if let Some(&(p_center, p_spread)) = p.features.get(fi) {
-                    center = blend(center, p_center, w);
-                    spread = blend(spread, p_spread, w);
-                }
-            }
-            export.features.push((center, spread));
+            // the threshold (median/MAD instead of mean/σ).
+            let spread = mad(&series);
+            let center = median(&series);
             if spread < 1e-12 {
                 continue; // flat series: nothing to flag
             }
@@ -371,7 +330,7 @@ impl KlDetector {
                 }
             }
         }
-        (alarms, export)
+        alarms
     }
 }
 

@@ -27,14 +27,12 @@ pub mod gamma;
 pub mod hough;
 pub mod kl;
 pub mod pca;
-pub mod warm;
 
 pub use alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
 pub use gamma::GammaDetector;
 pub use hough::HoughDetector;
 pub use kl::KlDetector;
 pub use pca::PcaDetector;
-pub use warm::{DetectorPrior, GammaPrior, KlPrior, PcaPrior};
 
 use mawilab_model::{FlowTable, Packet, PacketChunk, TimeWindow, Trace, TraceMeta};
 
@@ -121,29 +119,6 @@ pub trait IncrementalDetector: Send {
     /// alarms. The detector is spent afterwards; call
     /// [`begin`](IncrementalDetector::begin) to reuse it.
     fn finish(&mut self) -> Vec<Alarm>;
-
-    /// Warm-started [`begin`](IncrementalDetector::begin): the
-    /// detector's internal baselines start from an
-    /// exponentially-decaying prior carried from previous days (see
-    /// [`warm`]) instead of being re-estimated from scratch.
-    ///
-    /// The default ignores the prior and delegates to `begin` — a
-    /// detector without warm support (Hough) simply runs cold. Every
-    /// implementation must treat `decay == 0.0` or a `None`/
-    /// shape-mismatched prior as an exact cold start (byte-identical
-    /// alarms).
-    fn warm_begin(&mut self, meta: &TraceMeta, prior: Option<&DetectorPrior>, decay: f64) {
-        let _ = (prior, decay);
-        self.begin(meta);
-    }
-
-    /// The updated baseline to carry into the next day, available
-    /// after [`finish`](IncrementalDetector::finish). `None` when the
-    /// detector has no warm support or the day produced no state to
-    /// carry (empty trace) — the caller then keeps its previous prior.
-    fn export_prior(&mut self) -> Option<DetectorPrior> {
-        None
-    }
 
     /// Unique label, e.g. `"Gamma/sensitive"`.
     fn label(&self) -> String {
@@ -292,118 +267,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// One full incremental pass; returns (alarms, exported prior).
-    fn warm_pass(
-        config: &dyn Detector,
-        lt: &mawilab_synth::LabeledTrace,
-        prior: Option<&DetectorPrior>,
-        decay: f64,
-    ) -> (Vec<Alarm>, Option<DetectorPrior>) {
-        use mawilab_model::{PacketSource, TraceChunker};
-        let mut inc = config.incremental();
-        inc.warm_begin(&lt.trace.meta, prior, decay);
-        let mut source = TraceChunker::new(lt.trace.clone(), 5_000_000);
-        while let Some(chunk) = source.next_chunk().unwrap() {
-            inc.observe(&ChunkView::of_chunk(&lt.trace.meta, chunk));
-        }
-        let alarms = inc.finish();
-        let export = inc.export_prior();
-        (alarms, export)
-    }
-
-    /// `warm_begin` with no prior, or any prior at decay 0, must be
-    /// byte-identical to a cold `begin` for every configuration.
-    #[test]
-    fn warm_begin_at_zero_decay_is_cold() {
-        let lt = TraceGenerator::new(SynthConfig::default().with_seed(42)).generate();
-        for config in standard_configurations() {
-            let (cold, cold_export) = warm_pass(config.as_ref(), &lt, None, 0.0);
-            // A real prior from a previous (different) day.
-            let prev = TraceGenerator::new(SynthConfig::default().with_seed(43)).generate();
-            let (_, prior) = warm_pass(config.as_ref(), &prev, None, 0.0);
-            let (warm_no_prior, _) = warm_pass(config.as_ref(), &lt, None, 0.7);
-            let (warm_zero_decay, zero_export) =
-                warm_pass(config.as_ref(), &lt, prior.as_ref(), 0.0);
-            assert_eq!(
-                cold,
-                warm_no_prior,
-                "{}: no-prior warm diverged",
-                config.label()
-            );
-            assert_eq!(
-                cold,
-                warm_zero_decay,
-                "{}: decay=0 warm diverged",
-                config.label()
-            );
-            // decay=0 exports must equal the cold day's own baselines.
-            assert_eq!(
-                cold_export,
-                zero_export,
-                "{}: decay=0 export diverged",
-                config.label()
-            );
-        }
-    }
-
-    /// With a genuine prior and positive decay, exports keep their
-    /// shape and stay finite — the EWMA evolves rather than resets.
-    #[test]
-    fn warm_priors_evolve_with_stable_shape() {
-        fn all_finite(p: &DetectorPrior) -> bool {
-            match p {
-                DetectorPrior::Pca(p) => p.rows.iter().all(|r| {
-                    r.e_med.is_finite()
-                        && r.e_mad.is_finite()
-                        && r.coord_sigma.iter().all(|s| s.is_finite())
-                }),
-                DetectorPrior::Gamma(p) => p.rows.iter().all(|r| {
-                    r.med.iter().all(|v| v.is_finite()) && r.scale.iter().all(|v| v.is_finite())
-                }),
-                DetectorPrior::Kl(p) => p
-                    .features
-                    .iter()
-                    .all(|&(m, s)| m.is_finite() && s.is_finite()),
-            }
-        }
-        fn shape(p: &DetectorPrior) -> Vec<usize> {
-            match p {
-                DetectorPrior::Pca(p) => p.rows.iter().map(|r| r.coord_sigma.len()).collect(),
-                DetectorPrior::Gamma(p) => p.rows.iter().map(|r| r.med.len()).collect(),
-                DetectorPrior::Kl(p) => vec![p.features.len()],
-            }
-        }
-        let day1 = TraceGenerator::new(SynthConfig::default().with_seed(50)).generate();
-        let day2 = TraceGenerator::new(SynthConfig::default().with_seed(51)).generate();
-        let mut warm_supported = 0;
-        for config in standard_configurations() {
-            let (_, prior) = warm_pass(config.as_ref(), &day1, None, 0.0);
-            if config.kind() == DetectorKind::Hough {
-                assert!(prior.is_none(), "Hough unexpectedly exports a prior");
-                continue;
-            }
-            let prior = prior.expect("warm detector exported no prior");
-            assert!(all_finite(&prior), "{}: non-finite prior", config.label());
-            let (alarms, evolved) = warm_pass(config.as_ref(), &day2, Some(&prior), 0.4);
-            let evolved = evolved.expect("warm run exported no prior");
-            assert_eq!(
-                shape(&prior),
-                shape(&evolved),
-                "{}: shape drifted",
-                config.label()
-            );
-            assert!(
-                all_finite(&evolved),
-                "{}: non-finite evolved prior",
-                config.label()
-            );
-            assert_ne!(prior, evolved, "{}: prior did not evolve", config.label());
-            assert!(alarms.iter().all(|a| a.score.is_finite()));
-            warm_supported += 1;
-        }
-        assert_eq!(warm_supported, 9, "PCA, Gamma, KL × 3 tunings carry priors");
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //! communities (Fig. 5) — so its sensitive tuning flags aggressively.
 
 use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
-use crate::warm::{blend, DetectorPrior, PcaPrior, PcaRowPrior};
 use crate::{ChunkView, Detector, IncrementalDetector};
 use mawilab_linalg::pca::{ColumnScaling, PcaComponents};
 use mawilab_linalg::{Matrix, Pca};
@@ -147,8 +146,6 @@ impl Detector for PcaDetector {
             sketch: None,
             counts: Vec::new(),
             active: Vec::new(),
-            warm: None,
-            export: None,
         })
     }
 }
@@ -165,10 +162,6 @@ pub struct PcaAccumulator {
     sketch: Option<SketchFamily>,
     counts: Vec<Matrix>,
     active: Vec<HashSet<u32>>,
-    /// Carried baselines + decay weight; `None` = cold start.
-    warm: Option<(PcaPrior, f64)>,
-    /// Updated baselines, filled by `finish` for `export_prior`.
-    export: Option<PcaPrior>,
 }
 
 impl IncrementalDetector for PcaAccumulator {
@@ -185,8 +178,6 @@ impl IncrementalDetector for PcaAccumulator {
         self.window = Some(window);
         self.t_bins = (window.len_us() / self.det.bin_us) as usize;
         self.seen = 0;
-        self.warm = None;
-        self.export = None;
         if self.t_bins < 4 {
             self.sketch = None;
             self.counts = Vec::new();
@@ -232,40 +223,13 @@ impl IncrementalDetector for PcaAccumulator {
         if self.seen == 0 {
             return Vec::new();
         }
-        let warm = self.warm.as_ref().map(|(p, w)| (p, *w));
-        let (alarms, export) = self.det.finish_analysis(
-            sketch,
-            window,
-            self.t_bins,
-            &self.counts,
-            &self.active,
-            warm,
-        );
-        self.export = Some(export);
-        alarms
-    }
-
-    fn warm_begin(&mut self, meta: &TraceMeta, prior: Option<&DetectorPrior>, decay: f64) {
-        self.begin(meta);
-        if decay > 0.0 {
-            if let Some(DetectorPrior::Pca(p)) = prior {
-                self.warm = Some((p.clone(), decay));
-            }
-        }
-    }
-
-    fn export_prior(&mut self) -> Option<DetectorPrior> {
-        self.export.take().map(DetectorPrior::Pca)
+        self.det
+            .finish_analysis(sketch, window, self.t_bins, &self.counts, &self.active)
     }
 }
 
 impl PcaDetector {
-    /// The batch analysis over fully accumulated sketch state. When a
-    /// carried prior is supplied, the per-row baselines (energy
-    /// median/MAD, coordinate spreads) are EWMA-blended with it before
-    /// thresholding; the blended baselines are returned as the next
-    /// day's prior either way.
-    #[allow(clippy::too_many_arguments)]
+    /// The batch analysis over fully accumulated sketch state.
     fn finish_analysis(
         &self,
         sketch: &SketchFamily,
@@ -273,13 +237,11 @@ impl PcaDetector {
         t_bins: usize,
         counts: &[Matrix],
         active: &[HashSet<u32>],
-        warm: Option<(&PcaPrior, f64)>,
-    ) -> (Vec<Alarm>, PcaPrior) {
+    ) -> Vec<Alarm> {
         // Per row: subspace fit → flagged (time, bin) pairs.
         // flagged[row][t] = boolean bin vector (empty Vec = untouched).
         let mut flagged: Vec<Vec<Vec<bool>>> = vec![vec![Vec::new(); t_bins]; self.sketch_rows];
         let mut bin_scores = vec![0.0f64; t_bins];
-        let mut export = PcaPrior::default();
         for (row, m) in counts.iter().enumerate() {
             let pca = self.robust_fit(m);
             let residuals: Vec<Vec<f64>> = (0..t_bins).map(|t| pca.residual(m.row(t))).collect();
@@ -287,8 +249,8 @@ impl PcaDetector {
                 .iter()
                 .map(|e| e.iter().map(|x| x * x).sum())
                 .collect();
-            // Today's baselines: robust Q-statistic center/spread and
-            // per-coordinate spreads for localisation.
+            // Robust Q-statistic center/spread and per-coordinate
+            // spreads for localisation.
             let e_med = median(&energies);
             let e_mad = mad(&energies).max(1e-9);
             let coord_sigma: Vec<f64> = (0..self.sketch_width)
@@ -297,31 +259,9 @@ impl PcaDetector {
                     mad(&col)
                 })
                 .collect();
-            // Blend with the carried prior when one applies
-            // (shape-checked); cold runs keep today's values bitwise.
-            let prior_row = warm
-                .and_then(|(p, _)| p.rows.get(row))
-                .filter(|pr| pr.coord_sigma.len() == self.sketch_width);
-            let (e_med, e_mad, coord_sigma) = match (prior_row, warm) {
-                (Some(pr), Some((_, w))) => (
-                    blend(e_med, pr.e_med, w),
-                    blend(e_mad, pr.e_mad, w),
-                    coord_sigma
-                        .iter()
-                        .zip(&pr.coord_sigma)
-                        .map(|(&t, &p)| blend(t, p, w))
-                        .collect(),
-                ),
-                _ => (e_med, e_mad, coord_sigma),
-            };
             // Robust Q-statistic threshold: median + λ·MAD, so the
             // anomaly cannot inflate its own detection threshold.
             let q_thr = e_med + self.threshold * e_mad;
-            export.rows.push(PcaRowPrior {
-                e_med,
-                e_mad,
-                coord_sigma: coord_sigma.clone(),
-            });
             for t in 0..t_bins {
                 if energies[t] <= q_thr || q_thr == 0.0 {
                     continue;
@@ -396,7 +336,7 @@ impl PcaDetector {
             }
             flush(start, prev, score, &mut alarms);
         }
-        (alarms, export)
+        alarms
     }
 }
 

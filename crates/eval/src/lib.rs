@@ -35,9 +35,8 @@ pub use dists::{cdf_points, pdf_histogram};
 pub use gaincost::{gain_cost, GainCost};
 pub use ground_truth::{GroundTruthMatcher, StrategyScore};
 pub use longitudinal::{
-    adjacent_pairs, era_transitions, outbreak_response, stability_report,
-    stability_report_from_pairs, AdjacentPair, AnomalyIdentity, DaySummary, EraTransition,
-    IdentityTable, MonthlyStability, OutbreakResponse, RuleScope, StabilityReport, StrategyFlips,
-    WormStatus,
+    adjacent_pairs, era_transitions, outbreak_response, stability_report, AdjacentPair,
+    AnomalyIdentity, DaySummary, EraTransition, MonthlyStability, OutbreakResponse, RuleScope,
+    StabilityReport, StrategyFlips, WormStatus,
 };
 pub use ratios::{attack_ratio_by_class, detector_attack_ratio, AttackRatios};

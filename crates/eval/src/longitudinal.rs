@@ -308,46 +308,6 @@ impl AdjacentPair {
     }
 }
 
-/// Incremental cross-day identity matcher: carries the previous day's
-/// identity → label/decision tables and matches each new day against
-/// them in one pass, without rewinding through the day sequence.
-///
-/// This is the *single* matching implementation — the batch
-/// [`adjacent_pairs`] folds days through it, and the warm-start sweep
-/// carries one across its sequential day loop — so the longitudinal
-/// eval and the warm harness cannot drift apart.
-#[derive(Debug, Clone, Default)]
-pub struct IdentityTable {
-    last: Option<DaySummary>,
-}
-
-impl IdentityTable {
-    /// An empty table (no day carried yet).
-    pub fn new() -> Self {
-        IdentityTable::default()
-    }
-
-    /// Matches `day` against the carried previous day and replaces the
-    /// carried tables with `day`'s. Returns the adjacent-pair
-    /// comparison, or `None` for the first day inserted.
-    pub fn match_and_insert(&mut self, day: &DaySummary) -> Option<AdjacentPair> {
-        let pair = self.last.as_ref().map(|prev| compare_pair(prev, day));
-        self.last = Some(day.clone());
-        pair
-    }
-
-    /// Date of the carried day, if any.
-    pub fn carried_date(&self) -> Option<TraceDate> {
-        self.last.as_ref().map(|d| d.date)
-    }
-
-    /// Drops the carried day (e.g. across a link-era boundary, where
-    /// cross-day matches measure epoch change rather than stability).
-    pub fn reset(&mut self) {
-        self.last = None;
-    }
-}
-
 fn compare_pair(a: &DaySummary, b: &DaySummary) -> AdjacentPair {
     let mut matched = 0usize;
     let mut label_flips = 0usize;
@@ -422,12 +382,11 @@ fn compare_pair(a: &DaySummary, b: &DaySummary) -> AdjacentPair {
     }
 }
 
-/// Compares every consecutive pair of the (date-ordered) day sequence
-/// by folding the days through one [`IdentityTable`].
+/// Compares every consecutive pair of the (date-ordered) day
+/// sequence.
 pub fn adjacent_pairs(days: &[DaySummary]) -> Vec<AdjacentPair> {
-    let mut table = IdentityTable::new();
-    days.iter()
-        .filter_map(|d| table.match_and_insert(d))
+    days.windows(2)
+        .map(|w| compare_pair(&w[0], &w[1]))
         .collect()
 }
 
@@ -662,19 +621,7 @@ pub struct StabilityReport {
 /// `era_transitions` — the upgrade shock is reported next to, never
 /// pooled into, the day-over-day stability numbers.
 pub fn stability_report(days: &[DaySummary], max_gap_days: i64) -> StabilityReport {
-    stability_report_from_pairs(days, adjacent_pairs(days), max_gap_days)
-}
-
-/// [`stability_report`] over adjacent pairs the caller has already
-/// computed — the warm-start sweep matches days incrementally through
-/// an [`IdentityTable`] as it runs and aggregates here without a
-/// second pass over the day sequence. `all_pairs` must be the
-/// unfiltered consecutive-pair comparisons of `days`.
-pub fn stability_report_from_pairs(
-    days: &[DaySummary],
-    all_pairs: Vec<AdjacentPair>,
-    max_gap_days: i64,
-) -> StabilityReport {
+    let all_pairs = adjacent_pairs(days);
     let transitions = era_transitions(&all_pairs);
     let pairs: Vec<AdjacentPair> = all_pairs
         .into_iter()
@@ -986,31 +933,6 @@ mod tests {
             ConfidenceTier::Uncertain,
             "tier of the merge winner"
         );
-    }
-
-    #[test]
-    fn identity_table_matches_pairwise_comparison() {
-        let days = two_days();
-        // Incremental matching through the shared table must equal the
-        // batch pairwise loop — warm-start and eval use one matcher.
-        let mut table = IdentityTable::new();
-        let incremental: Vec<AdjacentPair> = days
-            .iter()
-            .filter_map(|d| table.match_and_insert(d))
-            .collect();
-        let batch = adjacent_pairs(&days);
-        assert_eq!(incremental.len(), batch.len());
-        for (a, b) in incremental.iter().zip(&batch) {
-            assert_eq!(a.gap_days, b.gap_days);
-            assert_eq!(a.matched, b.matched);
-            assert_eq!(a.label_flips, b.label_flips);
-            assert_eq!(a.jaccard_anomalous, b.jaccard_anomalous);
-        }
-        assert_eq!(table.carried_date(), Some(date(2)));
-        table.reset();
-        assert_eq!(table.carried_date(), None);
-        // After a reset the next day has nothing to match against.
-        assert!(table.match_and_insert(&days[0]).is_none());
     }
 
     #[test]

@@ -30,6 +30,4 @@ pub mod louvain;
 pub use components::connected_components;
 pub use csr::CsrGraph;
 pub use graph::Graph;
-pub use louvain::{
-    louvain, louvain_csr, louvain_csr_seeded, louvain_seeded, modularity, Partition,
-};
+pub use louvain::{louvain, louvain_csr, modularity, Partition};

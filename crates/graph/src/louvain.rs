@@ -171,146 +171,27 @@ pub fn louvain_csr(g: &CsrGraph, resolution: f64) -> Partition {
     Partition::from_labels(assignment)
 }
 
-/// [`louvain`] warm-started from a prior partition.
-pub fn louvain_seeded(g: &Graph, resolution: f64, seed: &Partition) -> Partition {
-    louvain_csr_seeded(&CsrGraph::from_graph(g), resolution, seed)
-}
-
-/// [`louvain_csr`] warm-started from a prior partition: node→community
-/// assignments are initialised from `seed` and the same greedy
-/// refinement sweep then runs to convergence — identical fixed-point
-/// semantics (every applied move strictly increases modularity), but
-/// far fewer sweeps when the seed is already close to the answer.
-///
-/// One projection keeps the warm start honest: every seed community
-/// is split into its **connected components within today's graph**
-/// before the sweep. Cold Louvain only ever groups nodes along edges,
-/// so a carried community today's graph no longer connects is never a
-/// reachable cold fixed point — yet left intact it would *survive*
-/// refinement, because no strictly-positive-gain move dissolves an
-/// edge-less grouping. The split dissolves exactly that stale
-/// structure (isolated nodes fall out as singletons, preserving the
-/// paper's false-positive-singleton signal) while connected carried
-/// structure passes through untouched. The resulting components are
-/// renumbered densely in order of first appearance (the same
-/// canonicalisation as [`Partition::from_labels`]), so the lowest-id
-/// tie-break resolves exactly as it would in an equivalent cold
-/// sweep.
-///
-/// With an identity (all-singleton) seed the result is byte-identical
-/// to [`louvain_csr`]: the projected labels, the σ_tot initialisation,
-/// and every gain comparison coincide with the cold path.
-pub fn louvain_csr_seeded(g: &CsrGraph, resolution: f64, seed: &Partition) -> Partition {
-    assert!(resolution > 0.0, "resolution must be positive");
-    let n = g.node_count();
-    assert_eq!(seed.community.len(), n, "seed partition size mismatch");
-    if n == 0 {
-        return Partition {
-            community: vec![],
-            count: 0,
-        };
-    }
-    // Project the seed onto this graph: union-find over the edges
-    // *internal* to each seed community splits every carried
-    // community into its connected components (zero-degree nodes fall
-    // out as singletons — no edge ever unions them), then the roots
-    // are renumbered densely in first-appearance order. `next`
-    // increments at most once per node, so every label stays < n (the
-    // `from_labels` invariant).
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            parent[x as usize] = parent[parent[x as usize] as usize];
-            x = parent[x as usize];
-        }
-        x
-    }
-    let mut parent: Vec<u32> = (0..n as u32).collect();
-    for v in 0..n {
-        for &t in g.neighbor_targets(v) {
-            let t = t as usize;
-            if t > v && seed.community[v] == seed.community[t] {
-                let (rv, rt) = (find(&mut parent, v as u32), find(&mut parent, t as u32));
-                if rv != rt {
-                    // Root at the smaller id: first-appearance
-                    // renumbering below then sees each component at
-                    // its lowest member.
-                    parent[rv.max(rt) as usize] = rv.min(rt);
-                }
-            }
-        }
-    }
-    let mut labels: Vec<usize> = Vec::with_capacity(n);
-    let mut remap: Vec<Option<usize>> = vec![None; n];
-    let mut next = 0usize;
-    for v in 0..n {
-        let root = find(&mut parent, v as u32) as usize;
-        match &mut remap[root] {
-            Some(id) => labels.push(*id),
-            slot @ None => {
-                *slot = Some(next);
-                labels.push(next);
-                next += 1;
-            }
-        }
-    }
-
-    let (labels, _improved) = one_level_from(g, resolution, labels);
-    let level_part = Partition::from_labels(labels);
-    let mut assignment = level_part.community.clone();
-    if level_part.community_count() < n {
-        // Levels past the first start from singleton super-nodes, so
-        // the cold engine finishes the job on the aggregated graph.
-        let rest = louvain_csr(&aggregate(g, &level_part), resolution);
-        for a in assignment.iter_mut() {
-            *a = rest.of(*a);
-        }
-    }
-    Partition::from_labels(assignment)
-}
-
 /// One round of greedy local moving from singleton labels. Returns the
 /// label vector and whether any node moved.
 fn one_level(g: &CsrGraph, resolution: f64) -> (Vec<usize>, bool) {
-    one_level_from(g, resolution, (0..g.node_count()).collect())
-}
-
-/// One round of greedy local moving from the given initial labels
-/// (dense, `< n`). Identity labels reproduce the classic sweep
-/// byte-for-byte; a warm seed simply starts the same sweep closer to
-/// its fixed point.
-fn one_level_from(g: &CsrGraph, resolution: f64, labels: Vec<usize>) -> (Vec<usize>, bool) {
     if g.node_count() >= PARALLEL_SWEEP_MIN_NODES {
-        one_level_parallel(g, resolution, labels)
+        one_level_parallel(g, resolution)
     } else {
-        one_level_sequential(g, resolution, labels)
+        one_level_sequential(g, resolution)
     }
-}
-
-/// Per-community total degree for the given labelling. For identity
-/// labels this is exactly `degrees.to_vec()` (0.0 + d == d bitwise for
-/// the non-negative degrees a [`CsrGraph`] produces).
-fn sigma_tot_from(labels: &[usize], degrees: &[f64]) -> Vec<f64> {
-    let mut sigma_tot = vec![0.0; labels.len()];
-    for (v, &c) in labels.iter().enumerate() {
-        sigma_tot[c] += degrees[v];
-    }
-    sigma_tot
 }
 
 /// The exact sequential greedy sweep: scan nodes in order, each
 /// against the fully up-to-date state.
-fn one_level_sequential(
-    g: &CsrGraph,
-    resolution: f64,
-    mut labels: Vec<usize>,
-) -> (Vec<usize>, bool) {
+fn one_level_sequential(g: &CsrGraph, resolution: f64) -> (Vec<usize>, bool) {
     let n = g.node_count();
+    let mut labels: Vec<usize> = (0..n).collect();
     let two_m = 2.0 * g.total_weight();
     if two_m == 0.0 {
         return (labels, false);
     }
     let degrees = g.degrees();
-    let mut sigma_tot: Vec<f64> = sigma_tot_from(&labels, degrees);
+    let mut sigma_tot: Vec<f64> = degrees.to_vec();
     let mut improved_any = false;
 
     // Scratch: community id → accumulated edge weight from the node
@@ -365,14 +246,15 @@ const PARALLEL_PROPOSE_MIN_ACTIVE: usize = 4096;
 /// independent of the worker count. Rescanning only moved
 /// neighbourhoods (standard Louvain pruning) is what makes this
 /// faster than the classic full re-sweeps even single-threaded.
-fn one_level_parallel(g: &CsrGraph, resolution: f64, mut labels: Vec<usize>) -> (Vec<usize>, bool) {
+fn one_level_parallel(g: &CsrGraph, resolution: f64) -> (Vec<usize>, bool) {
     let n = g.node_count();
+    let mut labels: Vec<usize> = (0..n).collect();
     let two_m = 2.0 * g.total_weight();
     if two_m == 0.0 {
         return (labels, false);
     }
     let degrees = g.degrees();
-    let mut sigma_tot: Vec<f64> = sigma_tot_from(&labels, degrees);
+    let mut sigma_tot: Vec<f64> = degrees.to_vec();
     let mut improved_any = false;
     let mut scratch = GainScratch::new(n);
 
@@ -859,106 +741,5 @@ mod tests {
             let via_csr = louvain_csr(&CsrGraph::from_graph(&g), 1.0);
             assert_eq!(via_graph, via_csr);
         }
-    }
-
-    /// Identity (all-singleton) seed must reproduce the cold result
-    /// byte for byte, on both the sequential and the parallel sweep.
-    #[test]
-    fn identity_seed_equals_cold_byte_for_byte() {
-        for g in [two_triangles(), large_similarity_like(512)] {
-            let csr = CsrGraph::from_graph(&g);
-            let n = csr.node_count();
-            let cold = louvain_csr(&csr, 1.0);
-            let identity = Partition::from_labels((0..n).collect());
-            let warm = louvain_csr_seeded(&csr, 1.0, &identity);
-            assert_eq!(cold, warm);
-            assert_eq!(louvain_seeded(&g, 1.0, &identity), cold);
-        }
-    }
-
-    /// Seeding with the cold answer is a fixed point: the sweep makes
-    /// no further moves and returns the same partition.
-    #[test]
-    fn cold_result_is_a_seeded_fixed_point() {
-        for g in [two_triangles(), large_similarity_like(400)] {
-            let csr = CsrGraph::from_graph(&g);
-            let cold = louvain_csr(&csr, 1.0);
-            let warm = louvain_csr_seeded(&csr, 1.0, &cold);
-            assert_eq!(cold, warm);
-        }
-    }
-
-    /// A stale seed that groups isolated nodes must be demoted: the
-    /// false-positive-singleton signal survives warm starts.
-    #[test]
-    fn seeded_zero_degree_nodes_are_demoted_to_singletons() {
-        let mut g = Graph::new(5);
-        g.add_edge(0, 1, 1.0);
-        // Seed claims {2,3,4} form a community (say, yesterday's
-        // alarms) — today they are isolated.
-        let seed = Partition::from_labels(vec![0, 0, 1, 1, 1]);
-        let p = louvain_seeded(&g, 1.0, &seed);
-        assert_eq!(p.of(0), p.of(1));
-        assert_ne!(p.of(2), p.of(3));
-        assert_ne!(p.of(3), p.of(4));
-        assert_ne!(p.of(2), p.of(4));
-        assert_eq!(p.community_count(), 4);
-    }
-
-    /// A carried community whose members today's graph no longer
-    /// connects must dissolve before the sweep: left intact, no
-    /// strictly-positive-gain move would ever split an edge-less
-    /// grouping, and the warm result would not be a cold-reachable
-    /// fixed point.
-    #[test]
-    fn seeded_disconnected_community_is_split_to_components() {
-        let mut g = Graph::new(4);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(2, 3, 1.0);
-        // Yesterday 0 and 2 shared a community; today no path joins
-        // them — the projection must separate them, and refinement
-        // then reaches the cold answer exactly.
-        let seed = Partition::from_labels(vec![0, 1, 0, 2]);
-        let p = louvain_seeded(&g, 1.0, &seed);
-        assert_ne!(p.of(0), p.of(2));
-        assert_eq!(p, louvain(&g, 1.0));
-    }
-
-    /// A wrong seed must still converge to a good partition — the
-    /// refinement sweep, not the seed, decides the fixed point.
-    #[test]
-    fn adversarial_seed_still_finds_the_cliques() {
-        let g = two_triangles();
-        // Seed splits both triangles across two bogus groups.
-        let seed = Partition::from_labels(vec![0, 1, 0, 1, 0, 1]);
-        let p = louvain_seeded(&g, 1.0, &seed);
-        assert_eq!(p.community_count(), 2);
-        assert_eq!(p.of(0), p.of(1));
-        assert_eq!(p.of(1), p.of(2));
-        assert_eq!(p.of(3), p.of(4));
-        assert_eq!(p.of(4), p.of(5));
-        assert_ne!(p.of(0), p.of(3));
-        // Modularity matches the cold optimum on this graph.
-        let cold = louvain(&g, 1.0);
-        assert!((modularity(&g, &p) - modularity(&g, &cold)).abs() < 1e-12);
-    }
-
-    /// Warm-starting from the correct grouping must not lose to cold
-    /// on modularity (same fixed-point semantics).
-    #[test]
-    fn good_seed_matches_cold_modularity_on_large_graph() {
-        let g = large_similarity_like(400);
-        let csr = CsrGraph::from_graph(&g);
-        let cold = louvain_csr(&csr, 1.0);
-        let warm = louvain_csr_seeded(&csr, 1.0, &cold);
-        assert!((modularity(&g, &warm) - modularity(&g, &cold)).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "seed partition size mismatch")]
-    fn seed_size_mismatch_panics() {
-        let g = two_triangles();
-        let seed = Partition::from_labels(vec![0, 0]);
-        louvain_seeded(&g, 1.0, &seed);
     }
 }

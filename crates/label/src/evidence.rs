@@ -1,10 +1,10 @@
-//! Community evidence accumulated during streaming ingest.
+//! Community evidence accumulated during single-pass ingest.
 //!
 //! Batch labeling walks the materialised trace to gather each
 //! community's packets (for the Table-1 heuristics) and traffic-unit
 //! transactions (for the Apriori summaries). Streaming ingest cannot
 //! walk back over packets, so [`CommunityEvidence`] accumulates the
-//! same information chunk by chunk during the extraction pass:
+//! same information chunk by chunk during the drain:
 //!
 //! * at flow granularities, one additive [`TrafficProfile`] per flow
 //!   — a community's profile is the merge over its flows' profiles,
@@ -15,12 +15,12 @@
 //!   community exactly when the packet itself matched an alarm, so no
 //!   pre-match history can be lost).
 //!
-//! Single-pass ingest adds a twist: the alarms don't exist while the
-//! packets stream past, so matched flags can't be known yet.
+//! The alarms don't exist yet while the packets stream past, so
+//! matched flags can't be known during the drain.
 //! [`CommunityEvidence::observe_units`] banks evidence for every unit
 //! and [`CommunityEvidence::retain_matched`] filters packet-granularity
-//! state once extraction finalizes — landing on the same bytes the
-//! two-pass matched-only path produces.
+//! state once extraction finalizes — landing on the same bytes as
+//! accumulating matched packets only.
 //!
 //! Memory is O(distinct flows) / O(matched packets), never O(trace)
 //! (deferred packet-granularity evidence peaks at O(packets in the
@@ -55,9 +55,14 @@ impl CommunityEvidence {
     }
 
     /// Folds one chunk in. `ids[i]` is the traffic-unit id of
-    /// `packets[i]`, `matched[i]` whether it matched ≥1 alarm (from
-    /// the streaming extractor).
-    pub fn observe(&mut self, packets: &[Packet], ids: &[u32], matched: &[bool]) {
+    /// `packets[i]`. Flow granularities accumulate one profile per
+    /// flow. Packet granularity **defers**: it banks evidence for
+    /// *every* packet, to be filtered down by
+    /// [`retain_matched`](Self::retain_matched) once extraction
+    /// finalizes. Packet-granularity ids are unique per packet, so
+    /// bank-then-filter lands on byte-identical state to
+    /// matched-only accumulation.
+    pub fn observe_units(&mut self, packets: &[Packet], ids: &[u32]) {
         assert_eq!(packets.len(), ids.len(), "one id per packet required");
         match self.granularity {
             Granularity::Uniflow | Granularity::Biflow => {
@@ -70,32 +75,6 @@ impl CommunityEvidence {
                 }
             }
             Granularity::Packet => {
-                assert_eq!(packets.len(), matched.len(), "one matched flag per packet");
-                for ((p, &id), &m) in packets.iter().zip(ids).zip(matched) {
-                    if m {
-                        self.packet_profiles.entry(id).or_default().add(p);
-                        self.packet_transactions
-                            .insert(id, Transaction::of_packet(p));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Single-pass variant of [`observe`](Self::observe) for when the
-    /// alarms — and therefore the matched flags — do not exist yet.
-    /// Flow granularities accumulate exactly as in `observe` (they
-    /// never looked at the flags). Packet granularity **defers**: it
-    /// banks evidence for *every* packet, to be filtered down by
-    /// [`retain_matched`](Self::retain_matched) once extraction
-    /// finalizes. Packet-granularity ids are unique per packet, so
-    /// bank-then-filter lands on byte-identical state to
-    /// matched-only accumulation.
-    pub fn observe_units(&mut self, packets: &[Packet], ids: &[u32]) {
-        match self.granularity {
-            Granularity::Uniflow | Granularity::Biflow => self.observe(packets, ids, &[]),
-            Granularity::Packet => {
-                assert_eq!(packets.len(), ids.len(), "one id per packet required");
                 for (p, &id) in packets.iter().zip(ids) {
                     self.packet_profiles.entry(id).or_default().add(p);
                     self.packet_transactions
@@ -201,8 +180,8 @@ mod tests {
         index.ids_of(&pkts, &mut ids);
         let mut ev = CommunityEvidence::new(Granularity::Uniflow);
         // Feed in two chunks to exercise cross-chunk accumulation.
-        ev.observe(&pkts[..17], &ids[..17], &[]);
-        ev.observe(&pkts[17..], &ids[17..], &[]);
+        ev.observe_units(&pkts[..17], &ids[..17]);
+        ev.observe_units(&pkts[17..], &ids[17..]);
         let mut community: Vec<u32> = ids.clone();
         community.sort_unstable();
         community.dedup();
@@ -211,61 +190,36 @@ mod tests {
     }
 
     #[test]
-    fn packet_granularity_keeps_only_matched() {
+    fn deferred_packet_evidence_filters_down_to_the_matched_packets() {
         let pkts = packets();
-        let ids: Vec<u32> = (0..pkts.len() as u32).collect();
-        let matched: Vec<bool> = (0..pkts.len()).map(|i| i % 2 == 0).collect();
-        let mut ev = CommunityEvidence::new(Granularity::Packet);
-        ev.observe(&pkts, &ids, &matched);
-        let index = ItemIndex::new(Granularity::Packet);
-        let even: Vec<u32> = ids.iter().copied().filter(|i| i % 2 == 0).collect();
-        assert_eq!(ev.transactions_of(&even, &index).len(), even.len());
-        let odd: Vec<u32> = ids.iter().copied().filter(|i| i % 2 == 1).collect();
-        assert!(ev.transactions_of(&odd, &index).is_empty());
-        assert_eq!(ev.profile_of(&even).packet_count(), even.len());
-    }
+        let mut index = ItemIndex::new(Granularity::Packet);
+        let mut ids = Vec::new();
+        index.ids_of(&pkts, &mut ids);
+        let matched: Vec<usize> = (0..pkts.len()).filter(|i| i % 3 != 1).collect();
+        let community: Vec<u32> = matched.iter().map(|&i| ids[i]).collect();
 
-    #[test]
-    fn deferred_observation_filters_down_to_the_matched_only_state() {
-        let pkts = packets();
-        for granularity in [
-            Granularity::Packet,
-            Granularity::Uniflow,
-            Granularity::Biflow,
-        ] {
-            let mut index = ItemIndex::new(granularity);
-            let mut ids = Vec::new();
-            index.ids_of(&pkts, &mut ids);
-            let matched_flags: Vec<bool> = (0..pkts.len()).map(|i| i % 3 != 1).collect();
-            let matched_ids: std::collections::HashSet<u32> = ids
-                .iter()
-                .zip(&matched_flags)
-                .filter(|&(_, &m)| m)
-                .map(|(&id, _)| id)
-                .collect();
+        let mut deferred = CommunityEvidence::new(Granularity::Packet);
+        // Two chunks, alarms unknown; filter at "finalize".
+        deferred.observe_units(&pkts[..23], &ids[..23]);
+        deferred.observe_units(&pkts[23..], &ids[23..]);
+        deferred.retain_matched(&community.iter().copied().collect());
 
-            let mut two_pass = CommunityEvidence::new(granularity);
-            two_pass.observe(&pkts, &ids, &matched_flags);
-
-            let mut deferred = CommunityEvidence::new(granularity);
-            // Two chunks, alarms unknown; filter at "finalize".
-            deferred.observe_units(&pkts[..23], &ids[..23]);
-            deferred.observe_units(&pkts[23..], &ids[23..]);
-            deferred.retain_matched(&matched_ids);
-
-            let mut community: Vec<u32> = matched_ids.iter().copied().collect();
-            community.sort_unstable();
-            assert_eq!(
-                deferred.profile_of(&community).classify(),
-                two_pass.profile_of(&community).classify(),
-                "{granularity}"
-            );
-            assert_eq!(
-                deferred.transactions_of(&community, &index),
-                two_pass.transactions_of(&community, &index),
-                "{granularity}"
-            );
-        }
+        let matched_pkts: Vec<Packet> = matched.iter().map(|&i| pkts[i]).collect();
+        assert_eq!(
+            deferred.profile_of(&community).packet_count(),
+            community.len()
+        );
+        assert_eq!(
+            deferred.profile_of(&community).classify(),
+            classify_packets(&matched_pkts)
+        );
+        let expected: Vec<Transaction> = matched_pkts.iter().map(Transaction::of_packet).collect();
+        assert_eq!(deferred.transactions_of(&community, &index), expected);
+        let unmatched: Vec<u32> = (0..pkts.len())
+            .filter(|i| i % 3 == 1)
+            .map(|i| ids[i])
+            .collect();
+        assert!(deferred.transactions_of(&unmatched, &index).is_empty());
     }
 
     #[test]
@@ -275,7 +229,7 @@ mod tests {
         let mut ids = Vec::new();
         index.ids_of(&pkts, &mut ids);
         let mut ev = CommunityEvidence::new(Granularity::Uniflow);
-        ev.observe(&pkts, &ids, &[]);
+        ev.observe_units(&pkts, &ids);
         let mut community: Vec<u32> = ids.clone();
         community.sort_unstable();
         community.dedup();

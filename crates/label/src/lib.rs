@@ -16,8 +16,8 @@
 //!   concise labels MAWILab publishes instead of raw alarms (§5, §6).
 //! * [`output`] — writers for a MAWILab-style CSV and an
 //!   admd-flavoured XML annotation file.
-//! * [`store`] — the online feed: per-horizon [`LabeledWindow`]
-//!   emissions and the day-evicting in-memory [`LabelStore`].
+//! * [`store`] — per-horizon [`LabeledWindow`]s of a day's labels
+//!   and the day-evicting in-memory [`LabelStore`].
 
 #![forbid(unsafe_code)]
 

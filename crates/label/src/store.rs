@@ -1,12 +1,13 @@
-//! The online label feed: per-horizon windows and the bounded
-//! in-memory label store.
+//! Per-horizon label windows and the bounded in-memory label store.
 //!
-//! A batch run labels a finished trace; an online labeler publishes
-//! labels **per horizon window** as the stream passes — window *W* is
-//! sealed once the detectors have seen *W + lag*, so the maximum
-//! label latency is `lag + one chunk`. [`LabeledWindow`] is one such
-//! emission: the communities whose span starts inside the window,
-//! plus when (in stream time) the window was sealed.
+//! The online pipeline buckets a day's labels **per horizon window**.
+//! Every label is computed at end of stream (the detectors alarm in
+//! `finish()`), so the windows are a partition of the day's labels,
+//! not a feed that fills in early. Window *W* is sealed once the
+//! stream's high-water mark passes *W + lag* — the point at which its
+//! evidence was complete. [`LabeledWindow`] is one window: the
+//! communities whose span starts inside it, plus when (in stream
+//! time) it was sealed.
 //!
 //! An always-on service also cannot keep every label it ever emitted
 //! in memory. [`LabelStore`] holds labeled windows keyed by archive
@@ -38,9 +39,11 @@ pub struct LabeledWindow {
 }
 
 impl LabeledWindow {
-    /// Label latency of the window: how long after the window closed
-    /// its labels became available. Bounded by `lag + one chunk` for
-    /// windows sealed by the moving high-water mark.
+    /// Seal latency of the window: how long after the window closed
+    /// its evidence was complete. Bounded by `lag + one chunk` for
+    /// windows sealed by the moving high-water mark on a dense stream.
+    /// This is not when the labels can be read — that is end of
+    /// stream for every window.
     ///
     /// A watermark seal *before* the window's end is a clock
     /// inversion — the `SealTracker` monotonicity invariant broken —

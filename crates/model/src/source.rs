@@ -71,25 +71,13 @@ impl PacketChunk {
 pub enum SourceError {
     /// The underlying pcap stream failed.
     Pcap(PcapError),
-    /// The source cannot rewind for a second pass.
+    /// The source cannot rewind (a live capture, or a sealed source).
     RewindUnsupported(&'static str),
-    /// A rewound source did not replay the same stream: the second
-    /// pass saw a different chunk or packet count than the first.
-    /// Two-pass consumers must fail here — with diverging streams the
-    /// extraction pass would silently pair pass-2 traffic with pass-1
-    /// alarms and produce wrong labels.
-    ReplayDiverged {
-        /// Chunks drained on the first pass.
-        pass1_chunks: usize,
-        /// Packets drained on the first pass.
-        pass1_packets: u64,
-        /// Chunks drained after the rewind.
-        pass2_chunks: usize,
-        /// Packets drained after the rewind.
-        pass2_packets: u64,
-    },
     /// A zero chunk width was requested — time bins must be positive.
     InvalidChunkWidth(u64),
+    /// A zero horizon window width was requested — label windows must
+    /// be positive.
+    InvalidHorizonWidth(u64),
 }
 
 impl fmt::Display for SourceError {
@@ -99,19 +87,11 @@ impl fmt::Display for SourceError {
             SourceError::RewindUnsupported(what) => {
                 write!(f, "source `{what}` does not support rewinding")
             }
-            SourceError::ReplayDiverged {
-                pass1_chunks,
-                pass1_packets,
-                pass2_chunks,
-                pass2_packets,
-            } => write!(
-                f,
-                "rewound source replayed a different stream: \
-                 pass 1 saw {pass1_packets} packets in {pass1_chunks} chunks, \
-                 pass 2 saw {pass2_packets} packets in {pass2_chunks} chunks"
-            ),
             SourceError::InvalidChunkWidth(w) => {
                 write!(f, "chunk bin width must be positive, got {w}")
+            }
+            SourceError::InvalidHorizonWidth(w) => {
+                write!(f, "horizon window width must be positive, got {w}")
             }
         }
     }
@@ -127,8 +107,10 @@ impl From<PcapError> for SourceError {
 
 /// A time-binned stream of packets.
 ///
-/// The pipeline drains a source twice (detection pass, then
-/// extraction/labeling pass), so sources must support [`rewind`].
+/// The labeling pipeline drains a source once. [`rewind`] restarts
+/// the stream for callers that replay it (benchmarks, repeated runs
+/// over one in-memory day); a live source returns
+/// [`SourceError::RewindUnsupported`].
 ///
 /// [`rewind`]: PacketSource::rewind
 pub trait PacketSource {

@@ -2,7 +2,7 @@
 
 use crate::extractor::{extract_traffic, intersection_size};
 use mawilab_detectors::{Alarm, DetectorKind, TraceView, Tuning};
-use mawilab_graph::{louvain, louvain_seeded, Graph, Partition};
+use mawilab_graph::{louvain, Graph, Partition};
 use mawilab_model::Granularity;
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
@@ -82,9 +82,9 @@ impl SimilarityEstimator {
     }
 
     /// Graph construction and community mining over already-extracted
-    /// per-alarm traffic sets — the entry point of the streaming
-    /// pipeline, whose extraction happens chunk by chunk. `estimate`
-    /// delegates here, so batch and streaming share the exact same
+    /// per-alarm traffic sets — the entry point of the single-pass
+    /// pipeline, whose evidence is banked chunk by chunk. `estimate`
+    /// delegates here, so batch and single-pass share the exact same
     /// graph/partition code.
     pub fn estimate_from_traffic(
         &self,
@@ -103,20 +103,6 @@ impl SimilarityEstimator {
         alarms: Vec<Alarm>,
         traffic: Vec<Vec<u32>>,
     ) -> (AlarmCommunities, EstimateTimings) {
-        self.estimate_from_traffic_seeded(alarms, traffic, None)
-    }
-
-    /// [`estimate_from_traffic_timed`](Self::estimate_from_traffic_timed)
-    /// with an optional warm-start seed for the Louvain stage: a prior
-    /// partition over the same alarm indices (typically yesterday's
-    /// communities projected through matched alarm signatures, see the
-    /// core crate's warm state). `None` is the cold path, bit for bit.
-    pub fn estimate_from_traffic_seeded(
-        &self,
-        alarms: Vec<Alarm>,
-        traffic: Vec<Vec<u32>>,
-        seed: Option<&Partition>,
-    ) -> (AlarmCommunities, EstimateTimings) {
         assert_eq!(
             alarms.len(),
             traffic.len(),
@@ -126,10 +112,7 @@ impl SimilarityEstimator {
         let graph = self.build_graph(&traffic);
         let graph_t = t0.elapsed();
         let t1 = Instant::now();
-        let partition = match seed {
-            Some(seed) => louvain_seeded(&graph, self.resolution, seed),
-            None => louvain(&graph, self.resolution),
-        };
+        let partition = louvain(&graph, self.resolution);
         let louvain_t = t1.elapsed();
         (
             AlarmCommunities::new(alarms, traffic, graph, partition, self.granularity),

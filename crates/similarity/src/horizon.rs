@@ -1,12 +1,11 @@
 //! Horizon-scoped traffic extraction: evidence for alarms that don't
 //! exist yet.
 //!
-//! The two-pass [`StreamingExtractor`](crate::StreamingExtractor)
-//! needs the alarms *before* it sees the packets, which is why the
-//! two-pass pipeline rewinds. The single-pass pipeline inverts the
-//! order: packets stream past **once**, before any alarm is
-//! finalized, so the extractor must bank enough evidence per packet
-//! to answer "which alarms designate it?" later. The banked record is
+//! The batch extractors ([`extract_traffic`](crate::extract_traffic))
+//! need the alarms *before* they scan the packets. The single-pass
+//! pipeline inverts the order: packets stream past **once**, before
+//! any alarm is finalized, so the extractor must bank enough evidence
+//! per packet to answer "which alarms designate it?" later. The banked record is
 //! tiny — `(FlowKey, ts, unit id)` — because every [`AlarmScope`] is
 //! a pure function of the 5-tuple ([`AlarmScope::matches_key`]) and
 //! alarm time windows only ever test `ts`.
@@ -21,7 +20,8 @@
 //! alarms early), evidence past it is folded down. At `lag = 0`
 //! everything retires as it arrives; at `lag ≥ stream length` nothing
 //! does — both ends produce byte-identical traffic sets, which the
-//! equivalence suite pins against the two-pass oracle.
+//! equivalence suite pins against the batch oracle
+//! ([`extract_traffic_sequential`](crate::extract_traffic_sequential)).
 //!
 //! [`finalize`](HorizonExtractor::finalize) resolves the finished
 //! alarm set against both stores through the inverted
@@ -29,8 +29,8 @@
 //! candidate alarms with a handful of hash probes and a time stab —
 //! `O(flows)` index probes instead of `O(flows × alarms)` scope
 //! tests — then binary-searches its time run per surviving window,
-//! while still-fresh chunks replay the per-record probe of the
-//! two-pass extractor. The union is provably the same set of
+//! while still-fresh chunks are probed record by record, memoized per
+//! flow. The union is provably the same set of
 //! `(alarm, unit)` hits the seed per-alarm scan would produce.
 
 use crate::index::{AlarmIndex, HitSink, KeyMemo};
@@ -107,7 +107,7 @@ pub struct HorizonStats {
 }
 
 /// What [`HorizonExtractor::finalize`] produces: the per-alarm traffic
-/// sets (same shape as the two-pass extractor's `into_traffic`) plus
+/// sets (same shape as [`extract_traffic`](crate::extract_traffic)'s) plus
 /// the set of unit ids that matched ≥ 1 alarm (what deferred
 /// packet-granularity evidence is filtered down to).
 #[derive(Debug)]
@@ -145,8 +145,7 @@ impl HorizonExtractor {
     }
 
     /// Banks one chunk of the drain. `ids[i]` must be the traffic-unit
-    /// id of `packets[i]` (incremental `ItemIndex`, stream order) —
-    /// the same contract as the two-pass extractor's `observe`.
+    /// id of `packets[i]` (incremental `ItemIndex`, stream order).
     pub fn observe(&mut self, chunk_window: TimeWindow, packets: &[Packet], ids: &[u32]) {
         assert_eq!(packets.len(), ids.len(), "one id per packet required");
         let mut records = Vec::with_capacity(packets.len());
@@ -241,8 +240,7 @@ impl HorizonExtractor {
             sink.absorb(part);
         }
 
-        // Fresh chunks: the per-record probe of the two-pass
-        // extractor, keys instead of packets, memoized per flow.
+        // Fresh chunks: one probe per record, memoized per flow.
         let mut memo = KeyMemo::default();
         for chunk in &self.fresh {
             for r in &chunk.records {
@@ -264,11 +262,11 @@ impl HorizonExtractor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streaming::StreamingExtractor;
-    use mawilab_detectors::{AlarmScope, DetectorKind, Tuning};
+    use crate::extractor::extract_traffic_sequential;
+    use mawilab_detectors::{AlarmScope, DetectorKind, TraceView, Tuning};
     use mawilab_model::{
-        Granularity, ItemIndex, PacketSource, TcpFlags, Trace, TraceChunker, TraceDate, TraceMeta,
-        TrafficRule,
+        FlowTable, Granularity, ItemIndex, PacketSource, TcpFlags, Trace, TraceChunker, TraceDate,
+        TraceMeta, TrafficRule,
     };
     use std::net::Ipv4Addr;
 
@@ -327,8 +325,8 @@ mod tests {
         v
     }
 
-    /// Drives both extractors over the same chunked stream and
-    /// returns `(two_pass, horizon)` traffic plus the horizon result.
+    /// Runs the batch oracle over the whole trace and the horizon
+    /// extractor over the chunked stream; returns `(oracle, horizon)`.
     fn run_both(
         t: &Trace,
         alarms: &[Alarm],
@@ -336,21 +334,21 @@ mod tests {
         bin_us: u64,
         lag_us: u64,
     ) -> (Vec<Vec<u32>>, HorizonTraffic) {
+        let flows = FlowTable::build(&t.packets);
+        let oracle = extract_traffic_sequential(&TraceView::new(t, &flows), alarms, g);
         let mut index = ItemIndex::new(g);
-        let mut two_pass = StreamingExtractor::new(alarms);
         let mut horizon = HorizonExtractor::new(lag_us);
         let mut ids = Vec::new();
         let mut source = TraceChunker::new(t.clone(), bin_us);
         while let Some(chunk) = source.next_chunk().unwrap() {
             index.ids_of(&chunk.packets, &mut ids);
-            two_pass.observe(chunk.window, &chunk.packets, &ids);
             horizon.observe(chunk.window, &chunk.packets, &ids);
         }
-        (two_pass.into_traffic(), horizon.finalize(alarms))
+        (oracle, horizon.finalize(alarms))
     }
 
     #[test]
-    fn horizon_matches_two_pass_extractor_across_lags_and_granularities() {
+    fn horizon_matches_sequential_extractor_across_lags_and_granularities() {
         let t = trace();
         let alarms = alarms(&t);
         for g in [
@@ -360,9 +358,9 @@ mod tests {
         ] {
             for bin_us in [1_000_000u64, 5_000_000, 300_000_000] {
                 for lag_us in [0u64, 10_000_000, 86_400_000_000] {
-                    let (two_pass, horizon) = run_both(&t, &alarms, g, bin_us, lag_us);
+                    let (oracle, horizon) = run_both(&t, &alarms, g, bin_us, lag_us);
                     assert_eq!(
-                        horizon.traffic, two_pass,
+                        horizon.traffic, oracle,
                         "granularity {g}, bin {bin_us}, lag {lag_us}"
                     );
                 }
@@ -390,11 +388,10 @@ mod tests {
         let alarms = alarms(&t);
         // 150 s trace, 5 s chunks, 60 s lag: a genuine split, with the
         // window-restricted alarm straddling the retire boundary.
-        let (two_pass, horizon) =
-            run_both(&t, &alarms, Granularity::Uniflow, 5_000_000, 60_000_000);
+        let (oracle, horizon) = run_both(&t, &alarms, Granularity::Uniflow, 5_000_000, 60_000_000);
         assert!(horizon.stats.retired_chunks > 0, "no chunk retired");
         assert!(horizon.stats.fresh_chunks > 0, "no chunk stayed fresh");
-        assert_eq!(horizon.traffic, two_pass);
+        assert_eq!(horizon.traffic, oracle);
     }
 
     #[test]
@@ -410,8 +407,7 @@ mod tests {
 
     #[test]
     fn straggler_in_retired_chunk_still_matches_earlier_alarm() {
-        // The horizon analogue of the two-pass straggler test: a
-        // 4.9 s packet folded into the [5 s, 10 s) chunk, retired long
+        // A jittered capture: a 4.9 s packet folded into the [5 s, 10 s) chunk, retired long
         // before finalize, must still be claimed by the [0 s, 5 s)
         // alarm via its own timestamp.
         let meta = TraceMeta::standard(TraceDate::new(2004, 6, 2));

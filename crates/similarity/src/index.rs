@@ -246,7 +246,8 @@ impl<'a> AlarmIndex<'a> {
 }
 
 /// Memoizes [`AlarmIndex::candidates_for`] per distinct flow key, for
-/// the streaming paths where packets of one flow recur across chunks.
+/// the horizon extractor's fresh chunks, where packets of one flow
+/// recur across chunks.
 #[derive(Debug, Default)]
 pub(crate) struct KeyMemo {
     slots: HashMap<FlowKey, u32>,

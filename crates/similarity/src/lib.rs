@@ -26,10 +26,8 @@ pub mod extractor;
 pub mod horizon;
 pub(crate) mod index;
 pub(crate) mod shard;
-pub mod streaming;
 
 pub use estimator::{AlarmCommunities, EstimateTimings, SimilarityEstimator, SimilarityMeasure};
 pub use extractor::{extract_traffic, extract_traffic_sequential};
 pub use horizon::{HorizonExtractor, HorizonStats, HorizonTraffic};
 pub use mawilab_graph::Partition;
-pub use streaming::StreamingExtractor;

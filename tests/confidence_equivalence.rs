@@ -9,10 +9,10 @@
 //!    `confidence_thresholds: None` the tier is bound to the hard
 //!    accept/reject decision (never `Uncertain`), on arbitrary vote
 //!    tables (proptest) and through every labeling path;
-//! 3. **thresholds only ever add the tier** — batch, streaming,
-//!    online and warm runs produce byte-identical decisions, labels
-//!    and scores whether thresholds are on or off, across
-//!    `MAWILAB_THREADS` ∈ {1, 2, 4, 13}.
+//! 3. **thresholds only ever add the tier** — batch and single-pass
+//!    online runs produce byte-identical decisions, labels and scores
+//!    whether thresholds are on or off, and the online run matches
+//!    the batch oracle, across `MAWILAB_THREADS` ∈ {1, 2, 4, 13}.
 //!
 //! Tests mutating `MAWILAB_THREADS` share `ENV_LOCK` (the variable is
 //! process-wide).
@@ -21,9 +21,7 @@ use mawilab::combiner::{
     confidence_score, label_confidences, CombinationStrategy, ConfidenceThresholds, ConfidenceTier,
     Scann, VoteTable,
 };
-use mawilab::core::{
-    MawilabPipeline, OnlinePipeline, PipelineConfig, StreamingPipeline, WarmState,
-};
+use mawilab::core::{MawilabPipeline, OnlinePipeline, PipelineConfig};
 use mawilab::label::LabeledCommunity;
 use mawilab::model::{NoRewindSource, TraceChunker, DEFAULT_CHUNK_US};
 use mawilab::synth::{AnomalySpec, SynthConfig, TraceGenerator};
@@ -102,32 +100,17 @@ fn thresholds_off_is_byte_identical_across_paths_and_threads() {
     for threads in ["1", "2", "4", "13"] {
         std::env::set_var("MAWILAB_THREADS", threads);
 
-        // Batch.
-        let off = MawilabPipeline::new(off_cfg.clone()).run(&lt.trace);
-        let on = MawilabPipeline::new(on_cfg.clone()).run(&lt.trace);
-        assert_eq!(off.decisions, on.decisions, "batch decisions, T={threads}");
-        assert_thresholds_only_add_the_tier(
-            &off.labeled.communities,
-            &on.labeled.communities,
-            &format!("batch, T={threads}"),
-        );
-
-        // Two-pass streaming.
-        let run_streaming = |cfg: &PipelineConfig| {
-            let mut source = TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US);
-            StreamingPipeline::new(cfg.clone())
-                .run(&mut source)
-                .unwrap()
-        };
-        let (off, on) = (run_streaming(&off_cfg), run_streaming(&on_cfg));
+        // Batch: the oracle.
+        let batch_off = MawilabPipeline::new(off_cfg.clone()).run(&lt.trace);
+        let batch_on = MawilabPipeline::new(on_cfg.clone()).run(&lt.trace);
         assert_eq!(
-            off.decisions, on.decisions,
-            "streaming decisions, T={threads}"
+            batch_off.decisions, batch_on.decisions,
+            "batch decisions, T={threads}"
         );
         assert_thresholds_only_add_the_tier(
-            &off.labeled.communities,
-            &on.labeled.communities,
-            &format!("streaming, T={threads}"),
+            &batch_off.labeled.communities,
+            &batch_on.labeled.communities,
+            &format!("batch, T={threads}"),
         );
 
         // Single-pass online (sealed source: no rewinds).
@@ -139,26 +122,34 @@ fn thresholds_off_is_byte_identical_across_paths_and_threads() {
             report
         };
         let (off, on) = (run_online(&off_cfg), run_online(&on_cfg));
+        assert_eq!(
+            off.report.decisions, batch_off.decisions,
+            "online/batch decisions, T={threads}"
+        );
+        assert_eq!(
+            on.report.decisions, batch_on.decisions,
+            "online/batch decisions with thresholds, T={threads}"
+        );
         assert_thresholds_only_add_the_tier(
             &off.report.labeled.communities,
             &on.report.labeled.communities,
             &format!("online, T={threads}"),
         );
-
-        // Warm (a carried WarmState at a nonzero decay).
-        let run_warm = |cfg: &PipelineConfig| {
-            let mut warm = WarmState::new(0.15);
-            let mut source = TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US);
-            OnlinePipeline::new(cfg.clone())
-                .run_warm(&mut source, Some(&mut warm))
-                .unwrap()
-        };
-        let (off, on) = (run_warm(&off_cfg), run_warm(&on_cfg));
-        assert_thresholds_only_add_the_tier(
-            &off.report.labeled.communities,
-            &on.report.labeled.communities,
-            &format!("warm, T={threads}"),
-        );
+        // The online tiers and scores are the batch oracle's.
+        for (o, b) in on
+            .report
+            .labeled
+            .communities
+            .iter()
+            .zip(&batch_on.labeled.communities)
+        {
+            assert_eq!(o.confidence.tier, b.confidence.tier, "T={threads}");
+            assert_eq!(
+                o.confidence.score.to_bits(),
+                b.confidence.score.to_bits(),
+                "T={threads}"
+            );
+        }
     }
     std::env::remove_var("MAWILAB_THREADS");
 }

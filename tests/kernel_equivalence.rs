@@ -4,8 +4,8 @@
 //! Three kernels were replaced for speed and each keeps its seed
 //! implementation as an equivalence oracle:
 //!
-//! * traffic extraction — the inverted `AlarmIndex` (batch, streaming
-//!   and horizon paths) vs the per-alarm scan
+//! * traffic extraction — the inverted `AlarmIndex` (batch and
+//!   horizon paths) vs the per-alarm scan
 //!   `extract_traffic_sequential`,
 //! * SVD — the size-gated randomized sketch vs the exact Gram engine
 //!   `Svd::exact_gram`,
@@ -26,9 +26,7 @@ use mawilab::model::{
     FlowKey, FlowTable, Granularity, ItemIndex, NoRewindSource, Packet, PacketSource, Protocol,
     TcpFlags, Trace, TraceChunker, TraceDate, TraceMeta, TrafficRule,
 };
-use mawilab::similarity::{
-    extract_traffic, extract_traffic_sequential, HorizonExtractor, StreamingExtractor,
-};
+use mawilab::similarity::{extract_traffic, extract_traffic_sequential, HorizonExtractor};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use std::sync::Mutex;
@@ -116,7 +114,7 @@ fn alarm_from_spec(spec: (u8, u8, u8, u8, u8), packets: &[Packet]) -> Alarm {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Batch, streaming and horizon extraction agree byte-for-byte
+    /// Batch and horizon extraction agree byte-for-byte
     /// with the sequential per-alarm oracle, at every granularity,
     /// chunk width and thread count — with the horizon path driven
     /// through `NoRewindSource` seals.
@@ -148,17 +146,6 @@ proptest! {
                 "indexed batch diverged at {} threads", threads);
 
             for bin_us in [7_000_000u64, 60_000_000] {
-                let mut index = ItemIndex::new(g);
-                let mut ids = Vec::new();
-                let mut ex = StreamingExtractor::new(&alarms);
-                let mut source = TraceChunker::new(trace.clone(), bin_us);
-                while let Some(chunk) = source.next_chunk().unwrap() {
-                    index.ids_of(&chunk.packets, &mut ids);
-                    ex.observe(chunk.window, &chunk.packets, &ids);
-                }
-                prop_assert_eq!(&ex.into_traffic(), &expected,
-                    "streaming diverged at {} threads, bin {}", threads, bin_us);
-
                 for lag_us in [0u64, 30_000_000] {
                     let mut index = ItemIndex::new(g);
                     let mut ids = Vec::new();

@@ -1,21 +1,23 @@
-//! Single-pass/two-pass equivalence: the acceptance gate of the
-//! online-labeler refactor.
+//! Single-pass/batch equivalence: the acceptance gate of the online
+//! labeler.
 //!
 //! `OnlinePipeline` drains a source exactly once — detection and
 //! traffic extraction share the drain, evidence past the sliding
 //! horizon is retired to compact per-flow state — yet its labels must
-//! be byte-identical to the legacy two-pass `StreamingPipeline`
-//! (retained as the equivalence oracle) across seeds, chunk widths,
-//! horizon lags, granularities and thread counts. Every online run
-//! here goes through a [`NoRewindSource`] seal, so "single pass" is
-//! enforced by construction, not just claimed.
+//! be byte-identical to the batch `MawilabPipeline::run` on the
+//! materialised trace (the equivalence oracle) across seeds, chunk
+//! widths, horizon lags, granularities and thread counts. Every
+//! online run here goes through a [`NoRewindSource`] seal, so "single
+//! pass" is enforced by construction, not just claimed.
 //!
 //! Tests in this binary share `ENV_LOCK` where they touch the
 //! process-wide `MAWILAB_THREADS` variable.
 
-use mawilab::core::{OnlinePipeline, PipelineConfig, StreamingPipeline};
+use mawilab::core::{MawilabPipeline, OnlinePipeline, PipelineConfig};
 use mawilab::label::LabeledCommunity;
-use mawilab::model::{Granularity, NoRewindSource, SourceError, TraceChunker, DEFAULT_CHUNK_US};
+use mawilab::model::{
+    Granularity, NoRewindSource, PacketSource, SourceError, TraceChunker, DEFAULT_CHUNK_US,
+};
 use mawilab::synth::{AnomalySpec, SynthConfig, TraceGenerator};
 use std::sync::Mutex;
 
@@ -72,7 +74,7 @@ fn assert_labels_identical(online: &[LabeledCommunity], oracle: &[LabeledCommuni
     }
 }
 
-/// One sealed single-pass run vs the two-pass oracle, byte for byte.
+/// One sealed single-pass run vs the batch oracle, byte for byte.
 fn assert_online_equals_oracle(
     lt: &mawilab::synth::LabeledTrace,
     config: &PipelineConfig,
@@ -80,10 +82,7 @@ fn assert_online_equals_oracle(
     lag_us: u64,
     what: &str,
 ) -> mawilab::core::OnlineReport {
-    let mut oracle_source = TraceChunker::new(lt.trace.clone(), chunk_us);
-    let oracle = StreamingPipeline::new(config.clone())
-        .run(&mut oracle_source)
-        .unwrap();
+    let oracle = MawilabPipeline::new(config.clone()).run(&lt.trace);
 
     let mut sealed = NoRewindSource::new(TraceChunker::new(lt.trace.clone(), chunk_us));
     let online = OnlinePipeline::new(config.clone())
@@ -93,7 +92,6 @@ fn assert_online_equals_oracle(
     assert_eq!(sealed.rewinds_refused(), 0, "online path rewound ({what})");
 
     assert_eq!(online.report.stats.passes(), 1, "not single-pass ({what})");
-    assert_eq!(oracle.stats.passes(), 2, "oracle not two-pass ({what})");
     assert_eq!(
         online.report.communities.alarms, oracle.communities.alarms,
         "alarms differ ({what})"
@@ -115,7 +113,7 @@ fn assert_online_equals_oracle(
 }
 
 #[test]
-fn single_pass_equals_two_pass_across_seeds_and_chunk_widths() {
+fn single_pass_equals_batch_across_seeds_and_chunk_widths() {
     let config = PipelineConfig::default();
     for seed in [11u64, 222, 3333] {
         let lt = synth(seed);
@@ -167,7 +165,7 @@ fn lag_governs_retention_not_labels() {
 }
 
 #[test]
-fn single_pass_equals_two_pass_at_every_granularity() {
+fn single_pass_equals_batch_at_every_granularity() {
     let lt = synth(77);
     for granularity in [
         Granularity::Packet,
@@ -189,16 +187,23 @@ fn single_pass_equals_two_pass_at_every_granularity() {
 }
 
 #[test]
-fn the_two_pass_oracle_cannot_run_behind_a_sealed_source() {
-    // The seal is real: the legacy pipeline's pass-2 rewind is
-    // refused, so only the single-pass path can operate online.
+fn the_seal_refuses_a_replay_after_a_single_pass_run() {
+    // The seal is real: a finished online run leaves the source
+    // drained, and any attempt to replay it is refused — so every
+    // sealed run in this suite completed on one drain.
     let lt = synth(11);
     let mut sealed = NoRewindSource::new(TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US));
-    let err = StreamingPipeline::new(PipelineConfig::default())
+    OnlinePipeline::new(PipelineConfig::default())
         .run(&mut sealed)
-        .unwrap_err();
+        .unwrap();
+    assert_eq!(sealed.rewinds_refused(), 0);
+    let err = sealed.rewind().unwrap_err();
     assert!(matches!(err, SourceError::RewindUnsupported(_)));
     assert_eq!(sealed.rewinds_refused(), 1);
+    assert!(
+        sealed.next_chunk().unwrap().is_none(),
+        "stream already drained"
+    );
 }
 
 #[test]
@@ -208,15 +213,13 @@ fn anomaly_straddling_a_horizon_boundary_labels_identically() {
     // community into one window without altering any label.
     let lt = synth(3333);
     let config = PipelineConfig::default();
-    let mut oracle_source = TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US);
-    let oracle = StreamingPipeline::new(config.clone())
-        .run(&mut oracle_source)
-        .unwrap();
+    let oracle = MawilabPipeline::new(config.clone()).run(&lt.trace);
 
     let horizon_us = 10_000_000;
     let mut sealed = NoRewindSource::new(TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US));
     let online = OnlinePipeline::new(config)
         .with_horizon_us(horizon_us)
+        .unwrap()
         .with_lag_us(5_000_000)
         .run(&mut sealed)
         .unwrap();
@@ -245,6 +248,7 @@ fn tiny_horizons_leave_empty_windows_but_flatten_back_exactly() {
     let mut sealed = NoRewindSource::new(TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US));
     let online = OnlinePipeline::new(PipelineConfig::default())
         .with_horizon_us(2_000_000)
+        .unwrap()
         .with_lag_us(1_000_000)
         .run(&mut sealed)
         .unwrap();
@@ -284,15 +288,16 @@ fn tiny_horizons_leave_empty_windows_but_flatten_back_exactly() {
 
 #[test]
 fn sealed_window_latency_is_bounded_by_lag_plus_one_chunk() {
-    // The bounded-delay statement from the refactor: on a dense
-    // stream, a window's label is final no later than `lag` plus one
-    // chunk width after the window closes.
+    // On a dense stream, a window's evidence is complete no later
+    // than `lag` plus one chunk width after the window closes. (Its
+    // labels are read at end of stream: detectors alarm in finish.)
     let lt = synth(77);
     let chunk_us = DEFAULT_CHUNK_US;
     let lag_us = 5_000_000;
     let mut sealed = NoRewindSource::new(TraceChunker::new(lt.trace.clone(), chunk_us));
     let online = OnlinePipeline::new(PipelineConfig::default())
         .with_horizon_us(10_000_000)
+        .unwrap()
         .with_lag_us(lag_us)
         .run(&mut sealed)
         .unwrap();
@@ -335,12 +340,9 @@ fn single_pass_is_identical_at_every_thread_count() {
 
     std::env::set_var("MAWILAB_THREADS", "1");
     let single = run(&lt);
-    // The oracle at one thread anchors the whole matrix to the
-    // two-pass labels.
-    let mut oracle_source = TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US);
-    let oracle = StreamingPipeline::new(config.clone())
-        .run(&mut oracle_source)
-        .unwrap();
+    // The oracle at one thread anchors the whole matrix to the batch
+    // labels.
+    let oracle = MawilabPipeline::new(config.clone()).run(&lt.trace);
     assert_eq!(single.report.decisions, oracle.decisions);
     assert_labels_identical(
         &single.report.labeled.communities,

@@ -234,7 +234,7 @@ fn rewind_replays_the_identical_chunk_stream() {
 
 #[test]
 fn streaming_pipeline_runs_straight_off_a_pcap_stream() {
-    use mawilab::core::{MawilabPipeline, PipelineConfig, StreamingPipeline};
+    use mawilab::core::{MawilabPipeline, OnlinePipeline, PipelineConfig};
     use mawilab::synth::{SynthConfig, TraceGenerator};
     let lt = TraceGenerator::new(SynthConfig::default().with_seed(31)).generate();
     let buf = pcap_bytes(&lt.trace);
@@ -247,9 +247,10 @@ fn streaming_pipeline_runs_straight_off_a_pcap_stream() {
     let mut reader =
         StreamingPcapReader::new(Cursor::new(&buf), lt.trace.meta.clone(), DEFAULT_CHUNK_US)
             .unwrap();
-    let streamed = StreamingPipeline::new(PipelineConfig::default())
+    let streamed = OnlinePipeline::new(PipelineConfig::default())
         .run(&mut reader)
-        .unwrap();
+        .unwrap()
+        .report;
     assert_eq!(streamed.communities.alarms, batch.communities.alarms);
     assert_eq!(streamed.decisions, batch.decisions);
 }

@@ -1,17 +1,13 @@
-//! Streaming/batch equivalence: the acceptance gate of the streaming
-//! ingest refactor.
-//!
-//! `StreamingPipeline` over a chunked source must produce
-//! byte-identical decisions and labels to `MawilabPipeline::run` on
-//! the materialised trace — across seeds, bin widths and
-//! granularities — while the number of packets alive at any moment
-//! stays bounded by one chunk (asserted through a counting source,
-//! not just claimed).
+//! Streaming ingest through `OnlinePipeline`: the number of packets
+//! alive at any moment stays bounded by one chunk (asserted through a
+//! counting source, not just claimed), and a custom detector set
+//! streams to the same alarms and decisions as the batch
+//! `MawilabPipeline::run`. Online ≡ batch for the standard detector
+//! set is `tests/online_equivalence.rs`.
 
-use mawilab::core::{MawilabPipeline, PipelineConfig, StreamingPipeline};
-use mawilab::label::LabeledCommunity;
+use mawilab::core::{MawilabPipeline, OnlinePipeline, PipelineConfig};
 use mawilab::model::{
-    Granularity, PacketChunk, PacketSource, SourceError, TraceChunker, TraceMeta, DEFAULT_CHUNK_US,
+    PacketChunk, PacketSource, SourceError, TraceChunker, TraceMeta, DEFAULT_CHUNK_US,
 };
 use mawilab::synth::{AnomalySpec, SynthConfig, TraceGenerator};
 
@@ -31,95 +27,6 @@ fn synth(seed: u64) -> mawilab::synth::LabeledTrace {
         },
     ]))
     .generate()
-}
-
-/// Field-by-field comparison of labeled communities (the struct holds
-/// f64 metrics, so no derived PartialEq).
-fn assert_labels_identical(streamed: &[LabeledCommunity], batch: &[LabeledCommunity]) {
-    assert_eq!(streamed.len(), batch.len(), "community count differs");
-    for (s, b) in streamed.iter().zip(batch) {
-        assert_eq!(s.community, b.community);
-        assert_eq!(
-            s.label, b.label,
-            "taxonomy label of community {}",
-            s.community
-        );
-        assert_eq!(
-            s.heuristic, b.heuristic,
-            "heuristic of community {}",
-            s.community
-        );
-        assert_eq!(s.window, b.window, "window of community {}", s.community);
-        assert_eq!(s.alarms, b.alarms);
-        assert_eq!(s.detectors, b.detectors);
-        assert_eq!(
-            s.summary.rules, b.summary.rules,
-            "rules of community {}",
-            s.community
-        );
-        assert_eq!(s.summary.transactions, b.summary.transactions);
-        assert!((s.summary.rule_degree - b.summary.rule_degree).abs() < 1e-12);
-        assert!((s.summary.rule_support - b.summary.rule_support).abs() < 1e-12);
-    }
-}
-
-#[test]
-fn streaming_equals_batch_across_seeds_and_bin_widths() {
-    for seed in [11u64, 222, 3333] {
-        let lt = synth(seed);
-        let config = PipelineConfig::default();
-        let batch = MawilabPipeline::new(config.clone()).run(&lt.trace);
-        for bin_us in [DEFAULT_CHUNK_US, 20_000_000] {
-            let mut source = TraceChunker::new(lt.trace.clone(), bin_us);
-            let streamed = StreamingPipeline::new(config.clone())
-                .run(&mut source)
-                .unwrap();
-            assert_eq!(
-                streamed.communities.alarms, batch.communities.alarms,
-                "alarms differ (seed {seed}, bin {bin_us})"
-            );
-            assert_eq!(
-                streamed.communities.traffic, batch.communities.traffic,
-                "traffic sets differ (seed {seed}, bin {bin_us})"
-            );
-            assert_eq!(
-                streamed.votes, batch.votes,
-                "votes differ (seed {seed}, bin {bin_us})"
-            );
-            assert_eq!(
-                streamed.decisions, batch.decisions,
-                "decisions differ (seed {seed}, bin {bin_us})"
-            );
-            assert_labels_identical(&streamed.labeled.communities, &batch.labeled.communities);
-        }
-    }
-}
-
-#[test]
-fn streaming_equals_batch_at_every_granularity() {
-    let lt = synth(77);
-    for granularity in [
-        Granularity::Packet,
-        Granularity::Uniflow,
-        Granularity::Biflow,
-    ] {
-        let config = PipelineConfig {
-            granularity,
-            ..Default::default()
-        };
-        let batch = MawilabPipeline::new(config.clone()).run(&lt.trace);
-        let mut source = TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US);
-        let streamed = StreamingPipeline::new(config).run(&mut source).unwrap();
-        assert_eq!(
-            streamed.decisions, batch.decisions,
-            "decisions differ at {granularity}"
-        );
-        assert_eq!(
-            streamed.communities.traffic, batch.communities.traffic,
-            "traffic differs at {granularity}"
-        );
-        assert_labels_identical(&streamed.labeled.communities, &batch.labeled.communities);
-    }
 }
 
 /// A source that counts how many packets it has handed out in the
@@ -177,12 +84,14 @@ fn peak_live_packet_memory_is_bounded_by_one_chunk() {
         "trace too small to make the bound meaningful: {total}"
     );
     let mut source = CountingSource::new(TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US));
-    let report = StreamingPipeline::new(PipelineConfig::default())
+    let report = OnlinePipeline::new(PipelineConfig::default())
         .run(&mut source)
-        .unwrap();
+        .unwrap()
+        .report;
 
-    // Both passes drained everything…
-    assert_eq!(source.total, 2 * total as u64);
+    // The one drain pulled everything…
+    assert_eq!(source.total, total as u64);
+    assert_eq!(report.stats.packets_drained(), total as u64);
     // …but the pipeline never saw more than one chunk's packets at a
     // time, and the report's own accounting agrees with the source's.
     assert_eq!(report.stats.peak_chunk_packets, source.peak_live);
@@ -211,10 +120,11 @@ fn custom_detector_set_streams_too() {
         .with_detectors(vec![Box::new(KlDetector::new(Tuning::Sensitive))])
         .run(&lt.trace);
     let mut source = TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US);
-    let streamed = StreamingPipeline::new(config)
+    let streamed = OnlinePipeline::new(config)
         .with_detectors(detectors)
         .run(&mut source)
-        .unwrap();
+        .unwrap()
+        .report;
     assert_eq!(streamed.communities.alarms, batch.communities.alarms);
     assert_eq!(streamed.decisions, batch.decisions);
 }

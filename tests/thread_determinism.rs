@@ -11,7 +11,7 @@
 //! process-wide `MAWILAB_THREADS` variable, and siblings running
 //! concurrently would race on it.
 
-use mawilab::core::{MawilabPipeline, OnlinePipeline, PipelineConfig, StreamingPipeline};
+use mawilab::core::{MawilabPipeline, OnlinePipeline, PipelineConfig};
 use mawilab::label::MawilabLabel;
 use mawilab::model::{NoRewindSource, TraceChunker, DEFAULT_CHUNK_US};
 use mawilab::synth::{SynthConfig, TraceGenerator};
@@ -23,21 +23,12 @@ use std::sync::Mutex;
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Decisions, labels, graph shape and member lists of one batch run,
-/// one two-pass streaming run and one single-pass online run.
+/// checked against one single-pass online run.
 fn run_once(
     lt: &mawilab::synth::LabeledTrace,
 ) -> (Vec<bool>, Vec<MawilabLabel>, usize, Vec<Vec<usize>>) {
     let config = PipelineConfig::default();
     let report = MawilabPipeline::new(config.clone()).run(&lt.trace);
-
-    let mut source = TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US);
-    let streamed = StreamingPipeline::new(config.clone())
-        .run(&mut source)
-        .unwrap();
-    assert_eq!(
-        streamed.decisions, report.decisions,
-        "batch/streaming diverged"
-    );
 
     let mut sealed = NoRewindSource::new(TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US));
     let online = OnlinePipeline::new(config).run(&mut sealed).unwrap();
