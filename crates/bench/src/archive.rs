@@ -145,12 +145,10 @@ pub fn default_month_days() -> Vec<TraceDate> {
 pub struct ArchiveDayRecord {
     /// The stability-relevant reduction of the day.
     pub summary: DaySummary,
-    /// Packets of the stream (first drain's view).
+    /// Packets of the stream.
     pub packets: u64,
-    /// Chunks of the stream (first drain's view).
+    /// Chunks of the stream.
     pub chunks: usize,
-    /// Times the source was drained (1: the pipeline is single-pass).
-    pub passes: usize,
     /// Largest single chunk.
     pub peak_chunk_packets: usize,
     /// Traffic units seen.
@@ -185,7 +183,7 @@ pub struct ArchiveDayRecord {
 }
 
 fn reduce_day(ctx: &StreamingDayContext<'_>) -> ArchiveDayRecord {
-    let report = ctx.report;
+    let (report, stats) = (ctx.report, ctx.stats);
 
     // Every strategy's verdict on the day's vote table — the flips
     // between them day over day are a headline stability metric.
@@ -238,20 +236,19 @@ fn reduce_day(ctx: &StreamingDayContext<'_>) -> ArchiveDayRecord {
     let wall_s = ctx.wall.as_secs_f64();
     let gen_s = ctx.gen_wall.as_secs_f64();
     ArchiveDayRecord {
-        packets: report.stats.packets(),
-        chunks: report.stats.chunks(),
-        passes: report.stats.passes(),
-        peak_chunk_packets: report.stats.peak_chunk_packets,
-        items: report.stats.items,
+        packets: stats.packets,
+        chunks: stats.chunks,
+        peak_chunk_packets: stats.peak_chunk_packets,
+        items: stats.items,
         alarms: report.alarm_count(),
         communities: report.community_count(),
         anomalous: report.labeled.count(MawilabLabel::Anomalous),
         tier_counts,
         agreement_hist,
         wall_s,
-        pps: report.stats.packets() as f64 / wall_s.max(1e-9),
+        pps: stats.packets as f64 / wall_s.max(1e-9),
         gen_s,
-        gen_pps: report.stats.packets() as f64 / gen_s.max(1e-9),
+        gen_pps: stats.packets as f64 / gen_s.max(1e-9),
         stage_s: [
             t.detect.as_secs_f64(),
             t.extract.as_secs_f64(),
@@ -546,7 +543,6 @@ fn format_archive_json(
                 .collect();
             format!(
                 "    {{\"date\": \"{}\", \"packets\": {}, \"chunks\": {}, \
-                 \"ingest_passes\": {}, \
                  \"peak_chunk_packets\": {}, \"items\": {}, \"alarms\": {}, \
                  \"communities\": {}, \"anomalous\": {}, \"identities\": {}, \
                  \"tiers\": [{}, {}, {}], \"strategy_agreement\": [{}], \
@@ -557,7 +553,6 @@ fn format_archive_json(
                 r.summary.date,
                 r.packets,
                 r.chunks,
-                r.passes,
                 r.peak_chunk_packets,
                 r.items,
                 r.alarms,
@@ -921,7 +916,6 @@ mod tests {
             "\"workers_cap\"",
             "\"gen_s\"",
             "\"peak_rss_kb\"",
-            "\"ingest_passes\"",
             "\"packets_per_s\"",
             "\"detect_s\"",
             "\"worms\"",
@@ -929,9 +923,6 @@ mod tests {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
         assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
-        // The default sweep runs single-pass: every day drains once.
-        assert!(json.contains("\"ingest_passes\": 1"));
-        assert!(!json.contains("\"ingest_passes\": 2"));
         // All five strategies appear in the flip table.
         for name in ["average", "minimum", "maximum", "SCANN", "majority"] {
             assert!(

@@ -12,10 +12,8 @@
 //! FILE`) and the parent collects the reports into
 //! `BENCH_streaming.json`.
 //!
-//! Schema note: the online block carries `ingest_passes` (always 1)
-//! and `packets_drained` (total packets pulled from the source, the
-//! real ingest cost); `packets` is the stream's size. It adds
-//! `horizon_lag_us` and the label window count.
+//! Schema note: the online block adds the chunk accounting of the one
+//! drain and the label window count.
 //!
 //! ```sh
 //! cargo run --release -p mawilab-bench --bin streaming [-- --scale 1.0 --out results]
@@ -94,22 +92,18 @@ fn run_mode(mode: &str, pcap_path: &str) {
             let pipeline = OnlinePipeline::new(PipelineConfig::default());
             let online = pipeline.run(&mut source).expect("online run failed");
             let wall = t0.elapsed();
-            let report = &online.report;
+            let stats = &online.stats;
             println!(
-                "mode=online packets={} packets_drained={} ingest_passes={} wall_s={:.3} \
-                 peak_rss_kb={} alarms={} communities={} chunks={} peak_chunk_packets={} \
-                 chunk_throughput_pps={:.0} horizon_lag_us={} windows={}",
-                report.stats.packets(),
-                report.stats.packets_drained(),
-                report.stats.passes(),
+                "mode=online packets={} wall_s={:.3} peak_rss_kb={} alarms={} communities={} \
+                 chunks={} peak_chunk_packets={} chunk_throughput_pps={:.0} windows={}",
+                stats.packets,
                 wall.as_secs_f64(),
                 peak_rss_kb().unwrap_or(0),
-                report.alarm_count(),
-                report.community_count(),
-                report.stats.chunks(),
-                report.stats.peak_chunk_packets,
-                report.stats.packets_drained() as f64 / wall.as_secs_f64().max(1e-9),
-                online.lag_us,
+                online.report.alarm_count(),
+                online.report.community_count(),
+                stats.chunks,
+                stats.peak_chunk_packets,
+                stats.packets as f64 / wall.as_secs_f64().max(1e-9),
                 online.windows.len(),
             );
         }
@@ -186,14 +180,11 @@ fn main() {
         |ctx| {
             format!(
                 "    {{\"date\": \"{}\", \"packets\": {}, \"chunks\": {}, \
-                 \"ingest_passes\": {}, \"labeled_windows\": {}, \
                  \"peak_chunk_packets\": {}, \"wall_s\": {:.3}, \"anomalous\": {}}}",
                 ctx.date,
-                ctx.report.stats.packets(),
-                ctx.report.stats.chunks(),
-                ctx.report.stats.passes(),
-                ctx.windows.len(),
-                ctx.report.stats.peak_chunk_packets,
+                ctx.stats.packets,
+                ctx.stats.chunks,
+                ctx.stats.peak_chunk_packets,
                 ctx.wall.as_secs_f64(),
                 ctx.report
                     .labeled
@@ -206,12 +197,10 @@ fn main() {
     .collect();
 
     let online_block = format!(
-        "{{\"packets\": {}, \"packets_drained\": {}, \"ingest_passes\": {}, \
-         \"wall_s\": {}, \"peak_rss_kb\": {}, \"alarms\": {}, \"communities\": {}, \
-         \"chunks\": {}, \"peak_chunk_packets\": {}, \"chunk_throughput_pps\": {}}}",
+        "{{\"packets\": {}, \"wall_s\": {}, \"peak_rss_kb\": {}, \"alarms\": {}, \
+         \"communities\": {}, \"chunks\": {}, \"peak_chunk_packets\": {}, \
+         \"chunk_throughput_pps\": {}}}",
         field(&online, "packets"),
-        field(&online, "packets_drained"),
-        field(&online, "ingest_passes"),
         field(&online, "wall_s"),
         field(&online, "peak_rss_kb"),
         field(&online, "alarms"),
@@ -224,7 +213,7 @@ fn main() {
         "{{\n  \"generated_by\": \"cargo run --release -p mawilab-bench --bin streaming\",\n  \
          \"day\": \"{:04}-{:02}-{:02}\",\n  \"scale\": {},\n  \"chunk_us\": {},\n  \
          \"batch\": {{\"packets\": {}, \"wall_s\": {}, \"peak_rss_kb\": {}, \"alarms\": {}, \"communities\": {}}},\n  \
-         \"online\": {{\"base\": {}, \"horizon_lag_us\": {}, \"labeled_windows\": {}}},\n  \
+         \"online\": {{\"base\": {}, \"labeled_windows\": {}}},\n  \
          \"multi_day_streaming\": [\n{}\n  ]\n}}\n",
         DAY.0, DAY.1, DAY.2,
         flags.scale,
@@ -235,7 +224,6 @@ fn main() {
         field(&batch, "alarms"),
         field(&batch, "communities"),
         online_block,
-        field(&online, "horizon_lag_us"),
         field(&online, "windows"),
         sweep.join(",\n"),
     );
@@ -245,8 +233,7 @@ fn main() {
     println!("{json}");
     eprintln!("wrote {path}");
 
-    // Sanity: the single-pass path must agree with the batch oracle
-    // while draining the pcap once.
+    // Sanity: the single-pass path must agree with the batch oracle.
     assert_eq!(
         field(&batch, "alarms"),
         field(&online, "alarms"),
@@ -257,5 +244,4 @@ fn main() {
         field(&online, "communities"),
         "online community count diverged"
     );
-    assert_eq!(field(&online, "ingest_passes"), "1");
 }

@@ -8,10 +8,9 @@
 
 use mawilab_combiner::Decision;
 use mawilab_core::{
-    MawilabPipeline, OnlinePipeline, PipelineConfig, PipelineReport, StrategyKind, StreamingReport,
+    MawilabPipeline, OnlinePipeline, PipelineConfig, PipelineReport, StrategyKind, StreamStats,
 };
 use mawilab_detectors::TraceView;
-use mawilab_label::LabeledWindow;
 use mawilab_model::{
     FlowTable, NoRewindSource, PacketSource, SourceError, StreamTruthCollector, TapSource,
     TraceDate,
@@ -109,10 +108,10 @@ pub struct StreamingDayContext<'a> {
     /// (per packet) and the report's community traffic sets (per
     /// unit). Feed it to `GroundTruthMatcher::from_item_ids`.
     pub item_ids: &'a [u32],
-    /// Full pipeline output, including ingest stats.
-    pub report: &'a StreamingReport,
-    /// The day's labels bucketed by horizon window, in window order.
-    pub windows: &'a [LabeledWindow],
+    /// Full pipeline output (communities, votes, decisions, labels).
+    pub report: &'a PipelineReport,
+    /// Ingest statistics of the day's drain.
+    pub stats: &'a StreamStats,
     /// Wall-clock of the whole single-pass run for this day.
     pub wall: Duration,
     /// Wall-clock of producing the generator's day plan ahead of the
@@ -241,7 +240,7 @@ where
             truth: &truth,
             item_ids: &item_ids,
             report: &online.report,
-            windows: &online.windows,
+            stats: &online.stats,
             wall,
             gen_wall,
         }))
@@ -295,13 +294,11 @@ mod tests {
             mawilab_model::DEFAULT_CHUNK_US,
             PipelineConfig::default(),
             |ctx| {
-                assert_eq!(ctx.report.stats.passes(), 1, "single-pass path drains once");
-                assert!(ctx.report.stats.horizon_lag_us.is_some());
-                assert!(ctx.report.stats.chunks() > 1);
-                assert!((ctx.report.stats.peak_chunk_packets as u64) < ctx.report.stats.packets());
+                assert!(ctx.stats.chunks > 1);
+                assert!((ctx.stats.peak_chunk_packets as u64) < ctx.stats.packets);
                 assert_eq!(
                     ctx.item_ids.len() as u64,
-                    ctx.report.stats.packets(),
+                    ctx.stats.packets,
                     "one item id per streamed packet"
                 );
                 assert_eq!(
@@ -309,16 +306,8 @@ mod tests {
                         .iter()
                         .collect::<std::collections::HashSet<_>>()
                         .len(),
-                    ctx.report.stats.items,
+                    ctx.stats.items,
                     "context ids and pipeline extraction agree on the unit universe"
-                );
-                assert_eq!(
-                    ctx.windows
-                        .iter()
-                        .map(|w| w.communities.len())
-                        .sum::<usize>(),
-                    ctx.report.labeled.communities.len(),
-                    "the horizon feed carries every labeled community"
                 );
                 (ctx.report.alarm_count(), ctx.report.decisions.clone())
             },

@@ -1,10 +1,11 @@
 //! # mawilab-bench
 //!
 //! Experiment harness regenerating **every table and figure** of the
-//! paper's evaluation (see DESIGN.md §5 for the exhibit index).
-//! Each `fig*`/`table*` binary reruns its workload on the simulated
-//! archive and prints gnuplot-ready series plus a human-readable
-//! summary; `EXPERIMENTS.md` records paper-vs-measured shapes.
+//! paper's evaluation (one `fig*`/`table*` binary per exhibit; see the
+//! README quickstart). Each binary reruns its workload on the
+//! simulated archive and prints gnuplot-ready series plus a
+//! human-readable summary; `tests/paper_examples.rs` pins the
+//! paper's worked examples.
 //!
 //! The shared pieces live here:
 //! * [`cli`] — the tiny flag parser every binary uses

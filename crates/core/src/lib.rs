@@ -27,10 +27,7 @@ pub mod online;
 pub mod pipeline;
 
 pub use benchmark::{benchmark_alarms, BenchmarkResult};
-pub use online::{
-    DrainStats, OnlinePipeline, OnlineReport, StreamStats, StreamingReport, DEFAULT_HORIZON_US,
-    DEFAULT_LAG_US,
-};
+pub use online::{OnlinePipeline, OnlineReport, StreamStats, DEFAULT_HORIZON_US, DEFAULT_LAG_US};
 pub use pipeline::{
     LabeledReport, MawilabPipeline, PipelineConfig, PipelineReport, PipelineTimings, StrategyKind,
 };

@@ -1,10 +1,10 @@
 //! The four-step MAWILab pipeline.
 
 use mawilab_combiner::{
-    label_confidences, Average, CombinationStrategy, ConfidenceThresholds, Decision, MajorityVote,
-    Maximum, Minimum, Scann, VoteTable,
+    label_confidences, Average, CombinationStrategy, ConfidenceThresholds, Decision,
+    LabelConfidence, MajorityVote, Maximum, Minimum, Scann, VoteTable,
 };
-use mawilab_detectors::{run_all, standard_configurations, Detector, TraceView};
+use mawilab_detectors::{run_all, standard_configurations, Alarm, Detector, TraceView};
 use mawilab_label::{label_communities, LabeledCommunity, MawilabLabel};
 use mawilab_model::{FlowTable, Granularity, Trace};
 use mawilab_similarity::{
@@ -237,43 +237,23 @@ impl MawilabPipeline {
         let t1 = Instant::now();
         let traffic = extract_traffic(&view, &alarms, self.config.granularity);
         let extract = t1.elapsed();
-        let (communities, mining) = self
-            .config
-            .estimator()
-            .estimate_from_traffic_timed(alarms, traffic);
 
-        let t2 = Instant::now();
-        let votes = VoteTable::from_communities(&communities);
-        let decisions = self.config.strategy.build().classify(&votes);
-        let confidences = label_confidences(&votes, &decisions, self.config.confidence_thresholds);
-        let combine = t2.elapsed();
-
-        let t3 = Instant::now();
-        let labeled = LabeledReport {
-            communities: label_communities(
-                &view,
-                &communities,
-                &decisions,
-                &confidences,
-                self.config.min_support,
-            ),
-        };
-        let label = t3.elapsed();
-
-        PipelineReport {
-            communities,
-            votes,
-            decisions,
-            labeled,
-            timings: PipelineTimings {
-                detect,
-                extract,
-                graph: mining.graph,
-                louvain: mining.louvain,
-                combine,
-                label,
+        combine_and_label(
+            &self.config,
+            alarms,
+            traffic,
+            detect,
+            extract,
+            |communities, decisions, confidences| {
+                label_communities(
+                    &view,
+                    communities,
+                    decisions,
+                    confidences,
+                    self.config.min_support,
+                )
             },
-        }
+        )
     }
 
     /// Runs steps 1–2 once and classifies with *every* strategy —
@@ -288,6 +268,52 @@ impl MawilabPipeline {
             .map(|&k| (k, k.build().classify(&report.votes)))
             .collect();
         (report, per_strategy)
+    }
+}
+
+/// Steps 2–4, shared by the batch and single-pass pipelines: builds
+/// the similarity graph and communities from the extracted traffic,
+/// combines the 12 configurations' votes, scores confidence, and
+/// labels each community through `label_with` — the one step whose
+/// evidence source differs between the two pipelines. `detect` and
+/// `extract` are the caller's step-1 and extraction timings.
+pub(crate) fn combine_and_label(
+    config: &PipelineConfig,
+    alarms: Vec<Alarm>,
+    traffic: Vec<Vec<u32>>,
+    detect: Duration,
+    extract: Duration,
+    label_with: impl FnOnce(&AlarmCommunities, &[Decision], &[LabelConfidence]) -> Vec<LabeledCommunity>,
+) -> PipelineReport {
+    let (communities, mining) = config
+        .estimator()
+        .estimate_from_traffic_timed(alarms, traffic);
+
+    let t0 = Instant::now();
+    let votes = VoteTable::from_communities(&communities);
+    let decisions = config.strategy.build().classify(&votes);
+    let confidences = label_confidences(&votes, &decisions, config.confidence_thresholds);
+    let combine = t0.elapsed();
+
+    let t1 = Instant::now();
+    let labeled = LabeledReport {
+        communities: label_with(&communities, &decisions, &confidences),
+    };
+    let label = t1.elapsed();
+
+    PipelineReport {
+        communities,
+        votes,
+        decisions,
+        labeled,
+        timings: PipelineTimings {
+            detect,
+            extract,
+            graph: mining.graph,
+            louvain: mining.louvain,
+            combine,
+            label,
+        },
     }
 }
 

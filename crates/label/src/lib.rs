@@ -16,25 +16,25 @@
 //!   concise labels MAWILab publishes instead of raw alarms (§5, §6).
 //! * [`output`] — writers for a MAWILab-style CSV and an
 //!   admd-flavoured XML annotation file.
-//! * [`store`] — per-horizon [`LabeledWindow`]s of a day's labels
-//!   and the day-evicting in-memory [`LabelStore`].
+//! * [`window`] — per-horizon [`LabeledWindow`]s of a day's labels,
+//!   all computed at end of stream.
 
 #![forbid(unsafe_code)]
 
 pub mod evidence;
 pub mod heuristics;
 pub mod output;
-pub mod store;
 pub mod summary;
 pub mod taxonomy;
+pub mod window;
 
 pub use evidence::CommunityEvidence;
 pub use heuristics::{classify_packets, HeuristicCategory, HeuristicLabel, TrafficProfile};
-pub use store::{window_communities, LabelStore, LabeledWindow, StoredDay};
 pub use summary::{summarize_community, CommunitySummary};
 pub use taxonomy::{
     label_communities, label_communities_streaming, label_of, LabeledCommunity, MawilabLabel,
 };
+pub use window::{window_communities, LabeledWindow};
 // Re-exported so labeling callers can speak the confidence vocabulary
 // without a direct combiner dependency.
 pub use mawilab_combiner::{ConfidenceThresholds, ConfidenceTier, LabelConfidence};

@@ -98,12 +98,6 @@ pub struct HorizonStats {
     pub fresh_records: u64,
     /// Distinct flows in the compact store.
     pub retired_flows: usize,
-    /// Windows whose watermark seal landed *before* the window's own
-    /// end — a clock inversion of the `SealTracker` monotonicity
-    /// invariant. Always 0 by construction; counted (not clamped to
-    /// zero latency) so a regression is visible in the stats instead
-    /// of silently reading as an instant label.
-    pub negative_latency: u64,
 }
 
 /// What [`HorizonExtractor::finalize`] produces: the per-alarm traffic

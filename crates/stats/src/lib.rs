@@ -13,7 +13,7 @@
 //! * [`samplers`] — heavy-tail and counting distributions needed to
 //!   synthesise Internet-like traffic (Zipf, Pareto, log-normal,
 //!   exponential, Poisson). Implemented here rather than pulling
-//!   `rand_distr`, keeping the substrate self-contained (DESIGN.md §3).
+//!   `rand_distr`, keeping the substrate self-contained.
 //! * [`summary`] — running moments, quantiles, median/MAD robust
 //!   scale, and EWMA baselines used for adaptive thresholds.
 

@@ -6,7 +6,7 @@
 //! sizes with a Pareto-tailed peer-to-peer component, and Poisson
 //! flow arrivals. Absolute realism is not the goal — *diversity and
 //! heavy tails* are, because they are what the four detectors' normal
-//! models must absorb (DESIGN.md §2).
+//! models must absorb.
 //!
 //! Generation is **bin-native**: a [`BackgroundModel`] holds the
 //! day-level parameters (app mix, distributions, the common-mode rate

@@ -5,7 +5,7 @@
 //! The paper labels nine years of real trans-Pacific backbone traces.
 //! Those traces cannot ship with this reproduction, so this crate
 //! synthesises MAWI-*like* traffic with the properties the MAWILab
-//! methodology actually depends on (DESIGN.md §2):
+//! methodology actually depends on:
 //!
 //! * heavy-tailed, application-structured **background traffic**
 //!   (Zipf host popularity, log-normal/Pareto flow sizes, a dated

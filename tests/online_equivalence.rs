@@ -91,7 +91,6 @@ fn assert_online_equals_oracle(
         .unwrap();
     assert_eq!(sealed.rewinds_refused(), 0, "online path rewound ({what})");
 
-    assert_eq!(online.report.stats.passes(), 1, "not single-pass ({what})");
     assert_eq!(
         online.report.communities.alarms, oracle.communities.alarms,
         "alarms differ ({what})"
@@ -157,9 +156,6 @@ fn lag_governs_retention_not_labels() {
                 online.horizon_stats.retired_chunks, 0,
                 "a day-scale lag on a 60 s trace must retire nothing"
             );
-            // Nothing can seal before stream end either: every window
-            // was closed out by finish, not by the watermark.
-            assert!(online.windows.iter().all(|w| w.sealed_by_finish));
         }
     }
 }
@@ -284,43 +280,6 @@ fn tiny_horizons_leave_empty_windows_but_flatten_back_exactly() {
         .collect();
     expected.sort_unstable();
     assert_eq!(flat, expected);
-}
-
-#[test]
-fn sealed_window_latency_is_bounded_by_lag_plus_one_chunk() {
-    // On a dense stream, a window's evidence is complete no later
-    // than `lag` plus one chunk width after the window closes. (Its
-    // labels are read at end of stream: detectors alarm in finish.)
-    let lt = synth(77);
-    let chunk_us = DEFAULT_CHUNK_US;
-    let lag_us = 5_000_000;
-    let mut sealed = NoRewindSource::new(TraceChunker::new(lt.trace.clone(), chunk_us));
-    let online = OnlinePipeline::new(PipelineConfig::default())
-        .with_horizon_us(10_000_000)
-        .unwrap()
-        .with_lag_us(lag_us)
-        .run(&mut sealed)
-        .unwrap();
-    let watermark_sealed: Vec<_> = online
-        .windows
-        .iter()
-        .filter(|w| !w.sealed_by_finish)
-        .collect();
-    assert!(
-        !watermark_sealed.is_empty(),
-        "no window sealed before stream end"
-    );
-    for w in &watermark_sealed {
-        assert!(
-            w.latency_us() <= lag_us + chunk_us,
-            "window [{}, {}) sealed {} us late (bound {})",
-            w.window.start_us,
-            w.window.end_us,
-            w.latency_us(),
-            lag_us + chunk_us
-        );
-    }
-    assert!(online.max_sealed_latency_us() <= lag_us + chunk_us);
 }
 
 #[test]

@@ -84,17 +84,17 @@ fn peak_live_packet_memory_is_bounded_by_one_chunk() {
         "trace too small to make the bound meaningful: {total}"
     );
     let mut source = CountingSource::new(TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US));
-    let report = OnlinePipeline::new(PipelineConfig::default())
+    let stats = OnlinePipeline::new(PipelineConfig::default())
         .run(&mut source)
         .unwrap()
-        .report;
+        .stats;
 
     // The one drain pulled everything…
     assert_eq!(source.total, total as u64);
-    assert_eq!(report.stats.packets_drained(), total as u64);
+    assert_eq!(stats.packets, total as u64);
     // …but the pipeline never saw more than one chunk's packets at a
     // time, and the report's own accounting agrees with the source's.
-    assert_eq!(report.stats.peak_chunk_packets, source.peak_live);
+    assert_eq!(stats.peak_chunk_packets, source.peak_live);
     assert!(
         source.peak_live * 4 < total,
         "peak live packets {} is not clearly below trace size {}",
@@ -103,11 +103,7 @@ fn peak_live_packet_memory_is_bounded_by_one_chunk() {
     );
     // The 60 s trace cut into 5 s bins: a genuinely multi-chunk
     // stream, not one big chunk.
-    assert!(
-        report.stats.chunks() >= 10,
-        "only {} chunks",
-        report.stats.chunks()
-    );
+    assert!(stats.chunks >= 10, "only {} chunks", stats.chunks);
 }
 
 #[test]
