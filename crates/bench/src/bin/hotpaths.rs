@@ -1,7 +1,7 @@
 //! Hot-path trajectory benchmark: every optimized kernel measured
 //! against its retained seed implementation.
 //!
-//! Writes `results/BENCH_hotpaths.json` with six sections:
+//! Writes `results/BENCH_hotpaths.json` with five sections:
 //!
 //! * `similarity_graph` — the criterion bench workload, built with
 //!   the retained sequential reference (`build_graph_sequential`,
@@ -11,8 +11,6 @@
 //!   thread sweep, alongside the seed-commit criterion medians;
 //! * `extract` — traffic extraction through the inverted `AlarmIndex`
 //!   vs the seed per-alarm scan (`extract_traffic_sequential`);
-//! * `svd` — the randomized subspace sketch vs the exact Gram engine
-//!   (`Svd::exact_gram`) on above-the-gate low-rank matrices;
 //! * `mining` — FP-growth vs modified Apriori on large transaction
 //!   sets;
 //! * `pipeline` — the end-to-end criterion trace, alongside the seed
@@ -40,7 +38,6 @@
 use mawilab_core::{MawilabPipeline, OnlinePipeline, PipelineConfig};
 use mawilab_detectors::{Alarm, AlarmScope, DetectorKind, TraceView, Tuning};
 use mawilab_graph::{louvain, Graph};
-use mawilab_linalg::{Matrix, Svd};
 use mawilab_mining::{apriori, fp_growth, Transaction};
 use mawilab_model::{
     FlowKey, FlowTable, Granularity, Packet, Protocol, TcpFlags, TimeWindow, Trace, TraceChunker,
@@ -188,29 +185,6 @@ fn extraction_workload(n_packets: usize, n_flows: usize, n_alarms: usize) -> (Tr
         })
         .collect();
     (Trace::new(meta, packets), alarms)
-}
-
-/// Deterministic pseudo-random matrix of rank ≤ `rank`, for the SVD
-/// kernels (above the exact gate, where the sketch engages).
-fn low_rank_matrix(n: usize, m: usize, rank: usize) -> Matrix {
-    let mut state = 17u64;
-    let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-        ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-    };
-    let mut left = Matrix::zeros(n, rank);
-    let mut right = Matrix::zeros(rank, m);
-    for i in 0..n {
-        for j in 0..rank {
-            left[(i, j)] = next();
-        }
-    }
-    for i in 0..rank {
-        for j in 0..m {
-            right[(i, j)] = next();
-        }
-    }
-    left.matmul(&right)
 }
 
 /// Community-like transaction mix for the mining kernels: every field
@@ -505,29 +479,6 @@ fn main() {
         ));
     }
 
-    // SVD: randomized sketch vs the exact Gram engine, above the gate.
-    let svd_cases: &[(usize, usize, usize)] = if smoke {
-        &[(120, 90, 8)]
-    } else {
-        &[(300, 120, 12), (500, 200, 24)]
-    };
-    let mut svd_rows: Vec<String> = Vec::new();
-    for &(n, m, rank) in svd_cases {
-        let a = low_rank_matrix(n, m, rank);
-        let iters = if smoke { 3 } else { 5 };
-        let exact = median_us(iters, || {
-            drop(black_box(Svd::exact_gram(black_box(&a), 1e-12)))
-        });
-        let randomized = median_us(iters, || {
-            drop(black_box(Svd::with_tolerance(black_box(&a), 1e-12)))
-        });
-        eprintln!("svd/{n}x{m}r{rank}: exact {exact:.0}us, randomized {randomized:.0}us");
-        svd_rows.push(format!(
-            "    {{\"rows\": {n}, \"cols\": {m}, \"rank\": {rank}, \
-             \"exact_gram_us\": {exact:.1}, \"randomized_us\": {randomized:.1}}}"
-        ));
-    }
-
     // Mining: FP-growth vs modified Apriori on large transaction
     // sets, at the paper's threshold and at a low one where Apriori's
     // candidate space explodes.
@@ -589,12 +540,11 @@ fn main() {
         "{{\n  \"generated_by\": \"cargo run --release -p mawilab-bench --bin hotpaths\",\n  \
          \"seed_commit\": \"{SEED_COMMIT}\",\n  \"hardware_threads\": {hardware},\n  \
          \"smoke\": {smoke},\n  \"note\": \"{note}\",\n  \"similarity_graph\": [\n{}\n  ],\n  \"louvain\": [\n{}\n  ],\n  \
-         \"extract\": [\n{}\n  ],\n  \"svd\": [\n{}\n  ],\n  \"mining\": [\n{}\n  ],\n  \
+         \"extract\": [\n{}\n  ],\n  \"mining\": [\n{}\n  ],\n  \
          \"pipeline\": {{\"seed_criterion_us\": {SEED_PIPELINE_US}, \"end_to_end_us_by_threads\": {{{}}}}}\n}}\n",
         sim_rows.join(",\n"),
         louvain_rows.join(",\n"),
         extract_rows.join(",\n"),
-        svd_rows.join(",\n"),
         mining_rows.join(",\n"),
         pipe_rows.join(", "),
     );

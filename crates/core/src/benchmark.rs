@@ -66,22 +66,28 @@ pub fn benchmark_alarms(
     let candidate_sets = extract_traffic(view, alarms, report.communities.granularity);
     let measure = SimilarityMeasure::Simpson;
 
+    // Each labeled community's traffic, built once for both loops.
+    let traffics: Vec<Vec<u32>> = report
+        .labeled
+        .communities
+        .iter()
+        .map(|lc| report.communities.community_traffic(lc.community))
+        .collect();
+    let overlaps = |set: &[u32], traffic: &[u32]| {
+        let inter = intersection_size(set, traffic);
+        inter > 0 && measure.value(inter, set.len().max(1), traffic.len().max(1)) >= min_overlap
+    };
+
     let mut detected = 0;
     let mut missed = 0;
-    let mut community_matched = vec![false; report.community_count()];
-    for lc in &report.labeled.communities {
-        let traffic = report.communities.community_traffic(lc.community);
-        let hit = candidate_sets.iter().any(|set| {
-            let inter = intersection_size(set, &traffic);
-            inter > 0 && measure.value(inter, set.len().max(1), traffic.len().max(1)) >= min_overlap
-        });
-        community_matched[lc.community] = hit;
-        if lc.label == MawilabLabel::Anomalous {
-            if hit {
-                detected += 1;
-            } else {
-                missed += 1;
-            }
+    for (lc, traffic) in report.labeled.communities.iter().zip(&traffics) {
+        if lc.label != MawilabLabel::Anomalous {
+            continue;
+        }
+        if candidate_sets.iter().any(|set| overlaps(set, traffic)) {
+            detected += 1;
+        } else {
+            missed += 1;
         }
     }
 
@@ -90,12 +96,7 @@ pub fn benchmark_alarms(
     let mut matched_alarms = 0;
     let mut unmatched_alarms = 0;
     for set in &candidate_sets {
-        let hit = report.labeled.communities.iter().any(|lc| {
-            let traffic = report.communities.community_traffic(lc.community);
-            let inter = intersection_size(set, &traffic);
-            inter > 0 && measure.value(inter, set.len().max(1), traffic.len().max(1)) >= min_overlap
-        });
-        if hit {
+        if traffics.iter().any(|traffic| overlaps(set, traffic)) {
             matched_alarms += 1;
         } else {
             unmatched_alarms += 1;

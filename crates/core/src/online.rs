@@ -4,7 +4,7 @@
 //! [`OnlinePipeline`] is the production labeler. It drains a source
 //! **once** — a live link cannot be replayed — doing detection and
 //! evidence gathering in the same pass: as each chunk streams past,
-//! every detector configuration observes it *and* the
+//! each detector family observes it once *and* the
 //! extraction/labeling evidence is banked
 //! (traffic-unit ids from the incremental `ItemIndex`, compact
 //! `(FlowKey, ts, id)` records in the
@@ -12,6 +12,21 @@
 //! [`CommunityEvidence`] profiles). Nothing is ever re-read: a
 //! [`NoRewindSource`](mawilab_model::NoRewindSource)-wrapped source
 //! completes a whole archive sweep with zero rewind calls.
+//!
+//! ## One observation per family
+//!
+//! The detector set is folded by
+//! [`observation_groups`]: configurations whose
+//! [`ObservationKey`](mawilab_detectors::ObservationKey)s are equal —
+//! the three tunings of a family — share one accumulator, so each
+//! chunk is observed once per family rather than once per
+//! configuration. At end of stream every configuration is finished
+//! from its group's state with its own tuning, and the alarms come
+//! back in the caller's configuration order. A custom set whose keys
+//! are all distinct (or `None`) keeps one accumulator per
+//! configuration. The batch oracle keeps solo accumulators
+//! (`Detector::analyze`), so the fused drain is checked against
+//! independent state.
 //!
 //! ## The sliding horizon
 //!
@@ -48,7 +63,7 @@
 
 use crate::pipeline::{combine_and_label, PipelineConfig, PipelineReport};
 use mawilab_detectors::{
-    finish_all, observe_all, standard_configurations, ChunkView, Detector, IncrementalDetector,
+    observation_groups, observe_all, standard_configurations, ChunkView, Detector,
 };
 use mawilab_label::{
     label_communities_streaming, window_communities, CommunityEvidence, LabeledWindow,
@@ -66,12 +81,13 @@ pub const DEFAULT_LAG_US: u64 = 30_000_000;
 pub const DEFAULT_HORIZON_US: u64 = 60_000_000;
 
 /// Chunks below this packet count are observed inline rather than
-/// fanned out: `observe_all` spins up a scoped-thread round per call,
-/// and for near-empty chunks (narrow `--chunk-us` bins, quiet
-/// periods) the spawn/join barrier would dwarf the detector work
-/// itself. The cutover is by chunk size only — never by thread count
-/// — so output stays identical at any `MAWILAB_THREADS` setting
-/// (detectors are independent; only the schedule changes).
+/// fanned out across the observation groups: `observe_all` spins up a
+/// scoped-thread round per call, and for near-empty chunks (narrow
+/// `--chunk-us` bins, quiet periods) the spawn/join barrier would
+/// dwarf the detector work itself. The cutover is by chunk size only
+/// — never by thread count — so output stays identical at any
+/// `MAWILAB_THREADS` setting (groups are independent; only the
+/// schedule changes).
 pub(crate) const FANOUT_MIN_CHUNK_PACKETS: usize = 1024;
 
 /// Ingest statistics of one single-pass drain.
@@ -144,7 +160,8 @@ impl OnlinePipeline {
     }
 
     /// Replaces the detector set (any batch [`Detector`] works — its
-    /// incremental form is used).
+    /// incremental form is used, one accumulator per observation
+    /// group).
     pub fn with_detectors(mut self, detectors: Vec<Box<dyn Detector>>) -> Self {
         self.detectors = detectors;
         self
@@ -186,17 +203,15 @@ impl OnlinePipeline {
         let mut stats = StreamStats::default();
         let mut high_water_us = origin_us;
 
-        // The one drain: detectors observe each chunk (fanned out
-        // across configurations through `mawilab-exec`, inline below
-        // the cutover; detector state is chunk-boundary invariant, so
-        // every alarm equals the batch pipeline's), while the
-        // extraction/labeling evidence is banked alongside.
+        // The one drain: each observation group (a detector family's
+        // three tunings) observes each chunk once (fanned out across
+        // groups through `mawilab-exec`, inline below the cutover;
+        // detector state is chunk-boundary invariant, so every alarm
+        // equals the batch pipeline's), while the extraction/labeling
+        // evidence is banked alongside.
         let t0 = Instant::now();
-        let mut incs: Vec<Box<dyn IncrementalDetector>> =
-            self.detectors.iter().map(|d| d.incremental()).collect();
-        for inc in &mut incs {
-            inc.begin(&meta);
-        }
+        let mut groups = observation_groups(&self.detectors);
+        groups.begin(&meta);
         let mut index = ItemIndex::new(self.config.granularity);
         let mut evidence = CommunityEvidence::new(self.config.granularity);
         let mut horizon = HorizonExtractor::new(self.lag_us);
@@ -207,19 +222,21 @@ impl OnlinePipeline {
             stats.peak_chunk_packets = stats.peak_chunk_packets.max(chunk.packets.len());
             high_water_us = high_water_us.max(chunk.window.end_us);
             let view = ChunkView::of_chunk(&meta, chunk);
+            let accumulators = groups.accumulators_mut();
             if chunk.packets.len() < FANOUT_MIN_CHUNK_PACKETS {
-                for inc in &mut incs {
-                    inc.observe(&view);
+                for acc in accumulators {
+                    acc.observe(&view);
                 }
             } else {
-                observe_all(&mut incs, &view);
+                observe_all(accumulators, &view);
             }
             index.ids_of(&chunk.packets, &mut ids);
             horizon.observe(chunk.window, &chunk.packets, &ids);
             evidence.observe_units(&chunk.packets, &ids);
         }
-        let alarms = finish_all(&mut incs);
-        drop(incs);
+        // Every configuration finishes its own tuning over its group's
+        // state; alarms come back in configuration order.
+        let alarms = groups.finish();
         let detect = t0.elapsed();
 
         // End of stream: resolve the finished alarms against the

@@ -18,7 +18,7 @@
 //! reports source or destination IP addresses".
 
 use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
-use crate::{ChunkView, Detector, IncrementalDetector};
+use crate::{ChunkView, Detector, IncrementalDetector, ObservationKey};
 use mawilab_model::{TimeWindow, TraceMeta};
 use mawilab_sketch::SketchFamily;
 use mawilab_stats::{mad, median, Gamma};
@@ -196,6 +196,18 @@ impl Detector for GammaDetector {
             dirs: Vec::new(),
         })
     }
+
+    fn observation_key(&self) -> Option<ObservationKey> {
+        Some(ObservationKey::new(
+            DetectorKind::Gamma,
+            &[
+                self.delta_us,
+                self.sketch_width as u64,
+                self.sketch_rows as u64,
+                self.seed,
+            ],
+        ))
+    }
 }
 
 /// Per-direction accumulated sketch state.
@@ -270,13 +282,18 @@ impl IncrementalDetector for GammaAccumulator {
     }
 
     fn finish(&mut self) -> Vec<Alarm> {
+        self.finish_tuning(self.det.tuning)
+    }
+
+    fn finish_tuning(&self, tuning: Tuning) -> Vec<Alarm> {
         let mut out = Vec::new();
         if self.seen == 0 {
             return out;
         }
         let window = self.window.expect("finish before begin"); // lint:allow(panic-free-data-plane): begin() runs before finish() in the chunk driver
+        let det = GammaDetector::new(tuning);
         for state in &self.dirs {
-            self.det.finish_direction(state, window, &mut out);
+            det.finish_direction(state, window, &mut out);
         }
         out
     }

@@ -13,7 +13,7 @@
 //! to this detector.
 
 use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
-use crate::{ChunkView, Detector, IncrementalDetector};
+use crate::{ChunkView, Detector, IncrementalDetector, ObservationKey};
 use mawilab_model::{FlowKey, TimeWindow, TraceMeta};
 use std::collections::{HashMap, HashSet};
 
@@ -239,6 +239,13 @@ impl Detector for HoughDetector {
             ],
         })
     }
+
+    fn observation_key(&self) -> Option<ObservationKey> {
+        Some(ObservationKey::new(
+            DetectorKind::Hough,
+            &[self.time_bins as u64, self.y_bins as u64],
+        ))
+    }
 }
 
 /// Incremental form of [`HoughDetector`]: chunk observation paints
@@ -287,14 +294,18 @@ impl IncrementalDetector for HoughAccumulator {
     }
 
     fn finish(&mut self) -> Vec<Alarm> {
+        self.finish_tuning(self.det.tuning)
+    }
+
+    fn finish_tuning(&self, tuning: Tuning) -> Vec<Alarm> {
         let mut out = Vec::new();
         if self.seen == 0 {
             return out;
         }
         let window = self.window.expect("finish before begin"); // lint:allow(panic-free-data-plane): begin() runs before finish() in the chunk driver
+        let det = HoughDetector::new(tuning);
         for (_, cells) in &self.pictures {
-            self.det
-                .finish_picture(window, self.bin_us, cells, &mut out);
+            det.finish_picture(window, self.bin_us, cells, &mut out);
         }
         out
     }

@@ -17,7 +17,7 @@
 //! is why its tunings are the most precise rather than the loudest.
 
 use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
-use crate::{ChunkView, Detector, IncrementalDetector};
+use crate::{ChunkView, Detector, IncrementalDetector, ObservationKey};
 use mawilab_mining::{mine_rules, Transaction};
 use mawilab_model::{TimeWindow, TraceMeta};
 use mawilab_stats::{kl_contributions, kl_divergence_counts, mad, median, Histogram};
@@ -158,6 +158,13 @@ impl Detector for KlDetector {
             bin_tuples: Vec::new(),
         })
     }
+
+    fn observation_key(&self) -> Option<ObservationKey> {
+        Some(ObservationKey::new(
+            DetectorKind::Kl,
+            &[self.bin_us, self.hist_bins as u64],
+        ))
+    }
 }
 
 /// Incremental form of [`KlDetector`]: chunk observation folds
@@ -222,12 +229,15 @@ impl IncrementalDetector for KlAccumulator {
     }
 
     fn finish(&mut self) -> Vec<Alarm> {
+        self.finish_tuning(self.det.tuning)
+    }
+
+    fn finish_tuning(&self, tuning: Tuning) -> Vec<Alarm> {
         if self.hists.is_empty() || self.seen == 0 {
             return Vec::new();
         }
         let window = self.window.expect("finish before begin"); // lint:allow(panic-free-data-plane): begin() runs before finish() in the chunk driver
-        self.det
-            .finish_analysis(window, self.t_bins, &self.hists, &self.bin_tuples)
+        KlDetector::new(tuning).finish_analysis(window, self.t_bins, &self.hists, &self.bin_tuples)
     }
 }
 

@@ -19,6 +19,20 @@
 //! Granularity diversity is the whole point: these alarm types cannot
 //! be compared naively, which is what motivates the similarity
 //! estimator (`mawilab-similarity`).
+//!
+//! ## One observation per family
+//!
+//! Within a family the tuning changes only `finish`-side thresholds;
+//! bin widths, picture and sketch shapes and hash seeds are
+//! constants, so the three tunings fold a chunk into identical state.
+//! Each family therefore reports an [`ObservationKey`], and
+//! [`observation_groups`] keeps **one accumulator per key**: the
+//! production drain observes every chunk once per family and finishes
+//! each configuration from the shared state with
+//! [`IncrementalDetector::finish_tuning`]. The batch path
+//! ([`run_all`] → [`Detector::analyze`]) keeps one solo accumulator
+//! per configuration and is the oracle the fused drain is checked
+//! against (`tests/family_observe.rs`).
 
 #![forbid(unsafe_code)]
 
@@ -120,6 +134,19 @@ pub trait IncrementalDetector: Send {
     /// [`begin`](IncrementalDetector::begin) to reuse it.
     fn finish(&mut self) -> Vec<Alarm>;
 
+    /// Runs the analysis of `tuning` over the accumulated state,
+    /// reading it by `&`, so one accumulator can finish every tuning
+    /// of its observation group. The four families' `finish` is this
+    /// call with their own tuning.
+    ///
+    /// The default reports nothing: only accumulators whose detector
+    /// returns an [`observation_key`](Detector::observation_key) are
+    /// finished this way, and those must override it.
+    fn finish_tuning(&self, tuning: Tuning) -> Vec<Alarm> {
+        let _ = tuning;
+        Vec::new()
+    }
+
     /// Unique label, e.g. `"Gamma/sensitive"`.
     fn label(&self) -> String {
         format!("{}/{}", self.kind(), self.tuning())
@@ -143,6 +170,18 @@ pub trait Detector: Send + Sync {
     /// Builds the incremental (streaming) form of this configuration.
     fn incremental(&self) -> Box<dyn IncrementalDetector>;
 
+    /// The observation group of this configuration, or `None` (the
+    /// default) for an accumulator of its own.
+    ///
+    /// Returning `Some` promises that configurations with equal keys
+    /// fold every chunk into identical state, and that the
+    /// accumulator built by [`incremental`](Detector::incremental)
+    /// overrides [`finish_tuning`](IncrementalDetector::finish_tuning)
+    /// so the state can be finished for any member's tuning.
+    fn observation_key(&self) -> Option<ObservationKey> {
+        None
+    }
+
     /// Analyzes a trace and reports alarms.
     fn analyze(&self, view: &TraceView<'_>) -> Vec<Alarm> {
         let mut inc = self.incremental();
@@ -154,6 +193,27 @@ pub trait Detector: Send + Sync {
     /// Unique label, e.g. `"Gamma/sensitive"`.
     fn label(&self) -> String {
         format!("{}/{}", self.kind(), self.tuning())
+    }
+}
+
+/// What a configuration's `observe` reads besides the packets: its
+/// detector family plus every observation constant (bin widths,
+/// picture and sketch shapes, hash seeds). Configurations with equal
+/// keys build identical accumulator state.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ObservationKey {
+    kind: DetectorKind,
+    constants: Vec<u64>,
+}
+
+impl ObservationKey {
+    /// Key of a `kind` configuration whose observation reads
+    /// `constants`.
+    pub fn new(kind: DetectorKind, constants: &[u64]) -> Self {
+        ObservationKey {
+            kind,
+            constants: constants.to_vec(),
+        }
     }
 }
 
@@ -197,6 +257,87 @@ pub fn observe_all(configs: &mut [Box<dyn IncrementalDetector>], chunk: &ChunkVi
 /// [`run_all`] concatenates batch results in.
 pub fn finish_all(configs: &mut [Box<dyn IncrementalDetector>]) -> Vec<Alarm> {
     mawilab_exec::par_map_mut(configs, |c| c.finish()).concat()
+}
+
+/// A configuration set folded into one accumulator per observation
+/// group (see [`observation_groups`]).
+pub struct ObservationGroups {
+    /// One accumulator per group, in order of each group's first
+    /// configuration.
+    accumulators: Vec<Box<dyn IncrementalDetector>>,
+    /// Per group, the position in the caller's set and the tuning of
+    /// each configuration the group finishes.
+    members: Vec<Vec<(usize, Tuning)>>,
+}
+
+/// Groups `configs` by [`Detector::observation_key`] and builds one
+/// accumulator per group: [`incremental`](Detector::incremental) runs
+/// once per group, on its first configuration. Keyless configurations
+/// each get their own accumulator, so a set whose keys are all
+/// distinct (or `None`) runs exactly as one accumulator per
+/// configuration.
+pub fn observation_groups(configs: &[Box<dyn Detector>]) -> ObservationGroups {
+    let mut keys: Vec<Option<ObservationKey>> = Vec::new();
+    let mut groups = ObservationGroups {
+        accumulators: Vec::new(),
+        members: Vec::new(),
+    };
+    for (pos, config) in configs.iter().enumerate() {
+        let key = config.observation_key();
+        let shared = key
+            .as_ref()
+            .and_then(|k| keys.iter().position(|g| g.as_ref() == Some(k)));
+        match shared {
+            Some(g) => groups.members[g].push((pos, config.tuning())),
+            None => {
+                keys.push(key);
+                groups.accumulators.push(config.incremental());
+                groups.members.push(vec![(pos, config.tuning())]);
+            }
+        }
+    }
+    groups
+}
+
+impl ObservationGroups {
+    /// Prepares every group's accumulator for the trace.
+    pub fn begin(&mut self, meta: &TraceMeta) {
+        for acc in &mut self.accumulators {
+            acc.begin(meta);
+        }
+    }
+
+    /// The groups' accumulators, one per group: observe each chunk
+    /// into these (inline or through [`observe_all`]).
+    pub fn accumulators_mut(&mut self) -> &mut [Box<dyn IncrementalDetector>] {
+        &mut self.accumulators
+    }
+
+    /// Finishes every configuration from its group's state, fanned
+    /// out across groups, and returns the concatenated alarms in the
+    /// caller's configuration order. A group of one configuration
+    /// calls [`finish`](IncrementalDetector::finish), a shared group
+    /// [`finish_tuning`](IncrementalDetector::finish_tuning) once per
+    /// member.
+    pub fn finish(mut self) -> Vec<Alarm> {
+        let mut jobs: Vec<_> = self
+            .accumulators
+            .iter_mut()
+            .zip(self.members.iter().map(Vec::as_slice))
+            .collect();
+        let finished = mawilab_exec::par_map_mut(&mut jobs, |(acc, members)| match members {
+            [_] => vec![acc.finish()],
+            _ => members.iter().map(|&(_, t)| acc.finish_tuning(t)).collect(),
+        });
+        let mut by_position: Vec<Vec<Alarm>> =
+            vec![Vec::new(); self.members.iter().map(Vec::len).sum()];
+        for (members, alarms) in self.members.iter().zip(finished) {
+            for (&(pos, _), a) in members.iter().zip(alarms) {
+                by_position[pos] = a;
+            }
+        }
+        by_position.concat()
+    }
 }
 
 #[cfg(test)]

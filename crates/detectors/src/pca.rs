@@ -21,7 +21,7 @@
 //! communities (Fig. 5) — so its sensitive tuning flags aggressively.
 
 use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
-use crate::{ChunkView, Detector, IncrementalDetector};
+use crate::{ChunkView, Detector, IncrementalDetector, ObservationKey};
 use mawilab_linalg::pca::{ColumnScaling, PcaComponents};
 use mawilab_linalg::{Matrix, Pca};
 use mawilab_model::{TimeWindow, TraceMeta};
@@ -148,6 +148,18 @@ impl Detector for PcaDetector {
             active: Vec::new(),
         })
     }
+
+    fn observation_key(&self) -> Option<ObservationKey> {
+        Some(ObservationKey::new(
+            DetectorKind::Pca,
+            &[
+                self.bin_us,
+                self.sketch_width as u64,
+                self.sketch_rows as u64,
+                self.seed,
+            ],
+        ))
+    }
 }
 
 /// Incremental form of [`PcaDetector`]: chunk observation folds
@@ -217,14 +229,23 @@ impl IncrementalDetector for PcaAccumulator {
     }
 
     fn finish(&mut self) -> Vec<Alarm> {
+        self.finish_tuning(self.det.tuning)
+    }
+
+    fn finish_tuning(&self, tuning: Tuning) -> Vec<Alarm> {
         let (Some(sketch), Some(window)) = (&self.sketch, self.window) else {
             return Vec::new();
         };
         if self.seen == 0 {
             return Vec::new();
         }
-        self.det
-            .finish_analysis(sketch, window, self.t_bins, &self.counts, &self.active)
+        PcaDetector::new(tuning).finish_analysis(
+            sketch,
+            window,
+            self.t_bins,
+            &self.counts,
+            &self.active,
+        )
     }
 }
 

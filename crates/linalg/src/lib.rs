@@ -30,4 +30,4 @@ pub use ca::CorrespondenceAnalysis;
 pub use eigen::SymmetricEigen;
 pub use matrix::Matrix;
 pub use pca::Pca;
-pub use svd::{Svd, SVD_EXACT_GATE};
+pub use svd::Svd;

@@ -1,51 +1,17 @@
-//! Thin singular value decomposition: exact Gram path + randomized
-//! subspace sketch.
+//! Thin singular value decomposition through the Gram matrix.
 //!
-//! The **exact path** ([`Svd::exact_gram`]) goes through the symmetric
+//! [`Svd::with_tolerance`] goes through the symmetric
 //! eigendecomposition of the Gram matrix `AᵀA` — `V` are its
 //! eigenvectors, `σᵢ = √λᵢ`, and `uᵢ = A vᵢ / σᵢ`. Squaring the
 //! condition number is harmless for this workspace: SCANN decomposes
-//! standardised residuals of 0/1 vote tables whose singular values
-//! live within a few orders of magnitude of each other. Singular
-//! directions with `σ² ≤ tol·λmax` are truncated, which is exactly
-//! what correspondence analysis wants (it discards the trivial
-//! dimension anyway).
-//!
-//! The **randomized path** ([`Svd::randomized`]) is a power-iteration
-//! subspace sketch (Halko–Martinsson–Tropp): project onto `A·Ω` for a
-//! seeded random `Ω`, orthonormalize, refine with two power
-//! iterations, and decompose the small projected matrix exactly. The
-//! sketch width doubles until the tolerance cut actually truncates —
-//! so the requested spectrum is never silently clipped — and falls
-//! back to the exact engine when the sketch approaches the full
-//! dimension.
-//!
-//! [`Svd::with_tolerance`] gates between them on `min(n, m)` alone
-//! ([`SVD_EXACT_GATE`]): size is a property of the input, never of the
-//! thread count, so a given matrix always takes the same path and
-//! SCANN vote tables (≤ 24 indicator columns, far under the gate) get
-//! the exact engine — byte-identical SCANN decisions by construction.
-//! The sketch itself draws from a fixed-seed deterministic generator,
-//! so the randomized path is also bit-reproducible across runs and
-//! `MAWILAB_THREADS` settings.
+//! standardised residuals of 0/1 vote tables (at most 26 indicator
+//! columns) whose singular values live within a few orders of
+//! magnitude of each other. Singular directions with `σ² ≤ tol·λmax`
+//! are truncated, which is exactly what correspondence analysis wants
+//! (it discards the trivial dimension anyway).
 
 use crate::eigen::SymmetricEigen;
 use crate::matrix::Matrix;
-use rand::{rngs::StdRng, Rng, SeedableRng};
-
-/// Matrices whose smaller dimension is at most this take the exact
-/// Gram path in [`Svd::with_tolerance`]. A size-only cutover keeps
-/// the engine choice thread-count invariant.
-pub const SVD_EXACT_GATE: usize = 64;
-
-/// Initial sketch width of the randomized path.
-const SKETCH_START: usize = 32;
-
-/// Power iterations refining the sketched subspace.
-const POWER_ITERATIONS: usize = 2;
-
-/// Fixed seed of the sketch generator — determinism is load-bearing.
-const SKETCH_SEED: u64 = 0x4D41_5749_5356_4431;
 
 /// Thin SVD `A = U Σ Vᵀ` with positive singular values only.
 #[derive(Debug, Clone)]
@@ -65,22 +31,10 @@ impl Svd {
         Self::with_tolerance(a, 1e-12)
     }
 
-    /// Thin SVD with an explicit relative eigenvalue tolerance.
-    ///
-    /// Dispatches on size only: matrices with `min(n, m) ≤`
-    /// [`SVD_EXACT_GATE`] take the exact Gram path, larger ones the
-    /// randomized sketch. Both truncate at `σ² ≤ rel_tol·λmax`.
+    /// Thin SVD with an explicit relative eigenvalue tolerance:
+    /// eigendecompose the Gram matrix `AᵀA` exactly and truncate at
+    /// `σ² ≤ rel_tol·λmax`.
     pub fn with_tolerance(a: &Matrix, rel_tol: f64) -> Self {
-        if a.rows().min(a.cols()) <= SVD_EXACT_GATE {
-            Self::exact_gram(a, rel_tol)
-        } else {
-            Self::randomized(a, rel_tol)
-        }
-    }
-
-    /// The seed engine (retained equivalence oracle): eigendecompose
-    /// the Gram matrix `AᵀA` exactly.
-    pub fn exact_gram(a: &Matrix, rel_tol: f64) -> Self {
         let (n, m) = (a.rows(), a.cols());
         if n == 0 || m == 0 {
             return Svd {
@@ -119,74 +73,6 @@ impl Svd {
         Svd { u, sigma, v }
     }
 
-    /// Randomized thin SVD: power-iteration subspace sketch with a
-    /// fixed deterministic seed.
-    ///
-    /// The sketch width starts at [`SKETCH_START`] and doubles while
-    /// the tolerance cut retains every sketched direction (meaning
-    /// genuine spectrum may extend past the sketch). Once the width
-    /// would reach the smaller matrix dimension, the exact engine
-    /// takes over — at that point the sketch has no advantage left.
-    pub fn randomized(a: &Matrix, rel_tol: f64) -> Self {
-        // Work with the thin orientation (cols ≤ rows); the SVD of Aᵀ
-        // is the SVD of A with the factors swapped.
-        if a.cols() > a.rows() {
-            let t = Self::randomized(&a.transpose(), rel_tol);
-            return Svd {
-                u: t.v,
-                sigma: t.sigma,
-                v: t.u,
-            };
-        }
-        let m = a.cols();
-        let mut width = SKETCH_START.min(m);
-        loop {
-            if width >= m {
-                return Self::exact_gram(a, rel_tol);
-            }
-            let svd = Self::sketched(a, width, rel_tol);
-            if svd.rank() < width {
-                return svd;
-            }
-            width = (width * 2).min(m);
-        }
-    }
-
-    /// One fixed-width sketch round: `Q = orth((A Aᵀ)^q A Ω)`, then an
-    /// exact decomposition of the small projection `B = QᵀA`.
-    fn sketched(a: &Matrix, width: usize, rel_tol: f64) -> Svd {
-        let m = a.cols();
-        // Re-seeding per width keeps every round self-contained: the
-        // result depends only on (a, width), never on call history.
-        let mut rng = StdRng::seed_from_u64(SKETCH_SEED ^ width as u64);
-        let mut omega = Matrix::zeros(m, width);
-        for i in 0..m {
-            for j in 0..width {
-                omega[(i, j)] = 2.0 * rng.random::<f64>() - 1.0;
-            }
-        }
-        let at = a.transpose();
-        let mut y = a.matmul(&omega); // n × width
-        orthonormalize_columns(&mut y);
-        for _ in 0..POWER_ITERATIONS {
-            let mut z = at.matmul(&y); // m × width
-            orthonormalize_columns(&mut z);
-            y = a.matmul(&z);
-            orthonormalize_columns(&mut y);
-        }
-        let q = y;
-        // B = QᵀA is width × m. Exact SVD of B through its thin side:
-        // gram(Bᵀ) is only width × width, and
-        // Bᵀ = U₂ Σ V₂ᵀ ⇒ A ≈ Q B = (Q V₂) Σ U₂ᵀ.
-        let b = q.transpose().matmul(a);
-        let inner = Self::exact_gram(&b.transpose(), rel_tol);
-        Svd {
-            u: q.matmul(&inner.v),
-            sigma: inner.sigma,
-            v: inner.u,
-        }
-    }
-
     /// Numerical rank (number of retained singular values).
     pub fn rank(&self) -> usize {
         self.sigma.len()
@@ -202,46 +88,6 @@ impl Svd {
             }
         }
         us.matmul(&self.v.transpose())
-    }
-}
-
-/// In-place modified Gram-Schmidt over the columns, with
-/// reorthogonalization ("twice is enough") so orthogonality survives
-/// rank-deficient sketches. A column whose residual collapses below a
-/// relative threshold carries no new direction — normalizing it would
-/// inject an arbitrary near-duplicate basis vector and inflate the
-/// projected spectrum — so it is zeroed instead; the tolerance cut of
-/// the subsequent exact decomposition discards those directions.
-fn orthonormalize_columns(y: &mut Matrix) {
-    let (n, l) = (y.rows(), y.cols());
-    let mut scale = 0.0_f64;
-    for j in 0..l {
-        let orig: f64 = (0..n).map(|i| y[(i, j)] * y[(i, j)]).sum::<f64>().sqrt();
-        scale = scale.max(orig);
-        for _pass in 0..2 {
-            for k in 0..j {
-                let mut d = 0.0;
-                for i in 0..n {
-                    d += y[(i, k)] * y[(i, j)];
-                }
-                if d != 0.0 {
-                    for i in 0..n {
-                        y[(i, j)] -= d * y[(i, k)];
-                    }
-                }
-            }
-        }
-        let norm: f64 = (0..n).map(|i| y[(i, j)] * y[(i, j)]).sum::<f64>().sqrt();
-        if norm > 1e-12 * scale.max(f64::MIN_POSITIVE) {
-            let inv = 1.0 / norm;
-            for i in 0..n {
-                y[(i, j)] *= inv;
-            }
-        } else {
-            for i in 0..n {
-                y[(i, j)] = 0.0;
-            }
-        }
     }
 }
 
@@ -335,109 +181,5 @@ mod tests {
         let svd = Svd::new(&a);
         let sig_norm: f64 = svd.sigma.iter().map(|s| s * s).sum::<f64>().sqrt();
         assert!((sig_norm - a.frobenius()).abs() < 1e-9);
-    }
-
-    /// Deterministic pseudo-random matrix of rank ≤ `rank`.
-    fn low_rank(n: usize, m: usize, rank: usize, seed: u64) -> Matrix {
-        let mut state = seed | 1;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        };
-        let mut left = Matrix::zeros(n, rank);
-        let mut right = Matrix::zeros(rank, m);
-        for i in 0..n {
-            for j in 0..rank {
-                left[(i, j)] = next();
-            }
-        }
-        for i in 0..rank {
-            for j in 0..m {
-                right[(i, j)] = next();
-            }
-        }
-        left.matmul(&right)
-    }
-
-    #[test]
-    fn gate_keeps_small_matrices_bitwise_on_the_exact_path() {
-        // SCANN vote tables have ≤ 24 indicator columns — far below
-        // the gate — so `with_tolerance` must hand back the exact
-        // engine's output bit for bit (decisions identical by
-        // construction).
-        for (n, m) in [(5, 3), (200, 24), (SVD_EXACT_GATE, SVD_EXACT_GATE)] {
-            let a = low_rank(n, m, n.min(m), 7);
-            let gated = Svd::with_tolerance(&a, 1e-12);
-            let exact = Svd::exact_gram(&a, 1e-12);
-            assert_eq!(gated.sigma, exact.sigma, "{n}x{m} sigma");
-            assert_eq!(gated.u.max_abs_diff(&exact.u), 0.0, "{n}x{m} u");
-            assert_eq!(gated.v.max_abs_diff(&exact.v), 0.0, "{n}x{m} v");
-        }
-    }
-
-    #[test]
-    fn randomized_matches_exact_on_low_rank_matrices() {
-        for (n, m, r) in [(150, 100, 10), (100, 150, 7), (96, 80, 1)] {
-            let a = low_rank(n, m, r, 42 + r as u64);
-            let fast = Svd::randomized(&a, 1e-12);
-            let exact = Svd::exact_gram(&a, 1e-12);
-            assert_eq!(fast.rank(), exact.rank(), "{n}x{m} rank {r}");
-            for (s_fast, s_exact) in fast.sigma.iter().zip(&exact.sigma) {
-                assert!(
-                    (s_fast - s_exact).abs() <= 1e-8 * exact.sigma[0],
-                    "{n}x{m} rank {r}: sigma {s_fast} vs {s_exact}"
-                );
-            }
-            assert!(
-                fast.reconstruct().max_abs_diff(&a) < 1e-8,
-                "{n}x{m} rank {r}: reconstruction"
-            );
-        }
-    }
-
-    #[test]
-    fn randomized_grows_the_sketch_past_the_initial_width() {
-        // Rank 45 exceeds SKETCH_START=32: the first round retains all
-        // 32 directions, forcing a doubling before the cut truncates.
-        let a = low_rank(150, 100, 45, 5);
-        let fast = Svd::randomized(&a, 1e-12);
-        assert_eq!(fast.rank(), 45);
-        assert!(fast.reconstruct().max_abs_diff(&a) < 1e-7);
-    }
-
-    #[test]
-    fn randomized_is_deterministic() {
-        let a = low_rank(120, 90, 12, 99);
-        let x = Svd::randomized(&a, 1e-12);
-        let y = Svd::randomized(&a, 1e-12);
-        assert_eq!(x.sigma, y.sigma);
-        assert_eq!(x.u.max_abs_diff(&y.u), 0.0);
-        assert_eq!(x.v.max_abs_diff(&y.v), 0.0);
-    }
-
-    #[test]
-    fn randomized_vectors_are_orthonormal() {
-        let a = low_rank(130, 70, 9, 3);
-        let svd = Svd::randomized(&a, 1e-12);
-        for i in 0..svd.rank() {
-            for j in 0..svd.rank() {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((dot(&svd.u.col(i), &svd.u.col(j)) - expect).abs() < 1e-8);
-                assert!((dot(&svd.v.col(i), &svd.v.col(j)) - expect).abs() < 1e-8);
-            }
-        }
-    }
-
-    #[test]
-    fn randomized_near_full_rank_falls_back_to_exact() {
-        // Rank ≈ min dim: every doubling retains the full sketch, so
-        // the loop must land on the exact engine and return its result.
-        let a = low_rank(80, 70, 70, 11);
-        let fast = Svd::randomized(&a, 1e-12);
-        let exact = Svd::exact_gram(&a, 1e-12);
-        assert_eq!(fast.sigma, exact.sigma);
-        assert_eq!(fast.u.max_abs_diff(&exact.u), 0.0);
     }
 }

@@ -1,14 +1,12 @@
 //! Kernel equivalence: the hot-path rewrites against their retained
 //! seed oracles, swept across thread counts.
 //!
-//! Three kernels were replaced for speed and each keeps its seed
+//! Two kernels were replaced for speed and each keeps its seed
 //! implementation as an equivalence oracle:
 //!
 //! * traffic extraction — the inverted `AlarmIndex` (batch and
 //!   horizon paths) vs the per-alarm scan
 //!   `extract_traffic_sequential`,
-//! * SVD — the size-gated randomized sketch vs the exact Gram engine
-//!   `Svd::exact_gram`,
 //! * itemset mining — FP-growth vs modified Apriori.
 //!
 //! Every comparison here demands *byte identity*, and the extraction
@@ -20,7 +18,6 @@
 //! process-wide).
 
 use mawilab::detectors::{Alarm, AlarmScope, DetectorKind, TraceView, Tuning};
-use mawilab::linalg::{Matrix, Svd, SVD_EXACT_GATE};
 use mawilab::mining::{apriori, fp_growth, Transaction};
 use mawilab::model::{
     FlowKey, FlowTable, Granularity, ItemIndex, NoRewindSource, Packet, PacketSource, Protocol,
@@ -186,71 +183,4 @@ proptest! {
         let s = s_pct as f64 / 100.0;
         prop_assert_eq!(fp_growth(&txs, s), apriori(&txs, s));
     }
-
-    /// SCANN-shaped matrices (≤ 24 indicator columns, far under the
-    /// gate) take the exact engine bitwise — so SCANN decisions are
-    /// unchanged by construction.
-    #[test]
-    fn svd_gate_keeps_vote_tables_on_the_exact_path(
-        bits in prop::collection::vec(any::<bool>(), 24..480),
-    ) {
-        let cols = 24;
-        let rows = bits.len() / cols;
-        let mut a = Matrix::zeros(rows, cols);
-        for i in 0..rows {
-            for j in 0..cols {
-                a[(i, j)] = if bits[i * cols + j] { 1.0 } else { 0.0 };
-            }
-        }
-        prop_assert!(cols <= SVD_EXACT_GATE);
-        let gated = Svd::with_tolerance(&a, 1e-12);
-        let exact = Svd::exact_gram(&a, 1e-12);
-        prop_assert_eq!(&gated.sigma, &exact.sigma);
-        prop_assert_eq!(gated.u.max_abs_diff(&exact.u), 0.0);
-        prop_assert_eq!(gated.v.max_abs_diff(&exact.v), 0.0);
-    }
-}
-
-/// The randomized sketch is bit-reproducible at every thread count
-/// (fixed-seed generator, no wall clock, no work stealing) and
-/// reconstructs its input as faithfully as the exact engine.
-#[test]
-fn randomized_svd_is_thread_count_invariant() {
-    let _lock = ENV_LOCK.lock().unwrap();
-    // Deterministic low-rank matrix above the gate.
-    let (n, m, r) = (140, 90, 12);
-    let mut state = 0x5eed_u64;
-    let mut next = || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-    };
-    let mut left = Matrix::zeros(n, r);
-    let mut right = Matrix::zeros(r, m);
-    for v in 0..n * r {
-        left[(v / r, v % r)] = next();
-    }
-    for v in 0..r * m {
-        right[(v / m, v % m)] = next();
-    }
-    let a = left.matmul(&right);
-
-    let mut reference: Option<Svd> = None;
-    for threads in THREAD_SWEEP {
-        std::env::set_var("MAWILAB_THREADS", threads);
-        let svd = Svd::with_tolerance(&a, 1e-12);
-        assert!(
-            svd.reconstruct().max_abs_diff(&a) < 1e-8,
-            "poor reconstruction"
-        );
-        if let Some(prev) = &reference {
-            assert_eq!(prev.sigma, svd.sigma, "sigma varies with {threads} threads");
-            assert_eq!(prev.u.max_abs_diff(&svd.u), 0.0);
-            assert_eq!(prev.v.max_abs_diff(&svd.v), 0.0);
-        } else {
-            reference = Some(svd);
-        }
-    }
-    std::env::remove_var("MAWILAB_THREADS");
 }
