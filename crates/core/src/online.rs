@@ -6,8 +6,8 @@
 //! evidence gathering in the same pass: as each chunk streams past,
 //! each detector family observes it once *and* the
 //! extraction/labeling evidence is banked
-//! (traffic-unit ids from the incremental `ItemIndex`, compact
-//! `(FlowKey, ts, id)` records in the
+//! (traffic-unit ids from the incremental `ItemIndex`, 16-byte
+//! `(unit id, ts, direction)` records filed under those ids in the
 //! [`HorizonExtractor`], monoidal per-unit
 //! [`CommunityEvidence`] profiles). Nothing is ever re-read: a
 //! [`NoRewindSource`](mawilab_model::NoRewindSource)-wrapped source
@@ -34,22 +34,30 @@
 //!  stream ──► chunk chunk chunk chunk chunk chunk ─ ─ ─►
 //!             └─────────────┘ └───────────┘
 //!               retired (past   fresh (inside
-//!               the lag):        the lag): raw
-//!               compact per-     per-chunk
-//!               flow runs        records
+//!               the lag): one   the lag): per-
+//!               flat record     chunk records
+//!               log
 //!                      ▲                   ▲
 //!                      │◄───── lag ───────►│ high-water mark
+//!
+//!  finalize: fresh chunks ──► log ──► counting sort by unit id
+//!            ──► one time run per unit ──► resolve each unit once
 //! ```
 //!
-//! The lag governs **evidence retention**, not alarm timing: the
+//! Each record is banked under the unit id `ItemIndex` just assigned,
+//! so the horizon hashes nothing per packet; the lag only decides how
+//! long records stay chunk-shaped. At end of stream every record,
+//! retired or fresh, is resolved through the same path: the log is
+//! sorted by unit into time runs, and each unit stabs the alarm index
+//! once with its key. The lag never touches alarm timing: the
 //! paper's detectors calibrate on whole-trace state (PCA subspace,
 //! Gamma fits, KL reference histograms), so alarms finalize at end of
 //! stream and byte-identity with the batch oracle
 //! ([`MawilabPipeline`](crate::MawilabPipeline)) holds at *every* lag —
-//! `lag = 0` (all evidence compacted on arrival) through
-//! `lag ≥ stream` (all evidence raw) produce identical labels, which
-//! `tests/online_equivalence.rs` pins across seeds × chunk widths ×
-//! thread counts.
+//! `lag = 0` (every chunk retired on arrival) through
+//! `lag ≥ stream` (every chunk still fresh) produce identical labels,
+//! which `tests/online_equivalence.rs` pins across seeds × chunk
+//! widths × thread counts.
 //!
 //! ## Per-horizon windows
 //!
@@ -167,10 +175,9 @@ impl OnlinePipeline {
         self
     }
 
-    /// Sets the evidence-retention lag (µs). Labels are byte-identical
-    /// at any lag; the lag trades raw-evidence memory against how
-    /// long a hypothetical early-finalizing detector set could still
-    /// reach back.
+    /// Sets the evidence-retention lag (µs): how long banked records
+    /// stay chunk-shaped before they retire into the horizon's record
+    /// log. Labels are byte-identical at any lag.
     pub fn with_lag_us(mut self, lag_us: u64) -> Self {
         self.lag_us = lag_us;
         self

@@ -284,7 +284,9 @@ impl KlDetector {
                         .enumerate()
                         .filter(|&(_, v)| v > 0.0)
                         .collect();
-                contrib.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("NaN contribution")); // lint:allow(panic-free-data-plane): contributions are filtered finite (> 0.0) above
+                // Contributions are > 0.0, so `total_cmp` orders them
+                // exactly as `partial_cmp` would.
+                contrib.sort_by(|a, b| b.1.total_cmp(&a.1));
                 let top: HashSet<usize> = contrib
                     .iter()
                     .take(self.top_cells)

@@ -110,12 +110,10 @@ impl PcaDetector {
             })
             .collect();
         // Rank-trim: refit on the cleanest 70% of the observations.
+        // Outlyingness is a max of MAD-floored robust z-scores — ≥ 0 and
+        // never −0.0 — so `total_cmp` orders it as `partial_cmp` would.
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            outlyingness[a]
-                .partial_cmp(&outlyingness[b])
-                .expect("NaN outlyingness") // lint:allow(panic-free-data-plane): outlyingness is a sum of squares of finite projections
-        });
+        order.sort_by(|&a, &b| outlyingness[a].total_cmp(&outlyingness[b]));
         let keep_n = ((n * 7) / 10).max(self.components + 2).min(n);
         let mut keep: Vec<usize> = order[..keep_n].to_vec();
         keep.sort_unstable();

@@ -16,7 +16,7 @@
 //! * [`extract_traffic_sequential`] — the retained seed engine (one
 //!   packet-range scan per alarm), kept as the equivalence oracle.
 
-use crate::index::{AlarmIndex, AlarmRun, HitSink};
+use crate::index::{AlarmIndex, CandidateRun, HitSink};
 use mawilab_detectors::{Alarm, AlarmScope, TraceView};
 use mawilab_model::{FlowKey, Granularity};
 use std::collections::{HashMap, HashSet};
@@ -46,7 +46,7 @@ pub fn extract_traffic(
 
     // Scope tests resolve once per dense uniflow id, not per packet.
     let uniflows: Vec<u32> = (0..view.flows.uniflow_count() as u32).collect();
-    let runs: Vec<AlarmRun> = mawilab_exec::par_map(&uniflows, |&u| {
+    let runs: Vec<CandidateRun> = mawilab_exec::par_map(&uniflows, |&u| {
         index.candidates_for(view.flows.uniflow_key(u))
     });
 
@@ -60,7 +60,7 @@ pub fn extract_traffic(
         let mut sink = HitSink::new(alarms.len());
         for i in range.clone() {
             let u = view.flows.uniflow_of(i);
-            let run = &runs[u as usize];
+            let run = runs[u as usize].run();
             if run.is_empty() {
                 continue;
             }

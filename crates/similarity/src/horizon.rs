@@ -5,99 +5,83 @@
 //! need the alarms *before* they scan the packets. The single-pass
 //! pipeline inverts the order: packets stream past **once**, before
 //! any alarm is finalized, so the extractor must bank enough evidence
-//! per packet to answer "which alarms designate it?" later. The banked record is
-//! tiny — `(FlowKey, ts, unit id)` — because every [`AlarmScope`] is
-//! a pure function of the 5-tuple ([`AlarmScope::matches_key`]) and
-//! alarm time windows only ever test `ts`.
+//! per packet to answer "which alarms designate it?" later. Every
+//! [`AlarmScope`](mawilab_detectors::AlarmScope) is a pure function of
+//! the 5-tuple ([`AlarmScope::matches_key`](mawilab_detectors::AlarmScope::matches_key))
+//! and alarm time windows only ever test `ts`, so the banked record is
+//! tiny — `(unit id, ts, direction)`, 16 bytes — and is filed under
+//! the unit id the caller already assigned (`ItemIndex`'s dense
+//! first-appearance id), so banking hashes nothing. The unit's 5-tuple
+//! is kept once, in a table indexed by unit id: the key of its first
+//! packet. All packets of one unit share that 5-tuple up to direction;
+//! a packet travelling the other way (a biflow reply) sets the
+//! record's direction flag. At packet granularity every unit is one
+//! record.
 //!
-//! The sliding horizon bounds how long *raw per-packet* records live:
-//! once the stream's high-water mark passes a chunk's window end by
-//! more than `lag_us`, the chunk **retires** into a compact per-flow
-//! store (one entry per distinct 5-tuple, holding a deduplicated
-//! `(ts, id)` run). Retirement is the single-pass analogue of "the
-//! detectors have now seen window W + lag": evidence inside the lag
-//! stays chunk-shaped (cheap to drop if a future design finalizes
-//! alarms early), evidence past it is folded down. At `lag = 0`
-//! everything retires as it arrives; at `lag ≥ stream length` nothing
-//! does — both ends produce byte-identical traffic sets, which the
-//! equivalence suite pins against the batch oracle
+//! The sliding horizon only decides how long records stay
+//! chunk-shaped: once the stream's high-water mark passes a chunk's
+//! window end by more than `lag_us`, the chunk **retires** into the
+//! flat record log. At `lag = 0` everything retires as it arrives; at
+//! `lag ≥ stream length` nothing does. Either way
+//! [`finalize`](HorizonExtractor::finalize) first moves the chunks
+//! still inside the lag into the same log, so every record is resolved
+//! through one path, and both ends produce byte-identical traffic sets,
+//! which the equivalence suite pins against the batch oracle
 //! ([`extract_traffic_sequential`](crate::extract_traffic_sequential)).
 //!
-//! [`finalize`](HorizonExtractor::finalize) resolves the finished
-//! alarm set against both stores through the inverted
-//! [`AlarmIndex`](crate::index): each retired flow resolves its
-//! candidate alarms with a handful of hash probes and a time stab —
-//! `O(flows)` index probes instead of `O(flows × alarms)` scope
-//! tests — then binary-searches its time run per surviving window,
-//! while still-fresh chunks are probed record by record, memoized per
-//! flow. The union is provably the same set of
-//! `(alarm, unit)` hits the seed per-alarm scan would produce.
+//! `finalize` counting-sorts the log by unit id (stably, so arrival
+//! order survives) into one time run per unit and direction, sorting a
+//! run only if it arrived out of time order. Each unit then resolves
+//! once through the inverted [`AlarmIndex`](crate::index): its key
+//! looks up the prebuilt runs of candidate alarms (the reverse
+//! direction looks up with the reversed key), each candidate window is
+//! stabbed with the unit's time span and confirmed by one binary search
+//! into the run — `O(units)` index probes instead of
+//! `O(units × alarms)` scope tests. The result is provably the same set
+//! of `(alarm, unit)` hits the seed per-alarm scan would produce.
 
-use crate::index::{AlarmIndex, HitSink, KeyMemo};
+use crate::index::{group_by_bucket, AlarmIndex, HitSink};
 use mawilab_detectors::Alarm;
 use mawilab_model::{FlowKey, Packet, TimeWindow};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::borrow::Cow;
+use std::collections::{HashSet, VecDeque};
 use std::ops::Range;
 
-/// Retired flows per shard of the finalize fan-out.
-const FLOW_SHARD: usize = 1 << 12;
+/// Units per shard of the finalize fan-out.
+const UNIT_SHARD: usize = 1 << 14;
 
-/// One banked packet: everything alarm matching can ever ask about.
+/// One banked packet: everything alarm matching can ever ask about,
+/// given its unit's key.
 #[derive(Debug, Clone, Copy)]
-struct RawRecord {
-    key: FlowKey,
+struct Record {
     ts_us: u64,
-    id: u32,
+    unit: u32,
+    /// The packet's 5-tuple is the reverse of its unit's key.
+    reverse: bool,
 }
 
-/// A not-yet-retired chunk of raw records. Matching only ever tests a
+/// A not-yet-retired chunk of records. Matching only ever tests a
 /// record's own timestamp, so the chunk needs no prefilter span.
 #[derive(Debug)]
 struct RawChunk {
     window: TimeWindow,
-    records: Vec<RawRecord>,
-}
-
-/// Compact retired evidence of one flow: its `(ts, id)` run in
-/// arrival order, exact duplicates collapsed.
-#[derive(Debug, Default)]
-struct FlowRun {
-    hits: Vec<(u64, u32)>,
-    /// Arrival order is time order for a well-formed source; a
-    /// misbehaving one flips this and the run is sorted at finalize
-    /// instead of silently mis-searched.
-    sorted: bool,
-}
-
-impl FlowRun {
-    fn push(&mut self, ts_us: u64, id: u32) {
-        if let Some(&(last_ts, last_id)) = self.hits.last() {
-            if (last_ts, last_id) == (ts_us, id) {
-                return;
-            }
-            if last_ts > ts_us {
-                self.sorted = false;
-            }
-        }
-        self.hits.push((ts_us, id));
-    }
+    records: Vec<Record>,
 }
 
 /// Statistics of one horizon-scoped extraction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HorizonStats {
-    /// Chunks retired into the compact per-flow store during the
-    /// drain (their raw records are gone).
+    /// Chunks retired into the record log during the drain.
     pub retired_chunks: usize,
     /// Chunks still raw at finalize (inside the lag when the stream
     /// ended).
     pub fresh_chunks: usize,
-    /// Packet records folded into the compact store.
+    /// Packet records retired into the log during the drain.
     pub retired_records: u64,
     /// Packet records still raw at finalize.
     pub fresh_records: u64,
-    /// Distinct flows in the compact store.
-    pub retired_flows: usize,
+    /// Distinct traffic units banked.
+    pub units: usize,
 }
 
 /// What [`HorizonExtractor::finalize`] produces: the per-alarm traffic
@@ -122,7 +106,11 @@ pub struct HorizonExtractor {
     lag_us: u64,
     high_water_us: u64,
     fresh: VecDeque<RawChunk>,
-    retired: HashMap<FlowKey, FlowRun>,
+    /// Retired records in arrival order.
+    log: Vec<Record>,
+    /// Key of each unit's first packet, indexed by unit id; `None` for
+    /// an id not seen yet.
+    keys: Vec<Option<FlowKey>>,
     stats: HorizonStats,
 }
 
@@ -133,21 +121,42 @@ impl HorizonExtractor {
             lag_us,
             high_water_us: 0,
             fresh: VecDeque::new(),
-            retired: HashMap::new(),
+            log: Vec::new(),
+            keys: Vec::new(),
             stats: HorizonStats::default(),
         }
     }
 
     /// Banks one chunk of the drain. `ids[i]` must be the traffic-unit
-    /// id of `packets[i]` (incremental `ItemIndex`, stream order).
+    /// id of `packets[i]` (incremental `ItemIndex`, stream order), so
+    /// all packets of one id share one 5-tuple up to direction.
     pub fn observe(&mut self, chunk_window: TimeWindow, packets: &[Packet], ids: &[u32]) {
         assert_eq!(packets.len(), ids.len(), "one id per packet required");
         let mut records = Vec::with_capacity(packets.len());
-        for (p, &id) in packets.iter().zip(ids) {
-            records.push(RawRecord {
-                key: FlowKey::of(p),
+        for (p, &unit) in packets.iter().zip(ids) {
+            let key = FlowKey::of(p);
+            let slot = unit as usize;
+            if slot >= self.keys.len() {
+                self.keys.resize(slot + 1, None);
+            }
+            let reverse = match &self.keys[slot] {
+                Some(first) => {
+                    debug_assert!(
+                        *first == key || first.reversed() == key,
+                        "unit {unit} carries two 5-tuples: {first} and {key}"
+                    );
+                    *first != key
+                }
+                None => {
+                    self.keys[slot] = Some(key);
+                    self.stats.units += 1;
+                    false
+                }
+            };
+            records.push(Record {
                 ts_us: p.ts_us,
-                id,
+                unit,
+                reverse,
             });
         }
         self.fresh.push_back(RawChunk {
@@ -158,19 +167,17 @@ impl HorizonExtractor {
         self.retire_sealed();
     }
 
-    /// Folds every fresh chunk whose window end + lag the stream has
-    /// passed into the compact per-flow store.
+    /// Moves every fresh chunk whose window end + lag the stream has
+    /// passed into the record log.
     fn retire_sealed(&mut self) {
-        while let Some(front) = self.fresh.front() {
-            if front.window.end_us.saturating_add(self.lag_us) > self.high_water_us {
+        while let Some(chunk) = self.fresh.pop_front() {
+            if chunk.window.end_us.saturating_add(self.lag_us) > self.high_water_us {
+                self.fresh.push_front(chunk);
                 break;
             }
-            let chunk = self.fresh.pop_front().expect("peeked"); // lint:allow(panic-free-data-plane): front() returned Some on this iteration
             self.stats.retired_chunks += 1;
             self.stats.retired_records += chunk.records.len() as u64;
-            for r in chunk.records {
-                self.retired.entry(r.key).or_default().push(r.ts_us, r.id);
-            }
+            self.log.extend_from_slice(&chunk.records);
         }
     }
 
@@ -181,75 +188,86 @@ impl HorizonExtractor {
 
     /// Resolves the finished alarm set against everything banked.
     ///
-    /// Matching runs on the inverted [`AlarmIndex`](crate::index):
-    /// each retired flow resolves its candidate alarms with a handful
-    /// of hash probes (instead of one scope test per alarm), stabs the
-    /// candidates with its run span, and binary-searches the run per
-    /// surviving window. The retired store is sharded through
-    /// `mawilab-exec`; hash-map shard order varies but the final
-    /// per-alarm sort + dedup makes the output canonical at any thread
-    /// count.
+    /// The log is counting-sorted into one time run per unit and
+    /// direction; each unit then stabs the prebuilt candidate runs of
+    /// the inverted [`AlarmIndex`](crate::index) with its key (and,
+    /// for biflow replies, the reversed key), and confirms each
+    /// overlapping window with one binary search into its run. Units
+    /// are sharded through `mawilab-exec`; the final per-alarm sort +
+    /// dedup makes the output canonical at any thread count.
     pub fn finalize(mut self, alarms: &[Alarm]) -> HorizonTraffic {
         self.stats.fresh_chunks = self.fresh.len();
         self.stats.fresh_records = self.fresh_records();
-        self.stats.retired_flows = self.retired.len();
+        for chunk in std::mem::take(&mut self.fresh) {
+            self.log.extend_from_slice(&chunk.records);
+        }
+        let (bounds, ts) = self.unit_runs();
 
         let index = AlarmIndex::new(alarms);
-
-        // Retired store: sort any out-of-order runs, then shard.
-        let mut retired: Vec<(FlowKey, FlowRun)> = self.retired.drain().collect();
-        for (_, run) in &mut retired {
-            if !run.sorted {
-                run.hits.sort_unstable();
-                run.hits.dedup();
-            }
-        }
-        let shards: Vec<Range<usize>> = (0..retired.len())
-            .step_by(FLOW_SHARD)
-            .map(|s| s..(s + FLOW_SHARD).min(retired.len()))
+        let keys = &self.keys;
+        let units = keys.len();
+        let shards: Vec<Range<usize>> = (0..units)
+            .step_by(UNIT_SHARD)
+            .map(|s| s..(s + UNIT_SHARD).min(units))
             .collect();
-        let parts: Vec<HitSink> = mawilab_exec::par_map(&shards, |range| {
+        let parts: Vec<(HitSink, Vec<u32>)> = mawilab_exec::par_map(&shards, |range| {
             let mut sink = HitSink::new(alarms.len());
-            for (key, run) in &retired[range.clone()] {
-                let (first_ts, last_ts) = match (run.hits.first(), run.hits.last()) {
-                    (Some(&(f, _)), Some(&(l, _))) => (f, l),
-                    _ => continue,
+            let mut matched = Vec::new();
+            for unit in range.clone() {
+                let Some(key) = &keys[unit] else {
+                    continue;
                 };
-                let candidates = index.candidates_for(key);
-                candidates.stab_span(first_ts, last_ts, |ai| {
-                    let w = &alarms[ai as usize].window;
-                    let from = run.hits.partition_point(|&(ts, _)| ts < w.start_us);
-                    for &(ts, id) in &run.hits[from..] {
-                        if ts >= w.end_us {
-                            break;
-                        }
-                        sink.push(ai, id);
+                let id = unit as u32;
+                let mut hit = false;
+                for (dir, key) in [(0, *key), (1, key.reversed())] {
+                    let run = &ts[bounds[2 * unit + dir]..bounds[2 * unit + dir + 1]];
+                    if run.is_empty() {
+                        continue;
                     }
-                });
+                    let run = if run.is_sorted() {
+                        Cow::Borrowed(run)
+                    } else {
+                        let mut sorted = run.to_vec();
+                        sorted.sort_unstable();
+                        Cow::Owned(sorted)
+                    };
+                    index.for_each_run(&key, |alarm_run| {
+                        alarm_run.stab_sorted(&run, |ai| {
+                            sink.push(ai, id);
+                            hit = true;
+                        })
+                    });
+                }
+                if hit {
+                    matched.push(id);
+                }
             }
-            sink
+            (sink, matched)
         });
         let mut sink = HitSink::new(alarms.len());
-        for part in parts {
+        let mut matched = HashSet::with_capacity(parts.iter().map(|(_, ids)| ids.len()).sum());
+        for (part, ids) in parts {
             sink.absorb(part);
+            matched.extend(ids);
         }
-
-        // Fresh chunks: one probe per record, memoized per flow.
-        let mut memo = KeyMemo::default();
-        for chunk in &self.fresh {
-            for r in &chunk.records {
-                let run = memo.run_for(&index, &r.key);
-                run.stab(r.ts_us, |ai| sink.push(ai, r.id));
-            }
-        }
-
-        let traffic = sink.finish();
-        let matched: HashSet<u32> = traffic.iter().flatten().copied().collect();
         HorizonTraffic {
-            traffic,
+            traffic: sink.finish(),
             matched,
             stats: self.stats,
         }
+    }
+
+    /// Counting-sorts the log by `(unit, direction)` into CSR form:
+    /// run `b = 2 × unit + reverse` is `ts[bounds[b]..bounds[b + 1]]`,
+    /// in arrival order. Consumes the log.
+    fn unit_runs(&mut self) -> (Vec<usize>, Vec<u64>) {
+        let log = std::mem::take(&mut self.log);
+        group_by_bucket(
+            &log,
+            2 * self.keys.len(),
+            |r| 2 * r.unit as usize + usize::from(r.reverse),
+            |r| r.ts_us,
+        )
     }
 }
 
@@ -310,8 +328,8 @@ mod tests {
             ])),
         ];
         // A window-restricted alarm: at mid-range lags its window
-        // straddles the retired/fresh boundary, exercising both match
-        // paths on one alarm.
+        // straddles the retire boundary, so its hits come from retired
+        // and still-fresh chunks alike.
         v.push(Alarm {
             window: TimeWindow::new(w.start_us + 30_000_000, w.start_us + 90_000_000),
             ..mk(AlarmScope::SrcHost(ip(2)))
@@ -448,6 +466,90 @@ mod tests {
         assert_eq!(out.stats.retired_chunks, 1);
         assert_eq!(out.traffic, vec![vec![7]]);
         assert!(out.matched.contains(&7) && !out.matched.contains(&8));
+    }
+
+    #[test]
+    fn out_of_order_run_is_sorted_before_it_is_searched() {
+        // One flow whose packets arrive at 3 s, 1 s, 2 s across two
+        // chunks; the alarm window holds only the 1 s packet.
+        let meta = TraceMeta::standard(TraceDate::new(2004, 6, 2));
+        let base = meta.window().start_us;
+        let at = |s: u64| {
+            Packet::tcp(
+                base + s * 1_000_000,
+                ip(1),
+                1000,
+                ip(2),
+                80,
+                TcpFlags::ack(),
+                60,
+            )
+        };
+        let chunks = [
+            (TimeWindow::new(base, base + 5_000_000), vec![at(3), at(1)]),
+            (
+                TimeWindow::new(base + 5_000_000, base + 10_000_000),
+                vec![at(2)],
+            ),
+        ];
+        let alarms = vec![Alarm {
+            detector: DetectorKind::Kl,
+            tuning: Tuning::Optimal,
+            window: TimeWindow::new(base + 500_000, base + 1_500_000),
+            scope: AlarmScope::SrcHost(ip(1)),
+            score: 1.0,
+        }];
+        for (g, want) in [(Granularity::Uniflow, 0u32), (Granularity::Packet, 1)] {
+            for lag_us in [0u64, u64::MAX / 2] {
+                let mut index = ItemIndex::new(g);
+                let mut ex = HorizonExtractor::new(lag_us);
+                let mut ids = Vec::new();
+                for (window, packets) in &chunks {
+                    index.ids_of(packets, &mut ids);
+                    ex.observe(*window, packets, &ids);
+                }
+                let out = ex.finalize(&alarms);
+                assert_eq!(out.traffic, vec![vec![want]], "{g}, lag {lag_us}");
+                assert_eq!(out.matched, HashSet::from([want]), "{g}, lag {lag_us}");
+            }
+        }
+    }
+
+    #[test]
+    fn biflow_replies_match_through_the_reversed_key() {
+        // A conversation whose first packet goes 1 → 2; only the reply
+        // (2 → 1) falls in the window of a `SrcHost(2)` alarm.
+        let meta = TraceMeta::standard(TraceDate::new(2004, 6, 2));
+        let base = meta.window().start_us;
+        let packets = [
+            Packet::tcp(base, ip(1), 1000, ip(2), 80, TcpFlags::syn(), 60),
+            Packet::tcp(
+                base + 2_000_000,
+                ip(2),
+                80,
+                ip(1),
+                1000,
+                TcpFlags::syn_ack(),
+                60,
+            ),
+        ];
+        let mk = |scope, start_s: u64, end_s: u64| Alarm {
+            detector: DetectorKind::Kl,
+            tuning: Tuning::Optimal,
+            window: TimeWindow::new(base + start_s * 1_000_000, base + end_s * 1_000_000),
+            scope,
+            score: 1.0,
+        };
+        let alarms = vec![
+            mk(AlarmScope::SrcHost(ip(2)), 1, 3),
+            mk(AlarmScope::SrcHost(ip(2)), 0, 1),
+            mk(AlarmScope::DstHost(ip(2)), 0, 3),
+        ];
+        let mut ex = HorizonExtractor::new(0);
+        ex.observe(TimeWindow::new(base, base + 5_000_000), &packets, &[0, 0]);
+        let out = ex.finalize(&alarms);
+        assert_eq!(out.traffic, vec![vec![0], vec![], vec![0]]);
+        assert_eq!(out.stats.units, 1);
     }
 
     #[test]

@@ -4,25 +4,31 @@
 //! O(alarms × packets) scope tests with a fresh hash set per alarm.
 //! This module inverts the direction: alarms are indexed **once** by
 //! the concrete 5-tuple fields their scopes constrain, so resolving a
-//! packet costs one candidate lookup per *distinct flow key* plus an
-//! interval stab over the candidates' time windows. Every
+//! traffic unit costs a handful of bucket lookups on its flow key plus
+//! an interval stab over the candidates' time windows. Every
 //! [`AlarmScope`] is a pure function of the 5-tuple
 //! ([`AlarmScope::matches_key`]), which is what makes per-key
-//! memoization sound.
+//! resolution sound.
 //!
 //! Three structures cooperate:
 //!
-//! * [`AlarmIndex`] — host/flow scopes become hash buckets; `Rule`
-//!   scopes are deduplicated (detectors re-emit the same mined rule
-//!   across many analysis windows) and bucketed by their most
-//!   selective concrete field, with a verification pass on the
-//!   remaining wildcards.
-//! * [`AlarmRun`] — one flow key's candidate alarms as an
-//!   interval-stabbable run: entries sorted by window start with a
-//!   prefix-max of window ends, so a timestamp probe touches only
-//!   candidates whose windows can still contain it.
-//! * [`KeyMemo`] / [`HitSink`] — candidates are resolved once per
-//!   distinct key, and per-alarm hits accumulate as append-only runs
+//! * [`AlarmRun`] — a set of alarms as an interval-stabbable run:
+//!   entries sorted by window start with a prefix-max of window ends,
+//!   so a timestamp probe touches only alarms whose windows can still
+//!   contain it. It borrows its arrays, either from the index's flat
+//!   run store or from a [`CandidateRun`].
+//! * [`AlarmIndex`] — host and flow scopes become hash buckets, each
+//!   naming a run of its alarms. `Rule` scopes are deduplicated
+//!   (detectors re-emit the same mined rule across many analysis
+//!   windows), each distinct rule names the run of its alarms, and
+//!   rules are bucketed by their most selective concrete field, with a
+//!   verification pass on the remaining wildcards. Every run is built
+//!   once per alarm set, back to back in one flat store;
+//!   [`AlarmIndex::for_each_run`] hands a key's runs out in place, so
+//!   the horizon's per-unit resolve allocates and sorts nothing.
+//!   Batch extraction concatenates a key's runs into one
+//!   [`CandidateRun`] per uniflow ([`AlarmIndex::candidates_for`]).
+//! * [`HitSink`] — per-alarm hits accumulate as append-only runs
 //!   (adjacent duplicates collapsed) that are sorted and deduplicated
 //!   once at the end, instead of hashing every hit.
 //!
@@ -34,71 +40,27 @@ use mawilab_model::{FlowKey, TrafficRule};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-/// One flow key's candidate alarms, interval-stabbable by timestamp.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct AlarmRun {
-    /// `(window start, window end, alarm index)`, sorted.
-    entries: Vec<(u64, u64, u32)>,
+/// One alarm of a run: `(window start, window end, alarm index)`.
+type Entry = (u64, u64, u32);
+
+/// A set of alarms, interval-stabbable by timestamp.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AlarmRun<'r> {
+    /// Sorted by window start.
+    entries: &'r [Entry],
     /// `prefix_max_end[j]` = max window end over `entries[..=j]`.
-    prefix_max_end: Vec<u64>,
+    prefix_max_end: &'r [u64],
 }
 
-impl AlarmRun {
-    /// `ids` must be duplicate-free — [`AlarmIndex::candidates_for`]
-    /// guarantees it (each scope is exactly one variant and each
-    /// distinct rule lives in exactly one bucket), which saves a
-    /// sort + dedup here on the per-distinct-flow hot path.
-    fn build(ids: Vec<u32>, alarms: &[Alarm]) -> Self {
-        debug_assert!(
-            {
-                let mut check = ids.clone();
-                check.sort_unstable();
-                check.dedup();
-                check.len() == ids.len()
-            },
-            "candidate alarm ids must be unique"
-        );
-        let mut entries: Vec<(u64, u64, u32)> = ids
-            .into_iter()
-            .map(|a| {
-                let w = &alarms[a as usize].window;
-                (w.start_us, w.end_us, a)
-            })
-            .collect();
-        entries.sort_unstable();
-        let mut prefix_max_end = Vec::with_capacity(entries.len());
-        let mut max_end = 0u64;
-        for &(_, end, _) in &entries {
-            max_end = max_end.max(end);
-            prefix_max_end.push(max_end);
-        }
-        debug_assert!(
-            entries.windows(2).all(|w| w[0] <= w[1]),
-            "AlarmRun entries must be sorted for partition_point stabbing"
-        );
-        debug_assert!(
-            prefix_max_end.windows(2).all(|w| w[0] <= w[1])
-                && entries
-                    .iter()
-                    .zip(&prefix_max_end)
-                    .all(|(&(_, end, _), &pm)| pm >= end),
-            "prefix_max_end must be the running max of window ends"
-        );
-        AlarmRun {
-            entries,
-            prefix_max_end,
-        }
-    }
-
+impl AlarmRun<'_> {
     pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// Calls `hit` for every candidate alarm whose window contains
-    /// `ts` (half-open `[start, end)`). Candidates starting after `ts`
-    /// are skipped by binary search; the prefix-max of ends terminates
-    /// the backward scan as soon as no earlier window can still reach
-    /// `ts`.
+    /// Calls `hit` for every alarm whose window contains `ts`
+    /// (half-open `[start, end)`). Alarms starting after `ts` are
+    /// skipped by binary search; the prefix-max of ends terminates the
+    /// backward scan as soon as no earlier window can still reach `ts`.
     #[inline]
     pub(crate) fn stab(&self, ts: u64, mut hit: impl FnMut(u32)) {
         let p = self.entries.partition_point(|&(start, _, _)| start <= ts);
@@ -113,39 +75,166 @@ impl AlarmRun {
         }
     }
 
-    /// Calls `hit` for every candidate alarm whose window overlaps the
-    /// inclusive timestamp range `[first_ts, last_ts]`.
-    pub(crate) fn stab_span(&self, first_ts: u64, last_ts: u64, mut hit: impl FnMut(u32)) {
-        let p = self
-            .entries
-            .partition_point(|&(start, _, _)| start <= last_ts);
+    /// Calls `hit` once for every alarm whose window contains at least
+    /// one of the time-sorted timestamps `ts`: the run is stabbed with
+    /// the span `[ts[0], ts[last]]`, then each overlapping window gets
+    /// one binary search into `ts`.
+    pub(crate) fn stab_sorted(&self, ts: &[u64], mut hit: impl FnMut(u32)) {
+        debug_assert!(ts.is_sorted(), "stab_sorted needs time-sorted input");
+        let (Some(&first), Some(&last)) = (ts.first(), ts.last()) else {
+            return;
+        };
+        let p = self.entries.partition_point(|&(start, _, _)| start <= last);
         for j in (0..p).rev() {
-            if self.prefix_max_end[j] <= first_ts {
+            if self.prefix_max_end[j] <= first {
                 break;
             }
-            let (_, end, a) = self.entries[j];
-            if end > first_ts {
+            let (start, end, a) = self.entries[j];
+            if end <= first {
+                continue;
+            }
+            let from = ts.partition_point(|&t| t < start);
+            if ts.get(from).is_some_and(|&t| t < end) {
                 hit(a);
             }
         }
     }
 }
 
+/// Appends the running max of `entries`' window ends to
+/// `prefix_max_end`.
+fn push_prefix_max_end(entries: &[Entry], prefix_max_end: &mut Vec<u64>) {
+    let mut max_end = 0u64;
+    for &(_, end, _) in entries {
+        max_end = max_end.max(end);
+        prefix_max_end.push(max_end);
+    }
+}
+
+/// One flow key's candidate alarms as an owned run: what batch
+/// extraction resolves once per uniflow.
+#[derive(Debug, Default)]
+pub(crate) struct CandidateRun {
+    entries: Vec<Entry>,
+    prefix_max_end: Vec<u64>,
+}
+
+impl CandidateRun {
+    pub(crate) fn run(&self) -> AlarmRun<'_> {
+        AlarmRun {
+            entries: &self.entries,
+            prefix_max_end: &self.prefix_max_end,
+        }
+    }
+}
+
+/// Stable counting sort: groups `value(item)` by `bucket(item)`
+/// (`< buckets`), keeping input order within a group. Group `b` is
+/// `out[starts[b]..starts[b + 1]]`; returns `(starts, out)`.
+pub(crate) fn group_by_bucket<T, V: Copy + Default>(
+    items: &[T],
+    buckets: usize,
+    bucket: impl Fn(&T) -> usize,
+    value: impl Fn(&T) -> V,
+) -> (Vec<usize>, Vec<V>) {
+    let mut starts = vec![0usize; buckets + 1];
+    for item in items {
+        starts[bucket(item)] += 1;
+    }
+    for b in 1..starts.len() {
+        starts[b] += starts[b - 1];
+    }
+    // `starts[b]` is now the end of group `b`; filling back to front
+    // keeps input order and leaves it at the group's start.
+    let mut out = vec![V::default(); items.len()];
+    for item in items.iter().rev() {
+        let slot = &mut starts[bucket(item)];
+        *slot -= 1;
+        out[*slot] = value(item);
+    }
+    (starts, out)
+}
+
+/// Every run of an index, back to back: run `r` is
+/// `entries[bounds[r]..bounds[r + 1]]`.
+#[derive(Debug, Default)]
+struct RunStore {
+    entries: Vec<Entry>,
+    prefix_max_end: Vec<u64>,
+    bounds: Vec<usize>,
+}
+
+impl RunStore {
+    /// Builds `runs` runs from `(run, alarm)` pairs: a counting sort
+    /// groups the pairs by run, then each run is sorted by window
+    /// start.
+    fn build(pairs: &[(u32, u32)], runs: usize, alarms: &[Alarm]) -> Self {
+        let (starts, mut grouped) = group_by_bucket(
+            pairs,
+            runs,
+            |&(r, _)| r as usize,
+            |&(_, a)| {
+                let w = &alarms[a as usize].window;
+                (w.start_us, w.end_us, a)
+            },
+        );
+        let mut store = RunStore {
+            entries: Vec::with_capacity(pairs.len()),
+            prefix_max_end: Vec::with_capacity(pairs.len()),
+            bounds: Vec::with_capacity(runs + 1),
+        };
+        store.bounds.push(0);
+        for r in 0..runs {
+            let run = &mut grouped[starts[r]..starts[r + 1]];
+            run.sort_unstable();
+            // A scope listing one flow key twice registers its alarm
+            // twice; the copies are equal entries, adjacent after the
+            // sort.
+            let from = store.entries.len();
+            for &e in run.iter() {
+                if store.entries.len() == from || store.entries.last() != Some(&e) {
+                    store.entries.push(e);
+                }
+            }
+            push_prefix_max_end(&store.entries[from..], &mut store.prefix_max_end);
+            store.bounds.push(store.entries.len());
+        }
+        store
+    }
+
+    fn get(&self, run: u32) -> AlarmRun<'_> {
+        let range = self.bounds[run as usize]..self.bounds[run as usize + 1];
+        AlarmRun {
+            entries: &self.entries[range.clone()],
+            prefix_max_end: &self.prefix_max_end[range],
+        }
+    }
+}
+
+/// What one host address selects: the run of alarms scoped to the
+/// host, and the distinct rules bucketed under it.
+#[derive(Debug, Default)]
+struct HostBucket {
+    run: Option<u32>,
+    rules: Vec<u32>,
+}
+
 /// Alarm scopes inverted into hash buckets on their concrete 5-tuple
-/// fields. Build once per alarm set; query per distinct flow key.
+/// fields, each bucket naming a prebuilt [`AlarmRun`]. Build once per
+/// alarm set; query per distinct flow key.
 #[derive(Debug)]
 pub(crate) struct AlarmIndex<'a> {
-    alarms: &'a [Alarm],
-    by_src: HashMap<Ipv4Addr, Vec<u32>>,
-    by_dst: HashMap<Ipv4Addr, Vec<u32>>,
-    by_flow: HashMap<FlowKey, Vec<u32>>,
-    /// Distinct `Rule` scopes with the alarms carrying each (detectors
-    /// re-emit one mined rule across many windows — resolve it once).
-    rules: Vec<(&'a TrafficRule, Vec<u32>)>,
-    /// Rule ids bucketed by their most selective concrete field; a
-    /// bucket hit still verifies the rule's remaining constraints.
-    rule_by_src: HashMap<Ipv4Addr, Vec<u32>>,
-    rule_by_dst: HashMap<Ipv4Addr, Vec<u32>>,
+    store: RunStore,
+    /// `SrcHost` alarms, and rules whose most selective field is `src`.
+    by_src: HashMap<Ipv4Addr, HostBucket>,
+    /// `DstHost` alarms, and rules whose most selective field is `dst`.
+    by_dst: HashMap<Ipv4Addr, HostBucket>,
+    by_flow: HashMap<FlowKey, u32>,
+    /// Distinct `Rule` scopes with the run of alarms carrying each
+    /// (detectors re-emit one mined rule across many windows — resolve
+    /// it once). A bucket hit still verifies the rule's remaining
+    /// constraints.
+    rules: Vec<(&'a TrafficRule, u32)>,
     rule_by_dport: HashMap<u16, Vec<u32>>,
     rule_by_sport: HashMap<u16, Vec<u32>>,
     /// Rules with no concrete endpoint field (proto-only/any).
@@ -155,42 +244,55 @@ pub(crate) struct AlarmIndex<'a> {
 impl<'a> AlarmIndex<'a> {
     pub(crate) fn new(alarms: &'a [Alarm]) -> Self {
         let mut ix = AlarmIndex {
-            alarms,
+            // Filled once every bucket has numbered its run.
+            store: RunStore::default(),
             by_src: HashMap::new(),
             by_dst: HashMap::new(),
             by_flow: HashMap::new(),
             rules: Vec::new(),
-            rule_by_src: HashMap::new(),
-            rule_by_dst: HashMap::new(),
             rule_by_dport: HashMap::new(),
             rule_by_sport: HashMap::new(),
             rule_wild: Vec::new(),
         };
+        // `(run, alarm)` pairs; runs are numbered on first use.
+        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(alarms.len());
+        let mut runs = 0u32;
+        let mut new_run = || {
+            runs += 1;
+            runs - 1
+        };
         let mut rule_ids: HashMap<&TrafficRule, u32> = HashMap::new();
         for (ai, alarm) in alarms.iter().enumerate() {
             let ai = ai as u32;
-            match &alarm.scope {
-                AlarmScope::SrcHost(ip) => ix.by_src.entry(*ip).or_default().push(ai),
-                AlarmScope::DstHost(ip) => ix.by_dst.entry(*ip).or_default().push(ai),
+            let run = match &alarm.scope {
+                AlarmScope::SrcHost(ip) => *ix
+                    .by_src
+                    .entry(*ip)
+                    .or_default()
+                    .run
+                    .get_or_insert_with(&mut new_run),
+                AlarmScope::DstHost(ip) => *ix
+                    .by_dst
+                    .entry(*ip)
+                    .or_default()
+                    .run
+                    .get_or_insert_with(&mut new_run),
                 AlarmScope::FlowSet(keys) => {
                     for k in keys {
-                        let bucket = ix.by_flow.entry(*k).or_default();
-                        // A scope listing one key twice must not
-                        // register the alarm twice.
-                        if bucket.last() != Some(&ai) {
-                            bucket.push(ai);
-                        }
+                        let run = *ix.by_flow.entry(*k).or_insert_with(&mut new_run);
+                        pairs.push((run, ai));
                     }
+                    continue;
                 }
                 AlarmScope::Rule(rule) => {
                     let next_id = ix.rules.len() as u32;
                     let rid = *rule_ids.entry(rule).or_insert(next_id);
                     if rid == next_id {
-                        ix.rules.push((rule, Vec::new()));
+                        ix.rules.push((rule, new_run()));
                         if let Some(ip) = rule.src {
-                            ix.rule_by_src.entry(ip).or_default().push(rid);
+                            ix.by_src.entry(ip).or_default().rules.push(rid);
                         } else if let Some(ip) = rule.dst {
-                            ix.rule_by_dst.entry(ip).or_default().push(rid);
+                            ix.by_dst.entry(ip).or_default().rules.push(rid);
                         } else if let Some(port) = rule.dport {
                             ix.rule_by_dport.entry(port).or_default().push(rid);
                         } else if let Some(port) = rule.sport {
@@ -199,69 +301,57 @@ impl<'a> AlarmIndex<'a> {
                             ix.rule_wild.push(rid);
                         }
                     }
-                    ix.rules[rid as usize].1.push(ai);
+                    ix.rules[rid as usize].1
                 }
-            }
+            };
+            pairs.push((run, ai));
         }
+        ix.store = RunStore::build(&pairs, runs as usize, alarms);
         ix
     }
 
-    /// Resolves every alarm whose scope matches `key` into a stabbable
-    /// run. Each alarm appears at most once: a scope is exactly one
-    /// variant and each distinct rule lives in exactly one bucket.
-    pub(crate) fn candidates_for(&self, key: &FlowKey) -> AlarmRun {
-        let mut ids: Vec<u32> = Vec::new();
-        if let Some(v) = self.by_src.get(&key.src) {
-            ids.extend_from_slice(v);
+    /// Calls `f` on every prebuilt run whose alarms' scopes match
+    /// `key`. The runs are disjoint: a scope is exactly one variant
+    /// and each distinct rule lives in exactly one bucket, so every
+    /// matching alarm is visited exactly once.
+    pub(crate) fn for_each_run(&self, key: &FlowKey, mut f: impl FnMut(AlarmRun<'_>)) {
+        let src = self.by_src.get(&key.src);
+        let dst = self.by_dst.get(&key.dst);
+        let scoped_runs = [
+            src.and_then(|b| b.run),
+            dst.and_then(|b| b.run),
+            self.by_flow.get(key).copied(),
+        ];
+        for run in scoped_runs.into_iter().flatten() {
+            f(self.store.get(run));
         }
-        if let Some(v) = self.by_dst.get(&key.dst) {
-            ids.extend_from_slice(v);
-        }
-        if let Some(v) = self.by_flow.get(key) {
-            ids.extend_from_slice(v);
-        }
-        let mut probe_rules = |rids: &[u32]| {
-            for &rid in rids {
-                let (rule, alarms) = &self.rules[rid as usize];
-                if rule.matches_key(key) {
-                    ids.extend_from_slice(alarms);
-                }
+        let rule_buckets = [
+            src.map(|b| b.rules.as_slice()),
+            dst.map(|b| b.rules.as_slice()),
+            self.rule_by_dport.get(&key.dport).map(Vec::as_slice),
+            self.rule_by_sport.get(&key.sport).map(Vec::as_slice),
+            Some(self.rule_wild.as_slice()),
+        ];
+        for &rid in rule_buckets.into_iter().flatten().flatten() {
+            let (rule, run) = self.rules[rid as usize];
+            if rule.matches_key(key) {
+                f(self.store.get(run));
             }
-        };
-        if let Some(v) = self.rule_by_src.get(&key.src) {
-            probe_rules(v);
         }
-        if let Some(v) = self.rule_by_dst.get(&key.dst) {
-            probe_rules(v);
-        }
-        if let Some(v) = self.rule_by_dport.get(&key.dport) {
-            probe_rules(v);
-        }
-        if let Some(v) = self.rule_by_sport.get(&key.sport) {
-            probe_rules(v);
-        }
-        probe_rules(&self.rule_wild);
-        AlarmRun::build(ids, self.alarms)
     }
-}
 
-/// Memoizes [`AlarmIndex::candidates_for`] per distinct flow key, for
-/// the horizon extractor's fresh chunks, where packets of one flow
-/// recur across chunks.
-#[derive(Debug, Default)]
-pub(crate) struct KeyMemo {
-    slots: HashMap<FlowKey, u32>,
-    runs: Vec<AlarmRun>,
-}
-
-impl KeyMemo {
-    pub(crate) fn run_for(&mut self, index: &AlarmIndex<'_>, key: &FlowKey) -> &AlarmRun {
-        let runs = &mut self.runs;
-        let slot = *self.slots.entry(*key).or_insert_with(|| {
-            runs.push(index.candidates_for(key));
-            (runs.len() - 1) as u32
-        });
-        &self.runs[slot as usize]
+    /// Every alarm whose scope matches `key`, as one owned run: the
+    /// concatenation of the key's prebuilt runs, re-sorted.
+    pub(crate) fn candidates_for(&self, key: &FlowKey) -> CandidateRun {
+        let mut c = CandidateRun::default();
+        self.for_each_run(key, |run| c.entries.extend_from_slice(run.entries));
+        c.entries.sort_unstable();
+        debug_assert!(
+            c.entries.windows(2).all(|w| w[0] != w[1]),
+            "a key's runs must be disjoint"
+        );
+        push_prefix_max_end(&c.entries, &mut c.prefix_max_end);
+        c
     }
 }
 
@@ -379,7 +469,7 @@ mod tests {
         for k in &keys {
             for ts in [0u64, 10, 49, 50, 99, 100, 149, 200] {
                 let mut got: Vec<u32> = Vec::new();
-                index.candidates_for(k).stab(ts, |a| got.push(a));
+                index.candidates_for(k).run().stab(ts, |a| got.push(a));
                 got.sort_unstable();
                 let want: Vec<u32> = alarms
                     .iter()
@@ -406,27 +496,35 @@ mod tests {
         let mut got = Vec::new();
         index
             .candidates_for(&key(1, 1, 2, 445))
+            .run()
             .stab(25, |a| got.push(a));
         assert_eq!(got, vec![2]);
     }
 
     #[test]
-    fn stab_span_finds_overlapping_windows() {
+    fn stab_sorted_hits_windows_holding_a_timestamp() {
         let alarms = vec![
             alarm(AlarmScope::SrcHost(ip(1)), TimeWindow::new(0, 10)),
             alarm(AlarmScope::SrcHost(ip(1)), TimeWindow::new(20, 30)),
             alarm(AlarmScope::SrcHost(ip(1)), TimeWindow::new(5, 25)),
+            alarm(AlarmScope::SrcHost(ip(1)), TimeWindow::new(13, 17)),
         ];
         let index = AlarmIndex::new(&alarms);
-        let run = index.candidates_for(&key(1, 1, 2, 2));
+        let candidates = index.candidates_for(&key(1, 1, 2, 2));
+        let run = candidates.run();
         let mut got = Vec::new();
-        run.stab_span(12, 18, |a| got.push(a));
+        // The span [12, 18] overlaps windows 2 and 3, but only window
+        // 2 holds one of the timestamps.
+        run.stab_sorted(&[12, 18], |a| got.push(a));
         got.sort_unstable();
-        assert_eq!(got, vec![2], "only the straddling window overlaps");
+        assert_eq!(got, vec![2]);
         got.clear();
-        run.stab_span(9, 20, |a| got.push(a));
+        run.stab_sorted(&[9, 20], |a| got.push(a));
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2]);
+        got.clear();
+        run.stab_sorted(&[], |a| got.push(a));
+        assert!(got.is_empty());
     }
 
     #[test]
@@ -443,13 +541,33 @@ mod tests {
     }
 
     #[test]
-    fn key_memo_resolves_each_key_once() {
-        let alarms = vec![alarm(AlarmScope::SrcHost(ip(1)), TimeWindow::all())];
+    fn runs_of_a_key_are_disjoint_and_cover_every_matching_scope() {
+        let w = TimeWindow::all();
+        let rule = TrafficRule {
+            src: Some(ip(1)),
+            ..Default::default()
+        };
+        let alarms = vec![
+            alarm(AlarmScope::SrcHost(ip(1)), w),
+            alarm(AlarmScope::SrcHost(ip(1)), w),
+            alarm(AlarmScope::DstHost(ip(2)), w),
+            alarm(AlarmScope::Rule(rule), w),
+            alarm(AlarmScope::Rule(rule), w),
+            alarm(
+                AlarmScope::FlowSet(vec![key(1, 1, 2, 2), key(1, 1, 2, 2)]),
+                w,
+            ),
+            alarm(AlarmScope::DstHost(ip(9)), w),
+        ];
         let index = AlarmIndex::new(&alarms);
-        let mut memo = KeyMemo::default();
-        let k = key(1, 1, 2, 2);
-        assert!(!memo.run_for(&index, &k).is_empty());
-        assert!(!memo.run_for(&index, &k).is_empty());
-        assert_eq!(memo.runs.len(), 1, "second probe must reuse the slot");
+        let mut runs = 0;
+        let mut got = Vec::new();
+        index.for_each_run(&key(1, 1, 2, 2), |run| {
+            runs += 1;
+            run.stab(0, |a| got.push(a));
+        });
+        got.sort_unstable();
+        assert_eq!(got, vec![0, 1, 2, 3, 4, 5], "each alarm exactly once");
+        assert_eq!(runs, 4, "src, dst, flow and one shared rule run");
     }
 }

@@ -39,6 +39,8 @@ fn ip(d: u8) -> Ipv4Addr {
 }
 
 /// Packets drawn from small endpoint pools so alarms genuinely match.
+/// About half are replies (endpoints and ports swapped), so biflow
+/// units carry both directions.
 fn arb_packet() -> impl Strategy<Value = Packet> {
     (
         0u64..200_000_000,
@@ -48,23 +50,31 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
         0u8..4,
         40u16..1500,
         prop_oneof![Just(Protocol::Tcp), Just(Protocol::Udp)],
+        any::<bool>(),
     )
-        .prop_map(|(ts, s, d, sp, dp, len, proto)| {
+        .prop_map(|(ts, s, d, sp, dp, len, proto, reply)| {
             let base = TraceMeta::standard(TraceDate::new(2004, 6, 2))
                 .window()
                 .start_us;
+            let (client, server) = (ip(s), ip(100 + d));
+            let (cport, sport) = (1000 + sp as u16, [80, 445, 53, 8080][dp as usize]);
+            let (src, dst, sport, dport) = if reply {
+                (server, client, sport, cport)
+            } else {
+                (client, server, cport, sport)
+            };
             Packet {
                 ts_us: base + ts,
-                src: ip(s),
-                dst: ip(100 + d),
-                sport: 1000 + sp as u16,
-                dport: [80, 445, 53, 8080][dp as usize],
+                src,
+                dst,
+                sport,
+                dport,
                 len,
                 proto,
-                flags: if proto == Protocol::Tcp {
-                    TcpFlags::syn()
-                } else {
-                    TcpFlags::empty()
+                flags: match (proto, reply) {
+                    (Protocol::Tcp, false) => TcpFlags::syn(),
+                    (Protocol::Tcp, true) => TcpFlags::syn_ack(),
+                    _ => TcpFlags::empty(),
                 },
             }
         })

@@ -3,7 +3,7 @@
 //!
 //! `OnlinePipeline` drains a source exactly once — detection and
 //! traffic extraction share the drain, evidence past the sliding
-//! horizon is retired to compact per-flow state — yet its labels must
+//! horizon is retired into a flat per-unit record log — yet its labels must
 //! be byte-identical to the batch `MawilabPipeline::run` on the
 //! materialised trace (the equivalence oracle) across seeds, chunk
 //! widths, horizon lags, granularities and thread counts. Every
