@@ -11,16 +11,39 @@
 //! lines, and the alarm is the **set of flows** whose packets drew the
 //! line's pixels — the aggregated-flow granularity the paper ascribes
 //! to this detector.
+//!
+//! Each picture is a dense `time_bins × y_bins` plane of packet
+//! counts. The flows behind a pixel are not stored per pixel: in both
+//! pictures y is a function of the flow key (the destination-port
+//! bucket, the hashed destination address), so one log of distinct
+//! (time bin, flow key) pairs serves both pictures. `finish` chooses
+//! the lines from the count planes alone, then gathers the flows of
+//! every accepted line in one pass over the log.
 
 use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
 use crate::{ChunkView, Detector, IncrementalDetector, ObservationKey};
 use mawilab_model::{FlowKey, TimeWindow, TraceMeta};
-use std::collections::{HashMap, HashSet};
 
-/// Picture cells: `(x, y)` pixel → (packet count, contributing flow
-/// keys). Flow keys are kept so an anomalous line can be resolved
-/// back to the exact flows that drew it.
-type PictureCells = HashMap<(u16, u16), (u32, HashSet<FlowKey>)>;
+/// Most flow keys one alarm reports: the smallest, in key order.
+const MAX_ALARM_FLOWS: usize = 5_000;
+
+/// `(pixel_min, min_line_pixels, max_lines)` of a tuning.
+const fn thresholds(tuning: Tuning) -> (u32, usize, usize) {
+    match tuning {
+        Tuning::Conservative => (4, 40, 10),
+        Tuning::Optimal => (3, 26, 18),
+        Tuning::Sensitive => (2, 14, 28),
+    }
+}
+
+// The accepted lines of a picture are the bits of a per-pixel `u32`.
+const _: () = {
+    let mut i = 0;
+    while i < Tuning::ALL.len() {
+        assert!(thresholds(Tuning::ALL[i]).2 <= u32::BITS as usize);
+        i += 1;
+    }
+};
 
 /// Which picture a pixel belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,6 +52,32 @@ enum Picture {
     Port,
     /// y = destination address (hashed).
     Addr,
+}
+
+/// The two pictures, in alarm order.
+const PICTURES: [Picture; 2] = [Picture::Port, Picture::Addr];
+
+impl Picture {
+    /// Row of a flow's packets in this picture.
+    fn y(self, key: &FlowKey, y_bins: usize) -> usize {
+        match self {
+            Picture::Port => (key.dport as usize * y_bins) >> 16, // port/64
+            Picture::Addr => (u32::from(key.dst).wrapping_mul(2_654_435_761) as usize) % y_bins,
+        }
+    }
+}
+
+/// An accepted line of one picture.
+#[derive(Debug)]
+struct Line {
+    /// Accumulator votes of its (θ, ρ) cell.
+    votes: u32,
+    /// First time bin of its pixels.
+    x_min: u16,
+    /// Last time bin of its pixels.
+    x_max: u16,
+    /// Its pixels, `(x, y)`, in (x, y) order.
+    pixels: Vec<(u16, u16)>,
 }
 
 /// The Hough-transform line detector (one configuration).
@@ -54,11 +103,7 @@ pub struct HoughDetector {
 impl HoughDetector {
     /// Builds the detector with one of the paper's three tunings.
     pub fn new(tuning: Tuning) -> Self {
-        let (pixel_min, min_line_pixels, max_lines) = match tuning {
-            Tuning::Conservative => (4, 40, 10),
-            Tuning::Optimal => (3, 26, 18),
-            Tuning::Sensitive => (2, 14, 28),
-        };
+        let (pixel_min, min_line_pixels, max_lines) = thresholds(tuning);
         HoughDetector {
             tuning,
             time_bins: 120,
@@ -71,65 +116,61 @@ impl HoughDetector {
         }
     }
 
-    /// Pixel of one packet in one picture.
-    fn pixel(
-        &self,
-        picture: Picture,
-        window_start_us: u64,
-        bin_us: u64,
-        p: &mawilab_model::Packet,
-    ) -> (u16, u16) {
-        let x =
-            ((p.ts_us.saturating_sub(window_start_us) / bin_us) as usize).min(self.time_bins - 1);
-        let y = match picture {
-            Picture::Port => (p.dport as usize * self.y_bins) >> 16, // port/64
-            Picture::Addr => (u32::from(p.dst).wrapping_mul(2_654_435_761) as usize) % self.y_bins,
-        };
-        (x as u16, y as u16)
+    /// Time bin of a timestamp; stamps outside the window clamp into
+    /// the first or last bin.
+    fn time_bin(&self, window_start_us: u64, bin_us: u64, ts_us: u64) -> u16 {
+        ((ts_us.saturating_sub(window_start_us) / bin_us) as usize).min(self.time_bins - 1) as u16
     }
 
-    fn finish_picture(
-        &self,
-        window: TimeWindow,
-        bin_us: u64,
-        cells: &PictureCells,
-        out: &mut Vec<Alarm>,
-    ) {
+    /// Index of pixel `(x, y)` in a count plane.
+    fn cell(&self, x: usize, y: usize) -> usize {
+        x * self.y_bins + y
+    }
+
+    /// Active pixels of one picture, in (x, y) order.
+    fn active_pixels(&self, plane: &[u32]) -> Vec<(u16, u16)> {
         // Per-row (y) baseline: the median count across all time bins
         // of the row, zeros included. A pixel is *anomalous* only when
         // it exceeds the baseline by `pixel_min` — constant service
         // rows (port 80 HTTP, popular hosts) have a high baseline and
         // stop producing always-on false lines, while transient
         // floods/scans rise far above their row's median.
-        let mut row_counts: HashMap<u16, Vec<u32>> = HashMap::new();
-        for (&(_, y), (c, _)) in cells {
-            row_counts.entry(y).or_default().push(*c);
+        let mid = self.time_bins / 2;
+        let mut busy = vec![0usize; self.y_bins];
+        for row in plane.chunks_exact(self.y_bins) {
+            for (n, &c) in busy.iter_mut().zip(row) {
+                *n += (c > 0) as usize;
+            }
         }
-        let mut row_median: HashMap<u16, u32> = HashMap::new();
-        for (y, mut counts) in row_counts {
-            let zeros = self.time_bins.saturating_sub(counts.len());
-            let mid = self.time_bins / 2;
-            let med = if zeros > mid {
-                0
-            } else {
-                counts.sort_unstable();
-                counts[mid - zeros]
-            };
-            row_median.insert(y, med);
-        }
-        // Active pixels in a deterministic order.
-        let mut pixels: Vec<((u16, u16), &HashSet<FlowKey>)> = cells
-            .iter()
-            .filter(|(&(_, y), (c, _))| {
-                c.saturating_sub(*row_median.get(&y).unwrap_or(&0)) >= self.pixel_min
+        let mut column = vec![0u32; self.time_bins];
+        let medians: Vec<u32> = (0..self.y_bins)
+            .map(|y| {
+                // More than half the row's bins are empty: the median is 0.
+                if self.time_bins - busy[y] > mid {
+                    return 0;
+                }
+                for (x, c) in column.iter_mut().enumerate() {
+                    *c = plane[self.cell(x, y)];
+                }
+                *column.select_nth_unstable(mid).1
             })
-            .map(|(k, (_, flows))| (*k, flows))
             .collect();
-        pixels.sort_by_key(|(k, _)| *k);
-        if pixels.len() < self.min_line_pixels {
-            return;
+        let mut pixels = Vec::new();
+        for (x, row) in plane.chunks_exact(self.y_bins).enumerate() {
+            for (y, (&c, &median)) in row.iter().zip(&medians).enumerate() {
+                if c.saturating_sub(median) >= self.pixel_min {
+                    pixels.push((x as u16, y as u16));
+                }
+            }
         }
+        pixels
+    }
 
+    /// The lines of one picture, from its active pixels alone.
+    fn choose_lines(&self, pixels: &[(u16, u16)]) -> Vec<Line> {
+        if pixels.len() < self.min_line_pixels {
+            return Vec::new();
+        }
         // Hough accumulation in normalised [0,1]² coordinates.
         // ρ ∈ [-1, √2] for θ ∈ [0, π).
         let rho_min = -1.0f64;
@@ -141,58 +182,55 @@ impl HoughDetector {
                 (th.cos(), th.sin())
             })
             .collect();
-        let mut acc: HashMap<(u16, u16), u32> = HashMap::new();
-        let coord = |(x, y): (u16, u16)| {
-            (
-                (x as f64 + 0.5) / self.time_bins as f64,
-                (y as f64 + 0.5) / self.y_bins as f64,
-            )
-        };
-        for &(px, _) in &pixels {
-            let (xn, yn) = coord(px);
-            for (ai, &(c, s)) in angles.iter().enumerate() {
-                let rho = xn * c + yn * s;
-                let ri = (((rho - rho_min) / rho_step) as usize).min(self.rho_bins - 1);
-                *acc.entry((ai as u16, ri as u16)).or_insert(0) += 1;
+        // The ρ bin of every (angle, pixel), angle-major, computed
+        // once: the votes and every candidate line read the same bins.
+        let rho_of: Vec<u16> = angles
+            .iter()
+            .flat_map(|&(c, s)| {
+                pixels.iter().map(move |&(x, y)| {
+                    let xn = (x as f64 + 0.5) / self.time_bins as f64;
+                    let yn = (y as f64 + 0.5) / self.y_bins as f64;
+                    let rho = xn * c + yn * s;
+                    (((rho - rho_min) / rho_step) as usize).min(self.rho_bins - 1) as u16
+                })
+            })
+            .collect();
+        let mut votes = vec![0u32; self.n_angles * self.rho_bins];
+        for (ai, bins) in rho_of.chunks_exact(pixels.len()).enumerate() {
+            for &ri in bins {
+                votes[ai * self.rho_bins + ri as usize] += 1;
             }
         }
 
-        // Peak extraction with simple non-maximum suppression.
-        let mut peaks: Vec<((u16, u16), u32)> = acc
-            .iter()
-            .filter(|(_, &v)| v as usize >= self.min_line_pixels)
-            .map(|(&k, &v)| (k, v))
+        // Peak extraction with simple non-maximum suppression: votes
+        // descending, then (θ, ρ) key.
+        let mut peaks: Vec<usize> = (0..votes.len())
+            .filter(|&k| votes[k] as usize >= self.min_line_pixels)
             .collect();
-        peaks.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut taken: Vec<(u16, u16)> = Vec::new();
-        let mut used_pixels: HashSet<(u16, u16)> = HashSet::new();
-        for (key, votes) in peaks {
-            if taken.len() >= self.max_lines {
+        peaks.sort_by(|&a, &b| votes[b].cmp(&votes[a]).then(a.cmp(&b)));
+        let mut taken: Vec<(usize, usize)> = Vec::new();
+        let mut used = vec![false; pixels.len()];
+        let mut lines = Vec::new();
+        for k in peaks {
+            if lines.len() >= self.max_lines {
                 break;
             }
-            let near_existing = taken.iter().any(|&(a, r)| {
-                (a as i32 - key.0 as i32).abs() <= 1 && (r as i32 - key.1 as i32).abs() <= 2
-            });
-            if near_existing {
+            let (ai, ri) = (k / self.rho_bins, k % self.rho_bins);
+            if taken
+                .iter()
+                .any(|&(a, r)| a.abs_diff(ai) <= 1 && r.abs_diff(ri) <= 2)
+            {
                 continue;
             }
-            // Gather this line's pixels.
-            let (c, s) = angles[key.0 as usize];
-            let mut flows: HashSet<FlowKey> = HashSet::new();
-            let mut x_min = u16::MAX;
-            let mut x_max = 0u16;
+            // Gather this line's pixels. Every candidate claims its
+            // pixels, accepted or not.
+            let mut on_line = Vec::new();
             let mut fresh = 0usize;
-            for &(px, flowset) in &pixels {
-                let (xn, yn) = coord(px);
-                let rho = xn * c + yn * s;
-                let ri = (((rho - rho_min) / rho_step) as usize).min(self.rho_bins - 1);
-                if ri as u16 == key.1 {
-                    flows.extend(flowset.iter().copied());
-                    x_min = x_min.min(px.0);
-                    x_max = x_max.max(px.0);
-                    if used_pixels.insert(px) {
-                        fresh += 1;
-                    }
+            let bins = &rho_of[ai * pixels.len()..][..pixels.len()];
+            for ((&r, &px), used) in bins.iter().zip(pixels).zip(&mut used) {
+                if r as usize == ri {
+                    on_line.push(px);
+                    fresh += !std::mem::replace(used, true) as usize;
                 }
             }
             // Require the line to be mostly new pixels; otherwise it is
@@ -200,20 +238,67 @@ impl HoughDetector {
             if fresh * 2 < self.min_line_pixels {
                 continue;
             }
-            taken.push(key);
-            let mut keys: Vec<FlowKey> = flows.into_iter().collect();
-            keys.sort();
-            keys.truncate(5_000);
-            out.push(Alarm {
-                detector: DetectorKind::Hough,
-                tuning: self.tuning,
-                window: TimeWindow::new(
-                    window.start_us + x_min as u64 * bin_us,
-                    (window.start_us + (x_max as u64 + 1) * bin_us).min(window.end_us),
-                ),
-                scope: AlarmScope::FlowSet(keys),
-                score: votes as f64 / self.min_line_pixels as f64,
+            taken.push((ai, ri));
+            lines.push(Line {
+                votes: votes[k],
+                x_min: on_line.first().map_or(0, |p| p.0),
+                x_max: on_line.last().map_or(0, |p| p.0),
+                pixels: on_line,
             });
+        }
+        lines
+    }
+
+    /// The flow keys of every line of both pictures — sorted, distinct
+    /// and capped at [`MAX_ALARM_FLOWS`] — from one pass over the
+    /// (time bin, flow key) log.
+    fn line_flows(&self, lines: &[Vec<Line>; 2], log: &[(u16, FlowKey)]) -> [Vec<Vec<FlowKey>>; 2] {
+        let mut flows = lines.each_ref().map(|lines| vec![Vec::new(); lines.len()]);
+        if lines.iter().all(Vec::is_empty) {
+            return flows;
+        }
+        // Per pixel, one bit per accepted line holding it.
+        let masks = lines.each_ref().map(|lines| {
+            let mut mask = vec![0u32; self.time_bins * self.y_bins];
+            for (i, line) in lines.iter().enumerate() {
+                for &(x, y) in &line.pixels {
+                    mask[self.cell(x as usize, y as usize)] |= 1 << i;
+                }
+            }
+            mask
+        });
+        for (x, key) in log {
+            for ((mask, picture), flows) in masks.iter().zip(PICTURES).zip(&mut flows) {
+                let mut bits = mask[self.cell(*x as usize, picture.y(key, self.y_bins))];
+                while bits != 0 {
+                    flows[bits.trailing_zeros() as usize].push(*key);
+                    bits &= bits - 1;
+                }
+            }
+        }
+        for keys in flows.iter_mut().flatten() {
+            keys.sort_unstable();
+            keys.dedup();
+            keys.truncate(MAX_ALARM_FLOWS);
+        }
+        flows
+    }
+
+    /// The alarm of one line. The last time bin also holds the
+    /// window's tail past `time_bins · bin_us`, so a line reaching it
+    /// ends at the window's end.
+    fn alarm(&self, window: TimeWindow, bin_us: u64, line: &Line, keys: Vec<FlowKey>) -> Alarm {
+        let end = if line.x_max as usize + 1 == self.time_bins {
+            window.end_us
+        } else {
+            (window.start_us + (line.x_max as u64 + 1) * bin_us).min(window.end_us)
+        };
+        Alarm {
+            detector: DetectorKind::Hough,
+            tuning: self.tuning,
+            window: TimeWindow::new(window.start_us + line.x_min as u64 * bin_us, end),
+            scope: AlarmScope::FlowSet(keys),
+            score: line.votes as f64 / self.min_line_pixels as f64,
         }
     }
 }
@@ -233,10 +318,9 @@ impl Detector for HoughDetector {
             window: None,
             bin_us: 1,
             seen: 0,
-            pictures: [
-                (Picture::Port, HashMap::new()),
-                (Picture::Addr, HashMap::new()),
-            ],
+            planes: [Vec::new(), Vec::new()],
+            log: Vec::new(),
+            scratch: Vec::new(),
         })
     }
 
@@ -248,16 +332,25 @@ impl Detector for HoughDetector {
     }
 }
 
-/// Incremental form of [`HoughDetector`]: chunk observation paints
-/// packets into the two sparse pictures (pixel → count + contributing
-/// flow keys, keyed by absolute time bin); the Hough transform and
-/// peak extraction run once at finish.
+/// Incremental form of [`HoughDetector`]: chunk observation counts
+/// packets into the two dense pictures (one `time_bins × y_bins`
+/// plane each, keyed by absolute time bin) and appends the chunk's
+/// distinct (time bin, flow key) pairs to a log both pictures share;
+/// the Hough transform, peak extraction and flow gathering run once
+/// at finish.
 pub struct HoughAccumulator {
     det: HoughDetector,
     window: Option<TimeWindow>,
     bin_us: u64,
     seen: u64,
-    pictures: [(Picture, PictureCells); 2],
+    /// Packet counts per picture (in [`PICTURES`] order), indexed by
+    /// [`HoughDetector::cell`].
+    planes: [Vec<u32>; 2],
+    /// (time bin, flow key) pairs, distinct within a chunk; a pair
+    /// whose time bin spans several chunks recurs.
+    log: Vec<(u16, FlowKey)>,
+    /// The current chunk's pairs, before sort and dedup.
+    scratch: Vec<(u16, FlowKey)>,
 }
 
 impl IncrementalDetector for HoughAccumulator {
@@ -274,23 +367,29 @@ impl IncrementalDetector for HoughAccumulator {
         self.window = Some(window);
         self.bin_us = (window.len_us() / self.det.time_bins as u64).max(1);
         self.seen = 0;
-        for (_, cells) in &mut self.pictures {
-            cells.clear();
+        for plane in &mut self.planes {
+            plane.clear();
+            plane.resize(self.det.time_bins * self.det.y_bins, 0);
         }
+        self.log.clear();
     }
 
     fn observe(&mut self, chunk: &ChunkView<'_>) {
         let window = self.window.expect("observe before begin"); // lint:allow(panic-free-data-plane): begin() runs before observe() in the chunk driver
         self.seen += chunk.packets.len() as u64;
+        let det = &self.det;
+        self.scratch.clear();
         for p in chunk.packets {
             let key = FlowKey::of(p);
-            for (picture, cells) in &mut self.pictures {
-                let px = self.det.pixel(*picture, window.start_us, self.bin_us, p);
-                let cell = cells.entry(px).or_default();
-                cell.0 += 1;
-                cell.1.insert(key);
+            let x = det.time_bin(window.start_us, self.bin_us, p.ts_us);
+            for (plane, picture) in self.planes.iter_mut().zip(PICTURES) {
+                plane[det.cell(x as usize, picture.y(&key, det.y_bins))] += 1;
             }
+            self.scratch.push((x, key));
         }
+        self.scratch.sort_unstable();
+        self.scratch.dedup();
+        self.log.extend_from_slice(&self.scratch);
     }
 
     fn finish(&mut self) -> Vec<Alarm> {
@@ -298,16 +397,22 @@ impl IncrementalDetector for HoughAccumulator {
     }
 
     fn finish_tuning(&self, tuning: Tuning) -> Vec<Alarm> {
-        let mut out = Vec::new();
         if self.seen == 0 {
-            return out;
+            return Vec::new();
         }
         let window = self.window.expect("finish before begin"); // lint:allow(panic-free-data-plane): begin() runs before finish() in the chunk driver
         let det = HoughDetector::new(tuning);
-        for (_, cells) in &self.pictures {
-            det.finish_picture(window, self.bin_us, cells, &mut out);
-        }
-        out
+        let lines = self
+            .planes
+            .each_ref()
+            .map(|plane| det.choose_lines(&det.active_pixels(plane)));
+        let flows = det.line_flows(&lines, &self.log);
+        lines
+            .iter()
+            .zip(flows)
+            .flat_map(|(lines, flows)| lines.iter().zip(flows))
+            .map(|(line, keys)| det.alarm(window, self.bin_us, line, keys))
+            .collect()
     }
 }
 
@@ -315,8 +420,9 @@ impl IncrementalDetector for HoughAccumulator {
 mod tests {
     use super::*;
     use crate::TraceView;
-    use mawilab_model::{FlowTable, Protocol};
+    use mawilab_model::{FlowTable, Packet, Protocol, Trace, TraceDate};
     use mawilab_synth::{AnomalySpec, SynthConfig, TraceGenerator};
+    use std::net::Ipv4Addr;
 
     fn run(tuning: Tuning, cfg: SynthConfig) -> (Vec<Alarm>, mawilab_synth::LabeledTrace) {
         let lt = TraceGenerator::new(cfg).generate();
@@ -445,5 +551,164 @@ mod tests {
         let alarms =
             HoughDetector::new(Tuning::Sensitive).analyze(&TraceView::new(&lt.trace, &flows));
         assert!(alarms.is_empty());
+    }
+
+    /// Metadata of a 60 s day: 500 ms time bins.
+    fn minute() -> TraceMeta {
+        TraceMeta {
+            duration_s: 60,
+            ..TraceMeta::standard(TraceDate::new(2004, 6, 2))
+        }
+    }
+
+    /// Packet `n` of a hand-drawn port picture, in pixel `(x, y)` of
+    /// a [`minute`] day. Source and destination are unique to `n`, so
+    /// every packet is its own flow and the address picture stays
+    /// sparse.
+    fn drawn(x: u64, y: u16, n: u32) -> Packet {
+        Packet::udp(
+            minute().window().start_us + x * 500_000 + 1,
+            Ipv4Addr::from(0x0a00_0000 + n),
+            1000,
+            Ipv4Addr::from(0xc0a8_0000 + n),
+            y * 64,
+            100,
+        )
+    }
+
+    fn finish(tuning: Tuning, meta: &TraceMeta, packets: &[Packet]) -> Vec<Alarm> {
+        let mut inc = HoughDetector::new(tuning).incremental();
+        inc.begin(meta);
+        inc.observe(&ChunkView {
+            meta,
+            window: meta.window(),
+            packets,
+        });
+        inc.finish()
+    }
+
+    fn flow_set(a: &Alarm) -> &[FlowKey] {
+        match &a.scope {
+            AlarmScope::FlowSet(keys) => keys,
+            other => panic!("unexpected scope {other:?}"),
+        }
+    }
+
+    #[test]
+    fn row_median_counts_empty_bins() {
+        let d = HoughDetector::new(Tuning::Sensitive);
+        let mut plane = vec![0u32; d.time_bins * d.y_bins];
+        // Row 10: exactly time_bins / 2 empty bins, so the median is
+        // the row's count and no pixel rises above it.
+        for x in 0..d.time_bins / 2 {
+            plane[d.cell(x, 10)] = d.pixel_min;
+        }
+        // Row 20: one more empty bin, so the median is 0 and every
+        // drawn pixel is active.
+        for x in 0..d.time_bins / 2 - 1 {
+            plane[d.cell(x, 20)] = d.pixel_min;
+        }
+        let active = d.active_pixels(&plane);
+        let want: Vec<(u16, u16)> = (0..d.time_bins as u16 / 2 - 1).map(|x| (x, 20)).collect();
+        assert_eq!(active, want);
+    }
+
+    #[test]
+    fn pixel_on_two_lines_gives_its_flows_to_both() {
+        // A horizontal port line (row 120, bins 30..80) crossing a
+        // vertical one (bin 60, rows 100..150) at pixel (60, 120).
+        let mut pixels: Vec<(u64, u16)> = (30..80).map(|x| (x, 120)).collect();
+        pixels.extend((100..150).map(|y| (60, y)));
+        let packets: Vec<Packet> = pixels
+            .iter()
+            .flat_map(|&px| [px, px])
+            .enumerate()
+            .map(|(n, (x, y))| drawn(x, y, n as u32))
+            .collect();
+        let alarms = finish(Tuning::Sensitive, &minute(), &packets);
+        let crossing: Vec<FlowKey> = packets
+            .iter()
+            .filter(|p| p.ts_us == drawn(60, 120, 0).ts_us && p.dport == 120 * 64)
+            .map(FlowKey::of)
+            .collect();
+        assert_eq!(crossing.len(), 4);
+        for key in &crossing {
+            let holders = alarms.iter().filter(|a| flow_set(a).contains(key)).count();
+            assert_eq!(holders, 2, "{alarms:#?}");
+        }
+    }
+
+    #[test]
+    fn rejected_candidate_still_claims_its_pixels() {
+        let d = HoughDetector::new(Tuning::Sensitive);
+        // A: a horizontal band (9 rows in one ρ bin at θ = π/2, 20
+        // time bins wide), accepted first.
+        let mut pixels: Vec<(u16, u16)> = (0..20)
+            .flat_map(|x| (300..309).map(move |y| (x, y)))
+            .collect();
+        // B: time bin 10 (a ρ bin of its own at θ = 0) — A's 9
+        // pixels there plus 6 fresh ones in rows 600..606. 15 votes
+        // but only 6 fresh: rejected, yet it claims rows 600..606.
+        pixels.extend((600..606).map(|y| (10, y)));
+        // A2: time bin 40, 25 pixels, 5 of them in rows 600..605;
+        // accepted second.
+        pixels.extend((600..605).chain(800..820).map(|y| (40, y)));
+        // C: the band of rows 598..608 at θ = π/2 holds A2's 5
+        // pixels, B's 6 and 3 more in time bin 70 — 14 votes, but
+        // only those 3 are fresh once B has claimed its pixels.
+        pixels.extend((600..603).map(|y| (70, y)));
+        pixels.sort_unstable();
+        let lines = d.choose_lines(&pixels);
+        let sizes: Vec<usize> = lines.iter().map(|l| l.pixels.len()).collect();
+        assert_eq!(sizes, [180, 25], "{lines:#?}");
+    }
+
+    #[test]
+    fn alarm_keeps_the_smallest_5000_flows() {
+        // A horizontal port line over bins 10..50 drawn by 5,200
+        // single-packet flows, 130 per pixel.
+        let packets: Vec<Packet> = (0..5_200u32)
+            .map(|n| drawn(10 + (n % 40) as u64, 200, n))
+            .collect();
+        let alarms = finish(Tuning::Sensitive, &minute(), &packets);
+        let mut keys: Vec<FlowKey> = packets.iter().map(FlowKey::of).collect();
+        keys.sort();
+        keys.truncate(MAX_ALARM_FLOWS);
+        assert_eq!(alarms.len(), 1, "{} alarms", alarms.len());
+        assert_eq!(flow_set(&alarms[0]), keys.as_slice());
+    }
+
+    #[test]
+    fn line_reaching_the_last_bin_ends_at_the_window_end() {
+        // 61 s over 120 bins: 508,333 µs bins, and the last bin also
+        // holds the window's 40 µs tail.
+        let lt = TraceGenerator::new(
+            SynthConfig::default()
+                .with_seed(307)
+                .with_duration(61)
+                .with_anomalies(vec![]),
+        )
+        .generate();
+        let window = lt.trace.meta.window();
+        let (src, dst) = (Ipv4Addr::new(10, 9, 9, 9), Ipv4Addr::new(192, 168, 7, 7));
+        // A ping flood from 40 s to the window's last microsecond.
+        let flood: Vec<u64> = (window.start_us + 40_000_000..window.end_us)
+            .step_by(4_000)
+            .chain([window.end_us - 30, window.end_us - 1])
+            .collect();
+        let mut packets = lt.trace.packets;
+        packets.extend(flood.iter().map(|&ts| Packet::icmp(ts, src, dst, 8, 0, 64)));
+        let trace = Trace::new(lt.trace.meta, packets);
+        let flows = FlowTable::build(&trace.packets);
+        let alarms = HoughDetector::new(Tuning::Optimal).analyze(&TraceView::new(&trace, &flows));
+        let key = FlowKey::of(&Packet::icmp(0, src, dst, 8, 0, 64));
+        // The flood's horizontal line: the longest alarm holding it.
+        let line = alarms
+            .iter()
+            .filter(|a| flow_set(a).contains(&key))
+            .max_by_key(|a| a.window.len_us())
+            .expect("flood missed");
+        assert_eq!(line.window.end_us, window.end_us);
+        assert!(flood.iter().all(|&ts| line.window.contains(ts)));
     }
 }

@@ -315,10 +315,14 @@ impl KlDetector {
                     continue;
                 }
                 let mined = mine_rules(&suspicious, self.min_support);
-                let bin_window = TimeWindow::new(
-                    window.start_us + t as u64 * self.bin_us,
-                    (window.start_us + (t as u64 + 1) * self.bin_us).min(window.end_us),
-                );
+                // The last bin also holds the window's tail past
+                // `t_bins · bin_us`, so its alarms end at the window's end.
+                let bin_end = if t + 1 == t_bins {
+                    window.end_us
+                } else {
+                    (window.start_us + (t as u64 + 1) * self.bin_us).min(window.end_us)
+                };
+                let bin_window = TimeWindow::new(window.start_us + t as u64 * self.bin_us, bin_end);
                 for (rule, _count) in mined.rules {
                     if rule.degree() == 0 {
                         continue;
@@ -426,6 +430,45 @@ mod tests {
         let d = KlDetector::new(Tuning::Sensitive);
         for a in &alarms {
             assert!(a.window.len_us() <= d.bin_us);
+        }
+    }
+
+    #[test]
+    fn last_bin_alarm_ends_at_the_window_end() {
+        // 62 s over 5 s bins: the last bin, [55 s, 60 s), also holds
+        // the 2 s tail of the window.
+        let mut trace = TraceGenerator::new(
+            SynthConfig::default()
+                .with_seed(407)
+                .with_duration(62)
+                .with_anomalies(vec![]),
+        )
+        .generate()
+        .trace;
+        let window = trace.meta.window();
+        let (src, dst) = (Ipv4Addr::new(10, 9, 9, 9), Ipv4Addr::new(192, 168, 7, 7));
+        // A flood from 55 s to the window's last microsecond.
+        let flood: Vec<u64> = (window.start_us + 55_000_000..window.end_us)
+            .step_by(2_500)
+            .chain([window.end_us - 1])
+            .collect();
+        trace.packets.extend(
+            flood
+                .iter()
+                .map(|&ts| mawilab_model::Packet::udp(ts, src, 5000, dst, 9999, 400)),
+        );
+        let trace = mawilab_model::Trace::new(trace.meta, trace.packets);
+        let flows = FlowTable::build(&trace.packets);
+        let alarms = KlDetector::new(Tuning::Sensitive).analyze(&TraceView::new(&trace, &flows));
+        let flood_alarms: Vec<&Alarm> = alarms
+            .iter()
+            .filter(|a| matches!(&a.scope, AlarmScope::Rule(r) if r.dst == Some(dst)))
+            .collect();
+        assert!(!flood_alarms.is_empty(), "flood missed: {alarms:#?}");
+        for a in flood_alarms {
+            assert_eq!(a.window.start_us, window.start_us + 55_000_000);
+            assert_eq!(a.window.end_us, window.end_us);
+            assert!(flood.iter().all(|&ts| a.window.contains(ts)));
         }
     }
 
