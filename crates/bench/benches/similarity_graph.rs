@@ -39,8 +39,7 @@ fn bench_graph(c: &mut Criterion) {
 }
 
 /// Sharded engine vs the retained sequential reference on the same
-/// workload — the in-tree before/after of the hot-path refactor
-/// (`results/BENCH_hotpaths.json` tracks the trajectory).
+/// workload — the in-tree before/after of the hot-path refactor.
 fn bench_engines(c: &mut Criterion) {
     let est = SimilarityEstimator::default();
     let mut g = c.benchmark_group("similarity_graph_engines");

@@ -177,9 +177,6 @@ pub struct ArchiveDayRecord {
     pub gen_s: f64,
     /// Day-production throughput over `gen_s`, packets/second.
     pub gen_pps: f64,
-    /// Per-stage pipeline seconds: detect, extract, graph, louvain,
-    /// combine, label.
-    pub stage_s: [f64; 6],
 }
 
 fn reduce_day(ctx: &StreamingDayContext<'_>) -> ArchiveDayRecord {
@@ -232,7 +229,6 @@ fn reduce_day(ctx: &StreamingDayContext<'_>) -> ArchiveDayRecord {
     }
 
     let summary = DaySummary::new(ctx.date, &report.labeled.communities, &strategies, worms);
-    let t = &report.timings;
     let wall_s = ctx.wall.as_secs_f64();
     let gen_s = ctx.gen_wall.as_secs_f64();
     ArchiveDayRecord {
@@ -249,14 +245,6 @@ fn reduce_day(ctx: &StreamingDayContext<'_>) -> ArchiveDayRecord {
         pps: stats.packets as f64 / wall_s.max(1e-9),
         gen_s,
         gen_pps: stats.packets as f64 / gen_s.max(1e-9),
-        stage_s: [
-            t.detect.as_secs_f64(),
-            t.extract.as_secs_f64(),
-            t.graph.as_secs_f64(),
-            t.louvain.as_secs_f64(),
-            t.combine.as_secs_f64(),
-            t.label.as_secs_f64(),
-        ],
         summary,
     }
 }
@@ -547,9 +535,7 @@ fn format_archive_json(
                  \"communities\": {}, \"anomalous\": {}, \"identities\": {}, \
                  \"tiers\": [{}, {}, {}], \"strategy_agreement\": [{}], \
                  \"wall_s\": {}, \"packets_per_s\": {}, \"gen_s\": {}, \
-                 \"gen_packets_per_s\": {}, \"detect_s\": {}, \
-                 \"extract_s\": {}, \"graph_s\": {}, \"louvain_s\": {}, \
-                 \"combine_s\": {}, \"label_s\": {}, \"worms\": [{}]}}",
+                 \"gen_packets_per_s\": {}, \"worms\": [{}]}}",
                 r.summary.date,
                 r.packets,
                 r.chunks,
@@ -571,12 +557,6 @@ fn format_archive_json(
                 f(r.pps),
                 f(r.gen_s),
                 f(r.gen_pps),
-                f(r.stage_s[0]),
-                f(r.stage_s[1]),
-                f(r.stage_s[2]),
-                f(r.stage_s[3]),
-                f(r.stage_s[4]),
-                f(r.stage_s[5]),
                 worms.join(", "),
             )
         })
@@ -917,10 +897,21 @@ mod tests {
             "\"gen_s\"",
             "\"peak_rss_kb\"",
             "\"packets_per_s\"",
-            "\"detect_s\"",
+            "\"wall_s\"",
             "\"worms\"",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
+        }
+        // Stage timing belongs to perfbench, not to the archive JSON.
+        for key in [
+            "\"detect_s\"",
+            "\"extract_s\"",
+            "\"graph_s\"",
+            "\"louvain_s\"",
+            "\"combine_s\"",
+            "\"label_s\"",
+        ] {
+            assert!(!json.contains(key), "stage timing {key} in:\n{json}");
         }
         assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
         // All five strategies appear in the flip table.

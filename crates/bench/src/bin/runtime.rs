@@ -1,9 +1,9 @@
 //! §6 runtime claim: "the current implementation requires only a few
 //! minutes to combine alarms with a 15-minute traffic trace".
 //!
-//! Runs the full pipeline on a real-size 900-second trace and breaks
-//! the wall-clock down by stage. Use `--scale` to push the packet
-//! rate toward MAWI levels.
+//! Runs the full pipeline on a real-size 900-second trace and reports
+//! its total wall clock (perfbench owns the per-stage profile). Use
+//! `--scale` to push the packet rate toward MAWI levels.
 //!
 //! ```sh
 //! cargo run --release -p mawilab-bench --bin runtime [-- --scale 1.0]
@@ -49,21 +49,6 @@ fn main() {
         &["stage", "wall-clock"],
         &[
             vec!["trace synthesis".into(), format!("{synth_time:?}")],
-            vec![
-                "detectors (12 configs)".into(),
-                format!("{:?}", report.timings.detect),
-            ],
-            vec![
-                "traffic extraction".into(),
-                format!("{:?}", report.timings.extract),
-            ],
-            vec![
-                "similarity graph (sharded)".into(),
-                format!("{:?}", report.timings.graph),
-            ],
-            vec!["Louvain".into(), format!("{:?}", report.timings.louvain)],
-            vec!["combiner".into(), format!("{:?}", report.timings.combine)],
-            vec!["labeling".into(), format!("{:?}", report.timings.label)],
             vec!["pipeline total".into(), format!("{total:?}")],
         ],
     );

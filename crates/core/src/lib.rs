@@ -28,6 +28,4 @@ pub mod pipeline;
 
 pub use benchmark::{benchmark_alarms, BenchmarkResult};
 pub use online::{OnlinePipeline, OnlineReport, StreamStats, DEFAULT_HORIZON_US, DEFAULT_LAG_US};
-pub use pipeline::{
-    LabeledReport, MawilabPipeline, PipelineConfig, PipelineReport, PipelineTimings, StrategyKind,
-};
+pub use pipeline::{LabeledReport, MawilabPipeline, PipelineConfig, PipelineReport, StrategyKind};

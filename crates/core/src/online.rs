@@ -78,7 +78,6 @@ use mawilab_label::{
 };
 use mawilab_model::{chunk_window, ItemIndex, PacketSource, SourceError};
 use mawilab_similarity::{HorizonExtractor, HorizonStats, HorizonTraffic};
-use std::time::Instant;
 
 /// Default evidence-retention lag: 30 s — six default chunks, two
 /// orders of magnitude below a day, comfortably above every
@@ -118,8 +117,7 @@ pub struct StreamStats {
 pub struct OnlineReport {
     /// The run's report — byte-identical to what the batch oracle
     /// [`MawilabPipeline::run`](crate::MawilabPipeline::run) produces
-    /// on the materialised trace. Its timings read detect = the
-    /// drain, extract = horizon finalize.
+    /// on the materialised trace.
     pub report: PipelineReport,
     /// Ingest statistics of the drain.
     pub stats: StreamStats,
@@ -216,7 +214,6 @@ impl OnlinePipeline {
         // detector state is chunk-boundary invariant, so every alarm
         // equals the batch pipeline's), while the extraction/labeling
         // evidence is banked alongside.
-        let t0 = Instant::now();
         let mut groups = observation_groups(&self.detectors);
         groups.begin(&meta);
         let mut index = ItemIndex::new(self.config.granularity);
@@ -244,11 +241,9 @@ impl OnlinePipeline {
         // Every configuration finishes its own tuning over its group's
         // state; alarms come back in configuration order.
         let alarms = groups.finish();
-        let detect = t0.elapsed();
 
         // End of stream: resolve the finished alarms against the
         // banked evidence.
-        let t1 = Instant::now();
         let HorizonTraffic {
             traffic,
             matched,
@@ -256,7 +251,6 @@ impl OnlinePipeline {
         } = horizon.finalize(&alarms);
         evidence.retain_matched(&matched);
         stats.items = index.item_count();
-        let extract = t1.elapsed();
 
         // Steps 2–4: the batch pipeline's graph, Louvain, combine and
         // label code, labeling from the banked evidence.
@@ -264,8 +258,6 @@ impl OnlinePipeline {
             &self.config,
             alarms,
             traffic,
-            detect,
-            extract,
             |communities, decisions, confidences| {
                 label_communities_streaming(
                     meta.window(),

@@ -10,7 +10,6 @@ use mawilab_model::{FlowTable, Granularity, Trace};
 use mawilab_similarity::{
     extract_traffic, AlarmCommunities, SimilarityEstimator, SimilarityMeasure,
 };
-use std::time::{Duration, Instant};
 
 /// Which combination strategy step 3 uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -115,40 +114,6 @@ impl PipelineConfig {
     }
 }
 
-/// Wall-clock cost of each pipeline stage (§6 discusses runtime).
-/// Step 2 is broken out into its three phases — extraction, graph
-/// build, Louvain — since it is the stage the paper names as the
-/// bottleneck and the one the sharded engine attacks.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PipelineTimings {
-    /// Detector execution (all configurations, parallel).
-    pub detect: Duration,
-    /// Traffic extraction (batch: per-alarm scan; single-pass:
-    /// horizon finalize).
-    pub extract: Duration,
-    /// Sharded similarity-graph construction.
-    pub graph: Duration,
-    /// Louvain community mining.
-    pub louvain: Duration,
-    /// Vote table + combination strategy.
-    pub combine: Duration,
-    /// Heuristics + Apriori summaries + taxonomy.
-    pub label: Duration,
-}
-
-impl PipelineTimings {
-    /// Step-2 total: traffic extraction + graph + Louvain (the old
-    /// single `estimate` figure).
-    pub fn estimate(&self) -> Duration {
-        self.extract + self.graph + self.louvain
-    }
-
-    /// Total wall-clock time.
-    pub fn total(&self) -> Duration {
-        self.detect + self.estimate() + self.combine + self.label
-    }
-}
-
 /// The labeled output of one trace.
 #[derive(Debug, Clone)]
 pub struct LabeledReport {
@@ -181,8 +146,6 @@ pub struct PipelineReport {
     pub decisions: Vec<Decision>,
     /// Step-4 output: labeled communities.
     pub labeled: LabeledReport,
-    /// Wall-clock accounting.
-    pub timings: PipelineTimings,
 }
 
 impl PipelineReport {
@@ -230,20 +193,12 @@ impl MawilabPipeline {
         let flows = FlowTable::build(&trace.packets);
         let view = TraceView::new(trace, &flows);
 
-        let t0 = Instant::now();
         let alarms = run_all(&self.detectors, &view);
-        let detect = t0.elapsed();
-
-        let t1 = Instant::now();
         let traffic = extract_traffic(&view, &alarms, self.config.granularity);
-        let extract = t1.elapsed();
-
         combine_and_label(
             &self.config,
             alarms,
             traffic,
-            detect,
-            extract,
             |communities, decisions, confidences| {
                 label_communities(
                     &view,
@@ -275,45 +230,25 @@ impl MawilabPipeline {
 /// the similarity graph and communities from the extracted traffic,
 /// combines the 12 configurations' votes, scores confidence, and
 /// labels each community through `label_with` — the one step whose
-/// evidence source differs between the two pipelines. `detect` and
-/// `extract` are the caller's step-1 and extraction timings.
+/// evidence source differs between the two pipelines.
 pub(crate) fn combine_and_label(
     config: &PipelineConfig,
     alarms: Vec<Alarm>,
     traffic: Vec<Vec<u32>>,
-    detect: Duration,
-    extract: Duration,
     label_with: impl FnOnce(&AlarmCommunities, &[Decision], &[LabelConfidence]) -> Vec<LabeledCommunity>,
 ) -> PipelineReport {
-    let (communities, mining) = config
-        .estimator()
-        .estimate_from_traffic_timed(alarms, traffic);
-
-    let t0 = Instant::now();
+    let communities = config.estimator().estimate_from_traffic(alarms, traffic);
     let votes = VoteTable::from_communities(&communities);
     let decisions = config.strategy.build().classify(&votes);
     let confidences = label_confidences(&votes, &decisions, config.confidence_thresholds);
-    let combine = t0.elapsed();
-
-    let t1 = Instant::now();
     let labeled = LabeledReport {
         communities: label_with(&communities, &decisions, &confidences),
     };
-    let label = t1.elapsed();
-
     PipelineReport {
         communities,
         votes,
         decisions,
         labeled,
-        timings: PipelineTimings {
-            detect,
-            extract,
-            graph: mining.graph,
-            louvain: mining.louvain,
-            combine,
-            label,
-        },
     }
 }
 
@@ -334,7 +269,6 @@ mod tests {
         assert!(report.community_count() > 0);
         assert_eq!(report.decisions.len(), report.community_count());
         assert_eq!(report.labeled.communities.len(), report.community_count());
-        assert!(report.timings.total() > Duration::ZERO);
     }
 
     #[test]

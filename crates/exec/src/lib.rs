@@ -4,8 +4,7 @@
 //! parallelism with one global thread-count policy.
 //!
 //! Every parallel stage of the pipeline — detector execution, the
-//! sharded similarity-graph build, the Louvain proposal scans — goes
-//! through [`par_map`] / [`par_for_each_mut`], so one environment
+//! sharded similarity-graph build — goes through [`par_map`] / [`par_for_each_mut`], so one environment
 //! variable controls them all:
 //!
 //! * `MAWILAB_THREADS=<n>` caps the worker count (`1` forces fully

@@ -110,11 +110,6 @@ impl CsrGraph {
         self.offsets.len() - 1
     }
 
-    /// Neighbor ids of `v` (self-loop excluded).
-    pub fn neighbor_targets(&self, v: usize) -> &[u32] {
-        &self.targets[self.offsets[v]..self.offsets[v + 1]]
-    }
-
     /// Neighbors of `v` with edge weights.
     pub fn neighbors(&self, v: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
         let range = self.offsets[v]..self.offsets[v + 1];

@@ -14,9 +14,8 @@
 //!   with parallel-edge merging.
 //! * [`csr`] — [`CsrGraph`]: the flat compressed-sparse-row form the
 //!   Louvain engine runs on.
-//! * [`louvain`] — the Louvain method plus modularity computation;
-//!   large graphs use a deterministic parallel propose-then-apply
-//!   sweep (see [`louvain::PARALLEL_SWEEP_MIN_NODES`]).
+//! * [`louvain`] — the Louvain method plus modularity computation:
+//!   one sequential greedy sweep per level, every level in CSR form.
 //! * [`components`] — connected components (used in tests and as a
 //!   degenerate-case baseline).
 
@@ -30,4 +29,4 @@ pub mod louvain;
 pub use components::connected_components;
 pub use csr::CsrGraph;
 pub use graph::Graph;
-pub use louvain::{louvain, louvain_csr, modularity, Partition};
+pub use louvain::{louvain, modularity, Partition};

@@ -12,20 +12,11 @@
 //! move improves modularity. Determinism matters here — the whole
 //! MAWILab pipeline must label a trace identically on every run.
 //!
-//! All levels run on the [`CsrGraph`] form: sweeps walk flat arrays
-//! instead of per-node heap allocations, and aggregation bulk-builds
-//! the next level from a sorted edge list. Small graphs use the exact
-//! sequential greedy sweep; at [`PARALLEL_SWEEP_MIN_NODES`] nodes and
-//! above, the local-moving phase runs one sequential gossip sweep and
-//! then pruned **propose-then-apply** refinement rounds whose
-//! modularity-gain scans fan out over [`mawilab_exec::par_map`]:
-//! proposals are computed against a frozen snapshot (embarrassingly
-//! parallel, thread-count invariant), then applied one by one in node
-//! order, each move revalidated against the live state so every
-//! applied move still strictly increases modularity. Refinement
-//! rounds rescan only nodes adjacent to a move. The cutover is by
-//! *size only* — never by thread count — so any `MAWILAB_THREADS`
-//! setting partitions a given graph identically.
+//! All levels run on the [`CsrGraph`] form: the sweep walks flat
+//! arrays instead of per-node heap allocations, and aggregation
+//! bulk-builds the next level from a sorted edge list. Every level
+//! uses the one sequential greedy sweep, so the partition does not
+//! depend on graph size or on `MAWILAB_THREADS`.
 
 use crate::csr::CsrGraph;
 use crate::graph::Graph;
@@ -122,24 +113,12 @@ pub fn modularity(g: &Graph, p: &Partition) -> f64 {
         .sum()
 }
 
-/// Node count at and above which the local-moving phase uses the
-/// parallel propose-then-apply sweep. The cutover depends only on
-/// graph size, so a given graph is partitioned identically at every
-/// `MAWILAB_THREADS` setting.
-pub const PARALLEL_SWEEP_MIN_NODES: usize = 256;
-
 /// Runs Louvain to convergence and returns the final partition on the
 /// original nodes.
 ///
 /// `resolution` scales the null-model term of the gain (1.0 =
 /// classical modularity; the paper uses the classical setting).
 pub fn louvain(g: &Graph, resolution: f64) -> Partition {
-    louvain_csr(&CsrGraph::from_graph(g), resolution)
-}
-
-/// [`louvain`] over an already-flattened [`CsrGraph`] (callers that
-/// hold one avoid the conversion).
-pub fn louvain_csr(g: &CsrGraph, resolution: f64) -> Partition {
     assert!(resolution > 0.0, "resolution must be positive");
     let n = g.node_count();
     if n == 0 {
@@ -150,11 +129,10 @@ pub fn louvain_csr(g: &CsrGraph, resolution: f64) -> Partition {
     }
     // node → community on the *original* graph, refined level by level.
     let mut assignment: Vec<usize> = (0..n).collect();
-    let mut owned_level: Option<CsrGraph> = None;
+    let mut level = CsrGraph::from_graph(g);
 
     loop {
-        let level_graph = owned_level.as_ref().unwrap_or(g);
-        let (labels, improved) = one_level(level_graph, resolution);
+        let (labels, improved) = one_level(&level, resolution);
         if !improved {
             break;
         }
@@ -163,27 +141,19 @@ pub fn louvain_csr(g: &CsrGraph, resolution: f64) -> Partition {
         for a in assignment.iter_mut() {
             *a = level_part.of(*a);
         }
-        if level_part.community_count() == level_graph.node_count() {
+        if level_part.community_count() == level.node_count() {
             break; // aggregation would be a no-op
         }
-        owned_level = Some(aggregate(level_graph, &level_part));
+        level = aggregate(&level, &level_part);
     }
     Partition::from_labels(assignment)
 }
 
-/// One round of greedy local moving from singleton labels. Returns the
-/// label vector and whether any node moved.
+/// One round of greedy local moving from singleton labels: scan nodes
+/// in order, each against the fully up-to-date state, until a full
+/// pass moves nothing. Returns the label vector and whether any node
+/// moved.
 fn one_level(g: &CsrGraph, resolution: f64) -> (Vec<usize>, bool) {
-    if g.node_count() >= PARALLEL_SWEEP_MIN_NODES {
-        one_level_parallel(g, resolution)
-    } else {
-        one_level_sequential(g, resolution)
-    }
-}
-
-/// The exact sequential greedy sweep: scan nodes in order, each
-/// against the fully up-to-date state.
-fn one_level_sequential(g: &CsrGraph, resolution: f64) -> (Vec<usize>, bool) {
     let n = g.node_count();
     let mut labels: Vec<usize> = (0..n).collect();
     let two_m = 2.0 * g.total_weight();
@@ -221,170 +191,6 @@ fn one_level_sequential(g: &CsrGraph, resolution: f64) -> (Vec<usize>, bool) {
         }
     }
     (labels, improved_any)
-}
-
-/// Active sets at or above this size refine via the parallel
-/// propose-then-apply round; smaller ones use a pruned sequential
-/// gossip round (immediate updates converge faster than frozen
-/// proposals, and a scoped-thread fan-out only pays for itself on
-/// large scans). A size-only cutover, so results stay thread-count
-/// invariant.
-const PARALLEL_PROPOSE_MIN_ACTIVE: usize = 4096;
-
-/// The large-graph sweep: one full sequential gossip pass, then
-/// pruned **propose-then-apply** refinement rounds.
-///
-/// The opening pass is the exact greedy sweep (immediate updates) —
-/// it does the bulk of the moves at one scan per node. Each
-/// refinement round then (1) **proposes**: every node adjacent to a
-/// previous move recomputes its best community against a frozen
-/// snapshot of labels and community masses, fanned out over
-/// [`mawilab_exec::par_map`] when the active set is large; and (2)
-/// **applies**: proposals are replayed in node order, revalidated
-/// against the live state, and applied only when the move still
-/// strictly increases modularity. Every phase is deterministic and
-/// independent of the worker count. Rescanning only moved
-/// neighbourhoods (standard Louvain pruning) is what makes this
-/// faster than the classic full re-sweeps even single-threaded.
-fn one_level_parallel(g: &CsrGraph, resolution: f64) -> (Vec<usize>, bool) {
-    let n = g.node_count();
-    let mut labels: Vec<usize> = (0..n).collect();
-    let two_m = 2.0 * g.total_weight();
-    if two_m == 0.0 {
-        return (labels, false);
-    }
-    let degrees = g.degrees();
-    let mut sigma_tot: Vec<f64> = degrees.to_vec();
-    let mut improved_any = false;
-    let mut scratch = GainScratch::new(n);
-
-    // Opening gossip sweep, collecting the movers.
-    let mut movers: Vec<u32> = Vec::new();
-    for v in 0..n {
-        let cv = labels[v];
-        let w_own = scratch.accumulate(g, &labels, v, cv);
-        sigma_tot[cv] -= degrees[v];
-        let base_gain = w_own - resolution * sigma_tot[cv] * degrees[v] / two_m;
-        let best_c = scratch.best(cv, base_gain, |c, w_to| {
-            w_to - resolution * sigma_tot[c] * degrees[v] / two_m
-        });
-        sigma_tot[best_c] += degrees[v];
-        if best_c != cv {
-            labels[v] = best_c;
-            movers.push(v as u32);
-            improved_any = true;
-        }
-    }
-
-    // Pruned propose-then-apply refinement.
-    while !movers.is_empty() {
-        // Active set: the movers and their neighbourhoods, ascending.
-        let mut active: Vec<u32> = Vec::new();
-        for &v in &movers {
-            active.push(v);
-            active.extend_from_slice(g.neighbor_targets(v as usize));
-        }
-        active.sort_unstable();
-        active.dedup();
-
-        if active.len() >= PARALLEL_PROPOSE_MIN_ACTIVE {
-            // Propose against the frozen snapshot, in parallel.
-            let workers = mawilab_exec::thread_count();
-            let chunk = active.len().div_ceil(workers).max(1);
-            let chunks: Vec<&[u32]> = active.chunks(chunk).collect();
-            let labels_ref = &labels;
-            let sigma_ref = &sigma_tot;
-            let proposals: Vec<(u32, u32)> = mawilab_exec::par_map(&chunks, |part| {
-                let mut local = GainScratch::new(n);
-                propose(
-                    g, part, labels_ref, sigma_ref, degrees, two_m, resolution, &mut local,
-                )
-            })
-            .concat();
-
-            // Apply in node order, revalidating against live state.
-            movers.clear();
-            for (v, proposed) in proposals {
-                let (v, proposed) = (v as usize, proposed as usize);
-                let cv = labels[v];
-                if proposed == cv {
-                    continue;
-                }
-                let (mut w_own, mut w_new) = (0.0, 0.0);
-                for (u, w) in g.neighbors(v) {
-                    let cu = labels[u as usize];
-                    if cu == cv {
-                        w_own += w;
-                    } else if cu == proposed {
-                        w_new += w;
-                    }
-                }
-                let st_own = sigma_tot[cv] - degrees[v];
-                let base_gain = w_own - resolution * st_own * degrees[v] / two_m;
-                let gain = w_new - resolution * sigma_tot[proposed] * degrees[v] / two_m;
-                if gain > base_gain + 1e-12 {
-                    sigma_tot[cv] -= degrees[v];
-                    sigma_tot[proposed] += degrees[v];
-                    labels[v] = proposed;
-                    movers.push(v as u32);
-                    improved_any = true;
-                }
-            }
-        } else {
-            // Small active set: pruned gossip round (immediate
-            // updates), same move rule as the opening sweep.
-            let mut round_movers: Vec<u32> = Vec::new();
-            for &v in &active {
-                let v = v as usize;
-                let cv = labels[v];
-                let w_own = scratch.accumulate(g, &labels, v, cv);
-                sigma_tot[cv] -= degrees[v];
-                let base_gain = w_own - resolution * sigma_tot[cv] * degrees[v] / two_m;
-                let best_c = scratch.best(cv, base_gain, |c, w_to| {
-                    w_to - resolution * sigma_tot[c] * degrees[v] / two_m
-                });
-                sigma_tot[best_c] += degrees[v];
-                if best_c != cv {
-                    labels[v] = best_c;
-                    round_movers.push(v as u32);
-                    improved_any = true;
-                }
-            }
-            movers = round_movers;
-        }
-    }
-    (labels, improved_any)
-}
-
-/// Best-community proposals for `part` against a frozen snapshot of
-/// labels and community masses. A pure function of the snapshot —
-/// chunking and execution strategy cannot change its output.
-#[allow(clippy::too_many_arguments)]
-fn propose(
-    g: &CsrGraph,
-    part: &[u32],
-    labels: &[usize],
-    sigma_tot: &[f64],
-    degrees: &[f64],
-    two_m: f64,
-    resolution: f64,
-    scratch: &mut GainScratch,
-) -> Vec<(u32, u32)> {
-    let mut out: Vec<(u32, u32)> = Vec::new();
-    for &v in part {
-        let v = v as usize;
-        let cv = labels[v];
-        let w_own = scratch.accumulate(g, labels, v, cv);
-        let st_own = sigma_tot[cv] - degrees[v];
-        let base_gain = w_own - resolution * st_own * degrees[v] / two_m;
-        let best_c = scratch.best(cv, base_gain, |c, w_to| {
-            w_to - resolution * sigma_tot[c] * degrees[v] / two_m
-        });
-        if best_c != cv {
-            out.push((v as u32, best_c as u32));
-        }
-    }
-    out
 }
 
 /// Reusable neighbor-community accumulation scratch: community id →
@@ -561,11 +367,9 @@ mod tests {
         assert_eq!(p1, p2);
     }
 
-    #[test]
-    fn ring_of_cliques_finds_each_clique() {
-        // Four 4-cliques in a ring, the standard Louvain sanity graph.
-        let k = 4;
-        let cliques = 4;
+    /// Four 4-cliques in a ring, the standard Louvain sanity graph.
+    fn ring_of_cliques() -> Graph {
+        let (k, cliques) = (4, 4);
         let mut g = Graph::new(k * cliques);
         for c in 0..cliques {
             for i in 0..k {
@@ -578,6 +382,13 @@ mod tests {
             let next = (c + 1) % cliques;
             g.add_edge(c * k, next * k + 1, 0.2);
         }
+        g
+    }
+
+    #[test]
+    fn ring_of_cliques_finds_each_clique() {
+        let (k, cliques) = (4, 4);
+        let g = ring_of_cliques();
         let p = louvain(&g, 1.0);
         assert_eq!(p.community_count(), cliques);
         for c in 0..cliques {
@@ -658,11 +469,9 @@ mod tests {
         louvain(&Graph::new(1), 0.0);
     }
 
-    /// A graph big enough to take the parallel propose-then-apply
-    /// path: cliques of 8 over 60% of the nodes, the rest isolated —
-    /// the shape of a real similarity graph.
+    /// Cliques of 8 over 60% of the nodes, the rest isolated — the
+    /// shape of a real similarity graph.
     fn large_similarity_like(n: usize) -> Graph {
-        assert!(n >= PARALLEL_SWEEP_MIN_NODES);
         let mut g = Graph::new(n);
         let clustered = n * 6 / 10;
         let mut state = 7u64;
@@ -684,7 +493,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_finds_the_planted_cliques() {
+    fn large_graph_finds_the_planted_cliques() {
         let g = large_similarity_like(400);
         let p = louvain(&g, 1.0);
         // Clique members cluster together; isolated nodes stay
@@ -703,43 +512,80 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_is_deterministic() {
+    fn large_graph_is_deterministic() {
         let g = large_similarity_like(512);
         let p1 = louvain(&g, 1.0);
         let p2 = louvain(&g, 1.0);
         assert_eq!(p1, p2);
     }
 
-    #[test]
-    fn parallel_propose_rounds_are_deterministic_and_improving() {
-        // Big enough that the first refinement active set crosses
-        // PARALLEL_PROPOSE_MIN_ACTIVE, exercising the propose-apply
-        // rounds (the gossip-only tests above stay below it).
-        let n = 8192;
-        let g = large_similarity_like(n);
-        let p1 = louvain(&g, 1.0);
-        let p2 = louvain(&g, 1.0);
-        assert_eq!(p1, p2);
-        let singles = Partition::from_labels((0..n).collect());
-        assert!(modularity(&g, &p1) > modularity(&g, &singles));
-        // Isolated nodes must remain singletons.
-        let sizes = p1.sizes();
-        for v in (n * 6 / 10)..n {
-            assert_eq!(sizes[p1.of(v)], 1, "isolated node {v} absorbed");
+    /// Largest modularity gain any single node of `g` can make by
+    /// moving into a neighbouring community of `labels`, computed
+    /// from the graph's own degrees and weights (not the sweep's
+    /// bookkeeping): moving `v` of degree `k` from `A` to `B` changes
+    /// `Q` by `(w(v,B) − w(v,A∖v))/m − k·(Σtot(B) − Σtot(A∖v))/(2m²)`.
+    fn best_single_move_gain(g: &Graph, labels: &[usize]) -> f64 {
+        let m = g.total_weight();
+        let mut sigma_tot = vec![0.0; g.node_count()];
+        for (v, &c) in labels.iter().enumerate() {
+            sigma_tot[c] += g.degree(v);
         }
+        let mut best = f64::NEG_INFINITY;
+        for v in 0..g.node_count() {
+            let (cv, k) = (labels[v], g.degree(v));
+            let weight_into = |c: usize| -> f64 {
+                g.neighbors(v)
+                    .iter()
+                    .filter(|&&(u, _)| u as usize != v && labels[u as usize] == c)
+                    .map(|&(_, w)| w)
+                    .sum()
+            };
+            let w_own = weight_into(cv);
+            let sigma_own = sigma_tot[cv] - k;
+            for &(u, _) in g.neighbors(v) {
+                let c = labels[u as usize];
+                if c == cv {
+                    continue;
+                }
+                let gain =
+                    (weight_into(c) - w_own) / m - k * (sigma_tot[c] - sigma_own) / (2.0 * m * m);
+                best = best.max(gain);
+            }
+        }
+        best
     }
 
     #[test]
-    fn louvain_csr_matches_louvain() {
-        for n in [40usize, 400] {
-            let g = if n >= PARALLEL_SWEEP_MIN_NODES {
-                large_similarity_like(n)
-            } else {
-                two_triangles()
+    fn first_level_is_a_local_optimum() {
+        // The planted cliques plus weak random cross edges, so
+        // communities compete for boundary nodes.
+        let planted_with_cross_edges = {
+            let n = 400;
+            let mut g = large_similarity_like(n);
+            let mut state = 11u64;
+            let mut rnd = move || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (state >> 33) as usize
             };
-            let via_graph = louvain(&g, 1.0);
-            let via_csr = louvain_csr(&CsrGraph::from_graph(&g), 1.0);
-            assert_eq!(via_graph, via_csr);
+            for _ in 0..600 {
+                let (a, b) = (rnd() % n, rnd() % n);
+                if a != b {
+                    g.add_edge(a, b, ((rnd() % 30) + 1) as f64 / 100.0);
+                }
+            }
+            g
+        };
+        for (name, g) in [
+            ("two_triangles", two_triangles()),
+            ("ring_of_cliques", ring_of_cliques()),
+            ("planted_with_cross_edges", planted_with_cross_edges),
+        ] {
+            let singletons: Vec<usize> = (0..g.node_count()).collect();
+            assert!(best_single_move_gain(&g, &singletons) > 0.0, "{name}");
+            let (labels, improved) = one_level(&CsrGraph::from_graph(&g), 1.0);
+            assert!(improved, "{name}: the sweep moved nothing");
+            let gain = best_single_move_gain(&g, &labels);
+            assert!(gain <= 1e-12, "{name}: a single move still gains {gain}");
         }
     }
 }

@@ -15,7 +15,7 @@
 //! |------|-----------|
 //! | `thread-env-isolation` | `MAWILAB_THREADS` read only in `crates/exec`, set only in bench bins/tests |
 //! | `no-ad-hoc-threads` | `std::thread` fan-out only in `crates/exec` |
-//! | `no-wall-clock-in-kernels` | `Instant::now`/`SystemTime::now` only in `crates/bench` + declared timing modules |
+//! | `no-wall-clock-in-kernels` | `Instant::now`/`SystemTime::now` only in `crates/bench` |
 //! | `panic-free-data-plane` | `.unwrap()`/`.expect(`/`panic!` in data-plane crates needs a justified pragma |
 //! | `oracle-registry` | `lint/oracles.toml` binds kernel ↔ oracle ↔ equivalence test; all `par_*` call sites covered |
 //! | `hashmap-iteration-order` | hash iteration in order-sensitive crates must canonicalise or justify |

@@ -4,8 +4,7 @@
 //!
 //! The build environment has no crates.io access, so this is a
 //! hand-rolled parser for the small TOML subset the registry needs:
-//! `[[oracle]]` array-of-tables, one `[wall_clock]` table, `#`
-//! comments, string values, and single-line string arrays. Parse
+//! `[[oracle]]` array-of-tables, `#` comments, string values, and single-line string arrays. Parse
 //! problems are reported as lint violations, not panics — a broken
 //! registry must fail CI with a message, not a backtrace.
 
@@ -37,9 +36,6 @@ pub struct OracleEntry {
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     pub entries: Vec<OracleEntry>,
-    /// Declared pipeline-timing modules: files (workspace-relative)
-    /// where `Instant::now`/`SystemTime::now` is part of the design.
-    pub wall_clock_allow: Vec<String>,
 }
 
 /// Parses the registry; returns `Err(line, message)` on the first
@@ -49,7 +45,6 @@ pub fn parse(src: &str) -> Result<Registry, (u32, String)> {
     enum Section {
         None,
         Oracle,
-        WallClock,
     }
     let mut reg = Registry::default();
     let mut section = Section::None;
@@ -67,10 +62,6 @@ pub fn parse(src: &str) -> Result<Registry, (u32, String)> {
             section = Section::Oracle;
             continue;
         }
-        if line == "[wall_clock]" {
-            section = Section::WallClock;
-            continue;
-        }
         if line.starts_with('[') {
             return Err((lineno, format!("unknown section `{line}`")));
         }
@@ -82,13 +73,6 @@ pub fn parse(src: &str) -> Result<Registry, (u32, String)> {
         match section {
             Section::None => {
                 return Err((lineno, format!("`{key}` outside any section")));
-            }
-            Section::WallClock => {
-                if key == "allow" {
-                    reg.wall_clock_allow = parse_array(value).map_err(|m| (lineno, m))?;
-                } else {
-                    return Err((lineno, format!("unknown wall_clock key `{key}`")));
-                }
             }
             Section::Oracle => {
                 let entry = reg
@@ -195,20 +179,16 @@ covers = ["crates/similarity/src/shard.rs", "crates/similarity/src/estimator.rs"
 oracle_fn = "build_graph_sequential"
 oracle_file = "crates/similarity/src/estimator.rs"
 test_file = "tests/shard_equivalence.rs"
-
-[wall_clock]
-allow = ["crates/core/src/pipeline.rs"]
 "#;
 
     #[test]
-    fn parses_entries_and_allowlist() {
+    fn parses_entries() {
         let reg = parse(SAMPLE).unwrap();
         assert_eq!(reg.entries.len(), 1);
         let e = &reg.entries[0];
         assert_eq!(e.kernel_fn, "cooccurrence");
         assert_eq!(e.covers.len(), 2);
         assert_eq!(e.test_symbol, None);
-        assert_eq!(reg.wall_clock_allow, vec!["crates/core/src/pipeline.rs"]);
     }
 
     #[test]

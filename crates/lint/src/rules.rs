@@ -102,7 +102,7 @@ pub fn run_all(ws: &Workspace) -> Vec<Violation> {
     for f in &ws.files {
         thread_env_isolation(f, &mut out);
         no_ad_hoc_threads(f, &mut out);
-        no_wall_clock(ws, f, &mut out);
+        no_wall_clock(f, &mut out);
         panic_free_data_plane(f, &mut out);
         hashmap_iteration_order(f, &mut out);
     }
@@ -166,19 +166,13 @@ fn no_ad_hoc_threads(f: &SourceFile, out: &mut Vec<Violation>) {
 }
 
 /// **no-wall-clock-in-kernels** — `Instant::now`/`SystemTime::now`
-/// are confined to `crates/bench` and the pipeline-timing modules
-/// declared in `lint/oracles.toml` (`[wall_clock] allow`). Wall-clock
-/// reads anywhere else are a determinism smell: a kernel that
-/// branches on elapsed time produces thread- and machine-dependent
-/// output.
-fn no_wall_clock(ws: &Workspace, f: &SourceFile, out: &mut Vec<Violation>) {
+/// are confined to `crates/bench`; the library never times itself.
+/// Wall-clock reads anywhere else are a determinism smell: a kernel
+/// that branches on elapsed time produces thread- and
+/// machine-dependent output.
+fn no_wall_clock(f: &SourceFile, out: &mut Vec<Violation>) {
     if f.krate.as_deref() == Some("bench") {
         return;
-    }
-    if let Ok(reg) = &ws.registry {
-        if reg.wall_clock_allow.iter().any(|p| p == &f.path) {
-            return;
-        }
     }
     for tok in ["Instant::now", "SystemTime::now"] {
         for off in find_token(&f.lexed.code, tok) {
@@ -190,10 +184,7 @@ fn no_wall_clock(ws: &Workspace, f: &SourceFile, out: &mut Vec<Violation>) {
                 file: f.path.clone(),
                 line,
                 rule: WALL_CLOCK,
-                msg: format!(
-                    "`{tok}` outside crates/bench and the declared timing modules \
-                     (see `[wall_clock] allow` in {REGISTRY_PATH})"
-                ),
+                msg: format!("`{tok}` outside crates/bench"),
             });
         }
     }

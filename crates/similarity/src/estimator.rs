@@ -5,7 +5,6 @@ use mawilab_detectors::{Alarm, DetectorKind, TraceView, Tuning};
 use mawilab_graph::{louvain, Graph, Partition};
 use mawilab_model::Granularity;
 use std::collections::{HashMap, HashSet};
-use std::time::{Duration, Instant};
 
 /// Edge-weight measure between two alarms' traffic sets (paper
 /// §2.1.2). Simpson outperformed the others in the paper's
@@ -91,36 +90,14 @@ impl SimilarityEstimator {
         alarms: Vec<Alarm>,
         traffic: Vec<Vec<u32>>,
     ) -> AlarmCommunities {
-        self.estimate_from_traffic_timed(alarms, traffic).0
-    }
-
-    /// [`estimate_from_traffic`](Self::estimate_from_traffic) with a
-    /// wall-clock breakdown of the two mining stages — the pipelines
-    /// report graph and Louvain cost separately (§6 names this stage
-    /// as the runtime bottleneck).
-    pub fn estimate_from_traffic_timed(
-        &self,
-        alarms: Vec<Alarm>,
-        traffic: Vec<Vec<u32>>,
-    ) -> (AlarmCommunities, EstimateTimings) {
         assert_eq!(
             alarms.len(),
             traffic.len(),
             "one traffic set per alarm required"
         );
-        let t0 = Instant::now();
         let graph = self.build_graph(&traffic);
-        let graph_t = t0.elapsed();
-        let t1 = Instant::now();
         let partition = louvain(&graph, self.resolution);
-        let louvain_t = t1.elapsed();
-        (
-            AlarmCommunities::new(alarms, traffic, graph, partition, self.granularity),
-            EstimateTimings {
-                graph: graph_t,
-                louvain: louvain_t,
-            },
-        )
+        AlarmCommunities::new(alarms, traffic, graph, partition, self.granularity)
     }
 
     /// Builds the similarity graph from per-alarm traffic sets with
@@ -150,8 +127,7 @@ impl SimilarityEstimator {
     /// global inverted index, `HashSet` pair dedup, sequential
     /// scoring. Kept as the equivalence oracle for the sharded engine
     /// (`tests/shard_equivalence.rs` property-tests
-    /// [`build_graph`](Self::build_graph) against it) and as the
-    /// before/after baseline in the hot-path benches.
+    /// [`build_graph`](Self::build_graph) against it).
     pub fn build_graph_sequential(&self, traffic: &[Vec<u32>]) -> Graph {
         let mut g = Graph::new(traffic.len());
         // item → alarms containing it.
@@ -182,16 +158,6 @@ impl SimilarityEstimator {
         }
         g
     }
-}
-
-/// Wall-clock breakdown of
-/// [`SimilarityEstimator::estimate_from_traffic_timed`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EstimateTimings {
-    /// Sharded similarity-graph construction.
-    pub graph: Duration,
-    /// Louvain community mining.
-    pub louvain: Duration,
 }
 
 /// Output of the similarity estimator: alarms, their traffic sets, and

@@ -27,7 +27,7 @@ pub mod horizon;
 pub(crate) mod index;
 pub(crate) mod shard;
 
-pub use estimator::{AlarmCommunities, EstimateTimings, SimilarityEstimator, SimilarityMeasure};
+pub use estimator::{AlarmCommunities, SimilarityEstimator, SimilarityMeasure};
 pub use extractor::{extract_traffic, extract_traffic_sequential};
 pub use horizon::{HorizonExtractor, HorizonStats, HorizonTraffic};
 pub use mawilab_graph::Partition;
