@@ -8,7 +8,7 @@ use std::hint::black_box;
 /// Builds a graph shaped like a real similarity graph: dense
 /// communities of ~8 nodes over 60% of the nodes, the rest isolated.
 fn similarity_like(n: usize) -> Graph {
-    let mut g = Graph::new(n);
+    let mut edges = Vec::new();
     let clustered = n * 6 / 10;
     let mut state = 7u64;
     let mut rnd = move || {
@@ -21,12 +21,12 @@ fn similarity_like(n: usize) -> Graph {
         for i in start..end {
             for j in (i + 1)..end {
                 if rnd() % 10 < 7 {
-                    g.add_edge(i, j, ((rnd() % 90) + 10) as f64 / 100.0);
+                    edges.push((i as u32, j as u32, ((rnd() % 90) + 10) as f64 / 100.0));
                 }
             }
         }
     }
-    g
+    Graph::from_edges(n, &edges)
 }
 
 fn bench_louvain(c: &mut Criterion) {

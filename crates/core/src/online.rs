@@ -198,11 +198,22 @@ impl OnlinePipeline {
     }
 
     /// Drains the source **once** and runs all four steps. Never
-    /// calls [`rewind`](PacketSource::rewind).
+    /// calls [`rewind`](PacketSource::rewind). A configured
+    /// `min_support` outside `(0, 1]` or a `resolution` that is not
+    /// positive is rejected before the first chunk is read
+    /// ([`SourceError::InvalidMinSupport`],
+    /// [`SourceError::InvalidResolution`]).
     pub fn run<S: PacketSource + ?Sized>(
         &self,
         source: &mut S,
     ) -> Result<OnlineReport, SourceError> {
+        let (support, resolution) = (self.config.min_support, self.config.resolution);
+        if support.is_nan() || support <= 0.0 || support > 1.0 {
+            return Err(SourceError::InvalidMinSupport(support));
+        }
+        if resolution.is_nan() || resolution <= 0.0 {
+            return Err(SourceError::InvalidResolution(resolution));
+        }
         let meta = source.meta().clone();
         let origin_us = meta.window().start_us;
         let mut stats = StreamStats::default();
@@ -382,6 +393,47 @@ mod tests {
         assert!(OnlinePipeline::new(PipelineConfig::default())
             .with_horizon_us(1)
             .is_ok());
+    }
+
+    /// Runs a configuration that mining or Louvain would reject only
+    /// after the whole stream was drained, and checks that `run`
+    /// refuses it before reading the first chunk.
+    fn run_refuses(config: PipelineConfig) -> SourceError {
+        let mut source = TraceChunker::new(small_trace().trace, DEFAULT_CHUNK_US);
+        let start_us = source.meta().window().start_us;
+        let err = OnlinePipeline::new(config)
+            .run(&mut source)
+            .expect_err("the configuration must be rejected");
+        let first = source
+            .next_chunk()
+            .unwrap()
+            .expect("the stream was left unread");
+        assert_eq!(first.window.start_us, start_us);
+        err
+    }
+
+    #[test]
+    fn out_of_range_min_support_is_a_typed_error() {
+        for bad in [0.0, -0.1, 1.5, f64::NAN] {
+            let config = PipelineConfig {
+                min_support: bad,
+                ..PipelineConfig::default()
+            };
+            let err = run_refuses(config);
+            assert!(matches!(err, SourceError::InvalidMinSupport(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn non_positive_resolution_is_a_typed_error() {
+        for bad in [0.0, -1.0, f64::NAN] {
+            let config = PipelineConfig {
+                resolution: bad,
+                ..PipelineConfig::default()
+            };
+            let err = run_refuses(config);
+            assert!(matches!(err, SourceError::InvalidResolution(_)), "{err}");
+        }
     }
 
     #[test]

@@ -10,23 +10,15 @@
 //! few alarms are still found — and is fast on sparse graphs with many
 //! isolated nodes.
 //!
-//! * [`graph`] — [`Graph`]: adjacency-list weighted undirected graph
-//!   with parallel-edge merging.
-//! * [`csr`] — [`CsrGraph`]: the flat compressed-sparse-row form the
-//!   Louvain engine runs on.
+//! * [`graph`] — [`Graph`]: weighted undirected graph in compressed
+//!   sparse row form, built in one pass from an edge list.
 //! * [`louvain`] — the Louvain method plus modularity computation:
-//!   one sequential greedy sweep per level, every level in CSR form.
-//! * [`components`] — connected components (used in tests and as a
-//!   degenerate-case baseline).
+//!   one sequential greedy sweep per level.
 
 #![forbid(unsafe_code)]
 
-pub mod components;
-pub mod csr;
 pub mod graph;
 pub mod louvain;
 
-pub use components::connected_components;
-pub use csr::CsrGraph;
 pub use graph::Graph;
 pub use louvain::{louvain, modularity, Partition};

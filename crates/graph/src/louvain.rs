@@ -12,13 +12,12 @@
 //! move improves modularity. Determinism matters here — the whole
 //! MAWILab pipeline must label a trace identically on every run.
 //!
-//! All levels run on the [`CsrGraph`] form: the sweep walks flat
-//! arrays instead of per-node heap allocations, and aggregation
-//! bulk-builds the next level from a sorted edge list. Every level
-//! uses the one sequential greedy sweep, so the partition does not
-//! depend on graph size or on `MAWILAB_THREADS`.
+//! Every level is a CSR [`Graph`]: the sweep walks flat arrays, and
+//! aggregation builds the next level with the same edge-list
+//! constructor the similarity estimator uses. Every level uses the
+//! one sequential greedy sweep, so the partition does not depend on
+//! graph size or on `MAWILAB_THREADS`.
 
-use crate::csr::CsrGraph;
 use crate::graph::Graph;
 
 /// A partition of graph nodes into communities.
@@ -129,10 +128,11 @@ pub fn louvain(g: &Graph, resolution: f64) -> Partition {
     }
     // node → community on the *original* graph, refined level by level.
     let mut assignment: Vec<usize> = (0..n).collect();
-    let mut level = CsrGraph::from_graph(g);
+    let mut aggregated: Option<Graph> = None;
 
     loop {
-        let (labels, improved) = one_level(&level, resolution);
+        let level = aggregated.as_ref().unwrap_or(g);
+        let (labels, improved) = one_level(level, resolution);
         if !improved {
             break;
         }
@@ -144,7 +144,7 @@ pub fn louvain(g: &Graph, resolution: f64) -> Partition {
         if level_part.community_count() == level.node_count() {
             break; // aggregation would be a no-op
         }
-        level = aggregate(&level, &level_part);
+        aggregated = Some(aggregate(level, &level_part));
     }
     Partition::from_labels(assignment)
 }
@@ -153,7 +153,7 @@ pub fn louvain(g: &Graph, resolution: f64) -> Partition {
 /// in order, each against the fully up-to-date state, until a full
 /// pass moves nothing. Returns the label vector and whether any node
 /// moved.
-fn one_level(g: &CsrGraph, resolution: f64) -> (Vec<usize>, bool) {
+fn one_level(g: &Graph, resolution: f64) -> (Vec<usize>, bool) {
     let n = g.node_count();
     let mut labels: Vec<usize> = (0..n).collect();
     let two_m = 2.0 * g.total_weight();
@@ -216,10 +216,10 @@ impl GainScratch {
     /// Accumulates `v`'s edge weight per neighbouring community and
     /// returns the weight into `v`'s own community. Candidates are
     /// left sorted ascending for [`best`](Self::best).
-    fn accumulate(&mut self, g: &CsrGraph, labels: &[usize], v: usize, cv: usize) -> f64 {
+    fn accumulate(&mut self, g: &Graph, labels: &[usize], v: usize, cv: usize) -> f64 {
         self.generation += 1;
         self.candidates.clear();
-        for (u, w) in g.neighbors(v) {
+        for &(u, w) in g.neighbors(v) {
             let cu = labels[u as usize];
             if self.stamp[cu] != self.generation {
                 self.stamp[cu] = self.generation;
@@ -260,7 +260,7 @@ impl GainScratch {
 
 /// Builds the aggregated graph: one node per community, inter-community
 /// weights summed, intra-community weight folded into self-loops.
-fn aggregate(g: &CsrGraph, p: &Partition) -> CsrGraph {
+fn aggregate(g: &Graph, p: &Partition) -> Graph {
     let nc = p.community_count();
     // Self-loops: intra-community edge weight + old self-loops.
     let mut intra = vec![0.0f64; nc];
@@ -268,7 +268,7 @@ fn aggregate(g: &CsrGraph, p: &Partition) -> CsrGraph {
     for v in 0..g.node_count() {
         let cv = p.of(v);
         intra[cv] += g.self_loop(v);
-        for (u, w) in g.neighbors(v) {
+        for &(u, w) in g.neighbors(v) {
             if (u as usize) <= v {
                 continue; // each undirected edge once
             }
@@ -283,15 +283,21 @@ fn aggregate(g: &CsrGraph, p: &Partition) -> CsrGraph {
     }
     inter.sort_unstable_by_key(|&(a, b, _)| (a, b));
     // Fold parallel edges (multiple original edges between the same
-    // community pair) by summing weights in place.
-    let mut folded: Vec<(u32, u32, f64)> = Vec::with_capacity(inter.len());
+    // community pair) by summing weights in place, in the order the
+    // sort left them; the constructor then sees each pair once.
+    let mut folded: Vec<(u32, u32, f64)> = Vec::with_capacity(inter.len() + nc);
     for (a, b, w) in inter {
         match folded.last_mut() {
             Some(last) if last.0 == a && last.1 == b => last.2 += w,
             _ => folded.push((a, b, w)),
         }
     }
-    CsrGraph::from_sorted_edges(nc, &folded, intra)
+    for (c, &w) in intra.iter().enumerate() {
+        if w > 0.0 {
+            folded.push((c as u32, c as u32, w));
+        }
+    }
+    Graph::from_edges(nc, &folded)
 }
 
 #[cfg(test)]
@@ -300,12 +306,12 @@ mod tests {
 
     /// Two dense triangles joined by one weak edge.
     fn two_triangles() -> Graph {
-        let mut g = Graph::new(6);
-        for &(a, b) in &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] {
-            g.add_edge(a, b, 1.0);
-        }
-        g.add_edge(2, 3, 0.1);
-        g
+        let mut edges: Vec<(u32, u32, f64)> = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+            .iter()
+            .map(|&(a, b)| (a, b, 1.0))
+            .collect();
+        edges.push((2, 3, 0.1));
+        Graph::from_edges(6, &edges)
     }
 
     #[test]
@@ -331,9 +337,8 @@ mod tests {
 
     #[test]
     fn isolated_nodes_stay_singleton() {
-        let mut g = Graph::new(5);
-        g.add_edge(0, 1, 1.0);
         // Nodes 2, 3, 4 isolated (false-positive alarms in the paper).
+        let g = Graph::from_edges(5, &[(0, 1, 1.0)]);
         let p = louvain(&g, 1.0);
         assert_eq!(p.of(0), p.of(1));
         let c2 = p.of(2);
@@ -346,7 +351,7 @@ mod tests {
 
     #[test]
     fn edgeless_graph_is_all_singletons_with_zero_modularity() {
-        let g = Graph::new(4);
+        let g = Graph::from_edges(4, &[]);
         let p = louvain(&g, 1.0);
         assert_eq!(p.community_count(), 4);
         assert_eq!(modularity(&g, &p), 0.0);
@@ -354,7 +359,7 @@ mod tests {
 
     #[test]
     fn empty_graph_is_fine() {
-        let g = Graph::new(0);
+        let g = Graph::from_edges(0, &[]);
         let p = louvain(&g, 1.0);
         assert_eq!(p.community_count(), 0);
     }
@@ -370,19 +375,19 @@ mod tests {
     /// Four 4-cliques in a ring, the standard Louvain sanity graph.
     fn ring_of_cliques() -> Graph {
         let (k, cliques) = (4, 4);
-        let mut g = Graph::new(k * cliques);
+        let mut edges = Vec::new();
         for c in 0..cliques {
             for i in 0..k {
                 for j in (i + 1)..k {
-                    g.add_edge(c * k + i, c * k + j, 1.0);
+                    edges.push((c * k + i, c * k + j, 1.0));
                 }
             }
         }
         for c in 0..cliques {
             let next = (c + 1) % cliques;
-            g.add_edge(c * k, next * k + 1, 0.2);
+            edges.push((c * k, next * k + 1, 0.2));
         }
-        g
+        Graph::from_edges((k * cliques) as usize, &edges)
     }
 
     #[test]
@@ -401,11 +406,7 @@ mod tests {
     #[test]
     fn weights_drive_membership() {
         // Node 2 connects to both sides; heavier edge wins.
-        let mut g = Graph::new(5);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(3, 4, 1.0);
-        g.add_edge(1, 2, 0.9);
-        g.add_edge(2, 3, 0.1);
+        let g = Graph::from_edges(5, &[(0, 1, 1.0), (3, 4, 1.0), (1, 2, 0.9), (2, 3, 0.1)]);
         let p = louvain(&g, 1.0);
         assert_eq!(p.of(2), p.of(1));
         assert_ne!(p.of(2), p.of(3));
@@ -417,8 +418,7 @@ mod tests {
         // m = 1, degrees = 1,1. Q = Σ_in/(2m) − (Σ_tot/(2m))²
         //   = 2/2 − (2/2)² = 1 − 1 = 0 for the merged partition;
         // singletons: each c has Σ_in=0, Σ_tot=1 → Q = −2·(1/2)² = −0.5.
-        let mut g = Graph::new(2);
-        g.add_edge(0, 1, 1.0);
+        let g = Graph::from_edges(2, &[(0, 1, 1.0)]);
         let merged = Partition::from_labels(vec![0, 0]);
         let single = Partition::from_labels(vec![0, 1]);
         assert!((modularity(&g, &merged) - 0.0).abs() < 1e-12);
@@ -430,7 +430,7 @@ mod tests {
         // Pseudo-random sparse graph; Louvain must beat or match the
         // all-singleton baseline.
         let n = 60;
-        let mut g = Graph::new(n);
+        let mut edges = Vec::new();
         let mut state = 12345u64;
         let mut next = || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -440,9 +440,10 @@ mod tests {
             let a = next() % n;
             let b = next() % n;
             if a != b {
-                g.add_edge(a, b, ((next() % 9) + 1) as f64 / 10.0);
+                edges.push((a as u32, b as u32, ((next() % 9) + 1) as f64 / 10.0));
             }
         }
+        let g = Graph::from_edges(n, &edges);
         let p = louvain(&g, 1.0);
         let singles = Partition::from_labels((0..n).collect());
         assert!(modularity(&g, &p) >= modularity(&g, &singles) - 1e-12);
@@ -466,13 +467,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "resolution")]
     fn zero_resolution_panics() {
-        louvain(&Graph::new(1), 0.0);
+        louvain(&Graph::from_edges(1, &[]), 0.0);
     }
 
     /// Cliques of 8 over 60% of the nodes, the rest isolated — the
     /// shape of a real similarity graph.
     fn large_similarity_like(n: usize) -> Graph {
-        let mut g = Graph::new(n);
+        Graph::from_edges(n, &planted_clique_edges(n))
+    }
+
+    /// The edges of [`large_similarity_like`].
+    fn planted_clique_edges(n: usize) -> Vec<(u32, u32, f64)> {
+        let mut edges = Vec::new();
         let clustered = n * 6 / 10;
         let mut state = 7u64;
         let mut rnd = move || {
@@ -484,12 +490,12 @@ mod tests {
             for i in start..end {
                 for j in (i + 1)..end {
                     if rnd() % 10 < 7 {
-                        g.add_edge(i, j, ((rnd() % 90) + 10) as f64 / 100.0);
+                        edges.push((i as u32, j as u32, ((rnd() % 90) + 10) as f64 / 100.0));
                     }
                 }
             }
         }
-        g
+        edges
     }
 
     #[test]
@@ -561,7 +567,7 @@ mod tests {
         // communities compete for boundary nodes.
         let planted_with_cross_edges = {
             let n = 400;
-            let mut g = large_similarity_like(n);
+            let mut edges = planted_clique_edges(n);
             let mut state = 11u64;
             let mut rnd = move || {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -570,10 +576,10 @@ mod tests {
             for _ in 0..600 {
                 let (a, b) = (rnd() % n, rnd() % n);
                 if a != b {
-                    g.add_edge(a, b, ((rnd() % 30) + 1) as f64 / 100.0);
+                    edges.push((a as u32, b as u32, ((rnd() % 30) + 1) as f64 / 100.0));
                 }
             }
-            g
+            Graph::from_edges(n, &edges)
         };
         for (name, g) in [
             ("two_triangles", two_triangles()),
@@ -582,7 +588,7 @@ mod tests {
         ] {
             let singletons: Vec<usize> = (0..g.node_count()).collect();
             assert!(best_single_move_gain(&g, &singletons) > 0.0, "{name}");
-            let (labels, improved) = one_level(&CsrGraph::from_graph(&g), 1.0);
+            let (labels, improved) = one_level(&g, 1.0);
             assert!(improved, "{name}: the sweep moved nothing");
             let gain = best_single_move_gain(&g, &labels);
             assert!(gain <= 1e-12, "{name}: a single move still gains {gain}");

@@ -89,7 +89,7 @@ impl SymmetricEigen {
         // Extract and sort descending.
         let mut order: Vec<usize> = (0..n).collect();
         let diag: Vec<f64> = (0..n).map(|i| m[(i, i)]).collect();
-        order.sort_by(|&a, &b| diag[b].partial_cmp(&diag[a]).expect("NaN eigenvalue")); // lint:allow(panic-free-data-plane): Jacobi rotations of a finite symmetric matrix keep the diagonal finite
+        order.sort_by(|&a, &b| diag[b].total_cmp(&diag[a]));
         let values: Vec<f64> = order.iter().map(|&i| diag[i]).collect();
         let mut vectors = Matrix::zeros(n, n);
         for (newj, &oldj) in order.iter().enumerate() {

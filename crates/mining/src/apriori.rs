@@ -150,12 +150,9 @@ pub struct MinedRules {
 
 /// Mines frequent itemsets and reduces the result to maximal itemsets
 /// and metrics. `min_support` is the paper's `s` (fraction; the paper
-/// uses 0.2). Mining goes through
-/// [`frequent_itemsets`](crate::frequent_itemsets), which picks
-/// Apriori or FP-growth by community size — the output is identical
-/// either way.
+/// uses 0.2).
 pub fn mine_rules(transactions: &[Transaction], min_support: f64) -> MinedRules {
-    let frequent = crate::fpgrowth::frequent_itemsets(transactions, min_support);
+    let frequent = apriori(transactions, min_support);
     // Maximal = not a strict subset of another frequent itemset.
     let mut maximal: Vec<&FrequentItemset> = Vec::new();
     for f in &frequent {

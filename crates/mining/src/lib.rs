@@ -23,18 +23,14 @@
 //! * **rule support** — fraction of the community's traffic covered by
 //!   at least one rule.
 //!
-//! Two interchangeable engines mine the itemsets: the modified Apriori
-//! (the retained seed algorithm and equivalence oracle) and FP-growth
-//! ([`fpgrowth`]), which [`frequent_itemsets`] selects for large
-//! communities. Both produce identical output — itemsets, counts, and
-//! order — so everything downstream is engine-oblivious.
+//! One engine mines the itemsets: the modified Apriori. Every
+//! transaction holds four items, so its level-wise search is at most
+//! four levels deep on communities of every size.
 
 #![forbid(unsafe_code)]
 
 pub mod apriori;
-pub mod fpgrowth;
 pub mod transaction;
 
 pub use apriori::{apriori, mine_rules, FrequentItemset, MinedRules};
-pub use fpgrowth::{fp_growth, frequent_itemsets, FPGROWTH_CUTOVER};
 pub use transaction::{itemset_to_rule, Field, Item, Transaction};

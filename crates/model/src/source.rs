@@ -78,6 +78,10 @@ pub enum SourceError {
     /// A zero horizon window width was requested — label windows must
     /// be positive.
     InvalidHorizonWidth(u64),
+    /// A rule-mining support threshold outside `(0, 1]` was requested.
+    InvalidMinSupport(f64),
+    /// A Louvain resolution that is not positive was requested.
+    InvalidResolution(f64),
 }
 
 impl fmt::Display for SourceError {
@@ -92,6 +96,12 @@ impl fmt::Display for SourceError {
             }
             SourceError::InvalidHorizonWidth(w) => {
                 write!(f, "horizon window width must be positive, got {w}")
+            }
+            SourceError::InvalidMinSupport(s) => {
+                write!(f, "rule support threshold must be in (0, 1], got {s}")
+            }
+            SourceError::InvalidResolution(r) => {
+                write!(f, "Louvain resolution must be positive, got {r}")
             }
         }
     }

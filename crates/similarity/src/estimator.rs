@@ -107,20 +107,26 @@ impl SimilarityEstimator {
     /// emission multiplicity of a pair over all item buckets is
     /// `|A∩B|`), so the weight is one arithmetic step per pair and
     /// the per-pair sorted-merge scoring pass of earlier revisions is
-    /// gone. Edges are folded into the graph in `(a, b)` order;
-    /// output is byte-identical to
+    /// gone. The weighted edges, unique and in `(a, b)` order, go
+    /// straight into the CSR graph; output is byte-identical to
     /// [`build_graph_sequential`](Self::build_graph_sequential) at
     /// any `MAWILAB_THREADS` setting.
     pub fn build_graph(&self, traffic: &[Vec<u32>]) -> Graph {
-        let mut g = Graph::new(traffic.len());
-        for (a, b, inter) in crate::shard::cooccurrence(traffic) {
-            let (sa, sb) = (&traffic[a as usize], &traffic[b as usize]);
-            let w = self.measure.value(inter as usize, sa.len(), sb.len());
-            if w > self.min_similarity && w > 0.0 {
-                g.add_edge(a as usize, b as usize, w);
-            }
-        }
-        g
+        let edges: Vec<(u32, u32, f64)> = crate::shard::cooccurrence(traffic)
+            .into_iter()
+            .filter_map(|(a, b, inter)| {
+                let (sa, sb) = (&traffic[a as usize], &traffic[b as usize]);
+                self.edge(a, b, inter as usize, sa.len(), sb.len())
+            })
+            .collect();
+        Graph::from_edges(traffic.len(), &edges)
+    }
+
+    /// The weighted edge `a—b`, or `None` when its weight falls at or
+    /// below [`min_similarity`](Self::min_similarity) (or is zero).
+    fn edge(&self, a: u32, b: u32, inter: usize, la: usize, lb: usize) -> Option<(u32, u32, f64)> {
+        let w = self.measure.value(inter, la, lb);
+        (w > self.min_similarity && w > 0.0).then_some((a, b, w))
     }
 
     /// The retained single-threaded reference implementation: one
@@ -129,7 +135,6 @@ impl SimilarityEstimator {
     /// (`tests/shard_equivalence.rs` property-tests
     /// [`build_graph`](Self::build_graph) against it).
     pub fn build_graph_sequential(&self, traffic: &[Vec<u32>]) -> Graph {
-        let mut g = Graph::new(traffic.len());
         // item → alarms containing it.
         let mut index: HashMap<u32, Vec<u32>> = HashMap::new();
         for (ai, set) in traffic.iter().enumerate() {
@@ -146,17 +151,16 @@ impl SimilarityEstimator {
                 }
             }
         }
-        let mut edges: Vec<(u32, u32)> = pairs.into_iter().collect();
-        edges.sort_unstable();
-        for (a, b) in edges {
-            let (sa, sb) = (&traffic[a as usize], &traffic[b as usize]);
-            let inter = intersection_size(sa, sb);
-            let w = self.measure.value(inter, sa.len(), sb.len());
-            if w > self.min_similarity && w > 0.0 {
-                g.add_edge(a as usize, b as usize, w);
-            }
-        }
-        g
+        let mut pairs: Vec<(u32, u32)> = pairs.into_iter().collect();
+        pairs.sort_unstable();
+        let edges: Vec<(u32, u32, f64)> = pairs
+            .into_iter()
+            .filter_map(|(a, b)| {
+                let (sa, sb) = (&traffic[a as usize], &traffic[b as usize]);
+                self.edge(a, b, intersection_size(sa, sb), sa.len(), sb.len())
+            })
+            .collect();
+        Graph::from_edges(traffic.len(), &edges)
     }
 }
 

@@ -33,13 +33,15 @@ pub fn median(xs: &[f64]) -> f64 {
 }
 
 /// Linear-interpolated quantile `q ∈ [0,1]` (0 for an empty slice).
+/// Values are ordered by [`f64::total_cmp`], so a NaN input sorts
+/// (a positive NaN above +∞) instead of panicking.
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q), "quantile outside [0,1]");
     if xs.is_empty() {
         return 0.0;
     }
     let mut v: Vec<f64> = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input")); // lint:allow(panic-free-data-plane): quantile inputs are detector metrics, finite by construction
+    v.sort_by(f64::total_cmp);
     let pos = q * (v.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
@@ -167,6 +169,15 @@ mod tests {
         let xs = [3.0, 1.0, 2.0];
         let _ = quantile(&xs, 0.5);
         assert_eq!(xs, [3.0, 1.0, 2.0]);
+    }
+
+    #[test]
+    fn quantile_with_nan_input_returns() {
+        let xs = [3.0, f64::NAN, 1.0, 2.0];
+        assert_eq!(quantile(&xs, 0.0), 1.0);
+        assert_eq!(quantile(&xs, 0.5), 2.5);
+        assert!(quantile(&xs, 1.0).is_nan());
+        assert!(median(&[f64::NAN]).is_nan());
     }
 
     #[test]

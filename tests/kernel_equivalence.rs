@@ -1,15 +1,12 @@
-//! Kernel equivalence: the hot-path rewrites against their retained
-//! seed oracles, swept across thread counts.
+//! Kernel equivalence: the traffic-extraction rewrite against its
+//! retained seed oracle, swept across thread counts.
 //!
-//! Two kernels were replaced for speed and each keeps its seed
-//! implementation as an equivalence oracle:
+//! Extraction was replaced for speed and keeps its seed
+//! implementation as an equivalence oracle: the inverted `AlarmIndex`
+//! (batch and horizon paths) vs the per-alarm scan
+//! `extract_traffic_sequential`.
 //!
-//! * traffic extraction — the inverted `AlarmIndex` (batch and
-//!   horizon paths) vs the per-alarm scan
-//!   `extract_traffic_sequential`,
-//! * itemset mining — FP-growth vs modified Apriori.
-//!
-//! Every comparison here demands *byte identity*, and the extraction
+//! Every comparison here demands *byte identity*, and the
 //! comparisons sweep `MAWILAB_THREADS` ∈ {1, 2, 4, 13} to pin the
 //! canonical-output claim: shard boundaries and hash-map iteration
 //! order must never leak into results.
@@ -18,7 +15,6 @@
 //! process-wide).
 
 use mawilab::detectors::{Alarm, AlarmScope, DetectorKind, TraceView, Tuning};
-use mawilab::mining::{apriori, fp_growth, Transaction};
 use mawilab::model::{
     FlowKey, FlowTable, Granularity, ItemIndex, NoRewindSource, Packet, PacketSource, Protocol,
     TcpFlags, Trace, TraceChunker, TraceDate, TraceMeta, TrafficRule,
@@ -175,22 +171,5 @@ proptest! {
             }
         }
         std::env::remove_var("MAWILAB_THREADS");
-    }
-
-    /// FP-growth reproduces modified Apriori exactly: same itemsets,
-    /// same counts, same order, for any transactions and threshold.
-    #[test]
-    fn fp_growth_matches_apriori(
-        seeds in prop::collection::vec((0u8..6, 0u8..4, 0u8..6, 0u8..4), 0..60),
-        s_pct in 1u32..=100,
-    ) {
-        let txs: Vec<Transaction> = seeds
-            .iter()
-            .map(|&(a, sp, b, dp)| {
-                Transaction::new(ip(a), 1000 + sp as u16, ip(100 + b), [80, 445, 53, 8080][dp as usize])
-            })
-            .collect();
-        let s = s_pct as f64 / 100.0;
-        prop_assert_eq!(fp_growth(&txs, s), apriori(&txs, s));
     }
 }

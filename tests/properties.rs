@@ -93,11 +93,10 @@ proptest! {
     /// Louvain returns a valid partition and never does worse than
     /// all-singletons, on arbitrary sparse graphs.
     #[test]
-    fn louvain_validity(edges in prop::collection::vec((0usize..30, 0usize..30, 1u32..100), 0..80)) {
-        let mut g = Graph::new(30);
-        for (a, b, w) in edges {
-            g.add_edge(a, b, w as f64 / 100.0);
-        }
+    fn louvain_validity(edges in prop::collection::vec((0u32..30, 0u32..30, 1u32..100), 0..80)) {
+        let edges: Vec<(u32, u32, f64)> =
+            edges.into_iter().map(|(a, b, w)| (a, b, w as f64 / 100.0)).collect();
+        let g = Graph::from_edges(30, &edges);
         let p = louvain(&g, 1.0);
         prop_assert_eq!(p.community.len(), 30);
         // Dense ids.
@@ -106,6 +105,41 @@ proptest! {
         }
         let singles = Partition::from_labels((0..30).collect());
         prop_assert!(modularity(&g, &p) >= modularity(&g, &singles) - 1e-9);
+    }
+
+    /// Louvain refines the connected components: two nodes share a
+    /// community only if a path joins them. Sparse edge sets leave
+    /// many components, self-loops included.
+    #[test]
+    fn louvain_refines_components(edges in prop::collection::vec((0u32..30, 0u32..30, 1u32..100), 0..40)) {
+        let edges: Vec<(u32, u32, f64)> =
+            edges.into_iter().map(|(a, b, w)| (a, b, w as f64 / 100.0)).collect();
+        let g = Graph::from_edges(30, &edges);
+        // Components by breadth-first search.
+        let mut component = vec![usize::MAX; 30];
+        for start in 0..30 {
+            if component[start] != usize::MAX {
+                continue;
+            }
+            component[start] = start;
+            let mut queue = std::collections::VecDeque::from([start]);
+            while let Some(v) = queue.pop_front() {
+                for &(u, _) in g.neighbors(v) {
+                    if component[u as usize] == usize::MAX {
+                        component[u as usize] = start;
+                        queue.push_back(u as usize);
+                    }
+                }
+            }
+        }
+        let p = louvain(&g, 1.0);
+        for v in 0..30 {
+            for u in 0..30 {
+                if p.of(v) == p.of(u) {
+                    prop_assert_eq!(component[v], component[u], "community crosses components");
+                }
+            }
+        }
     }
 
     /// Every Apriori itemset's reported count is its true frequency,
