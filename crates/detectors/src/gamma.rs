@@ -19,10 +19,9 @@
 
 use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
 use crate::{ChunkView, Detector, IncrementalDetector, ObservationKey};
-use mawilab_model::{TimeWindow, TraceMeta};
+use mawilab_model::{FastSet, TimeWindow, TraceMeta};
 use mawilab_sketch::SketchFamily;
 use mawilab_stats::{mad, median, Gamma};
-use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
 /// Hash-key direction of one sketch pass.
@@ -101,7 +100,7 @@ impl GammaDetector {
             dir,
             sketch: SketchFamily::new(self.sketch_rows, self.sketch_width, seed),
             series: vec![vec![vec![0.0f64; t_bins]; self.sketch_width]; self.sketch_rows],
-            hosts: HashSet::new(),
+            hosts: FastSet::default(),
         }
     }
 
@@ -216,7 +215,7 @@ struct GammaDirState {
     sketch: SketchFamily,
     /// Count series per (row, bin): `series[row][bin][t]`.
     series: Vec<Vec<Vec<f64>>>,
-    hosts: HashSet<u32>,
+    hosts: FastSet<u32>,
 }
 
 /// Incremental form of [`GammaDetector`]: chunk observation folds

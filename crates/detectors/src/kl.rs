@@ -19,9 +19,8 @@
 use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
 use crate::{ChunkView, Detector, IncrementalDetector, ObservationKey};
 use mawilab_mining::{mine_rules, Transaction};
-use mawilab_model::{TimeWindow, TraceMeta};
+use mawilab_model::{FastMap, FastSet, TimeWindow, TraceMeta};
 use mawilab_stats::{kl_contributions, kl_divergence_counts, mad, median, Histogram};
-use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 /// The four monitored features.
@@ -179,7 +178,7 @@ pub struct KlAccumulator {
     /// `hists[feature][t]`.
     hists: Vec<Vec<Histogram>>,
     /// Distinct 4-tuples with multiplicities, per time bin.
-    bin_tuples: Vec<HashMap<PacketTuple, u32>>,
+    bin_tuples: Vec<FastMap<PacketTuple, u32>>,
 }
 
 impl IncrementalDetector for KlAccumulator {
@@ -208,7 +207,7 @@ impl IncrementalDetector for KlAccumulator {
                         .collect()
                 })
                 .collect();
-            self.bin_tuples = vec![HashMap::new(); self.t_bins];
+            self.bin_tuples = vec![FastMap::default(); self.t_bins];
         }
     }
 
@@ -248,10 +247,10 @@ impl KlDetector {
         window: TimeWindow,
         t_bins: usize,
         hists: &[Vec<Histogram>],
-        bin_tuples: &[HashMap<PacketTuple, u32>],
+        bin_tuples: &[FastMap<PacketTuple, u32>],
     ) -> Vec<Alarm> {
         let mut alarms = Vec::new();
-        let mut seen: HashSet<(usize, mawilab_model::TrafficRule)> = HashSet::new();
+        let mut seen: FastSet<(usize, mawilab_model::TrafficRule)> = FastSet::default();
         for (fi, f) in FEATURES.iter().enumerate() {
             // Divergence series between consecutive bins, on raw
             // counts with Laplace smoothing (pseudo-count ½ per cell):
@@ -287,7 +286,7 @@ impl KlDetector {
                 // Contributions are > 0.0, so `total_cmp` orders them
                 // exactly as `partial_cmp` would.
                 contrib.sort_by(|a, b| b.1.total_cmp(&a.1));
-                let top: HashSet<usize> = contrib
+                let top: FastSet<usize> = contrib
                     .iter()
                     .take(self.top_cells)
                     .map(|&(c, _)| c)
@@ -475,7 +474,7 @@ mod tests {
     #[test]
     fn no_duplicate_rules_per_bin() {
         let (alarms, _) = run(Tuning::Sensitive, flood());
-        let mut seen = HashSet::new();
+        let mut seen = FastSet::default();
         for a in &alarms {
             if let AlarmScope::Rule(r) = &a.scope {
                 assert!(seen.insert((a.window.start_us, *r)), "duplicate rule alarm");

@@ -24,10 +24,9 @@ use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
 use crate::{ChunkView, Detector, IncrementalDetector, ObservationKey};
 use mawilab_linalg::pca::{ColumnScaling, PcaComponents};
 use mawilab_linalg::{Matrix, Pca};
-use mawilab_model::{TimeWindow, TraceMeta};
+use mawilab_model::{FastMap, FastSet, TimeWindow, TraceMeta};
 use mawilab_sketch::SketchFamily;
 use mawilab_stats::{mad, median};
-use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 /// The sketch + principal-subspace detector (one configuration).
@@ -171,7 +170,7 @@ pub struct PcaAccumulator {
     seen: u64,
     sketch: Option<SketchFamily>,
     counts: Vec<Matrix>,
-    active: Vec<HashSet<u32>>,
+    active: Vec<FastSet<u32>>,
 }
 
 impl IncrementalDetector for PcaAccumulator {
@@ -200,7 +199,7 @@ impl IncrementalDetector for PcaAccumulator {
             ));
             self.counts =
                 vec![Matrix::zeros(self.t_bins, self.det.sketch_width); self.det.sketch_rows];
-            self.active = vec![HashSet::new(); self.t_bins];
+            self.active = vec![FastSet::default(); self.t_bins];
         }
     }
 
@@ -255,7 +254,7 @@ impl PcaDetector {
         window: TimeWindow,
         t_bins: usize,
         counts: &[Matrix],
-        active: &[HashSet<u32>],
+        active: &[FastSet<u32>],
     ) -> Vec<Alarm> {
         // Per row: subspace fit → flagged (time, bin) pairs.
         // flagged[row][t] = boolean bin vector (empty Vec = untouched).
@@ -304,7 +303,7 @@ impl PcaDetector {
 
         // Identification: a source is reported in bin t when all rows
         // flagged the bin it hashes into.
-        let mut per_ip_bins: HashMap<Ipv4Addr, Vec<usize>> = HashMap::new();
+        let mut per_ip_bins: FastMap<Ipv4Addr, Vec<usize>> = FastMap::default();
         for t in 0..t_bins {
             if flagged.iter().any(|rows| rows[t].is_empty()) {
                 continue;

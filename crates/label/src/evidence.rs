@@ -28,8 +28,7 @@
 
 use crate::heuristics::TrafficProfile;
 use mawilab_mining::Transaction;
-use mawilab_model::{Granularity, ItemIndex, Packet};
-use std::collections::HashMap;
+use mawilab_model::{FastMap, FastSet, Granularity, ItemIndex, Packet};
 
 /// Per-traffic-unit evidence for heuristic and summary labeling.
 #[derive(Debug, Clone)]
@@ -38,9 +37,9 @@ pub struct CommunityEvidence {
     /// Dense per-flow profiles (uniflow/biflow granularities).
     flow_profiles: Vec<TrafficProfile>,
     /// Per-matched-packet profiles (packet granularity).
-    packet_profiles: HashMap<u32, TrafficProfile>,
+    packet_profiles: FastMap<u32, TrafficProfile>,
     /// Per-matched-packet transactions (packet granularity).
-    packet_transactions: HashMap<u32, Transaction>,
+    packet_transactions: FastMap<u32, Transaction>,
 }
 
 impl CommunityEvidence {
@@ -49,8 +48,8 @@ impl CommunityEvidence {
         CommunityEvidence {
             granularity,
             flow_profiles: Vec::new(),
-            packet_profiles: HashMap::new(),
-            packet_transactions: HashMap::new(),
+            packet_profiles: FastMap::default(),
+            packet_transactions: FastMap::default(),
         }
     }
 
@@ -87,7 +86,7 @@ impl CommunityEvidence {
     /// Retires deferred packet-granularity evidence down to the units
     /// that matched ≥ 1 alarm. A no-op at flow granularities, whose
     /// evidence never depended on matching.
-    pub fn retain_matched(&mut self, matched: &std::collections::HashSet<u32>) {
+    pub fn retain_matched(&mut self, matched: &FastSet<u32>) {
         if self.granularity == Granularity::Packet {
             self.packet_profiles.retain(|id, _| matched.contains(id));
             self.packet_transactions

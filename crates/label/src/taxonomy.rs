@@ -15,9 +15,8 @@ use crate::summary::{summarize_community, CommunitySummary};
 use mawilab_combiner::{Decision, LabelConfidence};
 use mawilab_detectors::TraceView;
 use mawilab_mining::mine_rules;
-use mawilab_model::{Granularity, ItemIndex, TimeWindow};
+use mawilab_model::{FastMap, Granularity, ItemIndex, TimeWindow};
 use mawilab_similarity::AlarmCommunities;
-use std::collections::HashMap;
 use std::fmt;
 
 /// The released dataset's label values.
@@ -125,7 +124,7 @@ pub fn label_communities(
     );
     // Inverted index item-id → communities, then a single pass over
     // packets gathers each community's packet sample for heuristics.
-    let mut item_to_comms: HashMap<u32, Vec<u32>> = HashMap::new();
+    let mut item_to_comms: FastMap<u32, Vec<u32>> = FastMap::default();
     for c in 0..communities.community_count() {
         for id in communities.community_traffic(c) {
             item_to_comms.entry(id).or_default().push(c as u32);

@@ -7,9 +7,10 @@
 //! workspace enforces socially: the thread policy is read in exactly
 //! one place, there is one fan-out level, kernels never read the wall
 //! clock, every parallel or approximate kernel has a sequential
-//! oracle pinned by an equivalence test, and hash-container iteration
-//! never leaks its order into output. This crate turns those
-//! conventions into six lexical rules over the workspace source:
+//! oracle pinned by an equivalence test, hash-container iteration
+//! never leaks its order into output, and the data plane hashes with
+//! its own seeded hasher. This crate turns those conventions into
+//! seven lexical rules over the workspace source:
 //!
 //! | rule | invariant |
 //! |------|-----------|
@@ -19,6 +20,7 @@
 //! | `panic-free-data-plane` | `.unwrap()`/`.expect(`/`panic!` in data-plane crates needs a justified pragma |
 //! | `oracle-registry` | `lint/oracles.toml` binds kernel ↔ oracle ↔ equivalence test; all `par_*` call sites covered |
 //! | `hashmap-iteration-order` | hash iteration in order-sensitive crates must canonicalise or justify |
+//! | `data-plane-hasher` | no std `HashMap`/`HashSet` in data-plane crates without a justified pragma |
 //!
 //! Escape hatch: `// lint:allow(<rule>): <reason>` on the offending
 //! line (or alone on the line above). A pragma without a reason is

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Lints every tracked `.rs` file under the workspace root against
-//! the six determinism invariants (see the crate docs). With
+//! the seven determinism invariants (see the crate docs). With
 //! `--deny-all`, any violation exits 2 (the CI mode); without it the
 //! report prints but the exit code stays 0 (the local triage mode).
 //! Exit 1 is reserved for operational failures (unreadable root).
@@ -54,8 +54,9 @@ fn main() -> ExitCode {
     let violations = check(&ws);
     if violations.is_empty() {
         println!(
-            "mawilab-lint: {} files clean across 6 invariant rules",
-            ws.files.len()
+            "mawilab-lint: {} files clean across {} invariant rules",
+            ws.files.len(),
+            mawilab_lint::rules::RULES.len()
         );
         return ExitCode::SUCCESS;
     }

@@ -1,4 +1,4 @@
-//! The six repo-specific invariant rules.
+//! The seven repo-specific invariant rules.
 //!
 //! Each rule scans code views (comments and string interiors already
 //! blanked by the lexer) for token patterns and emits [`Violation`]s.
@@ -14,17 +14,19 @@ pub const WALL_CLOCK: &str = "no-wall-clock-in-kernels";
 pub const PANIC_FREE: &str = "panic-free-data-plane";
 pub const ORACLE_REGISTRY: &str = "oracle-registry";
 pub const HASH_ITER: &str = "hashmap-iteration-order";
+pub const STD_HASHER: &str = "data-plane-hasher";
 /// Meta-rule for pragma problems; not itself waivable.
 pub const PRAGMA_HYGIENE: &str = "pragma-hygiene";
 
 /// Every waivable rule (a pragma must name one of these).
-pub const RULES: [&str; 6] = [
+pub const RULES: [&str; 7] = [
     THREAD_ENV,
     NO_THREADS,
     WALL_CLOCK,
     PANIC_FREE,
     ORACLE_REGISTRY,
     HASH_ITER,
+    STD_HASHER,
 ];
 
 /// The crates whose non-test code must be panic-free (the data plane:
@@ -42,9 +44,17 @@ const DATA_PLANE: [&str; 10] = [
     "sketch",
 ];
 
-/// The crates where `HashMap`/`HashSet` iteration order can leak into
-/// graph/community/label output.
-const ORDER_SENSITIVE: [&str; 4] = ["similarity", "graph", "label", "combiner"];
+/// The crates where hash-container iteration order can leak into
+/// alarm/graph/community/label output.
+const ORDER_SENSITIVE: [&str; 7] = [
+    "similarity",
+    "graph",
+    "label",
+    "combiner",
+    "detectors",
+    "model",
+    "mining",
+];
 
 /// One rule finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,6 +115,7 @@ pub fn run_all(ws: &Workspace) -> Vec<Violation> {
         no_wall_clock(f, &mut out);
         panic_free_data_plane(f, &mut out);
         hashmap_iteration_order(f, &mut out);
+        data_plane_hasher(f, &mut out);
     }
     oracle_registry(ws, &mut out);
     out
@@ -214,6 +225,37 @@ fn panic_free_data_plane(f: &SourceFile, out: &mut Vec<Violation>) {
                 msg: format!(
                     "`{tok}` in data-plane code: return a typed error, or justify \
                      the invariant with `// lint:allow({PANIC_FREE}): <why it cannot fire>`"
+                ),
+            });
+        }
+    }
+}
+
+/// **data-plane-hasher** — the non-test code of the data-plane crates
+/// names no std `HashMap`/`HashSet` (type, constructor or import):
+/// its maps are `FastMap`/`FastSet`, so a map added later does not
+/// fall back to SipHash unnoticed. A map that must keep SipHash
+/// carries a pragma saying why.
+fn data_plane_hasher(f: &SourceFile, out: &mut Vec<Violation>) {
+    let Some(krate) = f.krate.as_deref() else {
+        return;
+    };
+    if !DATA_PLANE.contains(&krate) || f.testlike {
+        return;
+    }
+    for tok in ["HashMap", "HashSet"] {
+        for off in find_token(&f.lexed.code, tok) {
+            let line = f.line_of(off);
+            if f.is_test_code(line) {
+                continue;
+            }
+            out.push(Violation {
+                file: f.path.clone(),
+                line,
+                rule: STD_HASHER,
+                msg: format!(
+                    "std `{tok}` in data-plane code: use `mawilab_model::FastMap`/`FastSet`, \
+                     or justify with `// lint:allow({STD_HASHER}): <why it needs SipHash>`"
                 ),
             });
         }
@@ -336,7 +378,7 @@ fn oracle_registry(ws: &Workspace, out: &mut Vec<Violation>) {
     }
 }
 
-/// A name bound to a `HashMap`/`HashSet`, with the scope it is
+/// A name bound to a hash container, with the scope it is
 /// visible in (`None` = file scope, e.g. a struct field).
 struct HashName {
     name: String,
@@ -344,11 +386,13 @@ struct HashName {
 }
 
 /// **hashmap-iteration-order** — in the crates whose output flows
-/// into graphs, communities, and labels, iterating a `HashMap` /
-/// `HashSet` must be followed by a canonicalising sort in the same
-/// function (or feed an order-insensitive fold like `.count()`), or
-/// carry a pragma. Std hash iteration order varies per process; any
-/// leak of it into output breaks byte-identical labeling.
+/// into alarms, graphs, communities, and labels, iterating a
+/// `HashMap` / `HashSet` / `FastMap` / `FastSet` must be followed by a
+/// canonicalising sort in the same function (or feed an
+/// order-insensitive fold like `.count()`), or carry a pragma. Hash
+/// iteration order varies per process (std) and per map (the seeded
+/// `FastState`); any leak of it into output breaks byte-identical
+/// labeling.
 fn hashmap_iteration_order(f: &SourceFile, out: &mut Vec<Violation>) {
     let Some(krate) = f.krate.as_deref() else {
         return;
@@ -362,7 +406,7 @@ fn hashmap_iteration_order(f: &SourceFile, out: &mut Vec<Violation>) {
     // Pass 1: collect hash-typed names from `let` bindings, params,
     // and struct fields.
     let mut names: Vec<HashName> = Vec::new();
-    for tok in ["HashMap", "HashSet"] {
+    for tok in ["HashMap", "HashSet", "FastMap", "FastSet"] {
         for off in find_token(code, tok) {
             let line_no = f.line_of(off);
             let line_start = f.line_starts[line_no as usize - 1];
@@ -456,7 +500,7 @@ fn hashmap_iteration_order(f: &SourceFile, out: &mut Vec<Violation>) {
 }
 
 /// Extracts the name bound on a declaration line, given the code-view
-/// text from line start to the `HashMap`/`HashSet` token: handles
+/// text from line start to the hash-type token: handles
 /// `let [mut] name = …`, `let [mut] name: … =`, and `name: Type`
 /// fields/params. Returns `None` for uses that bind nothing (return
 /// types, generic args of other calls, `use` paths).

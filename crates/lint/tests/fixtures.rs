@@ -200,7 +200,7 @@ fn oracle_registry_fires_when_test_loses_the_pin_symbol() {
 fn hash_iteration_without_sort_fires() {
     let v = violations_of(
         vec![(
-            "crates/graph/src/agg.rs",
+            "crates/combiner/src/agg.rs",
             "use std::collections::HashMap;\npub fn keys(m: &HashMap<u32, u32>) -> Vec<u32> {\n    let mut out = Vec::new();\n    for k in m.keys() {\n        out.push(*k);\n    }\n    out\n}\n",
         )],
         "",
@@ -212,7 +212,7 @@ fn hash_iteration_without_sort_fires() {
 fn hash_iteration_with_canonicalising_sort_is_quiet() {
     let v = violations_of(
         vec![(
-            "crates/graph/src/agg.rs",
+            "crates/combiner/src/agg.rs",
             "use std::collections::HashMap;\npub fn keys(m: &HashMap<u32, u32>) -> Vec<u32> {\n    let mut out = Vec::new();\n    for k in m.keys() {\n        out.push(*k);\n    }\n    out.sort_unstable();\n    out\n}\n",
         )],
         "",
@@ -224,9 +224,92 @@ fn hash_iteration_with_canonicalising_sort_is_quiet() {
 fn hash_iteration_in_non_order_sensitive_crate_is_quiet() {
     let v = violations_of(
         vec![(
-            "crates/stats/src/agg.rs",
+            "crates/eval/src/agg.rs",
             "use std::collections::HashMap;\npub fn keys(m: &HashMap<u32, u32>) -> Vec<u32> {\n    m.keys().copied().collect()\n}\n",
         )],
+        "",
+    );
+    assert!(v.is_empty(), "unexpected: {v:?}");
+}
+
+#[test]
+fn fast_map_iteration_without_sort_fires_in_the_widened_crates() {
+    let body = "use mawilab_model::FastMap;\npub fn keys(m: &FastMap<u32, u32>) -> Vec<u32> {\n    let mut out = Vec::new();\n    for k in m.keys() {\n        out.push(*k);\n    }\n    out\n}\n";
+    for path in [
+        "crates/detectors/src/agg.rs",
+        "crates/model/src/agg.rs",
+        "crates/mining/src/agg.rs",
+    ] {
+        let v = violations_of(vec![(path, body)], "");
+        assert_eq!(rules_fired(&v), vec![rules::HASH_ITER], "{path}: {v:?}");
+    }
+}
+
+#[test]
+fn fast_set_iteration_with_canonicalising_sort_is_quiet() {
+    let v = violations_of(
+        vec![(
+            "crates/detectors/src/agg.rs",
+            "use mawilab_model::FastSet;\npub fn keys(s: FastSet<u32>) -> Vec<u32> {\n    let mut out: Vec<u32> = s.into_iter().collect();\n    out.sort_unstable();\n    out\n}\n",
+        )],
+        "",
+    );
+    assert!(v.is_empty(), "unexpected: {v:?}");
+}
+
+// ---------------------------------------------------- data-plane-hasher
+
+#[test]
+fn std_hash_containers_fire_in_data_plane_code() {
+    let v = violations_of(
+        vec![(
+            "crates/similarity/src/x.rs",
+            "pub fn f() -> usize {\n    let s: std::collections::HashSet<u32> = std::collections::HashSet::new();\n    s.len()\n}\n",
+        )],
+        "",
+    );
+    assert_eq!(
+        rules_fired(&v),
+        vec![rules::STD_HASHER, rules::STD_HASHER],
+        "{v:?}"
+    );
+    assert_eq!(v[0].line, 2);
+    let v = violations_of(
+        vec![(
+            "crates/model/src/x.rs",
+            "use std::collections::HashMap;\npub struct T {\n    m: HashMap<u32, u32>,\n}\n",
+        )],
+        "",
+    );
+    assert_eq!(
+        v.iter().map(|x| (x.rule, x.line)).collect::<Vec<_>>(),
+        vec![(rules::STD_HASHER, 1), (rules::STD_HASHER, 3)],
+        "{v:?}"
+    );
+}
+
+#[test]
+fn std_hasher_quiet_for_fast_maps_pragmas_tests_and_other_crates() {
+    let std_map =
+        "pub fn f() -> usize {\n    std::collections::HashMap::<u32, u32>::new().len()\n}\n";
+    let v = violations_of(
+        vec![
+            (
+                "crates/model/src/fast.rs",
+                "use crate::hash::FastMap;\npub fn f() -> usize {\n    FastMap::<u32, u32>::default().len()\n}\n",
+            ),
+            (
+                "crates/label/src/keyed.rs",
+                "pub fn f() -> usize {\n    // lint:allow(data-plane-hasher): keys come from the network and need SipHash\n    std::collections::HashMap::<u32, u32>::new().len()\n}\n",
+            ),
+            (
+                "crates/mining/src/t.rs",
+                "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { let _ = std::collections::HashSet::<u32>::new(); }\n}\n",
+            ),
+            ("crates/eval/src/x.rs", std_map),
+            ("crates/bench/src/x.rs", std_map),
+            ("tests/x.rs", std_map),
+        ],
         "",
     );
     assert!(v.is_empty(), "unexpected: {v:?}");

@@ -14,8 +14,7 @@
 //! values of one field).
 
 use crate::transaction::{itemset_to_rule, Item, Transaction};
-use mawilab_model::TrafficRule;
-use std::collections::HashMap;
+use mawilab_model::{FastMap, FastSet, TrafficRule};
 
 /// A frequent itemset with its absolute support count.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,7 +52,7 @@ pub fn apriori(transactions: &[Transaction], min_support: f64) -> Vec<FrequentIt
     let min_count = ((min_support * n as f64).ceil() as usize).max(1);
 
     // Level 1.
-    let mut counts: HashMap<Item, usize> = HashMap::new();
+    let mut counts: FastMap<Item, usize> = FastMap::default();
     for t in transactions {
         for &item in t.items() {
             *counts.entry(item).or_insert(0) += 1;
@@ -73,8 +72,7 @@ pub fn apriori(transactions: &[Transaction], min_support: f64) -> Vec<FrequentIt
     // Levels 2..=4.
     while !level.is_empty() && level[0].items.len() < 4 {
         let prev: Vec<&Vec<Item>> = level.iter().map(|f| &f.items).collect();
-        let prev_set: std::collections::HashSet<&[Item]> =
-            prev.iter().map(|v| v.as_slice()).collect();
+        let prev_set: FastSet<&[Item]> = prev.iter().map(|v| v.as_slice()).collect();
         let mut candidates: Vec<Vec<Item>> = Vec::new();
         for i in 0..level.len() {
             for j in (i + 1)..level.len() {

@@ -6,8 +6,8 @@
 //! dense flow id of every packet at both flow granularities so that
 //! alarm-traffic extraction is a single array lookup per packet.
 
+use crate::hash::FastMap;
 use crate::packet::{Packet, Protocol};
-use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -195,8 +195,8 @@ pub struct FlowTable {
     bi_keys: Vec<BiflowKey>,
     uni_stats: Vec<FlowStats>,
     bi_stats: Vec<FlowStats>,
-    uni_index: HashMap<FlowKey, FlowId>,
-    bi_index: HashMap<BiflowKey, FlowId>,
+    uni_index: FastMap<FlowKey, FlowId>,
+    bi_index: FastMap<BiflowKey, FlowId>,
 }
 
 impl FlowTable {
@@ -209,8 +209,8 @@ impl FlowTable {
             bi_keys: Vec::new(),
             uni_stats: Vec::new(),
             bi_stats: Vec::new(),
-            uni_index: HashMap::new(),
-            bi_index: HashMap::new(),
+            uni_index: FastMap::default(),
+            bi_index: FastMap::default(),
         };
         for p in packets {
             let uk = FlowKey::of(p);
@@ -314,9 +314,9 @@ impl FlowTable {
 pub struct ItemIndex {
     granularity: Granularity,
     next_packet: u32,
-    uni_index: HashMap<FlowKey, FlowId>,
+    uni_index: FastMap<FlowKey, FlowId>,
     uni_keys: Vec<FlowKey>,
-    bi_index: HashMap<BiflowKey, FlowId>,
+    bi_index: FastMap<BiflowKey, FlowId>,
     bi_keys: Vec<BiflowKey>,
 }
 
@@ -326,9 +326,9 @@ impl ItemIndex {
         ItemIndex {
             granularity,
             next_packet: 0,
-            uni_index: HashMap::new(),
+            uni_index: FastMap::default(),
             uni_keys: Vec::new(),
-            bi_index: HashMap::new(),
+            bi_index: FastMap::default(),
             bi_keys: Vec::new(),
         }
     }

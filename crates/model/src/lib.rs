@@ -13,6 +13,8 @@
 //!
 //! * [`packet`] — [`Packet`], [`Protocol`], [`TcpFlags`]: one 32-byte
 //!   record per captured packet.
+//! * [`hash`] — [`FastMap`] / [`FastSet`]: the seeded multiply-mix
+//!   hasher every per-packet and per-unit map uses.
 //! * [`flow`] — [`FlowKey`] / [`BiflowKey`] 5-tuples and [`FlowTable`],
 //!   the dense packet→flow index both traffic granularities share.
 //! * [`trace`] — [`Trace`] (time-sorted packets + [`TraceMeta`]) and
@@ -28,6 +30,7 @@
 #![forbid(unsafe_code)]
 
 pub mod flow;
+pub mod hash;
 pub mod packet;
 pub mod pcap;
 pub mod rule;
@@ -35,6 +38,7 @@ pub mod source;
 pub mod trace;
 
 pub use flow::{BiflowKey, FlowId, FlowKey, FlowTable, Granularity, ItemIndex};
+pub use hash::{FastMap, FastSet, FastState};
 pub use packet::{Packet, Protocol, TcpFlags};
 pub use pcap::StreamingPcapReader;
 pub use rule::TrafficRule;

@@ -3,8 +3,7 @@
 use crate::extractor::{extract_traffic, intersection_size};
 use mawilab_detectors::{Alarm, DetectorKind, TraceView, Tuning};
 use mawilab_graph::{louvain, Graph, Partition};
-use mawilab_model::Granularity;
-use std::collections::{HashMap, HashSet};
+use mawilab_model::{FastMap, FastSet, Granularity};
 
 /// Edge-weight measure between two alarms' traffic sets (paper
 /// §2.1.2). Simpson outperformed the others in the paper's
@@ -130,20 +129,20 @@ impl SimilarityEstimator {
     }
 
     /// The retained single-threaded reference implementation: one
-    /// global inverted index, `HashSet` pair dedup, sequential
+    /// global inverted index, hash-set pair dedup, sequential
     /// scoring. Kept as the equivalence oracle for the sharded engine
     /// (`tests/shard_equivalence.rs` property-tests
     /// [`build_graph`](Self::build_graph) against it).
     pub fn build_graph_sequential(&self, traffic: &[Vec<u32>]) -> Graph {
         // item → alarms containing it.
-        let mut index: HashMap<u32, Vec<u32>> = HashMap::new();
+        let mut index: FastMap<u32, Vec<u32>> = FastMap::default();
         for (ai, set) in traffic.iter().enumerate() {
             for &item in set {
                 index.entry(item).or_default().push(ai as u32);
             }
         }
         // Candidate pairs = pairs sharing ≥1 item.
-        let mut pairs: HashSet<(u32, u32)> = HashSet::new();
+        let mut pairs: FastSet<(u32, u32)> = FastSet::default();
         for alarms in index.values() {
             for i in 0..alarms.len() {
                 for j in (i + 1)..alarms.len() {

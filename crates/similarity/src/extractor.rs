@@ -18,8 +18,7 @@
 
 use crate::index::{AlarmIndex, CandidateRun, HitSink};
 use mawilab_detectors::{Alarm, AlarmScope, TraceView};
-use mawilab_model::{FlowKey, Granularity};
-use std::collections::{HashMap, HashSet};
+use mawilab_model::{FastMap, FastSet, FlowKey, Granularity};
 use std::ops::Range;
 
 /// Packets per scan shard of the indexed engine.
@@ -90,8 +89,8 @@ pub fn extract_traffic_sequential(
     alarms: &[Alarm],
     granularity: Granularity,
 ) -> Vec<Vec<u32>> {
-    let mut scope_slots: HashMap<&[FlowKey], usize> = HashMap::new();
-    let mut resolved: Vec<HashSet<u32>> = Vec::new();
+    let mut scope_slots: FastMap<&[FlowKey], usize> = FastMap::default();
+    let mut resolved: Vec<FastSet<u32>> = Vec::new();
     let slots: Vec<Option<usize>> = alarms
         .iter()
         .map(|a| match &a.scope {
@@ -119,12 +118,12 @@ fn extract_one(
     view: &TraceView<'_>,
     alarm: &Alarm,
     granularity: Granularity,
-    flow_ids: Option<&HashSet<u32>>,
+    flow_ids: Option<&FastSet<u32>>,
 ) -> Vec<u32> {
     let trace = view.trace;
     let range = trace.packet_range(&alarm.window);
 
-    let mut set: HashSet<u32> = HashSet::new();
+    let mut set: FastSet<u32> = FastSet::default();
     for i in range {
         let p = &trace.packets[i];
         let matched = match (&alarm.scope, flow_ids) {

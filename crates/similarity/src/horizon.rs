@@ -42,9 +42,9 @@
 
 use crate::index::{group_by_bucket, AlarmIndex, HitSink};
 use mawilab_detectors::Alarm;
-use mawilab_model::{FlowKey, Packet, TimeWindow};
+use mawilab_model::{FastSet, FlowKey, Packet, TimeWindow};
 use std::borrow::Cow;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 
 /// Units per shard of the finalize fan-out.
@@ -93,7 +93,7 @@ pub struct HorizonTraffic {
     /// One sorted, deduplicated unit-id set per alarm, in alarm order.
     pub traffic: Vec<Vec<u32>>,
     /// Every unit id that matched at least one alarm.
-    pub matched: HashSet<u32>,
+    pub matched: FastSet<u32>,
     /// Retire/fresh accounting of the drain.
     pub stats: HorizonStats,
 }
@@ -245,7 +245,10 @@ impl HorizonExtractor {
             (sink, matched)
         });
         let mut sink = HitSink::new(alarms.len());
-        let mut matched = HashSet::with_capacity(parts.iter().map(|(_, ids)| ids.len()).sum());
+        let mut matched = FastSet::with_capacity_and_hasher(
+            parts.iter().map(|(_, ids)| ids.len()).sum(),
+            Default::default(),
+        );
         for (part, ids) in parts {
             sink.absorb(part);
             matched.extend(ids);
@@ -412,7 +415,7 @@ mod tests {
         let alarms = alarms(&t);
         for lag_us in [0u64, 40_000_000, u64::MAX / 2] {
             let (_, horizon) = run_both(&t, &alarms, Granularity::Packet, 5_000_000, lag_us);
-            let union: HashSet<u32> = horizon.traffic.iter().flatten().copied().collect();
+            let union: FastSet<u32> = horizon.traffic.iter().flatten().copied().collect();
             assert_eq!(horizon.matched, union, "lag {lag_us}");
         }
     }
@@ -510,7 +513,7 @@ mod tests {
                 }
                 let out = ex.finalize(&alarms);
                 assert_eq!(out.traffic, vec![vec![want]], "{g}, lag {lag_us}");
-                assert_eq!(out.matched, HashSet::from([want]), "{g}, lag {lag_us}");
+                assert_eq!(out.matched, FastSet::from_iter([want]), "{g}, lag {lag_us}");
             }
         }
     }

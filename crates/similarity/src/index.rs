@@ -36,8 +36,7 @@
 //! is byte-identical to the seed per-alarm scan at any thread count.
 
 use mawilab_detectors::{Alarm, AlarmScope};
-use mawilab_model::{FlowKey, TrafficRule};
-use std::collections::HashMap;
+use mawilab_model::{FastMap, FlowKey, TrafficRule};
 use std::net::Ipv4Addr;
 
 /// One alarm of a run: `(window start, window end, alarm index)`.
@@ -226,17 +225,17 @@ struct HostBucket {
 pub(crate) struct AlarmIndex<'a> {
     store: RunStore,
     /// `SrcHost` alarms, and rules whose most selective field is `src`.
-    by_src: HashMap<Ipv4Addr, HostBucket>,
+    by_src: FastMap<Ipv4Addr, HostBucket>,
     /// `DstHost` alarms, and rules whose most selective field is `dst`.
-    by_dst: HashMap<Ipv4Addr, HostBucket>,
-    by_flow: HashMap<FlowKey, u32>,
+    by_dst: FastMap<Ipv4Addr, HostBucket>,
+    by_flow: FastMap<FlowKey, u32>,
     /// Distinct `Rule` scopes with the run of alarms carrying each
     /// (detectors re-emit one mined rule across many windows — resolve
     /// it once). A bucket hit still verifies the rule's remaining
     /// constraints.
     rules: Vec<(&'a TrafficRule, u32)>,
-    rule_by_dport: HashMap<u16, Vec<u32>>,
-    rule_by_sport: HashMap<u16, Vec<u32>>,
+    rule_by_dport: FastMap<u16, Vec<u32>>,
+    rule_by_sport: FastMap<u16, Vec<u32>>,
     /// Rules with no concrete endpoint field (proto-only/any).
     rule_wild: Vec<u32>,
 }
@@ -246,12 +245,12 @@ impl<'a> AlarmIndex<'a> {
         let mut ix = AlarmIndex {
             // Filled once every bucket has numbered its run.
             store: RunStore::default(),
-            by_src: HashMap::new(),
-            by_dst: HashMap::new(),
-            by_flow: HashMap::new(),
+            by_src: FastMap::default(),
+            by_dst: FastMap::default(),
+            by_flow: FastMap::default(),
             rules: Vec::new(),
-            rule_by_dport: HashMap::new(),
-            rule_by_sport: HashMap::new(),
+            rule_by_dport: FastMap::default(),
+            rule_by_sport: FastMap::default(),
             rule_wild: Vec::new(),
         };
         // `(run, alarm)` pairs; runs are numbered on first use.
@@ -261,7 +260,7 @@ impl<'a> AlarmIndex<'a> {
             runs += 1;
             runs - 1
         };
-        let mut rule_ids: HashMap<&TrafficRule, u32> = HashMap::new();
+        let mut rule_ids: FastMap<&TrafficRule, u32> = FastMap::default();
         for (ai, alarm) in alarms.iter().enumerate() {
             let ai = ai as u32;
             let run = match &alarm.scope {

@@ -2,7 +2,7 @@
 //!
 //! The graph build's dominant cost is discovering which alarm pairs
 //! share traffic units and how many. The sequential reference does it
-//! with one global inverted index, a `HashSet<(u32, u32)>` and a
+//! with one global inverted index, a hash set of pairs and a
 //! per-pair sorted-merge intersection; this module shards the work so
 //! independent slices run on separate threads and the per-slice work
 //! is hash-free.
@@ -24,7 +24,7 @@
 //!
 //! Each bin builds a dense per-bin inverted index (a `Vec` indexed by
 //! `item - bin_start` — ids are dense, so this replaces the global
-//! `HashMap`), then **counts** each pair's co-occurrences instead of
+//! hash map), then **counts** each pair's co-occurrences instead of
 //! merely deduplicating them: an item id lives in exactly one bin, so
 //! the multiplicity of `(a, b)` summed across all buckets is exactly
 //! `|A∩B|`, and the graph build gets its exact intersection sizes
@@ -32,12 +32,12 @@
 //! used to dominate the stage. Sparse id spaces (ids much larger than
 //! the number of occurrences, which dense time-ordered ids never
 //! produce but arbitrary callers can) fall back to a per-bin
-//! `HashMap` index with identical output.
+//! `FastMap` index with identical output.
 //!
 //! [`FlowTable`]: mawilab_model::FlowTable
 //! [`ItemIndex`]: mawilab_model::ItemIndex
 
-use std::collections::HashMap;
+use mawilab_model::FastMap;
 
 /// How many id-range bins to cut the item space into: a few bins per
 /// worker so atomic work pulling balances bins of uneven density.
@@ -45,7 +45,7 @@ const BINS_PER_WORKER: usize = 4;
 
 /// Dense-index fallback threshold: when the id space is more than
 /// this many times larger than the number of id occurrences, the
-/// per-bin index uses a `HashMap` instead of a dense `Vec`.
+/// per-bin index uses a `FastMap` instead of a dense `Vec`.
 const DENSE_SLACK: usize = 8;
 
 /// Co-occurrence counting: every pair `(a, b)` with `a < b` sharing
@@ -111,7 +111,7 @@ fn cooccurrence_with_bins(traffic: &[Vec<u32>], requested_bins: usize) -> Vec<(u
                 (0..width).map(|k| &entries[offsets[k] as usize..offsets[k + 1] as usize]),
             )
         } else {
-            let mut index: HashMap<u32, Vec<u32>> = HashMap::new();
+            let mut index: FastMap<u32, Vec<u32>> = FastMap::default();
             for (ai, set) in traffic.iter().enumerate() {
                 for &item in slice_in_range(set, lo, hi) {
                     index.entry(item).or_default().push(ai as u32);
@@ -189,13 +189,13 @@ mod tests {
     /// The candidate set of the sequential reference, straight from
     /// its definition.
     fn reference_pairs(traffic: &[Vec<u32>]) -> Vec<(u32, u32)> {
-        let mut index: HashMap<u32, Vec<u32>> = HashMap::new();
+        let mut index: FastMap<u32, Vec<u32>> = FastMap::default();
         for (ai, set) in traffic.iter().enumerate() {
             for &item in set {
                 index.entry(item).or_default().push(ai as u32);
             }
         }
-        let mut pairs: std::collections::HashSet<(u32, u32)> = Default::default();
+        let mut pairs: mawilab_model::FastSet<(u32, u32)> = Default::default();
         for alarms in index.values() {
             for i in 0..alarms.len() {
                 for j in (i + 1)..alarms.len() {

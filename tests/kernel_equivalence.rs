@@ -164,7 +164,7 @@ proptest! {
                     prop_assert_eq!(&out.traffic, &expected,
                         "horizon diverged at {} threads, bin {}, lag {}",
                         threads, bin_us, lag_us);
-                    let union: std::collections::HashSet<u32> =
+                    let union: mawilab::model::FastSet<u32> =
                         expected.iter().flatten().copied().collect();
                     prop_assert_eq!(&out.matched, &union);
                 }

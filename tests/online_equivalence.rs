@@ -327,3 +327,42 @@ fn single_pass_is_identical_at_every_thread_count() {
     }
     std::env::remove_var("MAWILAB_THREADS");
 }
+
+#[test]
+fn single_pass_is_identical_across_runs_in_one_process() {
+    // Every hash map of the drain draws a fresh seed, so four runs in
+    // one process iterate their maps in four different orders: any
+    // order that leaks into alarms, traffic or labels shows up here.
+    let lt = synth(222);
+    for granularity in [Granularity::Uniflow, Granularity::Packet] {
+        let config = PipelineConfig {
+            granularity,
+            ..Default::default()
+        };
+        let run = || {
+            let mut sealed =
+                NoRewindSource::new(TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US));
+            OnlinePipeline::new(config.clone())
+                .run(&mut sealed)
+                .unwrap()
+        };
+        let first = run();
+        for _ in 1..4 {
+            let again = run();
+            assert_eq!(
+                again.report.communities.alarms, first.report.communities.alarms,
+                "alarms differ ({granularity})"
+            );
+            assert_eq!(
+                again.report.communities.traffic, first.report.communities.traffic,
+                "traffic sets differ ({granularity})"
+            );
+            assert_eq!(again.report.votes, first.report.votes);
+            assert_eq!(again.report.decisions, first.report.decisions);
+            assert_labels_identical(
+                &again.report.labeled.communities,
+                &first.report.labeled.communities,
+            );
+        }
+    }
+}
