@@ -200,20 +200,14 @@ impl OnlinePipeline {
     /// Drains the source **once** and runs all four steps. Never
     /// calls [`rewind`](PacketSource::rewind). A configured
     /// `min_support` outside `(0, 1]` or a `resolution` that is not
-    /// positive is rejected before the first chunk is read
-    /// ([`SourceError::InvalidMinSupport`],
+    /// positive is rejected by [`PipelineConfig::validate`] before the
+    /// first chunk is read ([`SourceError::InvalidMinSupport`],
     /// [`SourceError::InvalidResolution`]).
     pub fn run<S: PacketSource + ?Sized>(
         &self,
         source: &mut S,
     ) -> Result<OnlineReport, SourceError> {
-        let (support, resolution) = (self.config.min_support, self.config.resolution);
-        if support.is_nan() || support <= 0.0 || support > 1.0 {
-            return Err(SourceError::InvalidMinSupport(support));
-        }
-        if resolution.is_nan() || resolution <= 0.0 {
-            return Err(SourceError::InvalidResolution(resolution));
-        }
+        self.config.validate()?;
         let meta = source.meta().clone();
         let origin_us = meta.window().start_us;
         let mut stats = StreamStats::default();

@@ -6,7 +6,7 @@ use mawilab_combiner::{
 };
 use mawilab_detectors::{run_all, standard_configurations, Alarm, Detector, TraceView};
 use mawilab_label::{label_communities, LabeledCommunity, MawilabLabel};
-use mawilab_model::{FlowTable, Granularity, Trace};
+use mawilab_model::{FlowTable, Granularity, SourceError, Trace};
 use mawilab_similarity::{
     extract_traffic, AlarmCommunities, SimilarityEstimator, SimilarityMeasure,
 };
@@ -101,6 +101,23 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
+    /// Checks the knobs that mining and Louvain would otherwise reject
+    /// with an assert only after every detector has run: a
+    /// `min_support` outside `(0, 1]`
+    /// ([`SourceError::InvalidMinSupport`]) or a `resolution` that is
+    /// not positive ([`SourceError::InvalidResolution`]). Both
+    /// pipelines call it before any work.
+    pub fn validate(&self) -> Result<(), SourceError> {
+        let (support, resolution) = (self.min_support, self.resolution);
+        if support.is_nan() || support <= 0.0 || support > 1.0 {
+            return Err(SourceError::InvalidMinSupport(support));
+        }
+        if resolution.is_nan() || resolution <= 0.0 {
+            return Err(SourceError::InvalidResolution(resolution));
+        }
+        Ok(())
+    }
+
     /// The similarity estimator this configuration describes — the
     /// single place the pipeline's four estimator knobs are wired
     /// through, shared by the batch and single-pass pipelines.
@@ -189,7 +206,15 @@ impl MawilabPipeline {
     }
 
     /// Runs all four steps on one trace.
+    ///
+    /// # Panics
+    ///
+    /// Before any detector runs, if the configuration fails
+    /// [`PipelineConfig::validate`]; the message is the typed error's.
     pub fn run(&self, trace: &Trace) -> PipelineReport {
+        if let Err(e) = self.config.validate() {
+            panic!("invalid pipeline configuration: {e}"); // lint:allow(panic-free-data-plane): the batch oracle's run returns no Result yet (ROADMAP item 7); this is the documented early panic that replaces the asserts in mining and Louvain
+        }
         let flows = FlowTable::build(&trace.packets);
         let view = TraceView::new(trace, &flows);
 
@@ -256,9 +281,84 @@ pub(crate) fn combine_and_label(
 mod tests {
     use super::*;
     use mawilab_synth::{SynthConfig, TraceGenerator};
+    use std::panic::AssertUnwindSafe;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn small_trace() -> mawilab_synth::LabeledTrace {
         TraceGenerator::new(SynthConfig::default().with_seed(99)).generate()
+    }
+
+    #[test]
+    fn validate_accepts_the_default_and_types_each_bad_knob() {
+        assert!(PipelineConfig::default().validate().is_ok());
+        for bad in [0.0, -0.1, 1.5, f64::NAN] {
+            let config = PipelineConfig {
+                min_support: bad,
+                ..PipelineConfig::default()
+            };
+            let err = config.validate().unwrap_err();
+            assert!(matches!(err, SourceError::InvalidMinSupport(_)), "{err}");
+        }
+        for bad in [0.0, -1.0, f64::NAN] {
+            let config = PipelineConfig {
+                resolution: bad,
+                ..PipelineConfig::default()
+            };
+            let err = config.validate().unwrap_err();
+            assert!(matches!(err, SourceError::InvalidResolution(_)), "{err}");
+        }
+    }
+
+    /// A PCA configuration that counts how often it is run.
+    struct Counting(Arc<AtomicUsize>);
+
+    impl Detector for Counting {
+        fn kind(&self) -> mawilab_detectors::DetectorKind {
+            mawilab_detectors::DetectorKind::Pca
+        }
+
+        fn tuning(&self) -> mawilab_detectors::Tuning {
+            mawilab_detectors::Tuning::Optimal
+        }
+
+        fn incremental(&self) -> Box<dyn mawilab_detectors::IncrementalDetector> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            mawilab_detectors::PcaDetector::new(self.tuning()).incremental()
+        }
+    }
+
+    #[test]
+    fn batch_run_panics_with_the_typed_error_before_any_detector_runs() {
+        let trace = small_trace().trace;
+        let cases = [
+            (
+                PipelineConfig {
+                    min_support: 0.0,
+                    ..PipelineConfig::default()
+                },
+                SourceError::InvalidMinSupport(0.0),
+            ),
+            (
+                PipelineConfig {
+                    resolution: 0.0,
+                    ..PipelineConfig::default()
+                },
+                SourceError::InvalidResolution(0.0),
+            ),
+        ];
+        for (config, err) in cases {
+            let runs = Arc::new(AtomicUsize::new(0));
+            let pipeline =
+                MawilabPipeline::new(config).with_detectors(vec![Box::new(Counting(runs.clone()))]);
+            let payload = std::panic::catch_unwind(AssertUnwindSafe(|| pipeline.run(&trace)))
+                .expect_err("the configuration must be rejected");
+            let msg = payload
+                .downcast_ref::<String>()
+                .expect("a formatted panic message");
+            assert_eq!(*msg, format!("invalid pipeline configuration: {err}"));
+            assert_eq!(runs.load(Ordering::SeqCst), 0, "a detector ran: {msg}");
+        }
     }
 
     #[test]

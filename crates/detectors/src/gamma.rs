@@ -281,20 +281,27 @@ impl IncrementalDetector for GammaAccumulator {
     }
 
     fn finish(&mut self) -> Vec<Alarm> {
-        self.finish_tuning(self.det.tuning)
+        self.finish_tunings(&[self.det.tuning])
+            .pop()
+            .unwrap_or_default()
     }
 
-    fn finish_tuning(&self, tuning: Tuning) -> Vec<Alarm> {
-        let mut out = Vec::new();
+    fn finish_tunings(&self, tunings: &[Tuning]) -> Vec<Vec<Alarm>> {
         if self.seen == 0 {
-            return out;
+            return vec![Vec::new(); tunings.len()];
         }
         let window = self.window.expect("finish before begin"); // lint:allow(panic-free-data-plane): begin() runs before finish() in the chunk driver
-        let det = GammaDetector::new(tuning);
-        for state in &self.dirs {
-            det.finish_direction(state, window, &mut out);
-        }
-        out
+        tunings
+            .iter()
+            .map(|&t| {
+                let det = GammaDetector::new(t);
+                let mut out = Vec::new();
+                for state in &self.dirs {
+                    det.finish_direction(state, window, &mut out);
+                }
+                out
+            })
+            .collect()
     }
 }
 

@@ -16,13 +16,20 @@
 //! counts. The flows behind a pixel are not stored per pixel: in both
 //! pictures y is a function of the flow key (the destination-port
 //! bucket, the hashed destination address), so one log of distinct
-//! (time bin, flow key) pairs serves both pictures. `finish` chooses
-//! the lines from the count planes alone, then gathers the flows of
-//! every accepted line in one pass over the log.
+//! (time bin, flow key) pairs serves both pictures. Each pair is
+//! packed into one `u128` whose integer order is the pair's tuple
+//! order ([`pack`]), so the per-chunk dedup and the per-line flow
+//! gather sort plain integers; only the capped, sorted flow set of
+//! an alarm is unpacked back into [`FlowKey`]s. `finish` chooses the
+//! lines from the count planes alone, then gathers the flows of every
+//! accepted line in one pass over the log. The per-row baselines do
+//! not depend on the tuning, so one `finish_tunings` call computes
+//! them, and each pixel's excess over its baseline, once for all the
+//! tunings it finishes; each tuning only cuts at its `pixel_min`.
 
 use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
 use crate::{ChunkView, Detector, IncrementalDetector, ObservationKey};
-use mawilab_model::{FlowKey, TimeWindow, TraceMeta};
+use mawilab_model::{FlowKey, Protocol, TimeWindow, TraceMeta};
 
 /// Most flow keys one alarm reports: the smallest, in key order.
 const MAX_ALARM_FLOWS: usize = 5_000;
@@ -45,6 +52,54 @@ const _: () = {
     }
 };
 
+/// Bit offset of the time bin in a packed (time bin, flow key) pair;
+/// the flow key fills the 112 bits below it.
+const X_SHIFT: u32 = 112;
+
+/// The flow-key bits of a packed pair.
+const KEY_MASK: u128 = (1 << X_SHIFT) - 1;
+
+/// Packs `(x, key)` into one integer whose order equals the derived
+/// order of the tuple `(x, key)`: from the top, 16 bits of time bin,
+/// then the key's fields in declaration order (32-bit source and
+/// destination, 16-bit source and destination port) and the rank of
+/// its protocol in `Protocol`'s variant order (9 bits used of 16).
+fn pack(x: u16, key: &FlowKey) -> u128 {
+    let rank = match key.proto {
+        Protocol::Tcp => 0,
+        Protocol::Udp => 1,
+        Protocol::Icmp => 2,
+        Protocol::Other(n) => 3 + n as u128,
+    };
+    (x as u128) << X_SHIFT
+        | (u32::from(key.src) as u128) << 80
+        | (u32::from(key.dst) as u128) << 48
+        | (key.sport as u128) << 32
+        | (key.dport as u128) << 16
+        | rank
+}
+
+/// The time bin of a packed pair.
+fn unpack_x(packed: u128) -> u16 {
+    (packed >> X_SHIFT) as u16
+}
+
+/// The flow key of a packed pair (its time bin is ignored).
+fn unpack_key(packed: u128) -> FlowKey {
+    FlowKey {
+        src: ((packed >> 80) as u32).into(),
+        dst: ((packed >> 48) as u32).into(),
+        sport: (packed >> 32) as u16,
+        dport: (packed >> 16) as u16,
+        proto: match packed as u16 {
+            0 => Protocol::Tcp,
+            1 => Protocol::Udp,
+            2 => Protocol::Icmp,
+            rank => Protocol::Other((rank - 3) as u8),
+        },
+    }
+}
+
 /// Which picture a pixel belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Picture {
@@ -58,11 +113,12 @@ enum Picture {
 const PICTURES: [Picture; 2] = [Picture::Port, Picture::Addr];
 
 impl Picture {
-    /// Row of a flow's packets in this picture.
-    fn y(self, key: &FlowKey, y_bins: usize) -> usize {
+    /// Row of a flow's packets in this picture, read from a packed
+    /// (time bin, flow key) pair.
+    fn y(self, packed: u128, y_bins: usize) -> usize {
         match self {
-            Picture::Port => (key.dport as usize * y_bins) >> 16, // port/64
-            Picture::Addr => (u32::from(key.dst).wrapping_mul(2_654_435_761) as usize) % y_bins,
+            Picture::Port => ((packed >> 16) as u16 as usize * y_bins) >> 16, // port/64
+            Picture::Addr => ((packed >> 48) as u32).wrapping_mul(2_654_435_761) as usize % y_bins,
         }
     }
 }
@@ -127,14 +183,14 @@ impl HoughDetector {
         x * self.y_bins + y
     }
 
-    /// Active pixels of one picture, in (x, y) order.
-    fn active_pixels(&self, plane: &[u32]) -> Vec<(u16, u16)> {
-        // Per-row (y) baseline: the median count across all time bins
-        // of the row, zeros included. A pixel is *anomalous* only when
-        // it exceeds the baseline by `pixel_min` — constant service
-        // rows (port 80 HTTP, popular hosts) have a high baseline and
-        // stop producing always-on false lines, while transient
-        // floods/scans rise far above their row's median.
+    /// Per-row (y) baselines of one picture: the median count across
+    /// all time bins of the row, zeros included. A pixel is
+    /// *anomalous* only when it exceeds its baseline by `pixel_min`
+    /// ([`active_pixels`](Self::active_pixels)) — constant service
+    /// rows (port 80 HTTP, popular hosts) have a high baseline and
+    /// stop producing always-on false lines, while transient
+    /// floods/scans rise far above their row's median.
+    fn row_medians(&self, plane: &[u32]) -> Vec<u32> {
         let mid = self.time_bins / 2;
         let mut busy = vec![0usize; self.y_bins];
         for row in plane.chunks_exact(self.y_bins) {
@@ -143,7 +199,7 @@ impl HoughDetector {
             }
         }
         let mut column = vec![0u32; self.time_bins];
-        let medians: Vec<u32> = (0..self.y_bins)
+        (0..self.y_bins)
             .map(|y| {
                 // More than half the row's bins are empty: the median is 0.
                 if self.time_bins - busy[y] > mid {
@@ -154,16 +210,37 @@ impl HoughDetector {
                 }
                 *column.select_nth_unstable(mid).1
             })
-            .collect();
+            .collect()
+    }
+
+    /// The pixels of one picture at least `floor` above their row's
+    /// baseline, each with its excess over the baseline, in (x, y)
+    /// order. Nothing here reads a tuning but `floor`, so one call
+    /// with the lowest `pixel_min` serves every tuning's
+    /// [`active_pixels`](Self::active_pixels).
+    fn rising_pixels(&self, plane: &[u32], floor: u32) -> Vec<((u16, u16), u32)> {
+        let medians = self.row_medians(plane);
         let mut pixels = Vec::new();
         for (x, row) in plane.chunks_exact(self.y_bins).enumerate() {
             for (y, (&c, &median)) in row.iter().zip(&medians).enumerate() {
-                if c.saturating_sub(median) >= self.pixel_min {
-                    pixels.push((x as u16, y as u16));
+                let excess = c.saturating_sub(median);
+                if excess >= floor {
+                    pixels.push(((x as u16, y as u16), excess));
                 }
             }
         }
         pixels
+    }
+
+    /// Active pixels — at least `pixel_min` above their row's
+    /// baseline — of a picture's [`rising_pixels`](Self::rising_pixels)
+    /// (taken with a floor of at most `pixel_min`), in (x, y) order.
+    fn active_pixels(&self, rising: &[((u16, u16), u32)]) -> Vec<(u16, u16)> {
+        rising
+            .iter()
+            .filter(|&&(_, excess)| excess >= self.pixel_min)
+            .map(|&(px, _)| px)
+            .collect()
     }
 
     /// The lines of one picture, from its active pixels alone.
@@ -182,19 +259,32 @@ impl HoughDetector {
                 (th.cos(), th.sin())
             })
             .collect();
+        // Normalised pixel centres, per column and per row.
+        let xn: Vec<f64> = (0..self.time_bins)
+            .map(|x| (x as f64 + 0.5) / self.time_bins as f64)
+            .collect();
+        let yn: Vec<f64> = (0..self.y_bins)
+            .map(|y| (y as f64 + 0.5) / self.y_bins as f64)
+            .collect();
         // The ρ bin of every (angle, pixel), angle-major, computed
         // once: the votes and every candidate line read the same bins.
-        let rho_of: Vec<u16> = angles
-            .iter()
-            .flat_map(|&(c, s)| {
-                pixels.iter().map(move |&(x, y)| {
-                    let xn = (x as f64 + 0.5) / self.time_bins as f64;
-                    let yn = (y as f64 + 0.5) / self.y_bins as f64;
-                    let rho = xn * c + yn * s;
-                    (((rho - rho_min) / rho_step) as usize).min(self.rho_bins - 1) as u16
-                })
-            })
-            .collect();
+        // Per angle, the x and y terms are tabulated first; their sum
+        // is the same `xn * cos + yn * sin` a pixel would compute.
+        let mut xc = vec![0.0; self.time_bins];
+        let mut ys = vec![0.0; self.y_bins];
+        let mut rho_of: Vec<u16> = Vec::with_capacity(self.n_angles * pixels.len());
+        for &(c, s) in &angles {
+            for (t, &v) in xc.iter_mut().zip(&xn) {
+                *t = v * c;
+            }
+            for (t, &v) in ys.iter_mut().zip(&yn) {
+                *t = v * s;
+            }
+            rho_of.extend(pixels.iter().map(|&(x, y)| {
+                let rho = xc[x as usize] + ys[y as usize];
+                (((rho - rho_min) / rho_step) as usize).min(self.rho_bins - 1) as u16
+            }));
+        }
         let mut votes = vec![0u32; self.n_angles * self.rho_bins];
         for (ai, bins) in rho_of.chunks_exact(pixels.len()).enumerate() {
             for &ri in bins {
@@ -251,12 +341,13 @@ impl HoughDetector {
 
     /// The flow keys of every line of both pictures — sorted, distinct
     /// and capped at [`MAX_ALARM_FLOWS`] — from one pass over the
-    /// (time bin, flow key) log.
-    fn line_flows(&self, lines: &[Vec<Line>; 2], log: &[(u16, FlowKey)]) -> [Vec<Vec<FlowKey>>; 2] {
-        let mut flows = lines.each_ref().map(|lines| vec![Vec::new(); lines.len()]);
+    /// packed (time bin, flow key) log.
+    fn line_flows(&self, lines: &[Vec<Line>; 2], log: &[u128]) -> [Vec<Vec<FlowKey>>; 2] {
         if lines.iter().all(Vec::is_empty) {
-            return flows;
+            return [Vec::new(), Vec::new()];
         }
+        let mut flows: [Vec<Vec<u128>>; 2] =
+            lines.each_ref().map(|lines| vec![Vec::new(); lines.len()]);
         // Per pixel, one bit per accepted line holding it.
         let masks = lines.each_ref().map(|lines| {
             let mut mask = vec![0u32; self.time_bins * self.y_bins];
@@ -267,21 +358,27 @@ impl HoughDetector {
             }
             mask
         });
-        for (x, key) in log {
+        for &packed in log {
+            let x = unpack_x(packed) as usize;
             for ((mask, picture), flows) in masks.iter().zip(PICTURES).zip(&mut flows) {
-                let mut bits = mask[self.cell(*x as usize, picture.y(key, self.y_bins))];
+                let mut bits = mask[self.cell(x, picture.y(packed, self.y_bins))];
                 while bits != 0 {
-                    flows[bits.trailing_zeros() as usize].push(*key);
+                    flows[bits.trailing_zeros() as usize].push(packed & KEY_MASK);
                     bits &= bits - 1;
                 }
             }
         }
-        for keys in flows.iter_mut().flatten() {
-            keys.sort_unstable();
-            keys.dedup();
-            keys.truncate(MAX_ALARM_FLOWS);
-        }
-        flows
+        flows.map(|flows| {
+            flows
+                .into_iter()
+                .map(|mut keys| {
+                    keys.sort_unstable();
+                    keys.dedup();
+                    keys.truncate(MAX_ALARM_FLOWS);
+                    keys.into_iter().map(unpack_key).collect()
+                })
+                .collect()
+        })
     }
 
     /// The alarm of one line. The last time bin also holds the
@@ -335,9 +432,14 @@ impl Detector for HoughDetector {
 /// Incremental form of [`HoughDetector`]: chunk observation counts
 /// packets into the two dense pictures (one `time_bins × y_bins`
 /// plane each, keyed by absolute time bin) and appends the chunk's
-/// distinct (time bin, flow key) pairs to a log both pictures share;
-/// the Hough transform, peak extraction and flow gathering run once
-/// at finish.
+/// distinct (time bin, flow key) pairs to a log both pictures share.
+/// Each pair is one [`pack`]ed `u128` (16 bytes, as the tuple was), so
+/// the chunk's dedup is an integer sort. The per-row baselines, the
+/// Hough transform, peak extraction and flow gathering run at finish:
+/// the baselines once per [`finish_tunings`] call, the rest per
+/// tuning.
+///
+/// [`finish_tunings`]: IncrementalDetector::finish_tunings
 pub struct HoughAccumulator {
     det: HoughDetector,
     window: Option<TimeWindow>,
@@ -346,11 +448,11 @@ pub struct HoughAccumulator {
     /// Packet counts per picture (in [`PICTURES`] order), indexed by
     /// [`HoughDetector::cell`].
     planes: [Vec<u32>; 2],
-    /// (time bin, flow key) pairs, distinct within a chunk; a pair
-    /// whose time bin spans several chunks recurs.
-    log: Vec<(u16, FlowKey)>,
-    /// The current chunk's pairs, before sort and dedup.
-    scratch: Vec<(u16, FlowKey)>,
+    /// (time bin, flow key) pairs, [`pack`]ed, distinct within a
+    /// chunk; a pair whose time bin spans several chunks recurs.
+    log: Vec<u128>,
+    /// The current chunk's packed pairs, before sort and dedup.
+    scratch: Vec<u128>,
 }
 
 impl IncrementalDetector for HoughAccumulator {
@@ -380,12 +482,12 @@ impl IncrementalDetector for HoughAccumulator {
         let det = &self.det;
         self.scratch.clear();
         for p in chunk.packets {
-            let key = FlowKey::of(p);
             let x = det.time_bin(window.start_us, self.bin_us, p.ts_us);
+            let packed = pack(x, &FlowKey::of(p));
             for (plane, picture) in self.planes.iter_mut().zip(PICTURES) {
-                plane[det.cell(x as usize, picture.y(&key, det.y_bins))] += 1;
+                plane[det.cell(x as usize, picture.y(packed, det.y_bins))] += 1;
             }
-            self.scratch.push((x, key));
+            self.scratch.push(packed);
         }
         self.scratch.sort_unstable();
         self.scratch.dedup();
@@ -393,25 +495,41 @@ impl IncrementalDetector for HoughAccumulator {
     }
 
     fn finish(&mut self) -> Vec<Alarm> {
-        self.finish_tuning(self.det.tuning)
+        self.finish_tunings(&[self.det.tuning])
+            .pop()
+            .unwrap_or_default()
     }
 
-    fn finish_tuning(&self, tuning: Tuning) -> Vec<Alarm> {
-        if self.seen == 0 {
+    /// Computes both pictures' row baselines and rising pixels once;
+    /// each tuning makes its own `pixel_min` cut, lines and flow
+    /// gather.
+    fn finish_tunings(&self, tunings: &[Tuning]) -> Vec<Vec<Alarm>> {
+        let Some(floor) = tunings.iter().map(|&t| thresholds(t).0).min() else {
             return Vec::new();
+        };
+        if self.seen == 0 {
+            return vec![Vec::new(); tunings.len()];
         }
         let window = self.window.expect("finish before begin"); // lint:allow(panic-free-data-plane): begin() runs before finish() in the chunk driver
-        let det = HoughDetector::new(tuning);
-        let lines = self
+        let rising = self
             .planes
             .each_ref()
-            .map(|plane| det.choose_lines(&det.active_pixels(plane)));
-        let flows = det.line_flows(&lines, &self.log);
-        lines
+            .map(|plane| self.det.rising_pixels(plane, floor));
+        tunings
             .iter()
-            .zip(flows)
-            .flat_map(|(lines, flows)| lines.iter().zip(flows))
-            .map(|(line, keys)| det.alarm(window, self.bin_us, line, keys))
+            .map(|&t| {
+                let det = HoughDetector::new(t);
+                let lines = rising
+                    .each_ref()
+                    .map(|rising| det.choose_lines(&det.active_pixels(rising)));
+                let flows = det.line_flows(&lines, &self.log);
+                lines
+                    .iter()
+                    .zip(flows)
+                    .flat_map(|(lines, flows)| lines.iter().zip(flows))
+                    .map(|(line, keys)| det.alarm(window, self.bin_us, line, keys))
+                    .collect()
+            })
             .collect()
     }
 }
@@ -595,6 +713,51 @@ mod tests {
     }
 
     #[test]
+    fn packed_pairs_round_trip_in_tuple_order() {
+        let protos = [
+            Protocol::Tcp,
+            Protocol::Udp,
+            Protocol::Icmp,
+            Protocol::Other(0),
+            Protocol::Other(1),
+            Protocol::Other(6),
+            Protocol::Other(17),
+            Protocol::Other(255),
+        ];
+        let addrs = [0, 1, 0x8000_0000, u32::MAX].map(Ipv4Addr::from);
+        let ports = [0, 1, 0x8000, u16::MAX];
+        let mut pairs = Vec::new();
+        for x in [0, 1, 119, u16::MAX] {
+            for (&src, &dst) in addrs.iter().flat_map(|a| addrs.iter().map(move |b| (a, b))) {
+                for (&sport, &dport) in ports.iter().flat_map(|a| ports.iter().map(move |b| (a, b)))
+                {
+                    for &proto in &protos {
+                        let key = FlowKey {
+                            src,
+                            dst,
+                            sport,
+                            dport,
+                            proto,
+                        };
+                        pairs.push((x, key));
+                    }
+                }
+            }
+        }
+        pairs.sort_unstable();
+        for &(x, key) in &pairs {
+            let packed = pack(x, &key);
+            assert_eq!((unpack_x(packed), unpack_key(packed)), (x, key));
+            assert_eq!(unpack_key(packed & KEY_MASK), key);
+        }
+        // Strictly increasing along the sorted tuples: the packed
+        // order is the tuple order.
+        for w in pairs.windows(2) {
+            assert!(pack(w[0].0, &w[0].1) < pack(w[1].0, &w[1].1), "{w:?}");
+        }
+    }
+
+    #[test]
     fn row_median_counts_empty_bins() {
         let d = HoughDetector::new(Tuning::Sensitive);
         let mut plane = vec![0u32; d.time_bins * d.y_bins];
@@ -608,7 +771,7 @@ mod tests {
         for x in 0..d.time_bins / 2 - 1 {
             plane[d.cell(x, 20)] = d.pixel_min;
         }
-        let active = d.active_pixels(&plane);
+        let active = d.active_pixels(&d.rising_pixels(&plane, d.pixel_min));
         let want: Vec<(u16, u16)> = (0..d.time_bins as u16 / 2 - 1).map(|x| (x, 20)).collect();
         assert_eq!(active, want);
     }

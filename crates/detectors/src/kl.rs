@@ -228,15 +228,27 @@ impl IncrementalDetector for KlAccumulator {
     }
 
     fn finish(&mut self) -> Vec<Alarm> {
-        self.finish_tuning(self.det.tuning)
+        self.finish_tunings(&[self.det.tuning])
+            .pop()
+            .unwrap_or_default()
     }
 
-    fn finish_tuning(&self, tuning: Tuning) -> Vec<Alarm> {
+    fn finish_tunings(&self, tunings: &[Tuning]) -> Vec<Vec<Alarm>> {
         if self.hists.is_empty() || self.seen == 0 {
-            return Vec::new();
+            return vec![Vec::new(); tunings.len()];
         }
         let window = self.window.expect("finish before begin"); // lint:allow(panic-free-data-plane): begin() runs before finish() in the chunk driver
-        KlDetector::new(tuning).finish_analysis(window, self.t_bins, &self.hists, &self.bin_tuples)
+        tunings
+            .iter()
+            .map(|&t| {
+                KlDetector::new(t).finish_analysis(
+                    window,
+                    self.t_bins,
+                    &self.hists,
+                    &self.bin_tuples,
+                )
+            })
+            .collect()
     }
 }
 

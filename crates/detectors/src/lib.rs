@@ -28,8 +28,9 @@
 //! Each family therefore reports an [`ObservationKey`], and
 //! [`observation_groups`] keeps **one accumulator per key**: the
 //! production drain observes every chunk once per family and finishes
-//! each configuration from the shared state with
-//! [`IncrementalDetector::finish_tuning`]. The batch path
+//! all of a family's configurations from the shared state with one
+//! [`IncrementalDetector::finish_tunings`] call, which does the
+//! tuning-independent part of the analysis once. The batch path
 //! ([`run_all`] → [`Detector::analyze`]) keeps one solo accumulator
 //! per configuration and is the oracle the fused drain is checked
 //! against (`tests/family_observe.rs`).
@@ -134,17 +135,20 @@ pub trait IncrementalDetector: Send {
     /// [`begin`](IncrementalDetector::begin) to reuse it.
     fn finish(&mut self) -> Vec<Alarm>;
 
-    /// Runs the analysis of `tuning` over the accumulated state,
-    /// reading it by `&`, so one accumulator can finish every tuning
-    /// of its observation group. The four families' `finish` is this
-    /// call with their own tuning.
+    /// Runs the analysis of every tuning in `tunings` over the
+    /// accumulated state, reading it by `&`, so one accumulator
+    /// finishes all the configurations of its observation group in
+    /// one call. Returns one alarm list per entry of `tunings`, in
+    /// that order; a repeated tuning gets its alarms again. Work that
+    /// no threshold reads (PCA's full subspace fits, Hough's per-row
+    /// baselines) is done once per call. The four families' `finish`
+    /// is this call with their own tuning alone.
     ///
     /// The default reports nothing: only accumulators whose detector
     /// returns an [`observation_key`](Detector::observation_key) are
     /// finished this way, and those must override it.
-    fn finish_tuning(&self, tuning: Tuning) -> Vec<Alarm> {
-        let _ = tuning;
-        Vec::new()
+    fn finish_tunings(&self, tunings: &[Tuning]) -> Vec<Vec<Alarm>> {
+        vec![Vec::new(); tunings.len()]
     }
 
     /// Unique label, e.g. `"Gamma/sensitive"`.
@@ -176,8 +180,8 @@ pub trait Detector: Send + Sync {
     /// Returning `Some` promises that configurations with equal keys
     /// fold every chunk into identical state, and that the
     /// accumulator built by [`incremental`](Detector::incremental)
-    /// overrides [`finish_tuning`](IncrementalDetector::finish_tuning)
-    /// so the state can be finished for any member's tuning.
+    /// overrides [`finish_tunings`](IncrementalDetector::finish_tunings)
+    /// so the state can be finished for any members' tunings.
     fn observation_key(&self) -> Option<ObservationKey> {
         None
     }
@@ -317,8 +321,8 @@ impl ObservationGroups {
     /// out across groups, and returns the concatenated alarms in the
     /// caller's configuration order. A group of one configuration
     /// calls [`finish`](IncrementalDetector::finish), a shared group
-    /// [`finish_tuning`](IncrementalDetector::finish_tuning) once per
-    /// member.
+    /// [`finish_tunings`](IncrementalDetector::finish_tunings) once
+    /// with its members' tunings.
     pub fn finish(mut self) -> Vec<Alarm> {
         let mut jobs: Vec<_> = self
             .accumulators
@@ -327,7 +331,10 @@ impl ObservationGroups {
             .collect();
         let finished = mawilab_exec::par_map_mut(&mut jobs, |(acc, members)| match members {
             [_] => vec![acc.finish()],
-            _ => members.iter().map(|&(_, t)| acc.finish_tuning(t)).collect(),
+            _ => {
+                let tunings: Vec<Tuning> = members.iter().map(|&(_, t)| t).collect();
+                acc.finish_tunings(&tunings)
+            }
         });
         let mut by_position: Vec<Vec<Alarm>> =
             vec![Vec::new(); self.members.iter().map(Vec::len).sum()];

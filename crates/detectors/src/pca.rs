@@ -72,6 +72,13 @@ impl PcaDetector {
 }
 
 impl PcaDetector {
+    /// The subspace fit of one sketch row's count matrix with every
+    /// component kept: what [`robust_fit`](Self::robust_fit)'s first
+    /// pass truncates, identical for every tuning.
+    fn full_fit(m: &Matrix) -> Pca {
+        Pca::fit_scaled(m, PcaComponents::Count(m.cols()), ColumnScaling::Poisson)
+    }
+
     /// Robust subspace fit: a first PCA pass marks observations that
     /// are outlying either *along* the principal axes (score distance)
     /// or *orthogonal* to them (residual distance); the subspace is
@@ -79,9 +86,13 @@ impl PcaDetector {
     /// rotates the top components onto itself and hides in the normal
     /// subspace — the contamination effect the paper discusses via
     /// Ringberg et al. [30] and Rubinstein et al.'s ANTIDOTE [31].
-    fn robust_fit(&self, m: &Matrix) -> Pca {
+    ///
+    /// `full` is `m`'s fit with every component kept
+    /// ([`full_fit`](Self::full_fit)); the first pass is its leading
+    /// `components`, so the tunings of one accumulator share it.
+    fn robust_fit(&self, m: &Matrix, full: &Pca) -> Pca {
         let k = PcaComponents::Count(self.components);
-        let first = Pca::fit_scaled(m, k, ColumnScaling::Poisson);
+        let first = full.truncate(self.components);
         let n = m.rows();
         let scores: Vec<Vec<f64>> = (0..n).map(|t| first.transform(m.row(t))).collect();
         let energies: Vec<f64> = (0..n)
@@ -226,23 +237,35 @@ impl IncrementalDetector for PcaAccumulator {
     }
 
     fn finish(&mut self) -> Vec<Alarm> {
-        self.finish_tuning(self.det.tuning)
+        self.finish_tunings(&[self.det.tuning])
+            .pop()
+            .unwrap_or_default()
     }
 
-    fn finish_tuning(&self, tuning: Tuning) -> Vec<Alarm> {
+    /// Fits each sketch row's full subspace once; every tuning
+    /// truncates it for its first robust pass and refits its own
+    /// trimmed rows.
+    fn finish_tunings(&self, tunings: &[Tuning]) -> Vec<Vec<Alarm>> {
         let (Some(sketch), Some(window)) = (&self.sketch, self.window) else {
-            return Vec::new();
+            return vec![Vec::new(); tunings.len()];
         };
         if self.seen == 0 {
-            return Vec::new();
+            return vec![Vec::new(); tunings.len()];
         }
-        PcaDetector::new(tuning).finish_analysis(
-            sketch,
-            window,
-            self.t_bins,
-            &self.counts,
-            &self.active,
-        )
+        let full: Vec<Pca> = self.counts.iter().map(PcaDetector::full_fit).collect();
+        tunings
+            .iter()
+            .map(|&t| {
+                PcaDetector::new(t).finish_analysis(
+                    sketch,
+                    window,
+                    self.t_bins,
+                    &self.counts,
+                    &full,
+                    &self.active,
+                )
+            })
+            .collect()
     }
 }
 
@@ -254,14 +277,15 @@ impl PcaDetector {
         window: TimeWindow,
         t_bins: usize,
         counts: &[Matrix],
+        full: &[Pca],
         active: &[FastSet<u32>],
     ) -> Vec<Alarm> {
         // Per row: subspace fit → flagged (time, bin) pairs.
         // flagged[row][t] = boolean bin vector (empty Vec = untouched).
         let mut flagged: Vec<Vec<Vec<bool>>> = vec![vec![Vec::new(); t_bins]; self.sketch_rows];
         let mut bin_scores = vec![0.0f64; t_bins];
-        for (row, m) in counts.iter().enumerate() {
-            let pca = self.robust_fit(m);
+        for (row, (m, full)) in counts.iter().zip(full).enumerate() {
+            let pca = self.robust_fit(m, full);
             let residuals: Vec<Vec<f64>> = (0..t_bins).map(|t| pca.residual(m.row(t))).collect();
             let energies: Vec<f64> = residuals
                 .iter()

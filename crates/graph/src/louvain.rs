@@ -19,6 +19,7 @@
 //! graph size or on `MAWILAB_THREADS`.
 
 use crate::graph::Graph;
+use std::collections::BTreeMap;
 
 /// A partition of graph nodes into communities.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,23 +31,26 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// Builds a partition from arbitrary (possibly sparse) labels,
-    /// renumbering them to dense ids in order of first appearance.
-    /// Labels must be `< labels.len()`.
+    /// Builds a partition from arbitrary (possibly sparse) labels of
+    /// any value, renumbering them to dense ids in order of first
+    /// appearance.
     pub fn from_labels(mut labels: Vec<usize>) -> Self {
-        // Renumber to dense ids in order of first appearance.
-        let mut remap: Vec<Option<usize>> = vec![None; labels.len().max(1)];
+        // Labels below `len` (every vertex-index labelling, as Louvain
+        // makes) go through a dense table; any larger label through
+        // an ordered map.
+        let mut dense: Vec<Option<usize>> = vec![None; labels.len()];
+        let mut sparse: BTreeMap<usize, usize> = BTreeMap::new();
         let mut next = 0;
         for l in &mut labels {
-            let slot = remap.get_mut(*l).expect("label out of range"); // lint:allow(panic-free-data-plane): partition labels are vertex indices < len by construction
-            match slot {
-                Some(id) => *l = *id,
-                None => {
-                    *slot = Some(next);
-                    *l = next;
-                    next += 1;
-                }
-            }
+            let mut fresh = || {
+                next += 1;
+                next - 1
+            };
+            *l = match dense.get_mut(*l) {
+                Some(Some(id)) => *id,
+                Some(slot) => *slot.insert(fresh()),
+                None => *sparse.entry(*l).or_insert_with(fresh),
+            };
         }
         Partition {
             community: labels,
@@ -323,6 +327,19 @@ mod tests {
         assert_eq!(p.of(1), p.of(2));
         assert_eq!(p.of(3), p.of(4));
         assert_ne!(p.of(0), p.of(3));
+    }
+
+    #[test]
+    fn from_labels_renumbers_any_label_by_first_appearance() {
+        let p = Partition::from_labels(vec![usize::MAX, 7, 2, usize::MAX, 4, 7, 0, 2]);
+        assert_eq!(p.community, [0, 1, 2, 0, 3, 1, 4, 2]);
+        assert_eq!(p.community_count(), 5);
+        // Labels at and past `len` mix with in-range ones.
+        let p = Partition::from_labels(vec![3, 1, 3, 9, 1]);
+        assert_eq!(p.community, [0, 1, 0, 2, 1]);
+        assert_eq!(p.community_count(), 3);
+        let p = Partition::from_labels(Vec::new());
+        assert_eq!((p.community.len(), p.community_count()), (0, 0));
     }
 
     #[test]

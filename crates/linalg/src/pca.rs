@@ -126,18 +126,39 @@ impl Pca {
                 k.max(1)
             }
         };
-        let mut comp = Matrix::zeros(m, k);
-        for j in 0..k {
-            for i in 0..m {
-                comp[(i, j)] = eig.vectors[(i, j)];
-            }
-        }
         Pca {
             mean,
             scale,
-            components: comp,
-            explained: eig.values.iter().take(k).map(|&l| l.max(0.0)).collect(),
+            components: eig.vectors,
+            explained: eig.values.iter().map(|&l| l.max(0.0)).collect(),
             total_variance,
+        }
+        .truncate(k)
+    }
+
+    /// The fit with only the leading `k` components of this one,
+    /// clamped like [`PcaComponents::Count`] to `1..=self.k()`.
+    ///
+    /// Truncating a full fit (`Count(vars)`) is bitwise equal to
+    /// fitting `Count(k)` on the same data: the eigendecomposition
+    /// does not depend on how many components are kept, and every fit
+    /// is the full decomposition truncated. Callers that need several
+    /// subspace sizes of one matrix fit it once.
+    pub fn truncate(&self, k: usize) -> Self {
+        let k = k.clamp(1, self.k());
+        let vars = self.components.rows();
+        let mut components = Matrix::zeros(vars, k);
+        for j in 0..k {
+            for i in 0..vars {
+                components[(i, j)] = self.components[(i, j)];
+            }
+        }
+        Pca {
+            mean: self.mean.clone(),
+            scale: self.scale.clone(),
+            components,
+            explained: self.explained[..k].to_vec(),
+            total_variance: self.total_variance,
         }
     }
 
@@ -284,6 +305,54 @@ mod tests {
         let pca = Pca::fit(&data, PcaComponents::Count(1));
         let r = pca.residual_sq(&[25.0, 3.0]);
         assert!(r.is_finite());
+    }
+
+    /// Every number of a fit, as bits.
+    fn bits(pca: &Pca) -> Vec<u64> {
+        let comps = (0..pca.components.rows()).flat_map(|i| pca.components.row(i));
+        pca.mean
+            .iter()
+            .chain(&pca.scale)
+            .chain(comps)
+            .chain(&pca.explained)
+            .chain([&pca.total_variance])
+            .map(|x| x.to_bits())
+            .chain([pca.k() as u64])
+            .collect()
+    }
+
+    #[test]
+    fn truncating_a_full_fit_is_bitwise_the_smaller_fit() {
+        for seed in [1u64, 2, 3] {
+            let mut state = seed;
+            let mut count = || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 33) % 40) as f64
+            };
+            // 30 × 7 counts whose column 3 is constant.
+            let rows: Vec<Vec<f64>> = (0..30)
+                .map(|_| (0..7).map(|j| if j == 3 { 5.0 } else { count() }).collect())
+                .collect();
+            let data = Matrix::from_rows(&rows);
+            let m = data.cols();
+            for scaling in [
+                ColumnScaling::UnitVariance,
+                ColumnScaling::Poisson,
+                ColumnScaling::None,
+            ] {
+                let full = Pca::fit_scaled(&data, PcaComponents::Count(m), scaling);
+                for k in 1..=m + 1 {
+                    let fit = Pca::fit_scaled(&data, PcaComponents::Count(k), scaling);
+                    assert_eq!(
+                        bits(&full.truncate(k)),
+                        bits(&fit),
+                        "seed {seed}, {scaling:?}, k = {k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

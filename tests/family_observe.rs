@@ -4,8 +4,8 @@
 //! The production drain folds each chunk into one accumulator per
 //! [`ObservationKey`] (`observation_groups`): the three tunings of a
 //! detector family build identical state, so the family observes once
-//! and every configuration is finished from the shared state with
-//! `finish_tuning`. The oracle is the batch adapter
+//! and all its configurations are finished from the shared state by
+//! one `finish_tunings` call. The oracle is the batch adapter
 //! `Detector::analyze`, which keeps a solo accumulator per
 //! configuration. Every comparison here demands identical alarms in
 //! the caller's configuration order.
@@ -209,25 +209,65 @@ fn families() -> [fn(Tuning) -> Box<dyn Detector>; 4] {
     ]
 }
 
+/// A background-only day of `duration_s` seconds.
+fn short_day(seed: u64, duration_s: u32) -> Trace {
+    TraceGenerator::new(
+        SynthConfig::default()
+            .with_seed(seed)
+            .with_duration(duration_s)
+            .with_anomalies(vec![]),
+    )
+    .generate()
+    .trace
+}
+
 #[test]
 fn finish_tuning_on_a_shared_accumulator_equals_the_solo_finish() {
-    let lt = synth(23);
-    let flows = FlowTable::build(&lt.trace.packets);
-    let view = TraceView::new(&lt.trace, &flows);
-    for family in families() {
-        let mut shared = family(Tuning::Optimal).incremental();
-        shared.begin(&lt.trace.meta);
-        shared.observe(&ChunkView::whole_trace(&lt.trace));
-        for t in Tuning::ALL {
-            let config = family(t);
-            assert_eq!(
-                shared.finish_tuning(t),
-                config.analyze(&view),
-                "{}",
-                config.label()
-            );
+    use Tuning::{Conservative, Optimal, Sensitive};
+    let tuning_lists: [&[Tuning]; 7] = [
+        &Tuning::ALL,
+        &[Sensitive, Optimal, Conservative],
+        &[Sensitive, Optimal, Sensitive],
+        &[Optimal, Optimal],
+        &[Conservative],
+        &[Optimal],
+        &[Sensitive],
+    ];
+    let day = synth(23).trace;
+    let empty = Trace::new(day.meta.clone(), Vec::new());
+    // 6 s: too short for PCA's 2 s bins (< 4), long enough for
+    // Gamma's 0.5 s bins; 3 s: too short for both (< 8 bins).
+    let traces = [
+        ("synthetic day", day),
+        ("6 s day", short_day(5, 6)),
+        ("3 s day", short_day(5, 3)),
+        ("empty day", empty),
+    ];
+    let mut alarms_per_family = [0usize; 4];
+    for (name, trace) in &traces {
+        let flows = FlowTable::build(&trace.packets);
+        let view = TraceView::new(trace, &flows);
+        for (f, family) in families().into_iter().enumerate() {
+            let mut shared = family(Optimal).incremental();
+            shared.begin(&trace.meta);
+            shared.observe(&ChunkView::whole_trace(trace));
+            for tunings in tuning_lists {
+                let expected: Vec<Vec<Alarm>> =
+                    tunings.iter().map(|&t| family(t).analyze(&view)).collect();
+                alarms_per_family[f] += expected.iter().map(Vec::len).sum::<usize>();
+                assert_eq!(
+                    shared.finish_tunings(tunings),
+                    expected,
+                    "{name}, {}, {tunings:?}",
+                    family(Optimal).kind()
+                );
+            }
         }
     }
+    assert!(
+        alarms_per_family.iter().all(|&n| n > 0),
+        "a family raised no alarm: {alarms_per_family:?}"
+    );
 }
 
 /// The synthetic trace's packets with a port sweep stamped before the
