@@ -187,6 +187,8 @@ impl SourceWrap for NoWrap {
 /// A day whose source errors (pcap corruption, a refused rewind, …)
 /// yields `Err(DayFailure)` instead of poisoning the whole run: a
 /// month-scale benchmark reports the bad day and keeps the month.
+///
+/// [`SynthSource`]: mawilab_synth::SynthSource
 pub fn run_days_streaming<T, F>(
     days: &[TraceDate],
     scale: f64,

@@ -1,7 +1,7 @@
 //! Gamma-model detector: sketches + multi-resolution Gamma fitting.
 //!
 //! Reproduces detector 2 of the paper (§3.2, after Dewaele et al.
-//! [11]): traffic is split by hashing — once on source and once on
+//! \[11\]): traffic is split by hashing — once on source and once on
 //! destination addresses — and each sketch bin's packet-count process
 //! is aggregated at several dyadic time scales. At every scale the
 //! counts are modelled as Gamma(α, β); the trajectory of the fitted

@@ -1,7 +1,7 @@
 //! Hough-transform detector: line detection in 2-D traffic pictures.
 //!
 //! Reproduces detector 3 of the paper (§3.2, after Fontugne & Fukuda
-//! [14]): traffic is rendered as two scatter pictures — (time ×
+//! \[14\]): traffic is rendered as two scatter pictures — (time ×
 //! destination port) and (time × hashed destination address) — in
 //! which anomalies appear as *lines*: a SYN flood or heavy transfer is
 //! a horizontal line (one port / one host, long duration), a port
@@ -18,7 +18,7 @@
 //! bucket, the hashed destination address), so one log of distinct
 //! (time bin, flow key) pairs serves both pictures. Each pair is
 //! packed into one `u128` whose integer order is the pair's tuple
-//! order ([`pack`]), so the per-chunk dedup and the per-line flow
+//! order (`pack`), so the per-chunk dedup and the per-line flow
 //! gather sort plain integers; only the capped, sorted flow set of
 //! an alarm is unpacked back into [`FlowKey`]s. `finish` chooses the
 //! lines from the count planes alone, then gathers the flows of every
@@ -433,7 +433,7 @@ impl Detector for HoughDetector {
 /// packets into the two dense pictures (one `time_bins × y_bins`
 /// plane each, keyed by absolute time bin) and appends the chunk's
 /// distinct (time bin, flow key) pairs to a log both pictures share.
-/// Each pair is one [`pack`]ed `u128` (16 bytes, as the tuple was), so
+/// Each pair is one `pack`ed `u128` (16 bytes, as the tuple was), so
 /// the chunk's dedup is an integer sort. The per-row baselines, the
 /// Hough transform, peak extraction and flow gathering run at finish:
 /// the baselines once per [`finish_tunings`] call, the rest per

@@ -2,7 +2,7 @@
 //! via association rules.
 //!
 //! Reproduces detector 4 of the paper (§3.2, after Brauckhoff et al.
-//! [8]): per time bin, one histogram per traffic feature (source/
+//! \[8\]): per time bin, one histogram per traffic feature (source/
 //! destination address, source/destination port) summarises the
 //! feature distribution; the Kullback–Leibler divergence between
 //! consecutive bins spikes when an anomaly shifts a distribution.

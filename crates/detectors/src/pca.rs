@@ -2,8 +2,8 @@
 //! residuals.
 //!
 //! Reproduces the sketch-assisted subspace method the paper uses as
-//! detector 1 (§3.2, after Lakhina et al. [21], Li et al. [23] and
-//! Kanda et al. [18]):
+//! detector 1 (§3.2, after Lakhina et al. \[21\], Li et al. \[23\] and
+//! Kanda et al. \[18\]):
 //!
 //! 1. source addresses are hashed into `M` sketch bins under `H`
 //!    independent hash functions;
@@ -13,7 +13,7 @@
 //!    are anomalous; within them, sketch bins with outlying residual
 //!    coordinates are flagged;
 //! 4. a source IP is *identified* when its bin is flagged in **every**
-//!    hash row (the sketch reversal of [23]), which is what lets this
+//!    hash row (the sketch reversal of \[23\]), which is what lets this
 //!    detector report host-granularity alarms at all.
 //!
 //! The PCA detector is deliberately the twitchiest of the four — the

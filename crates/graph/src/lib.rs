@@ -12,7 +12,7 @@
 //!
 //! * [`graph`] — [`Graph`]: weighted undirected graph in compressed
 //!   sparse row form, built in one pass from an edge list.
-//! * [`louvain`] — the Louvain method plus modularity computation:
+//! * [`louvain`](mod@louvain) — the Louvain method plus modularity computation:
 //!   one sequential greedy sweep per level.
 
 #![forbid(unsafe_code)]

@@ -1,6 +1,6 @@
 //! The paper's Table 1: heuristic traffic categorisation.
 //!
-//! "These are originated from the anomalies previously reported [7,14]
+//! "These are originated from the anomalies previously reported \[7,14\]
 //! and the manual inspection of MAWI" — they look only at ports, TCP
 //! flags and ICMP share, so they are independent of all four
 //! detectors' mechanisms and can referee between them.

@@ -102,7 +102,7 @@ impl SimilarityEstimator {
     /// Builds the similarity graph from per-alarm traffic sets with
     /// the sharded counting engine: per time bin of the traffic-id
     /// space, co-occurring pairs are discovered *with their exact
-    /// intersection sizes* (see [`crate::shard::cooccurrence`] — the
+    /// intersection sizes* (see `shard::cooccurrence` — the
     /// emission multiplicity of a pair over all item buckets is
     /// `|A∩B|`), so the weight is one arithmetic step per pair and
     /// the per-pair sorted-merge scoring pass of earlier revisions is

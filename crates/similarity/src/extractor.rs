@@ -1,37 +1,37 @@
 //! Traffic extraction: alarms → traffic-unit id sets.
 //!
-//! The "oracle" of the paper's earlier work [13]: given an alarm's
+//! The "oracle" of the paper's earlier work \[13\]: given an alarm's
 //! feature scope and time window, return the ids of the traffic units
 //! it designates. Ids are indices into the trace (packet index) or
 //! into the flow table (uniflow/biflow id), so set intersection is
 //! integer intersection regardless of the original alarm granularity.
 //!
-//! Two engines produce byte-identical output:
+//! One resolve engine, `horizon::resolve_units`, serves batch and
+//! single-pass extraction alike; an independent implementation checks
+//! it:
 //!
-//! * [`extract_traffic`] — the inverted-index engine: alarm scopes are
-//!   bucketed by concrete 5-tuple fields ([`crate::index`]), every
-//!   uniflow's candidate alarms resolve once, and the packet array is
-//!   scanned **once** (sharded through `mawilab-exec`), stabbing each
-//!   packet's timestamp into its flow's candidate run.
+//! * [`extract_traffic`] — groups the materialised trace into one time
+//!   run per traffic unit and direction (a counting sort over
+//!   `FlowTable` ids), then hands the runs to `resolve_units`, the
+//!   per-unit resolve that [`HorizonExtractor::finalize`] also runs.
 //! * [`extract_traffic_sequential`] — the retained seed engine (one
 //!   packet-range scan per alarm), kept as the equivalence oracle.
+//!
+//! [`HorizonExtractor::finalize`]: crate::HorizonExtractor::finalize
 
-use crate::index::{AlarmIndex, CandidateRun, HitSink};
+use crate::horizon::resolve_units;
+use crate::index::group_by_bucket;
 use mawilab_detectors::{Alarm, AlarmScope, TraceView};
-use mawilab_model::{FastMap, FastSet, FlowKey, Granularity};
-use std::ops::Range;
-
-/// Packets per scan shard of the indexed engine.
-const PACKET_SHARD: usize = 1 << 16;
+use mawilab_model::{FastMap, FastSet, FlowKey, Granularity, Packet};
 
 /// Extracts the traffic id set of every alarm, at the requested
 /// granularity. Each result is sorted and deduplicated.
 ///
-/// Inverted-index engine: O(uniflows) scope resolutions + one packet
-/// scan, instead of the seed's O(alarms × packets) scope tests.
-/// Byte-identical to [`extract_traffic_sequential`] at any
-/// `MAWILAB_THREADS` (the shard merge is canonicalized by the final
-/// per-alarm sort).
+/// Groups the packets into one time run per traffic unit and
+/// direction, then resolves each unit once through the inverted alarm
+/// index — `O(units)` index probes instead of the seed's
+/// `O(alarms × packets)` scope tests. Byte-identical to
+/// [`extract_traffic_sequential`] at any `MAWILAB_THREADS`.
 pub fn extract_traffic(
     view: &TraceView<'_>,
     alarms: &[Alarm],
@@ -40,43 +40,68 @@ pub fn extract_traffic(
     if alarms.is_empty() {
         return Vec::new();
     }
-    let trace = view.trace;
-    let index = AlarmIndex::new(alarms);
-
-    // Scope tests resolve once per dense uniflow id, not per packet.
-    let uniflows: Vec<u32> = (0..view.flows.uniflow_count() as u32).collect();
-    let runs: Vec<CandidateRun> = mawilab_exec::par_map(&uniflows, |&u| {
-        index.candidates_for(view.flows.uniflow_key(u))
-    });
-
-    // One pass over the packets, sharded; each shard accumulates
-    // per-alarm hit runs merged and canonicalized below.
-    let shards: Vec<Range<usize>> = (0..trace.packets.len())
-        .step_by(PACKET_SHARD)
-        .map(|s| s..(s + PACKET_SHARD).min(trace.packets.len()))
-        .collect();
-    let parts: Vec<HitSink> = mawilab_exec::par_map(&shards, |range| {
-        let mut sink = HitSink::new(alarms.len());
-        for i in range.clone() {
-            let u = view.flows.uniflow_of(i);
-            let run = runs[u as usize].run();
-            if run.is_empty() {
-                continue;
-            }
-            let id = match granularity {
-                Granularity::Packet => i as u32,
-                Granularity::Uniflow => u,
-                Granularity::Biflow => view.flows.biflow_of(i),
-            };
-            run.stab(trace.packets[i].ts_us, |a| sink.push(a, id));
-        }
-        sink
-    });
-    let mut merged = HitSink::new(alarms.len());
-    for part in parts {
-        merged.absorb(part);
+    let packets = &view.trace.packets;
+    let flows = view.flows;
+    match granularity {
+        Granularity::Packet => resolve_packets(
+            view,
+            alarms,
+            packets.len(),
+            |i, _| (i, false),
+            |i| Some(FlowKey::of(&packets[i])),
+        ),
+        Granularity::Uniflow => resolve_packets(
+            view,
+            alarms,
+            flows.uniflow_count(),
+            |i, _| (flows.uniflow_of(i) as usize, false),
+            |u| Some(*flows.uniflow_key(u as u32)),
+        ),
+        // A biflow's key is its `BiflowKey` read from endpoint `a`
+        // (the lower `(address, port)`) to `b`, so a packet is reverse
+        // exactly when its source endpoint is the higher one.
+        Granularity::Biflow => resolve_packets(
+            view,
+            alarms,
+            flows.biflow_count(),
+            |i, p| {
+                (
+                    flows.biflow_of(i) as usize,
+                    (p.src, p.sport) > (p.dst, p.dport),
+                )
+            },
+            |b| {
+                let k = flows.biflow_key(b as u32);
+                Some(FlowKey {
+                    src: k.a,
+                    dst: k.b,
+                    sport: k.aport,
+                    dport: k.bport,
+                    proto: k.proto,
+                })
+            },
+        ),
     }
-    merged.finish()
+}
+
+/// Groups every packet's timestamp under `unit_of(index, packet)` =
+/// `(unit, reverse)` and resolves the units' time runs against
+/// `alarms`.
+fn resolve_packets(
+    view: &TraceView<'_>,
+    alarms: &[Alarm],
+    units: usize,
+    unit_of: impl Fn(usize, &Packet) -> (usize, bool),
+    key_of: impl Fn(usize) -> Option<FlowKey> + Sync,
+) -> Vec<Vec<u32>> {
+    let (bounds, ts) = group_by_bucket(
+        view.trace.packets.iter().enumerate().map(|(i, p)| {
+            let (unit, reverse) = unit_of(i, p);
+            (2 * unit + usize::from(reverse), p.ts_us)
+        }),
+        2 * units,
+    );
+    resolve_units(alarms, units, key_of, &bounds, &ts).0
 }
 
 /// The seed per-alarm engine, retained as the equivalence oracle for
@@ -290,6 +315,43 @@ mod tests {
         let a = alarm(AlarmScope::SrcHost(ip(2)), TimeWindow::all());
         let sets = extract_traffic(&view, &[a], Granularity::Uniflow);
         assert_eq!(sets[0].len(), 1); // only the reverse direction flow
+    }
+
+    #[test]
+    fn biflow_opened_from_the_higher_endpoint_resolves_each_direction() {
+        // The conversation's first packet comes from (ip 9, 5000), the
+        // higher endpoint, so the biflow's key runs against it; each
+        // alarm's window holds packets of one direction only.
+        let meta = TraceMeta::standard(TraceDate::new(2004, 6, 2));
+        let base = meta.window().start_us;
+        let t = Trace::new(
+            meta,
+            vec![
+                Packet::tcp(base, ip(9), 5000, ip(2), 80, TcpFlags::syn(), 40),
+                Packet::tcp(base + 10, ip(2), 80, ip(9), 5000, TcpFlags::syn_ack(), 40),
+                Packet::tcp(base + 20, ip(9), 5000, ip(2), 80, TcpFlags::ack(), 40),
+                Packet::tcp(base + 30, ip(2), 80, ip(9), 5000, TcpFlags::ack(), 40),
+            ],
+        );
+        let flows = FlowTable::build(&t.packets);
+        let view = TraceView::new(&t, &flows);
+        let at = |from: u64, to: u64| TimeWindow::new(base + from, base + to);
+        let alarms = [
+            alarm(AlarmScope::SrcHost(ip(9)), at(0, 15)),
+            alarm(AlarmScope::SrcHost(ip(2)), at(5, 15)),
+            alarm(AlarmScope::SrcHost(ip(2)), at(15, 25)),
+            alarm(AlarmScope::SrcHost(ip(9)), at(25, 35)),
+        ];
+        for g in [
+            Granularity::Packet,
+            Granularity::Uniflow,
+            Granularity::Biflow,
+        ] {
+            let want = extract_traffic_sequential(&view, &alarms, g);
+            assert!(want[0].len() == 1 && want[1].len() == 1, "at {g}");
+            assert!(want[2].is_empty() && want[3].is_empty(), "at {g}");
+            assert_eq!(extract_traffic(&view, &alarms, g), want, "at {g}");
+        }
     }
 
     #[test]

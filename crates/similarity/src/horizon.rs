@@ -1,9 +1,7 @@
 //! Horizon-scoped traffic extraction: evidence for alarms that don't
-//! exist yet.
+//! exist yet, and the one per-unit resolve every extraction runs.
 //!
-//! The batch extractors ([`extract_traffic`](crate::extract_traffic))
-//! need the alarms *before* they scan the packets. The single-pass
-//! pipeline inverts the order: packets stream past **once**, before
+//! The single-pass pipeline streams the packets past **once**, before
 //! any alarm is finalized, so the extractor must bank enough evidence
 //! per packet to answer "which alarms designate it?" later. Every
 //! [`AlarmScope`](mawilab_detectors::AlarmScope) is a pure function of
@@ -30,15 +28,17 @@
 //! ([`extract_traffic_sequential`](crate::extract_traffic_sequential)).
 //!
 //! `finalize` counting-sorts the log by unit id (stably, so arrival
-//! order survives) into one time run per unit and direction, sorting a
-//! run only if it arrived out of time order. Each unit then resolves
-//! once through the inverted [`AlarmIndex`](crate::index): its key
-//! looks up the prebuilt runs of candidate alarms (the reverse
-//! direction looks up with the reversed key), each candidate window is
-//! stabbed with the unit's time span and confirmed by one binary search
-//! into the run — `O(units)` index probes instead of
-//! `O(units × alarms)` scope tests. The result is provably the same set
-//! of `(alarm, unit)` hits the seed per-alarm scan would produce.
+//! order survives) into one time run per unit and direction and hands
+//! the runs to `resolve_units`. Batch
+//! [`extract_traffic`](crate::extract_traffic) builds the same runs
+//! from the materialised trace and calls the same function. Each unit
+//! resolves once through the inverted alarm index: its key looks up
+//! the prebuilt runs of candidate alarms (the reverse direction looks
+//! up with the reversed key), each candidate window is stabbed with
+//! the unit's time span and confirmed by one binary search into the
+//! run — `O(units)` index probes instead of `O(units × alarms)` scope
+//! tests. The result is provably the same set of `(alarm, unit)` hits
+//! the seed per-alarm scan would produce.
 
 use crate::index::{group_by_bucket, AlarmIndex, HitSink};
 use mawilab_detectors::Alarm;
@@ -47,7 +47,7 @@ use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::ops::Range;
 
-/// Units per shard of the finalize fan-out.
+/// Units per shard of the resolve fan-out.
 const UNIT_SHARD: usize = 1 << 14;
 
 /// One banked packet: everything alarm matching can ever ask about,
@@ -186,15 +186,10 @@ impl HorizonExtractor {
         self.fresh.iter().map(|c| c.records.len() as u64).sum()
     }
 
-    /// Resolves the finished alarm set against everything banked.
-    ///
-    /// The log is counting-sorted into one time run per unit and
-    /// direction; each unit then stabs the prebuilt candidate runs of
-    /// the inverted [`AlarmIndex`](crate::index) with its key (and,
-    /// for biflow replies, the reversed key), and confirms each
-    /// overlapping window with one binary search into its run. Units
-    /// are sharded through `mawilab-exec`; the final per-alarm sort +
-    /// dedup makes the output canonical at any thread count.
+    /// Resolves the finished alarm set against everything banked: the
+    /// log is counting-sorted into one time run per unit and
+    /// direction, and every unit resolves once against the alarms'
+    /// inverted index. The output is canonical at any thread count.
     pub fn finalize(mut self, alarms: &[Alarm]) -> HorizonTraffic {
         self.stats.fresh_chunks = self.fresh.len();
         self.stats.fresh_records = self.fresh_records();
@@ -202,60 +197,11 @@ impl HorizonExtractor {
             self.log.extend_from_slice(&chunk.records);
         }
         let (bounds, ts) = self.unit_runs();
-
-        let index = AlarmIndex::new(alarms);
         let keys = &self.keys;
-        let units = keys.len();
-        let shards: Vec<Range<usize>> = (0..units)
-            .step_by(UNIT_SHARD)
-            .map(|s| s..(s + UNIT_SHARD).min(units))
-            .collect();
-        let parts: Vec<(HitSink, Vec<u32>)> = mawilab_exec::par_map(&shards, |range| {
-            let mut sink = HitSink::new(alarms.len());
-            let mut matched = Vec::new();
-            for unit in range.clone() {
-                let Some(key) = &keys[unit] else {
-                    continue;
-                };
-                let id = unit as u32;
-                let mut hit = false;
-                for (dir, key) in [(0, *key), (1, key.reversed())] {
-                    let run = &ts[bounds[2 * unit + dir]..bounds[2 * unit + dir + 1]];
-                    if run.is_empty() {
-                        continue;
-                    }
-                    let run = if run.is_sorted() {
-                        Cow::Borrowed(run)
-                    } else {
-                        let mut sorted = run.to_vec();
-                        sorted.sort_unstable();
-                        Cow::Owned(sorted)
-                    };
-                    index.for_each_run(&key, |alarm_run| {
-                        alarm_run.stab_sorted(&run, |ai| {
-                            sink.push(ai, id);
-                            hit = true;
-                        })
-                    });
-                }
-                if hit {
-                    matched.push(id);
-                }
-            }
-            (sink, matched)
-        });
-        let mut sink = HitSink::new(alarms.len());
-        let mut matched = FastSet::with_capacity_and_hasher(
-            parts.iter().map(|(_, ids)| ids.len()).sum(),
-            Default::default(),
-        );
-        for (part, ids) in parts {
-            sink.absorb(part);
-            matched.extend(ids);
-        }
+        let (traffic, ids) = resolve_units(alarms, keys.len(), |unit| keys[unit], &bounds, &ts);
         HorizonTraffic {
-            traffic: sink.finish(),
-            matched,
+            traffic,
+            matched: ids.into_iter().collect(),
             stats: self.stats,
         }
     }
@@ -266,12 +212,73 @@ impl HorizonExtractor {
     fn unit_runs(&mut self) -> (Vec<usize>, Vec<u64>) {
         let log = std::mem::take(&mut self.log);
         group_by_bucket(
-            &log,
+            log.iter()
+                .map(|r| (2 * r.unit as usize + usize::from(r.reverse), r.ts_us)),
             2 * self.keys.len(),
-            |r| 2 * r.unit as usize + usize::from(r.reverse),
-            |r| r.ts_us,
         )
     }
+}
+
+/// Resolves `alarms` against `units` traffic units, each given as two
+/// time runs: run `b = 2 × unit + reverse` is
+/// `ts[bounds[b]..bounds[b + 1]]` ([`group_by_bucket`] output), and
+/// direction 1 holds the packets whose 5-tuple is the reverse of
+/// `key_of(unit)` (`None` for an id with no packets). Returns one
+/// sorted, deduplicated unit-id set per alarm, in alarm order, and
+/// every unit id that matched at least one alarm.
+pub(crate) fn resolve_units(
+    alarms: &[Alarm],
+    units: usize,
+    key_of: impl Fn(usize) -> Option<FlowKey> + Sync,
+    bounds: &[usize],
+    ts: &[u64],
+) -> (Vec<Vec<u32>>, Vec<u32>) {
+    let index = AlarmIndex::new(alarms);
+    let shards: Vec<Range<usize>> = (0..units)
+        .step_by(UNIT_SHARD)
+        .map(|s| s..(s + UNIT_SHARD).min(units))
+        .collect();
+    let parts: Vec<(HitSink, Vec<u32>)> = mawilab_exec::par_map(&shards, |range| {
+        let mut sink = HitSink::new(alarms.len());
+        let mut matched = Vec::new();
+        for unit in range.clone() {
+            let Some(key) = key_of(unit) else {
+                continue;
+            };
+            let id = unit as u32;
+            let mut hit = false;
+            for (dir, key) in [(0, key), (1, key.reversed())] {
+                let run = &ts[bounds[2 * unit + dir]..bounds[2 * unit + dir + 1]];
+                if run.is_empty() {
+                    continue;
+                }
+                let run = if run.is_sorted() {
+                    Cow::Borrowed(run)
+                } else {
+                    let mut sorted = run.to_vec();
+                    sorted.sort_unstable();
+                    Cow::Owned(sorted)
+                };
+                index.for_each_run(&key, |alarm_run| {
+                    alarm_run.stab_sorted(&run, |ai| {
+                        sink.push(ai, id);
+                        hit = true;
+                    })
+                });
+            }
+            if hit {
+                matched.push(id);
+            }
+        }
+        (sink, matched)
+    });
+    let mut sink = HitSink::new(alarms.len());
+    let mut matched = Vec::with_capacity(parts.iter().map(|(_, ids)| ids.len()).sum());
+    for (part, ids) in parts {
+        sink.absorb(part);
+        matched.extend(ids);
+    }
+    (sink.finish(), matched)
 }
 
 #[cfg(test)]

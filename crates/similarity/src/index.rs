@@ -10,13 +10,15 @@
 //! ([`AlarmScope::matches_key`]), which is what makes per-key
 //! resolution sound.
 //!
-//! Three structures cooperate:
+//! Three structures cooperate, all driven by the one per-unit resolve
+//! ([`resolve_units`](crate::horizon::resolve_units)) that batch and
+//! single-pass extraction share:
 //!
 //! * [`AlarmRun`] — a set of alarms as an interval-stabbable run:
 //!   entries sorted by window start with a prefix-max of window ends,
-//!   so a timestamp probe touches only alarms whose windows can still
-//!   contain it. It borrows its arrays, either from the index's flat
-//!   run store or from a [`CandidateRun`].
+//!   so a probe with a unit's time span touches only alarms whose
+//!   windows can still reach it. It borrows its arrays from the
+//!   index's flat run store.
 //! * [`AlarmIndex`] — host and flow scopes become hash buckets, each
 //!   naming a run of its alarms. `Rule` scopes are deduplicated
 //!   (detectors re-emit the same mined rule across many analysis
@@ -25,15 +27,13 @@
 //!   verification pass on the remaining wildcards. Every run is built
 //!   once per alarm set, back to back in one flat store;
 //!   [`AlarmIndex::for_each_run`] hands a key's runs out in place, so
-//!   the horizon's per-unit resolve allocates and sorts nothing.
-//!   Batch extraction concatenates a key's runs into one
-//!   [`CandidateRun`] per uniflow ([`AlarmIndex::candidates_for`]).
+//!   the per-unit resolve allocates and sorts nothing.
 //! * [`HitSink`] — per-alarm hits accumulate as append-only runs
 //!   (adjacent duplicates collapsed) that are sorted and deduplicated
 //!   once at the end, instead of hashing every hit.
 //!
-//! All consumers canonicalize by a final sort + dedup, so the output
-//! is byte-identical to the seed per-alarm scan at any thread count.
+//! The final sort + dedup canonicalizes the output, so it is
+//! byte-identical to the seed per-alarm scan at any thread count.
 
 use mawilab_detectors::{Alarm, AlarmScope};
 use mawilab_model::{FastMap, FlowKey, TrafficRule};
@@ -52,28 +52,6 @@ pub(crate) struct AlarmRun<'r> {
 }
 
 impl AlarmRun<'_> {
-    pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Calls `hit` for every alarm whose window contains `ts`
-    /// (half-open `[start, end)`). Alarms starting after `ts` are
-    /// skipped by binary search; the prefix-max of ends terminates the
-    /// backward scan as soon as no earlier window can still reach `ts`.
-    #[inline]
-    pub(crate) fn stab(&self, ts: u64, mut hit: impl FnMut(u32)) {
-        let p = self.entries.partition_point(|&(start, _, _)| start <= ts);
-        for j in (0..p).rev() {
-            if self.prefix_max_end[j] <= ts {
-                break;
-            }
-            let (_, end, a) = self.entries[j];
-            if end > ts {
-                hit(a);
-            }
-        }
-    }
-
     /// Calls `hit` once for every alarm whose window contains at least
     /// one of the time-sorted timestamps `ts`: the run is stabbed with
     /// the span `[ts[0], ts[last]]`, then each overlapping window gets
@@ -100,56 +78,27 @@ impl AlarmRun<'_> {
     }
 }
 
-/// Appends the running max of `entries`' window ends to
-/// `prefix_max_end`.
-fn push_prefix_max_end(entries: &[Entry], prefix_max_end: &mut Vec<u64>) {
-    let mut max_end = 0u64;
-    for &(_, end, _) in entries {
-        max_end = max_end.max(end);
-        prefix_max_end.push(max_end);
-    }
-}
-
-/// One flow key's candidate alarms as an owned run: what batch
-/// extraction resolves once per uniflow.
-#[derive(Debug, Default)]
-pub(crate) struct CandidateRun {
-    entries: Vec<Entry>,
-    prefix_max_end: Vec<u64>,
-}
-
-impl CandidateRun {
-    pub(crate) fn run(&self) -> AlarmRun<'_> {
-        AlarmRun {
-            entries: &self.entries,
-            prefix_max_end: &self.prefix_max_end,
-        }
-    }
-}
-
-/// Stable counting sort: groups `value(item)` by `bucket(item)`
-/// (`< buckets`), keeping input order within a group. Group `b` is
+/// Stable counting sort: groups the `(bucket, value)` items by bucket
+/// (`< buckets`), keeping item order within a group. Group `b` is
 /// `out[starts[b]..starts[b + 1]]`; returns `(starts, out)`.
-pub(crate) fn group_by_bucket<T, V: Copy + Default>(
-    items: &[T],
+pub(crate) fn group_by_bucket<V: Copy + Default>(
+    items: impl DoubleEndedIterator<Item = (usize, V)> + ExactSizeIterator + Clone,
     buckets: usize,
-    bucket: impl Fn(&T) -> usize,
-    value: impl Fn(&T) -> V,
 ) -> (Vec<usize>, Vec<V>) {
     let mut starts = vec![0usize; buckets + 1];
-    for item in items {
-        starts[bucket(item)] += 1;
+    for (b, _) in items.clone() {
+        starts[b] += 1;
     }
     for b in 1..starts.len() {
         starts[b] += starts[b - 1];
     }
     // `starts[b]` is now the end of group `b`; filling back to front
-    // keeps input order and leaves it at the group's start.
+    // keeps item order and leaves it at the group's start.
     let mut out = vec![V::default(); items.len()];
-    for item in items.iter().rev() {
-        let slot = &mut starts[bucket(item)];
+    for (b, value) in items.rev() {
+        let slot = &mut starts[b];
         *slot -= 1;
-        out[*slot] = value(item);
+        out[*slot] = value;
     }
     (starts, out)
 }
@@ -169,13 +118,11 @@ impl RunStore {
     /// start.
     fn build(pairs: &[(u32, u32)], runs: usize, alarms: &[Alarm]) -> Self {
         let (starts, mut grouped) = group_by_bucket(
-            pairs,
-            runs,
-            |&(r, _)| r as usize,
-            |&(_, a)| {
+            pairs.iter().map(|&(r, a)| {
                 let w = &alarms[a as usize].window;
-                (w.start_us, w.end_us, a)
-            },
+                (r as usize, (w.start_us, w.end_us, a))
+            }),
+            runs,
         );
         let mut store = RunStore {
             entries: Vec::with_capacity(pairs.len()),
@@ -195,7 +142,11 @@ impl RunStore {
                     store.entries.push(e);
                 }
             }
-            push_prefix_max_end(&store.entries[from..], &mut store.prefix_max_end);
+            let mut max_end = 0u64;
+            for &(_, end, _) in &store.entries[from..] {
+                max_end = max_end.max(end);
+                store.prefix_max_end.push(max_end);
+            }
             store.bounds.push(store.entries.len());
         }
         store
@@ -338,20 +289,6 @@ impl<'a> AlarmIndex<'a> {
             }
         }
     }
-
-    /// Every alarm whose scope matches `key`, as one owned run: the
-    /// concatenation of the key's prebuilt runs, re-sorted.
-    pub(crate) fn candidates_for(&self, key: &FlowKey) -> CandidateRun {
-        let mut c = CandidateRun::default();
-        self.for_each_run(key, |run| c.entries.extend_from_slice(run.entries));
-        c.entries.sort_unstable();
-        debug_assert!(
-            c.entries.windows(2).all(|w| w[0] != w[1]),
-            "a key's runs must be disjoint"
-        );
-        push_prefix_max_end(&c.entries, &mut c.prefix_max_end);
-        c
-    }
 }
 
 /// Per-alarm hit accumulator: append-only runs with adjacent
@@ -431,6 +368,16 @@ mod tests {
         }
     }
 
+    /// Every alarm scoped to `key` whose window holds one of the
+    /// time-sorted `ts`, sorted: what the per-unit resolve reports for
+    /// a unit with key `key` and time run `ts`.
+    fn stabbed(index: &AlarmIndex<'_>, key: &FlowKey, ts: &[u64]) -> Vec<u32> {
+        let mut got = Vec::new();
+        index.for_each_run(key, |run| run.stab_sorted(ts, |a| got.push(a)));
+        got.sort_unstable();
+        got
+    }
+
     /// Every (key, ts) probe must agree with the direct per-alarm
     /// `matches_key` + window test.
     #[test]
@@ -467,9 +414,7 @@ mod tests {
         ];
         for k in &keys {
             for ts in [0u64, 10, 49, 50, 99, 100, 149, 200] {
-                let mut got: Vec<u32> = Vec::new();
-                index.candidates_for(k).run().stab(ts, |a| got.push(a));
-                got.sort_unstable();
+                let got = stabbed(&index, k, &[ts]);
                 let want: Vec<u32> = alarms
                     .iter()
                     .enumerate()
@@ -492,12 +437,7 @@ mod tests {
             .collect();
         let index = AlarmIndex::new(&alarms);
         assert_eq!(index.rules.len(), 1, "one distinct rule expected");
-        let mut got = Vec::new();
-        index
-            .candidates_for(&key(1, 1, 2, 445))
-            .run()
-            .stab(25, |a| got.push(a));
-        assert_eq!(got, vec![2]);
+        assert_eq!(stabbed(&index, &key(1, 1, 2, 445), &[25]), vec![2]);
     }
 
     #[test]
@@ -509,21 +449,12 @@ mod tests {
             alarm(AlarmScope::SrcHost(ip(1)), TimeWindow::new(13, 17)),
         ];
         let index = AlarmIndex::new(&alarms);
-        let candidates = index.candidates_for(&key(1, 1, 2, 2));
-        let run = candidates.run();
-        let mut got = Vec::new();
+        let k = key(1, 1, 2, 2);
         // The span [12, 18] overlaps windows 2 and 3, but only window
         // 2 holds one of the timestamps.
-        run.stab_sorted(&[12, 18], |a| got.push(a));
-        got.sort_unstable();
-        assert_eq!(got, vec![2]);
-        got.clear();
-        run.stab_sorted(&[9, 20], |a| got.push(a));
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2]);
-        got.clear();
-        run.stab_sorted(&[], |a| got.push(a));
-        assert!(got.is_empty());
+        assert_eq!(stabbed(&index, &k, &[12, 18]), vec![2]);
+        assert_eq!(stabbed(&index, &k, &[9, 20]), vec![0, 1, 2]);
+        assert!(stabbed(&index, &k, &[]).is_empty());
     }
 
     #[test]
@@ -563,7 +494,7 @@ mod tests {
         let mut got = Vec::new();
         index.for_each_run(&key(1, 1, 2, 2), |run| {
             runs += 1;
-            run.stab(0, |a| got.push(a));
+            run.stab_sorted(&[0], |a| got.push(a));
         });
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2, 3, 4, 5], "each alarm exactly once");

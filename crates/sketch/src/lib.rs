@@ -5,7 +5,7 @@
 //! Two of the paper's detectors depend on sketching: the PCA detector
 //! uses sketches to make the subspace method *reversible* — able to
 //! name the source IP behind an anomalous residual (paper §3.2,
-//! detector 1, citing Li et al. [23] and Kanda et al. [18]) — and the
+//! detector 1, citing Li et al. \[23\] and Kanda et al. \[18\]) — and the
 //! Gamma detector hashes traffic on source and destination addresses
 //! before fitting per-bin Gamma models (detector 2, Dewaele et al.).
 //!

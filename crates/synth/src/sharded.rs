@@ -8,7 +8,7 @@
 //! * every generation unit (the host population, the day-level
 //!   modulation phases, each anomaly spec, each [`GEN_BIN_US`]-wide
 //!   background bin) draws from its own counter-derived stream,
-//!   seeded as `seed ⊕ day ⊕ stream-counter` ([`stream_rng`]) with no
+//!   seeded as `seed ⊕ day ⊕ stream-counter` (`stream_rng`) with no
 //!   sequential RNG dependence between units;
 //! * background bins therefore generate in any order — fanned out
 //!   through the `mawilab-exec` helpers ([`TraceGenerator::generate`])
@@ -32,7 +32,8 @@
 //! streaming source realises it with a `(timestamp, sequence)` min-
 //! heap over flow spills. Both reduce to the same stable sort.
 //!
-//! [`stream_rng`]: self::stream_rng
+//! [`TraceGenerator::generate`]: crate::TraceGenerator::generate
+//! [`TraceGenerator::generate_sequential`]: crate::TraceGenerator::generate_sequential
 
 use crate::anomalies::AnomalySpec;
 use crate::background::{BackgroundModel, HostModel};

@@ -1,10 +1,12 @@
-//! Kernel equivalence: the traffic-extraction rewrite against its
-//! retained seed oracle, swept across thread counts.
+//! Kernel equivalence: traffic extraction against its retained seed
+//! oracle, swept across thread counts.
 //!
-//! Extraction was replaced for speed and keeps its seed
-//! implementation as an equivalence oracle: the inverted `AlarmIndex`
-//! (batch and horizon paths) vs the per-alarm scan
-//! `extract_traffic_sequential`.
+//! Batch `extract_traffic` and the single-pass `HorizonExtractor`
+//! share one resolve engine, the per-unit resolve over the inverted
+//! `AlarmIndex`; they differ only in how they build each unit's time
+//! runs. Their agreement with each other therefore checks the run
+//! building, not the resolve. The independent check is the seed
+//! per-alarm scan `extract_traffic_sequential`, which both must match.
 //!
 //! Every comparison here demands *byte identity*, and the
 //! comparisons sweep `MAWILAB_THREADS` ∈ {1, 2, 4, 13} to pin the
