@@ -26,6 +26,6 @@ pub mod benchmark;
 pub mod online;
 pub mod pipeline;
 
-pub use benchmark::{benchmark_alarms, BenchmarkResult};
+pub use benchmark::{benchmark_alarms, benchmark_alarms_sequential, BenchmarkResult};
 pub use online::{OnlinePipeline, OnlineReport, StreamStats, DEFAULT_HORIZON_US, DEFAULT_LAG_US};
 pub use pipeline::{LabeledReport, MawilabPipeline, PipelineConfig, PipelineReport, StrategyKind};

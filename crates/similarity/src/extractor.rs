@@ -10,10 +10,15 @@
 //! single-pass extraction alike; an independent implementation checks
 //! it:
 //!
-//! * [`extract_traffic`] — groups the materialised trace into one time
-//!   run per traffic unit and direction (a counting sort over
-//!   `FlowTable` ids), then hands the runs to `resolve_units`, the
-//!   per-unit resolve that [`HorizonExtractor::finalize`] also runs.
+//! * [`extract_traffic`] — merges the alarms' windows into disjoint
+//!   intervals and groups the packets inside them into one time run
+//!   per traffic unit and direction (a counting sort over `FlowTable`
+//!   ids), then hands the runs to `resolve_units`, the per-unit
+//!   resolve that [`HorizonExtractor::finalize`] also runs. A packet
+//!   outside every window can hit no alarm, so leaving it out is
+//!   exact; a unit with no packet inside a window gets empty runs and
+//!   never probes the index. When the windows cover the whole trace
+//!   the grouping reads every packet, as an unwindowed sort would.
 //! * [`extract_traffic_sequential`] — the retained seed engine (one
 //!   packet-range scan per alarm), kept as the equivalence oracle.
 //!
@@ -22,15 +27,16 @@
 use crate::horizon::resolve_units;
 use crate::index::group_by_bucket;
 use mawilab_detectors::{Alarm, AlarmScope, TraceView};
-use mawilab_model::{FastMap, FastSet, FlowKey, Granularity, Packet};
+use mawilab_model::{FastMap, FastSet, FlowKey, Granularity, Packet, TimeWindow, Trace};
+use std::ops::Range;
 
 /// Extracts the traffic id set of every alarm, at the requested
 /// granularity. Each result is sorted and deduplicated.
 ///
-/// Groups the packets into one time run per traffic unit and
-/// direction, then resolves each unit once through the inverted alarm
-/// index — `O(units)` index probes instead of the seed's
-/// `O(alarms × packets)` scope tests. Byte-identical to
+/// Groups the packets inside the alarms' windows into one time run per
+/// traffic unit and direction, then resolves each unit once through
+/// the inverted alarm index — `O(units)` index probes instead of the
+/// seed's `O(alarms × packets)` scope tests. Byte-identical to
 /// [`extract_traffic_sequential`] at any `MAWILAB_THREADS`.
 pub fn extract_traffic(
     view: &TraceView<'_>,
@@ -84,9 +90,9 @@ pub fn extract_traffic(
     }
 }
 
-/// Groups every packet's timestamp under `unit_of(index, packet)` =
-/// `(unit, reverse)` and resolves the units' time runs against
-/// `alarms`.
+/// Groups the timestamp of every packet inside some alarm's window
+/// under `unit_of(index, packet)` = `(unit, reverse)` and resolves the
+/// units' time runs against `alarms`.
 fn resolve_packets(
     view: &TraceView<'_>,
     alarms: &[Alarm],
@@ -94,14 +100,39 @@ fn resolve_packets(
     unit_of: impl Fn(usize, &Packet) -> (usize, bool),
     key_of: impl Fn(usize) -> Option<FlowKey> + Sync,
 ) -> Vec<Vec<u32>> {
+    let packets = &view.trace.packets;
     let (bounds, ts) = group_by_bucket(
-        view.trace.packets.iter().enumerate().map(|(i, p)| {
-            let (unit, reverse) = unit_of(i, p);
-            (2 * unit + usize::from(reverse), p.ts_us)
-        }),
+        window_ranges(view.trace, alarms)
+            .into_iter()
+            .flatten()
+            .map(|i| {
+                let p = &packets[i];
+                let (unit, reverse) = unit_of(i, p);
+                (2 * unit + usize::from(reverse), p.ts_us)
+            }),
         2 * units,
     );
     resolve_units(alarms, units, key_of, &bounds, &ts).0
+}
+
+/// The packet-index ranges of the union of the alarms' windows:
+/// disjoint and ascending (packets are time-sorted). Overlapping and
+/// touching windows merge; empty windows drop out.
+fn window_ranges(trace: &Trace, alarms: &[Alarm]) -> Vec<Range<usize>> {
+    let mut windows: Vec<(u64, u64)> = alarms
+        .iter()
+        .map(|a| (a.window.start_us, a.window.end_us))
+        .filter(|&(start, end)| start < end)
+        .collect();
+    windows.sort_unstable();
+    let mut merged: Vec<TimeWindow> = Vec::new();
+    for (start, end) in windows {
+        match merged.last_mut() {
+            Some(last) if start <= last.end_us => last.end_us = last.end_us.max(end),
+            _ => merged.push(TimeWindow::new(start, end)),
+        }
+    }
+    merged.iter().map(|w| trace.packet_range(w)).collect()
 }
 
 /// The seed per-alarm engine, retained as the equivalence oracle for
@@ -351,6 +382,58 @@ mod tests {
             assert!(want[0].len() == 1 && want[1].len() == 1, "at {g}");
             assert!(want[2].is_empty() && want[3].is_empty(), "at {g}");
             assert_eq!(extract_traffic(&view, &alarms, g), want, "at {g}");
+        }
+    }
+
+    #[test]
+    fn windowed_grouping_matches_oracle_on_edge_windows() {
+        // Packets sit at +0, +10, +20, +30 and +40 µs. The windows are
+        // disjoint, nested, touching (`end == next start`), zero-width,
+        // and wholly before or after the trace; each alarm set must
+        // extract what the per-alarm scan does.
+        let t = trace();
+        let flows = FlowTable::build(&t.packets);
+        let view = TraceView::new(&t, &flows);
+        let base = t.meta.window().start_us;
+        let at = |from: u64, to: u64| TimeWindow::new(base + from, base + to);
+        let port80 = TrafficRule {
+            dport: Some(80),
+            ..Default::default()
+        };
+        let alarms = [
+            alarm(AlarmScope::SrcHost(ip(1)), at(0, 5)),
+            alarm(AlarmScope::DstHost(ip(2)), at(35, 45)),
+            alarm(AlarmScope::Rule(port80), at(0, 25)),
+            alarm(AlarmScope::SrcHost(ip(2)), at(5, 15)),
+            alarm(AlarmScope::SrcHost(ip(3)), at(25, 31)),
+            alarm(AlarmScope::DstHost(ip(1)), at(30, 35)),
+            alarm(AlarmScope::SrcHost(ip(4)), at(40, 40)),
+            alarm(AlarmScope::SrcHost(ip(1)), TimeWindow::new(0, base)),
+            alarm(AlarmScope::Rule(port80), at(41, 1_000)),
+            alarm(
+                AlarmScope::FlowSet(vec![FlowKey::of(&t.packets[3])]),
+                at(30, 31),
+            ),
+        ];
+        // The whole set merges into one interval; `[..2]` and `[3..6]`
+        // leave two disjoint intervals with packets in each, `[6..9]`
+        // two with none.
+        let sets: Vec<&[Alarm]> = [&alarms[..], &alarms[..2], &alarms[3..6], &alarms[6..9]]
+            .into_iter()
+            .chain(alarms.chunks(1))
+            .collect();
+        for g in [
+            Granularity::Packet,
+            Granularity::Uniflow,
+            Granularity::Biflow,
+        ] {
+            for set in &sets {
+                let want = extract_traffic_sequential(&view, set, g);
+                assert_eq!(extract_traffic(&view, set, g), want, "at {g}: {set:?}");
+            }
+            let all = extract_traffic_sequential(&view, &alarms, g);
+            assert!(all[..6].iter().all(|s| !s.is_empty()), "at {g}");
+            assert!(all[6..9].iter().all(|s| s.is_empty()), "at {g}");
         }
     }
 

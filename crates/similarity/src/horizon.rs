@@ -242,6 +242,11 @@ pub(crate) fn resolve_units(
         let mut sink = HitSink::new(alarms.len());
         let mut matched = Vec::new();
         for unit in range.clone() {
+            // A unit with empty runs (no packet, or none inside an
+            // alarm window) can hit nothing.
+            if bounds[2 * unit] == bounds[2 * unit + 2] {
+                continue;
+            }
             let Some(key) = key_of(unit) else {
                 continue;
             };

@@ -82,7 +82,7 @@ impl AlarmRun<'_> {
 /// (`< buckets`), keeping item order within a group. Group `b` is
 /// `out[starts[b]..starts[b + 1]]`; returns `(starts, out)`.
 pub(crate) fn group_by_bucket<V: Copy + Default>(
-    items: impl DoubleEndedIterator<Item = (usize, V)> + ExactSizeIterator + Clone,
+    items: impl DoubleEndedIterator<Item = (usize, V)> + Clone,
     buckets: usize,
 ) -> (Vec<usize>, Vec<V>) {
     let mut starts = vec![0usize; buckets + 1];
@@ -94,7 +94,7 @@ pub(crate) fn group_by_bucket<V: Copy + Default>(
     }
     // `starts[b]` is now the end of group `b`; filling back to front
     // keeps item order and leaves it at the group's start.
-    let mut out = vec![V::default(); items.len()];
+    let mut out = vec![V::default(); starts[buckets]];
     for (b, value) in items.rev() {
         let slot = &mut starts[b];
         *slot -= 1;
