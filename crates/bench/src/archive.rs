@@ -7,11 +7,11 @@
 //! a throughput record, and writes `results/BENCH_archive.json` with
 //! the longitudinal stability metrics ([`mawilab_eval::longitudinal`]:
 //! churn, drift, monthly trajectory, era transitions, outbreak
-//! response) next to the per-day performance trajectory and a
-//! generation-throughput comparison of the sharded synth engine
-//! against its sequential oracle. This is the repo's month-scale
-//! answer to the operational question the paper's Figs. 7–8 raise: do
-//! the labels stay put while the archive changes under the pipeline?
+//! response) next to each day's wall and throughput and the sweep's
+//! peak RSS. Generation and per-stage timings belong to perfbench.
+//! This is the repo's month-scale answer to the operational question
+//! the paper's Figs. 7–8 raise: do the labels stay put while the
+//! archive changes under the pipeline?
 //!
 //! The logic lives in the library (not the bin) so the smoke tests,
 //! the thread-determinism suite and CI can run tiny-scale passes
@@ -27,7 +27,7 @@ use mawilab_eval::ground_truth::DEFAULT_MIN_COVERAGE;
 use mawilab_eval::{stability_report, DaySummary, GroundTruthMatcher, StabilityReport, WormStatus};
 use mawilab_label::MawilabLabel;
 use mawilab_model::{LinkEra, TraceDate, DEFAULT_CHUNK_US};
-use mawilab_synth::{AnomalyKind, ArchiveConfig, ArchiveSimulator, TraceGenerator};
+use mawilab_synth::AnomalyKind;
 use std::collections::HashSet;
 
 /// The pipeline configuration every archive sweep runs with: the
@@ -171,12 +171,6 @@ pub struct ArchiveDayRecord {
     pub wall_s: f64,
     /// Pipeline throughput, packets/second.
     pub pps: f64,
-    /// Wall-clock of producing the generator's day plan ahead of the
-    /// drain, seconds (packets generate lazily inside the drain). For
-    /// the generation-only engine comparison see [`GenThroughput`].
-    pub gen_s: f64,
-    /// Day-production throughput over `gen_s`, packets/second.
-    pub gen_pps: f64,
 }
 
 fn reduce_day(ctx: &StreamingDayContext<'_>) -> ArchiveDayRecord {
@@ -230,7 +224,6 @@ fn reduce_day(ctx: &StreamingDayContext<'_>) -> ArchiveDayRecord {
 
     let summary = DaySummary::new(ctx.date, &report.labeled.communities, &strategies, worms);
     let wall_s = ctx.wall.as_secs_f64();
-    let gen_s = ctx.gen_wall.as_secs_f64();
     ArchiveDayRecord {
         packets: stats.packets,
         chunks: stats.chunks,
@@ -243,8 +236,6 @@ fn reduce_day(ctx: &StreamingDayContext<'_>) -> ArchiveDayRecord {
         agreement_hist,
         wall_s,
         pps: stats.packets as f64 / wall_s.max(1e-9),
-        gen_s,
-        gen_pps: stats.packets as f64 / gen_s.max(1e-9),
         summary,
     }
 }
@@ -287,7 +278,7 @@ fn assemble_outcome(outcomes: Vec<Result<ArchiveDayRecord, DayFailure>>) -> Arch
 }
 
 /// Runs the sweep chunk-natively and single-pass — each day's
-/// `SynthSource` emits `PacketChunk`s straight out of the sharded
+/// `SynthSource` emits `PacketChunk`s straight out of the
 /// generator into the online pipeline's one drain, no day ever
 /// materialised or replayed — and reduces it to an
 /// [`ArchiveOutcome`].
@@ -353,69 +344,6 @@ pub fn deterministic_view(outcome: &ArchiveOutcome) -> String {
         outcome.failed,
         outcome.stability
     )
-}
-
-/// Generation-throughput comparison of one archive day: the sequential
-/// oracle against the sharded engine at increasing worker caps
-/// (`generate_capped` sweeps effective workers without touching the
-/// process-wide `MAWILAB_THREADS`; the global policy still applies on
-/// top, so a `MAWILAB_THREADS=1` run reports ≈1.0× speedups by
-/// design). Wall times are best-of-`reps`.
-#[derive(Debug, Clone)]
-pub struct GenThroughput {
-    /// The measured day.
-    pub date: TraceDate,
-    /// Packets the day generates.
-    pub packets: usize,
-    /// Sequential-oracle wall, seconds.
-    pub sequential_s: f64,
-    /// `(worker cap, wall seconds)` of the sharded engine.
-    pub sharded: Vec<(usize, f64)>,
-}
-
-impl GenThroughput {
-    /// Speedup of the sharded engine at `cap` workers over the
-    /// sequential oracle.
-    pub fn speedup(&self, cap: usize) -> Option<f64> {
-        self.sharded
-            .iter()
-            .find(|&&(c, _)| c == cap)
-            .map(|&(_, s)| self.sequential_s / s.max(1e-12))
-    }
-}
-
-/// Measures [`GenThroughput`] for one representative day of the sweep
-/// at the benchmark scale.
-pub fn generation_throughput(date: TraceDate, scale: f64, reps: usize) -> GenThroughput {
-    let sim = ArchiveSimulator::new(ArchiveConfig {
-        scale,
-        ..Default::default()
-    });
-    let generator = TraceGenerator::new(sim.config_for(date));
-    let reps = reps.max(1);
-    const CAPS: [usize; 3] = [1, 2, 4];
-    // Interleaved rounds (sequential, then each cap, per round) with
-    // one untimed warmup: allocator/cache drift between measurements
-    // then biases every engine equally instead of whichever ran last.
-    let mut packets = generator.generate_sequential().trace.len();
-    let mut sequential_s = f64::INFINITY;
-    let mut sharded_s = [f64::INFINITY; CAPS.len()];
-    for _ in 0..reps {
-        let t0 = std::time::Instant::now();
-        packets = generator.generate_sequential().trace.len();
-        sequential_s = sequential_s.min(t0.elapsed().as_secs_f64());
-        for (i, &cap) in CAPS.iter().enumerate() {
-            let t0 = std::time::Instant::now();
-            generator.generate_capped(cap);
-            sharded_s[i] = sharded_s[i].min(t0.elapsed().as_secs_f64());
-        }
-    }
-    GenThroughput {
-        date,
-        packets,
-        sequential_s,
-        sharded: CAPS.iter().copied().zip(sharded_s).collect(),
-    }
 }
 
 fn f(v: f64) -> String {
@@ -505,11 +433,7 @@ fn format_confidence_json(outcome: &ArchiveOutcome) -> String {
 }
 
 /// Formats the benchmark JSON document.
-fn format_archive_json(
-    args: &ArchiveBenchArgs,
-    outcome: &ArchiveOutcome,
-    gen: &GenThroughput,
-) -> String {
+fn format_archive_json(args: &ArchiveBenchArgs, outcome: &ArchiveOutcome) -> String {
     let ArchiveOutcome {
         records,
         failed,
@@ -534,8 +458,7 @@ fn format_archive_json(
                  \"peak_chunk_packets\": {}, \"items\": {}, \"alarms\": {}, \
                  \"communities\": {}, \"anomalous\": {}, \"identities\": {}, \
                  \"tiers\": [{}, {}, {}], \"strategy_agreement\": [{}], \
-                 \"wall_s\": {}, \"packets_per_s\": {}, \"gen_s\": {}, \
-                 \"gen_packets_per_s\": {}, \"worms\": [{}]}}",
+                 \"wall_s\": {}, \"packets_per_s\": {}, \"worms\": [{}]}}",
                 r.summary.date,
                 r.packets,
                 r.chunks,
@@ -555,8 +478,6 @@ fn format_archive_json(
                     .join(", "),
                 f(r.wall_s),
                 f(r.pps),
-                f(r.gen_s),
-                f(r.gen_pps),
                 worms.join(", "),
             )
         })
@@ -679,19 +600,6 @@ fn format_archive_json(
         })
         .collect();
 
-    let gen_rows: Vec<String> = gen
-        .sharded
-        .iter()
-        .map(|&(cap, wall_s)| {
-            format!(
-                "      {{\"workers_cap\": {}, \"wall_s\": {}, \"speedup\": {}}}",
-                cap,
-                f(wall_s),
-                f(gen.sequential_s / wall_s.max(1e-12)),
-            )
-        })
-        .collect();
-
     let hardware = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -713,8 +621,6 @@ fn format_archive_json(
          \"adjacent_pairs\": [\n{}\n    ]\n  }},\n  \
          \"confidence\": {},\n  \
          \"outbreaks\": [\n{}\n  ],\n  \
-         \"generation\": {{\n    \"date\": \"{}\", \"packets\": {}, \
-         \"sequential_s\": {},\n    \"sharded\": [\n{}\n    ]\n  }},\n  \
          \"peak_rss_kb\": {}\n}}\n",
         hardware,
         hardware,
@@ -745,10 +651,6 @@ fn format_archive_json(
         pair_rows.join(",\n"),
         format_confidence_json(outcome),
         outbreak_rows.join(",\n"),
-        gen.date,
-        gen.packets,
-        f(gen.sequential_s),
-        gen_rows.join(",\n"),
         peak_rss_kb().unwrap_or(0),
     )
 }
@@ -762,17 +664,7 @@ pub fn run_archive_bench(args: &ArchiveBenchArgs) -> String {
         args.scale
     );
     let outcome = collect_archive(args);
-    // Generation throughput on the sweep's last day — the
-    // highest-volume regime of a chronological sweep (eras only ever
-    // upgrade), which is what month-scale generation cost is
-    // dominated by.
-    let gen_day = args
-        .days
-        .last()
-        .copied()
-        .unwrap_or_else(default_sweep_start);
-    let gen = generation_throughput(gen_day, args.scale, 9);
-    let json = format_archive_json(args, &outcome, &gen);
+    let json = format_archive_json(args, &outcome);
 
     std::fs::create_dir_all(&args.out_dir).expect("creating out dir");
     let path = format!("{}/BENCH_archive.json", args.out_dir);
@@ -838,29 +730,12 @@ mod tests {
             )],
             stability: stability_report(&[], MAX_STABILITY_GAP_DAYS),
         };
-        let gen = GenThroughput {
-            date: TraceDate::new(2006, 7, 1),
-            packets: 0,
-            sequential_s: 1.0,
-            sharded: vec![(1, 1.0)],
-        };
-        let json = format_archive_json(&ArchiveBenchArgs::default(), &outcome, &gen);
+        let json = format_archive_json(&ArchiveBenchArgs::default(), &outcome);
         assert!(json.contains("\"failed_days\": [\n"));
         assert!(!json.contains("\"warm\""));
         assert!(json.contains("{\"date\": \"2006-07-01\", \"error\": \"day 2006-07-01: source \\\"x\\\" broke\\nbadly\"}"));
         assert!(json.contains("\"sampled_days\": 0"));
         assert!(json.contains("\"first_day\": null"));
-    }
-
-    #[test]
-    fn generation_throughput_measures_both_engines() {
-        let gen = generation_throughput(TraceDate::new(2004, 5, 10), 0.2, 1);
-        assert!(gen.packets > 1_000);
-        assert!(gen.sequential_s > 0.0);
-        assert_eq!(gen.sharded.len(), 3);
-        assert!(gen.sharded.iter().all(|&(_, s)| s > 0.0));
-        assert!(gen.speedup(2).unwrap() > 0.0);
-        assert!(gen.speedup(3).is_none());
     }
 
     /// The tiny-scale end-to-end smoke: runs the real benchmark on
@@ -891,10 +766,6 @@ mod tests {
             "\"era_boundaries_crossed\"",
             "\"adjacent_pairs\"",
             "\"outbreaks\"",
-            "\"generation\"",
-            "\"sequential_s\"",
-            "\"workers_cap\"",
-            "\"gen_s\"",
             "\"peak_rss_kb\"",
             "\"packets_per_s\"",
             "\"wall_s\"",
@@ -902,7 +773,8 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
-        // Stage timing belongs to perfbench, not to the archive JSON.
+        // Stage and generation timing belong to perfbench, not to the
+        // archive JSON.
         for key in [
             "\"detect_s\"",
             "\"extract_s\"",
@@ -910,8 +782,11 @@ mod tests {
             "\"louvain_s\"",
             "\"combine_s\"",
             "\"label_s\"",
+            "\"generation\"",
+            "\"gen_s\"",
+            "\"gen_packets_per_s\"",
         ] {
-            assert!(!json.contains(key), "stage timing {key} in:\n{json}");
+            assert!(!json.contains(key), "timing {key} in:\n{json}");
         }
         assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
         // All five strategies appear in the flip table.

@@ -6,10 +6,8 @@
 //! sweep — through `run_days_streaming` and writes
 //! `results/BENCH_archive.json` with label churn, per-strategy
 //! decision flip rates, anomalous-set Jaccard drift, the monthly
-//! stability trajectory, era transitions, worm outbreak response, the
-//! per-day throughput trajectory and a generation-throughput
-//! comparison of the sharded synth engine against its sequential
-//! oracle.
+//! stability trajectory, era transitions, worm outbreak response and
+//! the per-day throughput trajectory.
 //!
 //! The sweep runs **single-pass**: each day's source streams once
 //! through the online pipeline, sealed behind a rewind-refusing

@@ -54,8 +54,8 @@ where
     // Cap the outer day fan-out: each day runs a whole pipeline that
     // fans out internally, so an uncapped outer map would square the
     // worker count on big machines. With multiple days in flight the
-    // sharded generator's inner fan-out runs inline (one-fan-out-level
-    // policy); with a single day it owns the thread budget.
+    // pipeline's inner fan-outs run inline (one-fan-out-level policy);
+    // with a single day they own the thread budget.
     mawilab_exec::par_map_capped(days, 16, |&date| {
         let value = per_day(date, &sim);
         let d = done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -112,14 +112,9 @@ pub struct StreamingDayContext<'a> {
     pub report: &'a PipelineReport,
     /// Ingest statistics of the day's drain.
     pub stats: &'a StreamStats,
-    /// Wall-clock of the whole single-pass run for this day.
+    /// Wall-clock of the whole single-pass run for this day (packets
+    /// generate lazily inside the drain, so generation lands here).
     pub wall: Duration,
-    /// Wall-clock of producing the generator's day plan ahead of the
-    /// drain (the packets themselves are generated lazily *inside*
-    /// the drain, so they land in `wall`). For a generation-only
-    /// engine comparison see the benchmark's `generation` block
-    /// (`generation_throughput`).
-    pub gen_wall: Duration,
 }
 
 /// A day the streaming harness could not complete.
@@ -171,7 +166,7 @@ impl SourceWrap for NoWrap {
 /// parallel, returning one entry per day, in day order — the
 /// archive-scale evaluation path where no day is ever materialised
 /// *or replayed*: each day's [`SynthSource`] emits `PacketChunk`s
-/// straight out of the sharded generator, and the one drain feeds
+/// straight out of the generator, and the one drain feeds
 /// detection, extraction evidence **and** ground-truth collection at
 /// once. `chunk_us` is the ingest bin width.
 ///
@@ -218,11 +213,8 @@ where
     F: Fn(&StreamingDayContext<'_>) -> T + Sync,
 {
     schedule_days(days, scale, |date, sim| {
-        let generator = TraceGenerator::new(sim.config_for(date));
-        let t0 = std::time::Instant::now();
-        let source = generator.stream(chunk_us);
+        let source = TraceGenerator::new(sim.config_for(date)).stream(chunk_us);
         let records = source.records().to_vec();
-        let gen_wall = t0.elapsed();
         let mut collector = StreamTruthCollector::new(pipeline_config.granularity);
         let pipeline = OnlinePipeline::new(pipeline_config.clone());
         let t0 = std::time::Instant::now();
@@ -244,7 +236,6 @@ where
             report: &online.report,
             stats: &online.stats,
             wall,
-            gen_wall,
         }))
     })
 }

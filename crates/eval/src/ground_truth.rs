@@ -153,14 +153,6 @@ impl StrategyScore {
         self.detected.len() as f64 / self.total_anomalies as f64
     }
 
-    /// Recall over injected attacks only.
-    pub fn attack_recall(&self) -> f64 {
-        if self.total_attacks == 0 {
-            return 0.0;
-        }
-        self.detected_attacks.len() as f64 / self.total_attacks as f64
-    }
-
     /// Fraction of accepted communities that cover a real anomaly.
     pub fn precision(&self) -> f64 {
         if self.accepted == 0 {

@@ -26,7 +26,7 @@
 //! from day-invariant features of the labeled output.
 
 use mawilab_combiner::{ConfidenceTier, Decision};
-use mawilab_label::{label_of, HeuristicLabel, LabeledCommunity, MawilabLabel};
+use mawilab_label::{HeuristicLabel, LabeledCommunity, MawilabLabel};
 use mawilab_model::{LinkEra, TraceDate, TrafficRule};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -222,12 +222,6 @@ impl DaySummary {
             worms,
             communities: labeled.len(),
         }
-    }
-
-    /// Convenience: the taxonomy label a bare decision list implies
-    /// per identity (used by tests and ad-hoc reducers).
-    pub fn label_for(decision: &Decision) -> MawilabLabel {
-        label_of(decision)
     }
 }
 

@@ -218,23 +218,7 @@ where
     T: Send,
     F: Fn(&mut T) + Sync,
 {
-    par_for_each_mut_capped(items, usize::MAX, f)
-}
-
-/// [`par_for_each_mut`] with an explicit worker cap
-/// (`min(thread_count(), cap)`); `cap == 1` runs fully in-line. Lets
-/// callers sweep effective worker counts (e.g. the generation
-/// throughput benchmark) without mutating the process-wide
-/// `MAWILAB_THREADS` variable.
-///
-/// # Panics
-/// Propagates a panic from `f`.
-pub fn par_for_each_mut_capped<T, F>(items: &mut [T], cap: usize, f: F)
-where
-    T: Send,
-    F: Fn(&mut T) + Sync,
-{
-    let workers = fanout_width(items.len(), cap);
+    let workers = fanout_width(items.len(), usize::MAX);
     if workers <= 1 {
         for item in items {
             f(item);
@@ -292,20 +276,19 @@ mod tests {
     }
 
     #[test]
-    fn par_for_each_mut_capped_is_inline_at_cap_one() {
+    fn par_for_each_mut_is_inline_inside_a_worker() {
+        let _guard = WorkerGuard::enter();
         let me = std::thread::current().id();
         let mut items: Vec<usize> = vec![0; 64];
-        par_for_each_mut_capped(&mut items, 1, |x| {
-            assert_eq!(std::thread::current().id(), me, "cap 1 must not spawn");
+        par_for_each_mut(&mut items, |x| {
+            assert_eq!(
+                std::thread::current().id(),
+                me,
+                "a nested loop must not spawn"
+            );
             *x += 1;
         });
         assert!(items.iter().all(|&x| x == 1));
-        // Larger caps still touch everything exactly once.
-        for cap in [2, 5, usize::MAX] {
-            let mut items: Vec<usize> = vec![0; 129];
-            par_for_each_mut_capped(&mut items, cap, |x| *x += 1);
-            assert!(items.iter().all(|&x| x == 1), "cap {cap}");
-        }
     }
 
     #[test]

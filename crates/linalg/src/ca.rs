@@ -162,11 +162,6 @@ impl CorrespondenceAnalysis {
         self.row_principal.row(i)
     }
 
-    /// Number of active rows.
-    pub fn n_rows(&self) -> usize {
-        self.row_principal.rows()
-    }
-
     /// Projects a *supplementary* row (a count/indicator vector over
     /// the original columns) into the principal space without
     /// refitting. Rows with no mass on the kept columns map to the

@@ -46,12 +46,6 @@ impl Matrix {
         }
     }
 
-    /// Builds from a flat row-major buffer.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "buffer size mismatch");
-        Matrix { rows, cols, data }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

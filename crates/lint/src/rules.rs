@@ -357,7 +357,6 @@ fn oracle_registry(ws: &Workspace, out: &mut Vec<Violation>) {
             "par_map_capped",
             "par_map_mut",
             "par_for_each_mut",
-            "par_for_each_mut_capped",
         ] {
             for off in find_token(&f.lexed.code, tok) {
                 let line = f.line_of(off);

@@ -293,11 +293,6 @@ impl FlowTable {
     pub fn uniflow_keys(&self) -> &[FlowKey] {
         &self.uni_keys
     }
-
-    /// All bidirectional keys, indexed by flow id.
-    pub fn biflow_keys(&self) -> &[BiflowKey] {
-        &self.bi_keys
-    }
 }
 
 /// Incremental traffic-unit id assigner for streaming ingest.

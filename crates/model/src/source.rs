@@ -393,11 +393,6 @@ impl TraceChunker {
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
-
-    /// Recovers the wrapped trace.
-    pub fn into_trace(self) -> Trace {
-        self.trace
-    }
 }
 
 impl PacketSource for TraceChunker {

@@ -43,18 +43,16 @@ pub use config::SynthConfig;
 pub use sharded::{SynthSource, GEN_BIN_US};
 pub use truth::{AnomalyRecord, GroundTruth, LabeledTrace};
 
-use mawilab_model::TraceChunker;
-
 /// End-to-end trace generator: background + anomalies + ground truth.
 ///
-/// Generation is sharded (`crate::sharded`): every anomaly and every
-/// [`GEN_BIN_US`]-wide background bin draws from its own
-/// counter-derived RNG stream, so the units generate independently —
-/// fanned out across threads by [`generate`](Self::generate), bin by
-/// bin without materialising the day by [`stream`](Self::stream).
-/// [`generate_sequential`](Self::generate_sequential) is the retained
-/// in-order reference; all paths are byte-identical to it at any
-/// `MAWILAB_THREADS` (`tests/synth_equivalence.rs`).
+/// Every anomaly and every [`GEN_BIN_US`]-wide background bin draws
+/// from its own counter-derived RNG stream (`crate::sharded`), so the
+/// units generate independently of each other's order.
+/// [`generate`](Self::generate) merges them with a bucketed per-bin
+/// sort; [`stream`](Self::stream) emits them bin by bin without
+/// materialising the day. [`generate_sequential`](Self::generate_sequential)
+/// is the in-order reference with one global sort; both paths are
+/// byte-identical to it (`tests/synth_equivalence.rs`).
 #[derive(Debug, Clone)]
 pub struct TraceGenerator {
     config: SynthConfig,
@@ -66,28 +64,16 @@ impl TraceGenerator {
         TraceGenerator { config }
     }
 
-    /// Generates the trace and its ground truth through the sharded
-    /// engine (anomalies + background bins fanned out through
-    /// `mawilab-exec`, honoring `MAWILAB_THREADS`). Deterministic in
-    /// the config (seed included) and thread-count invariant.
+    /// Generates the trace and its ground truth: every unit in
+    /// canonical order on the calling thread, merged by a bucketed
+    /// per-bin sort. Deterministic in the config (seed included).
     pub fn generate(&self) -> LabeledTrace {
-        sharded::generate_sharded(&self.config, usize::MAX)
+        sharded::generate_sharded(&self.config)
     }
 
-    /// [`generate`](Self::generate) with an explicit worker cap on the
-    /// fan-outs (`1` = fully in-line). Lets benchmarks sweep effective
-    /// worker counts without mutating the process-wide
-    /// `MAWILAB_THREADS`; the output is identical at every cap.
-    pub fn generate_capped(&self, cap: usize) -> LabeledTrace {
-        sharded::generate_sharded(&self.config, cap)
-    }
-
-    /// The sequential reference generator: every unit generated
-    /// strictly in canonical order on the calling thread, merged by
-    /// one global stable sort. Kept as the equivalence oracle for the
-    /// sharded engine (mirroring `build_graph_sequential` in the
-    /// similarity crate) and as the baseline of the generation
-    /// throughput benchmark.
+    /// The reference generator: every unit in canonical order, merged
+    /// by one global stable sort. Kept as the equivalence oracle for
+    /// [`generate`](Self::generate)'s bucketed merge.
     pub fn generate_sequential(&self) -> LabeledTrace {
         sharded::generate_sequential(&self.config)
     }
@@ -101,15 +87,6 @@ impl TraceGenerator {
     /// tags via [`SynthSource::chunk_tags`].
     pub fn stream(&self, bin_us: u64) -> SynthSource {
         SynthSource::new(&self.config, bin_us)
-    }
-
-    /// Like [`stream`](Self::stream), but materialises the day once to
-    /// return its full ground truth next to a rewindable chunk source
-    /// — for consumers that need per-packet truth up front (e.g.
-    /// precision/recall scoring of streamed labels).
-    pub fn stream_labeled(&self, bin_us: u64) -> (TraceChunker, GroundTruth) {
-        let lt = self.generate();
-        (TraceChunker::new(lt.trace, bin_us), lt.truth)
     }
 }
 
@@ -129,17 +106,13 @@ mod tests {
 
     #[test]
     fn sharded_engine_matches_sequential_oracle() {
-        // The full sweep (seeds × bin widths × thread counts) lives in
+        // The full sweep (seeds × bin widths) lives in
         // tests/synth_equivalence.rs; this is the fast in-crate guard.
         let generator = TraceGenerator::new(SynthConfig::default().with_seed(41));
         let sharded = generator.generate();
         let oracle = generator.generate_sequential();
         assert_eq!(sharded.trace.packets, oracle.trace.packets);
         assert_eq!(sharded.truth.tags(), oracle.truth.tags());
-        for cap in [1, 2, 5] {
-            let capped = generator.generate_capped(cap);
-            assert_eq!(capped.trace.packets, oracle.trace.packets, "cap {cap}");
-        }
     }
 
     #[test]

@@ -1,24 +1,21 @@
-//! Sharded, chunk-native trace generation.
+//! Trace generation over counter-derived streams, batch and
+//! chunk-native.
 //!
-//! The archive harness used to synthesise each day single-threaded
-//! and materialise it before streaming — the bottleneck that capped
-//! the longitudinal evaluation at a curated 13-day sample. This
-//! module rebuilds generation around **independent RNG streams**:
+//! Generation is split into **independent RNG streams**:
 //!
 //! * every generation unit (the host population, the day-level
 //!   modulation phases, each anomaly spec, each [`GEN_BIN_US`]-wide
 //!   background bin) draws from its own counter-derived stream,
 //!   seeded as `seed ⊕ day ⊕ stream-counter` (`stream_rng`) with no
 //!   sequential RNG dependence between units;
-//! * background bins therefore generate in any order — fanned out
-//!   through the `mawilab-exec` helpers ([`TraceGenerator::generate`])
-//!   or lazily, bin by bin, for the chunk-native [`SynthSource`] that
-//!   feeds the streaming pipeline without ever materialising the day;
-//! * the bin-by-bin loop run strictly in order *is* the sequential
-//!   reference ([`TraceGenerator::generate_sequential`], mirroring
-//!   `build_graph_sequential` from the similarity engine), and the
-//!   sharded paths are **byte-identical** to it at every
-//!   `MAWILAB_THREADS` (`tests/synth_equivalence.rs`).
+//! * background bins therefore generate in any order — all at once
+//!   for [`TraceGenerator::generate`], or lazily, bin by bin, for the
+//!   chunk-native [`SynthSource`] that feeds the streaming pipeline
+//!   without ever materialising the day;
+//! * every unit generated in order and merged by one global stable
+//!   sort is the reference ([`TraceGenerator::generate_sequential`]),
+//!   and both other paths are **byte-identical** to it
+//!   (`tests/synth_equivalence.rs`).
 //!
 //! # The canonical packet order
 //!
@@ -28,9 +25,9 @@
 //! then by bin, then by emission order — the *canonical sequence
 //! number* of a packet. The batch engine realises this order with a
 //! bucketed counting sort (one bucket per generation bin, each bucket
-//! sorted independently — smaller sorts, parallelisable); the
-//! streaming source realises it with a `(timestamp, sequence)` min-
-//! heap over flow spills. Both reduce to the same stable sort.
+//! sorted on its own — bin-sized sorts instead of one over the day);
+//! the streaming source realises it with a `(timestamp, sequence)`
+//! min-heap over flow spills. Both reduce to the same stable sort.
 //!
 //! [`TraceGenerator::generate`]: crate::TraceGenerator::generate
 //! [`TraceGenerator::generate_sequential`]: crate::TraceGenerator::generate_sequential
@@ -162,7 +159,8 @@ impl DayPlan {
 
 /// The sequential reference: anomalies in spec order, then background
 /// bins strictly in order, one global stable sort. The equivalence
-/// oracle the sharded paths are tested against.
+/// oracle the bucketed merge and the streaming source are tested
+/// against.
 pub(crate) fn generate_sequential(cfg: &SynthConfig) -> LabeledTrace {
     let plan = DayPlan::new(cfg);
     let mut tagged: Vec<(Packet, u32)> = Vec::new();
@@ -181,24 +179,26 @@ pub(crate) fn generate_sequential(cfg: &SynthConfig) -> LabeledTrace {
     plan.finish(tagged, records)
 }
 
-/// The sharded engine: anomalies and background bins fan out through
-/// `mawilab-exec` (capped at `cap` workers on top of the global
-/// `MAWILAB_THREADS` policy), then a bucketed counting sort merges the
-/// parts in canonical order — one bucket per generation bin, each
-/// bucket stable-sorted independently (and in parallel), which equals
-/// the oracle's global stable sort because buckets partition the
-/// timestamp axis.
-pub(crate) fn generate_sharded(cfg: &SynthConfig, cap: usize) -> LabeledTrace {
+/// The batch engine: anomalies and background bins generate in
+/// canonical order, then a bucketed counting sort merges the parts —
+/// one bucket per generation bin, each bucket stable-sorted on its
+/// own, which equals the oracle's global stable sort because buckets
+/// partition the timestamp axis.
+pub(crate) fn generate_sharded(cfg: &SynthConfig) -> LabeledTrace {
     let plan = DayPlan::new(cfg);
-    let spec_ids: Vec<usize> = (0..cfg.anomalies.len()).collect();
-    let anomaly_parts =
-        mawilab_exec::par_map_capped(&spec_ids, cap, |&i| plan.anomaly(i, &cfg.anomalies[i]));
-    let bin_ids: Vec<u64> = (0..plan.n_bins).collect();
-    let bin_parts = mawilab_exec::par_map_capped(&bin_ids, cap, |&b| {
-        let mut out = Vec::new();
-        plan.background_bin(b, &mut out);
-        out
-    });
+    let anomaly_parts: Vec<_> = cfg
+        .anomalies
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| plan.anomaly(i, spec))
+        .collect();
+    let bin_parts: Vec<Vec<(Packet, u32)>> = (0..plan.n_bins)
+        .map(|b| {
+            let mut out = Vec::new();
+            plan.background_bin(b, &mut out);
+            out
+        })
+        .collect();
 
     let mut records = Vec::with_capacity(anomaly_parts.len());
     // Bucket by the generation bin of each *timestamp* (not the bin
@@ -244,12 +244,10 @@ pub(crate) fn generate_sharded(cfg: &SynthConfig, cap: usize) -> LabeledTrace {
         scatter(part);
     }
     // Per-bucket stable sorts: ~bin-sized inputs instead of the whole
-    // day, independent, fanned out.
-    mawilab_exec::par_for_each_mut_capped(&mut buckets, cap, |bucket| {
-        bucket.sort_by_key(|(p, _)| p.ts_us);
-    });
+    // day.
     let mut tagged = Vec::with_capacity(total);
-    for bucket in buckets {
+    for mut bucket in buckets {
+        bucket.sort_by_key(|(p, _)| p.ts_us);
         tagged.extend(bucket);
     }
     plan.finish(tagged, records)
@@ -282,7 +280,7 @@ impl Ord for Queued {
     }
 }
 
-/// Chunk-native [`PacketSource`] over the sharded generator: emits a
+/// Chunk-native [`PacketSource`] over the counter-derived streams: emits a
 /// synthetic day directly as time-binned [`PacketChunk`]s without ever
 /// materialising the trace.
 ///

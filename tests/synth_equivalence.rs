@@ -1,23 +1,15 @@
-//! Generation-equivalence suite for the sharded synth engine.
+//! Generation-equivalence suite for the synth engine.
 //!
-//! The sharded generator (anomalies + background bins fanned out over
-//! counter-derived RNG streams) must be **byte-identical** to the
-//! retained sequential reference (`generate_sequential`) on every
-//! config, at every `MAWILAB_THREADS`, and the chunk-native streaming
-//! source must emit exactly the batch trace at every chunk width —
-//! the same identities the similarity engine (PR 3) and the streaming
-//! pipeline (PR 2) are locked down by.
-//!
-//! Tests in this binary share `ENV_LOCK`: one of them sweeps the
-//! process-wide `MAWILAB_THREADS` variable, and a sibling running
-//! concurrently would race on it.
+//! `generate` (anomalies + background bins over counter-derived RNG
+//! streams, merged by a bucketed per-bin sort) must be
+//! **byte-identical** to the sequential reference
+//! (`generate_sequential`, one global stable sort) on every config,
+//! and the chunk-native streaming source must emit exactly the batch
+//! trace at every chunk width.
 
 use mawilab::model::{collect_packets, PacketSource, TraceDate};
 use mawilab::synth::{ArchiveConfig, ArchiveSimulator, LabeledTrace, SynthConfig, TraceGenerator};
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Asserts two labeled traces are byte-identical: packets, per-packet
 /// truth tags, and the anomaly records' load-bearing fields.
@@ -39,8 +31,7 @@ fn assert_identical(a: &LabeledTrace, b: &LabeledTrace, what: &str) {
 }
 
 #[test]
-fn sharded_equals_sequential_at_every_thread_count() {
-    let _lock = ENV_LOCK.lock().unwrap();
+fn bucketed_generate_equals_sequential_oracle() {
     // Plain configs across seeds, plus one archive day (the per-day
     // config path used by the month-scale sweeps).
     let sim = ArchiveSimulator::new(ArchiveConfig {
@@ -54,28 +45,20 @@ fn sharded_equals_sequential_at_every_thread_count() {
     ];
     for cfg in &configs {
         let generator = TraceGenerator::new(cfg.clone());
-        // The oracle never fans out — it is thread-count independent
-        // by construction; pin threads anyway so the baseline is the
-        // fully sequential world.
-        std::env::set_var("MAWILAB_THREADS", "1");
         let oracle = generator.generate_sequential();
-        for threads in ["1", "2", "4", "13"] {
-            std::env::set_var("MAWILAB_THREADS", threads);
-            let sharded = generator.generate();
-            assert_identical(
-                &sharded,
-                &oracle,
-                &format!("seed {} at MAWILAB_THREADS={threads}", cfg.seed),
-            );
-            // The chunk-native source must replay the same bytes too.
-            let mut source = generator.stream(5_000_000);
-            assert_eq!(
-                collect_packets(&mut source).unwrap(),
-                oracle.trace.packets,
-                "stream at MAWILAB_THREADS={threads}"
-            );
-        }
-        std::env::remove_var("MAWILAB_THREADS");
+        assert_identical(
+            &generator.generate(),
+            &oracle,
+            &format!("seed {}", cfg.seed),
+        );
+        // The chunk-native source must replay the same bytes too.
+        let mut source = generator.stream(5_000_000);
+        assert_eq!(
+            collect_packets(&mut source).unwrap(),
+            oracle.trace.packets,
+            "stream of seed {}",
+            cfg.seed
+        );
     }
 }
 
@@ -94,7 +77,6 @@ proptest! {
     ) {
         let bin_us = [500_000u64, 1_000_000, 2_500_000, 5_000_000, 7_300_000, 60_000_000]
             [bin_choice];
-        let _lock = ENV_LOCK.lock().unwrap();
         let cfg = SynthConfig::default()
             .with_seed(seed)
             .with_duration(duration_s);
@@ -124,23 +106,22 @@ proptest! {
         prop_assert_eq!(collect_packets(&mut source).unwrap(), streamed);
     }
 
-    /// Sharded ≡ sequential under proptest-chosen configs (threads at
-    /// the ambient default — the env sweep above covers the overrides).
+    /// Bucketed `generate` ≡ `generate_sequential` under
+    /// proptest-chosen configs.
     #[test]
-    fn sharded_equals_sequential_on_arbitrary_configs(
+    fn bucketed_generate_equals_sequential_on_arbitrary_configs(
         seed in 0u64..10_000,
         duration_s in 5u32..25,
         pps in 100.0f64..700.0,
     ) {
-        let _lock = ENV_LOCK.lock().unwrap();
         let cfg = SynthConfig::default()
             .with_seed(seed)
             .with_duration(duration_s)
             .with_background_pps(pps);
         let generator = TraceGenerator::new(cfg);
-        let sharded = generator.generate();
+        let bucketed = generator.generate();
         let oracle = generator.generate_sequential();
-        prop_assert_eq!(&sharded.trace.packets, &oracle.trace.packets);
-        prop_assert_eq!(sharded.truth.tags(), oracle.truth.tags());
+        prop_assert_eq!(&bucketed.trace.packets, &oracle.trace.packets);
+        prop_assert_eq!(bucketed.truth.tags(), oracle.truth.tags());
     }
 }

@@ -1,7 +1,7 @@
 //! Thread-count invariance of the full pipeline and the archive sweep.
 //!
 //! Every parallel stage (detector fan-out, sharded graph build,
-//! sharded trace generation, harness day fan-out) is built on `mawilab-exec`, whose contract is
+//! harness day fan-out) is built on `mawilab-exec`, whose contract is
 //! order-preserving determinism — so `MAWILAB_THREADS=1` and any
 //! larger setting must label a trace byte-identically, and a whole
 //! month-scale archive sweep must reduce to identical metrics.
