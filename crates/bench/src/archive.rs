@@ -167,9 +167,10 @@ pub struct ArchiveDayRecord {
     /// communities where exactly `k` of the four paper strategies
     /// agree with the day's decision.
     pub agreement_hist: [u64; 5],
-    /// Wall-clock of the single-pass pipeline run, seconds.
+    /// Wall-clock of the single-pass drain, seconds (generation
+    /// excluded; see [`StreamingDayContext::wall`]).
     pub wall_s: f64,
-    /// Pipeline throughput, packets/second.
+    /// Drain throughput, packets/second.
     pub pps: f64,
 }
 
@@ -277,11 +278,9 @@ fn assemble_outcome(outcomes: Vec<Result<ArchiveDayRecord, DayFailure>>) -> Arch
     }
 }
 
-/// Runs the sweep chunk-natively and single-pass — each day's
-/// `SynthSource` emits `PacketChunk`s straight out of the
-/// generator into the online pipeline's one drain, no day ever
-/// materialised or replayed — and reduces it to an
-/// [`ArchiveOutcome`].
+/// Runs the sweep single-pass — each generated day drains once, in
+/// chunks, through the online pipeline behind a rewind-refusing seal
+/// ([`run_days_streaming`]) — and reduces it to an [`ArchiveOutcome`].
 pub fn collect_archive(args: &ArchiveBenchArgs) -> ArchiveOutcome {
     assemble_outcome(run_days_streaming(
         &args.days,
@@ -740,7 +739,10 @@ mod tests {
 
     /// The tiny-scale end-to-end smoke: runs the real benchmark on
     /// three Sasser-onset days and asserts the JSON schema and that
-    /// every stability metric is a finite number.
+    /// every stability metric is a finite number. It also pins the
+    /// sample's [`deterministic_view`] (byte length and FNV-1a 64),
+    /// a fast guard against harness drift next to the ignored 61-day
+    /// `month_view` test.
     #[test]
     fn smoke_run_produces_schema_with_finite_metrics() {
         let dir = std::env::temp_dir().join("mawilab-archive-smoke");
@@ -750,6 +752,16 @@ mod tests {
             out_dir: dir.to_str().unwrap().to_string(),
             ..Default::default()
         };
+        let view = deterministic_view(&collect_archive(&args));
+        let fnv = view.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x1_0000_0000_01b3)
+        });
+        assert_eq!(
+            (view.len(), fnv),
+            (14_994, 0x1ead_3db5_ba85_6b63),
+            "smoke deterministic_view moved: len {} fnv1a {fnv:#018x}",
+            view.len()
+        );
         let json = run_archive_bench(&args);
         assert_eq!(
             json,

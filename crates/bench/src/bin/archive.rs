@@ -9,9 +9,11 @@
 //! stability trajectory, era transitions, worm outbreak response and
 //! the per-day throughput trajectory.
 //!
-//! The sweep runs **single-pass**: each day's source streams once
-//! through the online pipeline, sealed behind a rewind-refusing
-//! wrapper.
+//! The sweep runs **single-pass**: each day is generated in memory
+//! and drained once through the online pipeline from a
+//! `TraceChunker` sealed behind a rewind-refusing wrapper. Per-day
+//! `wall_s` and `packets_per_s` time that drain alone, generation
+//! excluded.
 //!
 //! ```sh
 //! cargo run --release -p mawilab-bench --bin archive [-- --scale 1.0 --out results]

@@ -12,13 +12,12 @@ use mawilab_core::{
 };
 use mawilab_detectors::TraceView;
 use mawilab_model::{
-    FlowTable, NoRewindSource, PacketSource, SourceError, StreamTruthCollector, TapSource,
-    TraceDate,
+    FlowTable, ItemIndex, NoRewindSource, PacketSource, SourceError, TraceChunker, TraceDate,
 };
-use mawilab_synth::{ArchiveConfig, ArchiveSimulator, GroundTruth, LabeledTrace, TraceGenerator};
+use mawilab_synth::{ArchiveConfig, ArchiveSimulator, GroundTruth, LabeledTrace};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Everything a per-day reducer can look at.
 pub struct DayContext<'a> {
@@ -95,13 +94,13 @@ where
 }
 
 /// Everything a streaming per-day reducer can look at. Unlike
-/// [`DayContext`] there is no materialised trace or flow table — the
-/// day was drained chunk by chunk through the single-pass pipeline.
+/// [`DayContext`] there is no trace or flow table — the day was
+/// drained chunk by chunk through the single-pass pipeline, and its
+/// packets are gone by the time the reducer runs.
 pub struct StreamingDayContext<'a> {
     /// The archive day.
     pub date: TraceDate,
-    /// Ground truth of the generated day (the packets themselves are
-    /// gone — they streamed through).
+    /// Ground truth of the generated day.
     pub truth: &'a GroundTruth,
     /// Traffic-unit id of every packet (stream order), at the
     /// pipeline's granularity — the bridge between `truth.tags()`
@@ -112,8 +111,9 @@ pub struct StreamingDayContext<'a> {
     pub report: &'a PipelineReport,
     /// Ingest statistics of the day's drain.
     pub stats: &'a StreamStats,
-    /// Wall-clock of the whole single-pass run for this day (packets
-    /// generate lazily inside the drain, so generation lands here).
+    /// Wall-clock of the single-pass drain alone. Generation and the
+    /// `item_ids` pass run before the clock starts, as generation does
+    /// in perfbench's archive-sweep op.
     pub wall: Duration,
 }
 
@@ -164,26 +164,20 @@ impl SourceWrap for NoWrap {
 
 /// Runs the **single-pass** streaming pipeline over every day, in
 /// parallel, returning one entry per day, in day order — the
-/// archive-scale evaluation path where no day is ever materialised
-/// *or replayed*: each day's [`SynthSource`] emits `PacketChunk`s
-/// straight out of the generator, and the one drain feeds
-/// detection, extraction evidence **and** ground-truth collection at
-/// once. `chunk_us` is the ingest bin width.
+/// archive-scale evaluation path. Each day is generated in memory
+/// (the same [`ArchiveSimulator::generate`] day perfbench's
+/// archive-sweep workload labels), its traffic-unit ids are taken
+/// with one [`ItemIndex`] pass (the ids the pipeline's extraction
+/// assigns), and the trace is then drained once through a
+/// [`TraceChunker`] at `chunk_us`-wide chunks. The chunker is sealed
+/// behind a [`NoRewindSource`]: any rewind attempt is a
+/// [`DayFailure`], not a silent replay — the single-pass guarantee is
+/// enforced per day, not just asserted in tests.
 ///
-/// Per-packet truth tags stream out of the generator through a
-/// [`TapSource`]/[`StreamTruthCollector`] pair riding the pipeline's
-/// own drain (the collector's incremental [`ItemIndex`](mawilab_model::ItemIndex) assigns
-/// exactly the unit ids the pipeline's extraction does), so each day
-/// pays generation exactly **once**. The source is additionally
-/// sealed behind a [`NoRewindSource`]: any rewind attempt is a
-/// [`DayFailure`], not a silent replay — the single-pass guarantee
-/// is enforced per day, not just asserted in tests.
-///
-/// A day whose source errors (pcap corruption, a refused rewind, …)
-/// yields `Err(DayFailure)` instead of poisoning the whole run: a
-/// month-scale benchmark reports the bad day and keeps the month.
-///
-/// [`SynthSource`]: mawilab_synth::SynthSource
+/// A day whose source errors (a zero `chunk_us`, pcap corruption, a
+/// refused rewind, …) yields `Err(DayFailure)` instead of poisoning
+/// the whole run: a month-scale benchmark reports the bad day and
+/// keeps the month.
 pub fn run_days_streaming<T, F>(
     days: &[TraceDate],
     scale: f64,
@@ -213,22 +207,18 @@ where
     F: Fn(&StreamingDayContext<'_>) -> T + Sync,
 {
     schedule_days(days, scale, |date, sim| {
-        let source = TraceGenerator::new(sim.config_for(date)).stream(chunk_us);
-        let records = source.records().to_vec();
-        let mut collector = StreamTruthCollector::new(pipeline_config.granularity);
+        let fail = |error| DayFailure { date, error };
+        let LabeledTrace { trace, truth } = sim.generate(date);
+        let chunker = TraceChunker::try_new(trace, chunk_us).map_err(fail)?;
+        let mut item_ids = Vec::new();
+        ItemIndex::new(pipeline_config.granularity).ids_of(&chunker.trace().packets, &mut item_ids);
         let pipeline = OnlinePipeline::new(pipeline_config.clone());
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let online = {
-            let tap = TapSource::new(source, &mut collector);
-            let mut sealed = wrap.wrap(date, Box::new(NoRewindSource::new(tap)));
-            match pipeline.run(&mut *sealed) {
-                Ok(online) => online,
-                Err(error) => return Err(DayFailure { date, error }),
-            }
+            let mut sealed = wrap.wrap(date, Box::new(NoRewindSource::new(chunker)));
+            pipeline.run(&mut *sealed).map_err(fail)?
         };
         let wall = t0.elapsed();
-        let (item_ids, tags) = collector.into_parts();
-        let truth = GroundTruth::new(tags, records);
         Ok(reduce(&StreamingDayContext {
             date,
             truth: &truth,

@@ -6,11 +6,14 @@
 //! [`SourceWrap`] hook: a wrapper makes one day's source error
 //! mid-drain, and the sweep must report it, skip it, and still
 //! compute longitudinal metrics over the surviving adjacent pairs.
+//! A bad sweep argument fails the same way: a zero chunk width turns
+//! every day into a typed [`DayFailure`](mawilab_bench::DayFailure),
+//! not a panic that aborts the fan-out.
 
 use mawilab_bench::archive::{
     collect_archive_wrapped, default_sweep_start, month_sweep_days, ArchiveBenchArgs,
 };
-use mawilab_bench::{run_days_streaming_wrapped, SourceWrap};
+use mawilab_bench::{run_days_streaming, run_days_streaming_wrapped, SourceWrap};
 use mawilab_core::PipelineConfig;
 use mawilab_model::pcap::PcapError;
 use mawilab_model::{
@@ -137,4 +140,16 @@ fn harness_seam_reports_failures_in_day_order() {
     let failure = outcomes[2].as_ref().unwrap_err();
     assert_eq!(failure.date, bad_day);
     assert!(matches!(failure.error, SourceError::Pcap(_)));
+}
+
+#[test]
+fn zero_chunk_width_fails_every_day_with_a_typed_error() {
+    let days = month_sweep_days(TraceDate::new(2005, 6, 1), 2);
+    let outcomes = run_days_streaming(&days, 0.2, 0, PipelineConfig::default(), |ctx| ctx.date);
+    assert_eq!(outcomes.len(), days.len());
+    for (outcome, &date) in outcomes.iter().zip(&days) {
+        let failure = outcome.as_ref().unwrap_err();
+        assert_eq!(failure.date, date);
+        assert!(matches!(failure.error, SourceError::InvalidChunkWidth(0)));
+    }
 }

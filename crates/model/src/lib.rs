@@ -43,8 +43,7 @@ pub use packet::{Packet, Protocol, TcpFlags};
 pub use pcap::StreamingPcapReader;
 pub use rule::TrafficRule;
 pub use source::{
-    chunk_index, chunk_window, collect_packets, ChunkConsumer, NoRewindSource, PacketChunk,
-    PacketSource, SourceError, StreamTruthCollector, TaggedChunk, TaggedSource, TapSource,
-    TraceChunker, DEFAULT_CHUNK_US,
+    chunk_index, chunk_window, collect_packets, NoRewindSource, PacketChunk, PacketSource,
+    SourceError, TraceChunker, DEFAULT_CHUNK_US,
 };
 pub use trace::{LinkEra, TimeWindow, Trace, TraceDate, TraceMeta};

@@ -25,7 +25,6 @@
 //! chunk; packets after the nominal end simply extend the chunk
 //! sequence — binning never drops traffic.
 
-use crate::flow::{Granularity, ItemIndex};
 use crate::packet::Packet;
 use crate::pcap::PcapError;
 use crate::trace::{TimeWindow, Trace, TraceMeta};
@@ -137,144 +136,6 @@ pub trait PacketSource {
 
     /// Restarts the stream from the beginning for another pass.
     fn rewind(&mut self) -> Result<(), SourceError>;
-}
-
-/// A [`PacketSource`] that can also hand out per-packet ground-truth
-/// tags alongside each chunk.
-///
-/// `next_chunk_tagged` returns the chunk and its tags under one
-/// borrow, because both live in the source's reused buffers — separate
-/// `next_chunk()` + `tags()` calls could not be expressed without the
-/// chunk borrow conflicting with a second `&self` method. Sources
-/// without ground truth can return an empty tag slice.
-pub trait TaggedSource: PacketSource {
-    /// Lends the next chunk together with its per-packet tags
-    /// (`tags[i]` belongs to `chunk.packets[i]`; `None` = background).
-    fn next_chunk_tagged(&mut self) -> Result<Option<TaggedChunk<'_>>, SourceError>;
-}
-
-/// One lent chunk of a [`TaggedSource`] with its aligned tag slice.
-pub type TaggedChunk<'a> = (&'a PacketChunk, &'a [Option<u32>]);
-
-/// Receives every chunk (and its ground-truth tags) as it streams
-/// past a [`TapSource`] — the single-pass replacement for the
-/// harness's ground-truth pre-pass: truth is observed *during* the
-/// one pipeline drain instead of on a drain of its own.
-pub trait ChunkConsumer {
-    /// Observes one chunk in stream order. `tags` aligns with
-    /// `chunk.packets` when the source carries ground truth, and is
-    /// empty otherwise.
-    fn observe_chunk(&mut self, chunk: &PacketChunk, tags: &[Option<u32>]);
-}
-
-impl<C: ChunkConsumer + ?Sized> ChunkConsumer for &mut C {
-    fn observe_chunk(&mut self, chunk: &PacketChunk, tags: &[Option<u32>]) {
-        (**self).observe_chunk(chunk, tags);
-    }
-}
-
-/// A [`PacketSource`] adapter that feeds every chunk of a
-/// [`TaggedSource`] to a [`ChunkConsumer`] on its way to the draining
-/// pipeline. This is what lets `run_days_streaming` collect ground
-/// truth and the packet→unit map in the *same* drain the pipeline
-/// consumes — no pre-pass, no rewind.
-///
-/// Rewinding is refused: a replay would feed every chunk to the
-/// consumer a second time and silently double-collect.
-pub struct TapSource<S, C> {
-    inner: S,
-    consumer: C,
-}
-
-impl<S: TaggedSource, C: ChunkConsumer> TapSource<S, C> {
-    /// Taps `inner`, sending each chunk to `consumer` as it passes.
-    pub fn new(inner: S, consumer: C) -> Self {
-        TapSource { inner, consumer }
-    }
-
-    /// Recovers the wrapped source and consumer.
-    pub fn into_parts(self) -> (S, C) {
-        (self.inner, self.consumer)
-    }
-}
-
-impl<S: TaggedSource, C: ChunkConsumer> PacketSource for TapSource<S, C> {
-    fn meta(&self) -> &TraceMeta {
-        self.inner.meta()
-    }
-
-    fn bin_us(&self) -> u64 {
-        self.inner.bin_us()
-    }
-
-    fn next_chunk(&mut self) -> Result<Option<&PacketChunk>, SourceError> {
-        match self.inner.next_chunk_tagged()? {
-            Some((chunk, tags)) => {
-                self.consumer.observe_chunk(chunk, tags);
-                Ok(Some(chunk))
-            }
-            None => Ok(None),
-        }
-    }
-
-    fn rewind(&mut self) -> Result<(), SourceError> {
-        Err(SourceError::RewindUnsupported("TapSource"))
-    }
-}
-
-/// The [`ChunkConsumer`] that replaces the harness's ground-truth
-/// pre-pass: collects per-packet anomaly tags and traffic-unit ids
-/// (via an incremental [`ItemIndex`] driven in stream order, so the
-/// ids are exactly the ones the draining pipeline assigns) while the
-/// pipeline consumes the same chunks.
-pub struct StreamTruthCollector {
-    index: ItemIndex,
-    ids_buf: Vec<u32>,
-    item_ids: Vec<u32>,
-    tags: Vec<Option<u32>>,
-}
-
-impl StreamTruthCollector {
-    /// An empty collector assigning ids at `granularity`.
-    pub fn new(granularity: Granularity) -> Self {
-        StreamTruthCollector {
-            index: ItemIndex::new(granularity),
-            ids_buf: Vec::new(),
-            item_ids: Vec::new(),
-            tags: Vec::new(),
-        }
-    }
-
-    /// Traffic-unit id of every packet seen so far, in stream order.
-    pub fn item_ids(&self) -> &[u32] {
-        &self.item_ids
-    }
-
-    /// Ground-truth tag of every packet seen so far, in stream order.
-    pub fn tags(&self) -> &[Option<u32>] {
-        &self.tags
-    }
-
-    /// Recovers `(item_ids, tags)` once the drain is over.
-    pub fn into_parts(self) -> (Vec<u32>, Vec<Option<u32>>) {
-        (self.item_ids, self.tags)
-    }
-}
-
-impl ChunkConsumer for StreamTruthCollector {
-    fn observe_chunk(&mut self, chunk: &PacketChunk, tags: &[Option<u32>]) {
-        assert!(
-            tags.len() == chunk.len() || tags.is_empty(),
-            "tag slice must align with the chunk or be absent"
-        );
-        self.index.ids_of(&chunk.packets, &mut self.ids_buf);
-        self.item_ids.extend_from_slice(&self.ids_buf);
-        if tags.is_empty() {
-            self.tags.resize(self.tags.len() + chunk.len(), None);
-        } else {
-            self.tags.extend_from_slice(tags);
-        }
-    }
 }
 
 /// A [`PacketSource`] wrapper that refuses to rewind — the live-link
@@ -549,97 +410,6 @@ mod tests {
         let meta = TraceMeta::standard(TraceDate::new(2004, 5, 3));
         let mut src = TraceChunker::new(Trace::new(meta, vec![]), DEFAULT_CHUNK_US);
         assert!(src.next_chunk().unwrap().is_none());
-    }
-
-    /// A [`TaggedSource`] over a chunker that tags every odd-index
-    /// packet of the whole stream with its running index.
-    struct OddTagged {
-        inner: TraceChunker,
-        emitted: usize,
-        tags: Vec<Option<u32>>,
-    }
-
-    impl PacketSource for OddTagged {
-        fn meta(&self) -> &TraceMeta {
-            self.inner.meta()
-        }
-
-        fn bin_us(&self) -> u64 {
-            self.inner.bin_us()
-        }
-
-        fn next_chunk(&mut self) -> Result<Option<&PacketChunk>, SourceError> {
-            match self.inner.next_chunk()? {
-                Some(chunk) => {
-                    self.tags.clear();
-                    for i in 0..chunk.len() {
-                        let n = self.emitted + i;
-                        self.tags.push((n % 2 == 1).then_some(n as u32));
-                    }
-                    self.emitted += chunk.len();
-                    Ok(Some(chunk))
-                }
-                None => Ok(None),
-            }
-        }
-
-        fn rewind(&mut self) -> Result<(), SourceError> {
-            self.emitted = 0;
-            self.tags.clear();
-            self.inner.rewind()
-        }
-    }
-
-    impl TaggedSource for OddTagged {
-        fn next_chunk_tagged(&mut self) -> Result<Option<TaggedChunk<'_>>, SourceError> {
-            if self.next_chunk()?.is_none() {
-                return Ok(None);
-            }
-            Ok(Some((&self.inner.buf, &self.tags)))
-        }
-    }
-
-    /// Accumulates everything a tap hands it.
-    #[derive(Default)]
-    struct Collector {
-        packets: Vec<Packet>,
-        tags: Vec<Option<u32>>,
-        chunks: usize,
-    }
-
-    impl ChunkConsumer for Collector {
-        fn observe_chunk(&mut self, chunk: &PacketChunk, tags: &[Option<u32>]) {
-            self.packets.extend_from_slice(&chunk.packets);
-            self.tags.extend_from_slice(tags);
-            self.chunks += 1;
-        }
-    }
-
-    #[test]
-    fn tap_source_feeds_consumer_every_chunk_in_one_drain() {
-        let trace = trace_with_offsets(&[0, 1, 2_000_000, 2_500_000, 9_000_000]);
-        let want = trace.packets.clone();
-        let tagged = OddTagged {
-            inner: TraceChunker::new(trace, 1_000_000),
-            emitted: 0,
-            tags: Vec::new(),
-        };
-        let mut collector = Collector::default();
-        let mut tap = TapSource::new(tagged, &mut collector);
-        let drained = collect_packets(&mut tap).unwrap();
-        assert!(matches!(
-            tap.rewind(),
-            Err(SourceError::RewindUnsupported("TapSource"))
-        ));
-        drop(tap);
-        assert_eq!(drained, want, "tap must be transparent to the drain");
-        assert_eq!(collector.packets, want, "consumer saw a different stream");
-        assert_eq!(collector.chunks, 3);
-        assert_eq!(
-            collector.tags,
-            vec![None, Some(1), None, Some(3), None],
-            "tags must ride along per packet"
-        );
     }
 
     #[test]

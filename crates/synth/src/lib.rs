@@ -40,7 +40,7 @@ pub use anomalies::{AnomalyKind, AnomalySpec};
 pub use archive::{worm_intensity, ArchiveConfig, ArchiveSimulator};
 pub use background::{BackgroundModel, HostModel};
 pub use config::SynthConfig;
-pub use sharded::{SynthSource, GEN_BIN_US};
+pub use sharded::GEN_BIN_US;
 pub use truth::{AnomalyRecord, GroundTruth, LabeledTrace};
 
 /// End-to-end trace generator: background + anomalies + ground truth.
@@ -49,10 +49,9 @@ pub use truth::{AnomalyRecord, GroundTruth, LabeledTrace};
 /// from its own counter-derived RNG stream (`crate::sharded`), so the
 /// units generate independently of each other's order.
 /// [`generate`](Self::generate) merges them with a bucketed per-bin
-/// sort; [`stream`](Self::stream) emits them bin by bin without
-/// materialising the day. [`generate_sequential`](Self::generate_sequential)
-/// is the in-order reference with one global sort; both paths are
-/// byte-identical to it (`tests/synth_equivalence.rs`).
+/// sort; [`generate_sequential`](Self::generate_sequential) is the
+/// in-order reference with one global sort, and the two are
+/// byte-identical (`tests/synth_equivalence.rs`).
 #[derive(Debug, Clone)]
 pub struct TraceGenerator {
     config: SynthConfig,
@@ -76,17 +75,6 @@ impl TraceGenerator {
     /// [`generate`](Self::generate)'s bucketed merge.
     pub fn generate_sequential(&self) -> LabeledTrace {
         sharded::generate_sequential(&self.config)
-    }
-
-    /// Streams the trace chunk-natively: a [`SynthSource`] generates
-    /// background bins lazily and emits time-binned
-    /// [`mawilab_model::PacketChunk`]s directly, so the day is never
-    /// materialised. The chunk concatenation is byte-identical to
-    /// [`generate`](Self::generate) at any `bin_us`. Ground-truth
-    /// records are available via [`SynthSource::records`]; per-chunk
-    /// tags via [`SynthSource::chunk_tags`].
-    pub fn stream(&self, bin_us: u64) -> SynthSource {
-        SynthSource::new(&self.config, bin_us)
     }
 }
 
@@ -113,37 +101,6 @@ mod tests {
         let oracle = generator.generate_sequential();
         assert_eq!(sharded.trace.packets, oracle.trace.packets);
         assert_eq!(sharded.truth.tags(), oracle.truth.tags());
-    }
-
-    #[test]
-    fn stream_concatenation_matches_generate() {
-        use mawilab_model::{collect_packets, PacketSource};
-        let generator = TraceGenerator::new(SynthConfig::default().with_seed(23));
-        let batch = generator.generate();
-        let mut source = generator.stream(2_500_000);
-        assert_eq!(collect_packets(&mut source).unwrap(), batch.trace.packets);
-        // Rewind replays the identical stream, and the streamed ground
-        // truth equals the batch truth.
-        source.rewind().unwrap();
-        let truth = source.drain_truth().unwrap();
-        assert_eq!(truth.tags(), batch.truth.tags());
-        assert_eq!(truth.anomalies().len(), batch.truth.anomalies().len());
-    }
-
-    #[test]
-    fn stream_chunks_cover_the_generated_trace() {
-        use mawilab_model::PacketSource;
-        let cfg = SynthConfig::default().with_seed(77);
-        let total = TraceGenerator::new(cfg.clone()).generate().trace.len();
-        let mut source = TraceGenerator::new(cfg).stream(5_000_000);
-        let mut seen = 0usize;
-        let mut peak = 0usize;
-        while let Some(chunk) = source.next_chunk().unwrap() {
-            seen += chunk.len();
-            peak = peak.max(chunk.len());
-        }
-        assert_eq!(seen, total);
-        assert!(peak < total, "single chunk held the whole trace");
     }
 
     #[test]
