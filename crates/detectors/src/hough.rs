@@ -22,13 +22,25 @@
 //! gather sort plain integers; only the capped, sorted flow set of
 //! an alarm is unpacked back into [`FlowKey`]s. `finish` chooses the
 //! lines from the count planes alone, then gathers the flows of every
-//! accepted line in one pass over the log. The per-row baselines do
-//! not depend on the tuning, so one `finish_tunings` call computes
-//! them, and each pixel's excess over its baseline, once for all the
-//! tunings it finishes; each tuning only cuts at its `pixel_min`.
+//! accepted line in one pass over the log.
+//!
+//! One `finish_tunings` call does everything no threshold reads once
+//! for all the tunings it finishes:
+//! - each picture's per-row baselines and rising pixels (their excess
+//!   over the baseline, cut at the lowest `pixel_min`);
+//! - the ρ table: the ρ bin of every rising pixel at every angle;
+//! - the votes, in one pass over the ρ table that counts each pixel
+//!   for every tuning it is active for;
+//! - the pass over the log: every accepted line of every tuning holds
+//!   one bit of a per-pixel `u64` mask, so one read of the log hands
+//!   every line its flow keys.
+//!
+//! Each distinct tuning only picks its peaks and gathers its lines'
+//! pixels over its own `pixel_min` subset of the ρ table; each line
+//! sorts its own flow keys.
 
 use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
-use crate::{ChunkView, Detector, IncrementalDetector, ObservationKey};
+use crate::{finish_each_once, ChunkView, Detector, IncrementalDetector, ObservationKey};
 use mawilab_model::{FlowKey, Protocol, TimeWindow, TraceMeta};
 
 /// Most flow keys one alarm reports: the smallest, in key order.
@@ -43,11 +55,23 @@ const fn thresholds(tuning: Tuning) -> (u32, usize, usize) {
     }
 }
 
-// The accepted lines of a picture are the bits of a per-pixel `u32`.
+// The accepted lines of a picture, over all three tunings, are the
+// bits of a per-pixel `u64`.
 const _: () = {
-    let mut i = 0;
+    let (mut i, mut lines) = (0, 0);
     while i < Tuning::ALL.len() {
-        assert!(thresholds(Tuning::ALL[i]).2 <= u32::BITS as usize);
+        lines += thresholds(Tuning::ALL[i]).2;
+        i += 1;
+    }
+    assert!(lines <= u64::BITS as usize);
+};
+
+// `pixel_min` falls along `Tuning::ALL`, the order `HoughDetector::votes`
+// takes its tunings in.
+const _: () = {
+    let mut i = 1;
+    while i < Tuning::ALL.len() {
+        assert!(thresholds(Tuning::ALL[i]).0 < thresholds(Tuning::ALL[i - 1]).0);
         i += 1;
     }
 };
@@ -123,6 +147,18 @@ impl Picture {
     }
 }
 
+/// One picture's rising pixels and the ρ bin of each at every angle.
+/// Neither depends on a tuning's thresholds, so one table, taken at
+/// the lowest `pixel_min` of a finish, serves every tuning's lines.
+#[derive(Debug)]
+struct RhoTable {
+    /// Pixels at least the floor above their row's baseline, each
+    /// with its excess, in (x, y) order.
+    rising: Vec<((u16, u16), u32)>,
+    /// The ρ bin of every (angle, rising pixel), angle-major.
+    rho_of: Vec<u16>,
+}
+
 /// An accepted line of one picture.
 #[derive(Debug)]
 struct Line {
@@ -186,7 +222,7 @@ impl HoughDetector {
     /// Per-row (y) baselines of one picture: the median count across
     /// all time bins of the row, zeros included. A pixel is
     /// *anomalous* only when it exceeds its baseline by `pixel_min`
-    /// ([`active_pixels`](Self::active_pixels)) — constant service
+    /// ([`choose_lines`](Self::choose_lines)) — constant service
     /// rows (port 80 HTTP, popular hosts) have a high baseline and
     /// stop producing always-on false lines, while transient
     /// floods/scans rise far above their row's median.
@@ -216,8 +252,7 @@ impl HoughDetector {
     /// The pixels of one picture at least `floor` above their row's
     /// baseline, each with its excess over the baseline, in (x, y)
     /// order. Nothing here reads a tuning but `floor`, so one call
-    /// with the lowest `pixel_min` serves every tuning's
-    /// [`active_pixels`](Self::active_pixels).
+    /// with the lowest `pixel_min` serves every tuning.
     fn rising_pixels(&self, plane: &[u32], floor: u32) -> Vec<((u16, u16), u32)> {
         let medians = self.row_medians(plane);
         let mut pixels = Vec::new();
@@ -232,33 +267,16 @@ impl HoughDetector {
         pixels
     }
 
-    /// Active pixels — at least `pixel_min` above their row's
-    /// baseline — of a picture's [`rising_pixels`](Self::rising_pixels)
-    /// (taken with a floor of at most `pixel_min`), in (x, y) order.
-    fn active_pixels(&self, rising: &[((u16, u16), u32)]) -> Vec<(u16, u16)> {
-        rising
-            .iter()
-            .filter(|&&(_, excess)| excess >= self.pixel_min)
-            .map(|&(px, _)| px)
-            .collect()
-    }
-
-    /// The lines of one picture, from its active pixels alone.
-    fn choose_lines(&self, pixels: &[(u16, u16)]) -> Vec<Line> {
-        if pixels.len() < self.min_line_pixels {
-            return Vec::new();
-        }
+    /// The ρ table of a picture's [`rising_pixels`](Self::rising_pixels):
+    /// the ρ bin of every (angle, pixel). Per angle, the x and y terms
+    /// are tabulated first; their sum is the same `xn * cos + yn * sin`
+    /// a pixel would compute.
+    fn rho_table(&self, rising: Vec<((u16, u16), u32)>) -> RhoTable {
         // Hough accumulation in normalised [0,1]² coordinates.
         // ρ ∈ [-1, √2] for θ ∈ [0, π).
         let rho_min = -1.0f64;
         let rho_span = 1.0 + std::f64::consts::SQRT_2;
         let rho_step = rho_span / self.rho_bins as f64;
-        let angles: Vec<(f64, f64)> = (0..self.n_angles)
-            .map(|i| {
-                let th = std::f64::consts::PI * i as f64 / self.n_angles as f64;
-                (th.cos(), th.sin())
-            })
-            .collect();
         // Normalised pixel centres, per column and per row.
         let xn: Vec<f64> = (0..self.time_bins)
             .map(|x| (x as f64 + 0.5) / self.time_bins as f64)
@@ -266,31 +284,79 @@ impl HoughDetector {
         let yn: Vec<f64> = (0..self.y_bins)
             .map(|y| (y as f64 + 0.5) / self.y_bins as f64)
             .collect();
-        // The ρ bin of every (angle, pixel), angle-major, computed
-        // once: the votes and every candidate line read the same bins.
-        // Per angle, the x and y terms are tabulated first; their sum
-        // is the same `xn * cos + yn * sin` a pixel would compute.
         let mut xc = vec![0.0; self.time_bins];
         let mut ys = vec![0.0; self.y_bins];
-        let mut rho_of: Vec<u16> = Vec::with_capacity(self.n_angles * pixels.len());
-        for &(c, s) in &angles {
+        let mut rho_of: Vec<u16> = Vec::with_capacity(self.n_angles * rising.len());
+        for i in 0..self.n_angles {
+            let th = std::f64::consts::PI * i as f64 / self.n_angles as f64;
+            let (c, s) = (th.cos(), th.sin());
             for (t, &v) in xc.iter_mut().zip(&xn) {
                 *t = v * c;
             }
             for (t, &v) in ys.iter_mut().zip(&yn) {
                 *t = v * s;
             }
-            rho_of.extend(pixels.iter().map(|&(x, y)| {
+            rho_of.extend(rising.iter().map(|&((x, y), _)| {
                 let rho = xc[x as usize] + ys[y as usize];
                 (((rho - rho_min) / rho_step) as usize).min(self.rho_bins - 1) as u16
             }));
         }
-        let mut votes = vec![0u32; self.n_angles * self.rho_bins];
-        for (ai, bins) in rho_of.chunks_exact(pixels.len()).enumerate() {
-            for &ri in bins {
-                votes[ai * self.rho_bins + ri as usize] += 1;
+        RhoTable { rising, rho_of }
+    }
+
+    /// The Hough votes of every tuning of `dets`, one (θ, ρ) plane
+    /// each, from one pass over a picture's ρ table (taken with a
+    /// floor of at most their lowest `pixel_min`). A pixel votes for
+    /// a tuning when it is *active* for it: at least the tuning's
+    /// `pixel_min` above its row's baseline. `dets` come in
+    /// [`Tuning::ALL`] order, in which `pixel_min` falls, so a pixel
+    /// active for one of them is active for every later one: the pass
+    /// counts each pixel at the first, and a running sum over `dets`
+    /// hands it on.
+    fn votes(&self, table: &RhoTable, dets: &[HoughDetector]) -> Vec<Vec<u32>> {
+        let plane = self.n_angles * self.rho_bins;
+        let mut votes = vec![vec![0u32; plane]; dets.len()];
+        let n = table.rising.len();
+        if n == 0 {
+            return votes;
+        }
+        // Per pixel, the offset of its first tuning's plane.
+        let first: Vec<usize> = table
+            .rising
+            .iter()
+            .map(|&(_, excess)| {
+                plane
+                    * dets
+                        .iter()
+                        .position(|d| excess >= d.pixel_min)
+                        .unwrap_or(dets.len())
+            })
+            .collect();
+        let mut counts = vec![0u32; plane * (dets.len() + 1)];
+        for (ai, bins) in table.rho_of.chunks_exact(n).enumerate() {
+            for (&ri, &first) in bins.iter().zip(&first) {
+                counts[first + ai * self.rho_bins + ri as usize] += 1;
             }
         }
+        let mut sum = vec![0u32; plane];
+        for (votes, counts) in votes.iter_mut().zip(counts.chunks_exact(plane)) {
+            for (s, &c) in sum.iter_mut().zip(counts) {
+                *s += c;
+            }
+            votes.copy_from_slice(&sum);
+        }
+        votes
+    }
+
+    /// The lines of one picture, from its ρ table and this tuning's
+    /// [`votes`](Self::votes) over it.
+    fn choose_lines(&self, table: &RhoTable, votes: &[u32]) -> Vec<Line> {
+        let rising = &table.rising;
+        // Every active pixel votes once per angle.
+        if votes[..self.rho_bins].iter().sum::<u32>() < self.min_line_pixels as u32 {
+            return Vec::new();
+        }
+        let active = |&(_, excess): &((u16, u16), u32)| excess >= self.pixel_min;
 
         // Peak extraction with simple non-maximum suppression: votes
         // descending, then (θ, ρ) key.
@@ -299,7 +365,7 @@ impl HoughDetector {
             .collect();
         peaks.sort_by(|&a, &b| votes[b].cmp(&votes[a]).then(a.cmp(&b)));
         let mut taken: Vec<(usize, usize)> = Vec::new();
-        let mut used = vec![false; pixels.len()];
+        let mut used = vec![false; rising.len()];
         let mut lines = Vec::new();
         for k in peaks {
             if lines.len() >= self.max_lines {
@@ -316,10 +382,10 @@ impl HoughDetector {
             // pixels, accepted or not.
             let mut on_line = Vec::new();
             let mut fresh = 0usize;
-            let bins = &rho_of[ai * pixels.len()..][..pixels.len()];
-            for ((&r, &px), used) in bins.iter().zip(pixels).zip(&mut used) {
-                if r as usize == ri {
-                    on_line.push(px);
+            let bins = &table.rho_of[ai * rising.len()..][..rising.len()];
+            for ((&r, px), used) in bins.iter().zip(rising).zip(&mut used) {
+                if r as usize == ri && active(px) {
+                    on_line.push(px.0);
                     fresh += !std::mem::replace(used, true) as usize;
                 }
             }
@@ -339,18 +405,21 @@ impl HoughDetector {
         lines
     }
 
-    /// The flow keys of every line of both pictures — sorted, distinct
+    /// The flow keys of every line of every tuning — sorted, distinct
     /// and capped at [`MAX_ALARM_FLOWS`] — from one pass over the
-    /// packed (time bin, flow key) log.
-    fn line_flows(&self, lines: &[Vec<Line>; 2], log: &[u128]) -> [Vec<Vec<FlowKey>>; 2] {
-        if lines.iter().all(Vec::is_empty) {
+    /// packed (time bin, flow key) log. `lines` holds, per picture,
+    /// each tuning's lines; the result, per picture, one flow set per
+    /// line in that order.
+    fn line_flows(&self, lines: &[Vec<Vec<Line>>; 2], log: &[u128]) -> [Vec<Vec<FlowKey>>; 2] {
+        if lines.iter().flatten().all(Vec::is_empty) {
             return [Vec::new(), Vec::new()];
         }
-        let mut flows: [Vec<Vec<u128>>; 2] =
-            lines.each_ref().map(|lines| vec![Vec::new(); lines.len()]);
-        // Per pixel, one bit per accepted line holding it.
-        let masks = lines.each_ref().map(|lines| {
-            let mut mask = vec![0u32; self.time_bins * self.y_bins];
+        // Per picture, line `i` of every tuning's lines in turn holds
+        // bit `i` of the picture's mask.
+        let held: [Vec<&Line>; 2] = lines.each_ref().map(|l| l.iter().flatten().collect());
+        let mut flows: [Vec<Vec<u128>>; 2] = held.each_ref().map(|l| vec![Vec::new(); l.len()]);
+        let masks = held.each_ref().map(|lines| {
+            let mut mask = vec![0u64; self.time_bins * self.y_bins];
             for (i, line) in lines.iter().enumerate() {
                 for &(x, y) in &line.pixels {
                     mask[self.cell(x as usize, y as usize)] |= 1 << i;
@@ -435,9 +504,10 @@ impl Detector for HoughDetector {
 /// distinct (time bin, flow key) pairs to a log both pictures share.
 /// Each pair is one `pack`ed `u128` (16 bytes, as the tuple was), so
 /// the chunk's dedup is an integer sort. The per-row baselines, the
-/// Hough transform, peak extraction and flow gathering run at finish:
-/// the baselines once per [`finish_tunings`] call, the rest per
-/// tuning.
+/// Hough transform, peak extraction and flow gathering run at finish.
+/// A [`finish_tunings`] call builds each picture's baselines, ρ table
+/// and votes once and reads the log once; only the peaks and the
+/// gather of each line's pixels are per distinct tuning.
 ///
 /// [`finish_tunings`]: IncrementalDetector::finish_tunings
 pub struct HoughAccumulator {
@@ -500,9 +570,9 @@ impl IncrementalDetector for HoughAccumulator {
             .unwrap_or_default()
     }
 
-    /// Computes both pictures' row baselines and rising pixels once;
-    /// each tuning makes its own `pixel_min` cut, lines and flow
-    /// gather.
+    /// Builds each picture's ρ table and votes once, at the lowest
+    /// `pixel_min`; each distinct tuning chooses its lines from them,
+    /// and one log pass gathers every line's flows.
     fn finish_tunings(&self, tunings: &[Tuning]) -> Vec<Vec<Alarm>> {
         let Some(floor) = tunings.iter().map(|&t| thresholds(t).0).min() else {
             return Vec::new();
@@ -511,26 +581,35 @@ impl IncrementalDetector for HoughAccumulator {
             return vec![Vec::new(); tunings.len()];
         }
         let window = self.window.expect("finish before begin"); // lint:allow(panic-free-data-plane): begin() runs before finish() in the chunk driver
-        let rising = self
-            .planes
-            .each_ref()
-            .map(|plane| self.det.rising_pixels(plane, floor));
-        tunings
-            .iter()
-            .map(|&t| {
-                let det = HoughDetector::new(t);
-                let lines = rising
-                    .each_ref()
-                    .map(|rising| det.choose_lines(&det.active_pixels(rising)));
-                let flows = det.line_flows(&lines, &self.log);
-                lines
-                    .iter()
-                    .zip(flows)
-                    .flat_map(|(lines, flows)| lines.iter().zip(flows))
-                    .map(|(line, keys)| det.alarm(window, self.bin_us, line, keys))
-                    .collect()
-            })
-            .collect()
+        let det = &self.det;
+        finish_each_once(tunings, |distinct| {
+            let dets: Vec<HoughDetector> =
+                distinct.iter().map(|&t| HoughDetector::new(t)).collect();
+            // Per picture, each tuning's lines; the picture's ρ table
+            // is dropped once they are chosen.
+            let lines = self.planes.each_ref().map(|plane| {
+                let table = det.rho_table(det.rising_pixels(plane, floor));
+                let votes = det.votes(&table, &dets);
+                dets.iter()
+                    .zip(&votes)
+                    .map(|(det, votes)| det.choose_lines(&table, votes))
+                    .collect::<Vec<_>>()
+            });
+            let mut flows = det.line_flows(&lines, &self.log).map(Vec::into_iter);
+            dets.iter()
+                .enumerate()
+                .map(|(i, det)| {
+                    let mut alarms = Vec::new();
+                    for (lines, flows) in lines.iter().zip(&mut flows) {
+                        for (line, keys) in lines[i].iter().zip(flows.by_ref().take(lines[i].len()))
+                        {
+                            alarms.push(det.alarm(window, self.bin_us, line, keys));
+                        }
+                    }
+                    alarms
+                })
+                .collect()
+        })
     }
 }
 
@@ -771,9 +850,11 @@ mod tests {
         for x in 0..d.time_bins / 2 - 1 {
             plane[d.cell(x, 20)] = d.pixel_min;
         }
-        let active = d.active_pixels(&d.rising_pixels(&plane, d.pixel_min));
-        let want: Vec<(u16, u16)> = (0..d.time_bins as u16 / 2 - 1).map(|x| (x, 20)).collect();
-        assert_eq!(active, want);
+        let rising = d.rising_pixels(&plane, d.pixel_min);
+        let want: Vec<((u16, u16), u32)> = (0..d.time_bins as u16 / 2 - 1)
+            .map(|x| ((x, 20), d.pixel_min))
+            .collect();
+        assert_eq!(rising, want);
     }
 
     #[test]
@@ -821,7 +902,8 @@ mod tests {
         // only those 3 are fresh once B has claimed its pixels.
         pixels.extend((600..603).map(|y| (70, y)));
         pixels.sort_unstable();
-        let lines = d.choose_lines(&pixels);
+        let table = d.rho_table(pixels.iter().map(|&px| (px, d.pixel_min)).collect());
+        let lines = d.choose_lines(&table, &d.votes(&table, std::slice::from_ref(&d))[0]);
         let sizes: Vec<usize> = lines.iter().map(|l| l.pixels.len()).collect();
         assert_eq!(sizes, [180, 25], "{lines:#?}");
     }

@@ -17,7 +17,7 @@
 //! is why its tunings are the most precise rather than the loudest.
 
 use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
-use crate::{ChunkView, Detector, IncrementalDetector, ObservationKey};
+use crate::{finish_each_once, ChunkView, Detector, IncrementalDetector, ObservationKey};
 use mawilab_mining::{mine_rules, Transaction};
 use mawilab_model::{FastMap, FastSet, TimeWindow, TraceMeta};
 use mawilab_stats::{kl_contributions, kl_divergence_counts, mad, median, Histogram};
@@ -169,7 +169,13 @@ impl Detector for KlDetector {
 /// Incremental form of [`KlDetector`]: chunk observation folds
 /// packets into per-(feature, bin) histograms plus per-bin 4-tuple
 /// counts keyed by absolute time bin; divergence thresholding and
-/// rule mining run once at finish.
+/// rule mining run at finish. A [`finish_tunings`] call computes each
+/// feature's divergence series with its median and MAD once, ranks a
+/// spiking (feature, bin)'s cells once and sorts each flagged bin's
+/// tuples once; only the threshold (`lambda`), the top cells and the
+/// mining are per distinct tuning.
+///
+/// [`finish_tunings`]: IncrementalDetector::finish_tunings
 pub struct KlAccumulator {
     det: KlDetector,
     window: Option<TimeWindow>,
@@ -233,36 +239,33 @@ impl IncrementalDetector for KlAccumulator {
             .unwrap_or_default()
     }
 
+    /// Computes each feature's divergence series, median and MAD once,
+    /// and ranks each spiking (feature, bin)'s cells and sorts each
+    /// flagged bin's tuples the first time a tuning needs them; each
+    /// distinct tuning cuts at its own threshold and mines its own top
+    /// cells.
     fn finish_tunings(&self, tunings: &[Tuning]) -> Vec<Vec<Alarm>> {
         if self.hists.is_empty() || self.seen == 0 {
             return vec![Vec::new(); tunings.len()];
         }
         let window = self.window.expect("finish before begin"); // lint:allow(panic-free-data-plane): begin() runs before finish() in the chunk driver
-        tunings
-            .iter()
-            .map(|&t| {
-                KlDetector::new(t).finish_analysis(
-                    window,
-                    self.t_bins,
-                    &self.hists,
-                    &self.bin_tuples,
-                )
-            })
-            .collect()
+        finish_each_once(tunings, |distinct| {
+            let dets: Vec<KlDetector> = distinct.iter().map(|&t| KlDetector::new(t)).collect();
+            self.finish_analysis(&dets, window)
+        })
     }
 }
 
-impl KlDetector {
-    /// The batch analysis over fully accumulated histogram state.
-    fn finish_analysis(
-        &self,
-        window: TimeWindow,
-        t_bins: usize,
-        hists: &[Vec<Histogram>],
-        bin_tuples: &[FastMap<PacketTuple, u32>],
-    ) -> Vec<Alarm> {
-        let mut alarms = Vec::new();
-        let mut seen: FastSet<(usize, mawilab_model::TrafficRule)> = FastSet::default();
+impl KlAccumulator {
+    /// The batch analysis over fully accumulated histogram state, one
+    /// alarm list per detector of `dets` (which differ in tuning only).
+    fn finish_analysis(&self, dets: &[KlDetector], window: TimeWindow) -> Vec<Vec<Alarm>> {
+        let (hists, t_bins, bin_us) = (&self.hists, self.t_bins, self.det.bin_us);
+        let mut alarms = vec![Vec::new(); dets.len()];
+        let mut seen: Vec<FastSet<(usize, mawilab_model::TrafficRule)>> =
+            vec![FastSet::default(); dets.len()];
+        // Each bin's 4-tuples, sorted once, for the first spike in it.
+        let mut sorted: Vec<Option<Vec<(PacketTuple, u32)>>> = vec![None; t_bins];
         for (fi, f) in FEATURES.iter().enumerate() {
             // Divergence series between consecutive bins, on raw
             // counts with Laplace smoothing (pseudo-count ½ per cell):
@@ -281,78 +284,93 @@ impl KlDetector {
             if spread < 1e-12 {
                 continue; // flat series: nothing to flag
             }
-            let thr = center + self.lambda * spread;
             for (si, &d) in series.iter().enumerate() {
-                if d <= thr {
-                    continue;
-                }
                 let t = si + 1;
-                // Cells contributing most to the divergence, under the
-                // same Laplace smoothing as the series itself.
-                let mut contrib: Vec<(usize, f64)> =
-                    kl_contributions(hists[fi][t].counts(), hists[fi][t - 1].counts(), PSEUDO)
+                // The bin's cells by contribution to the divergence,
+                // under the same Laplace smoothing as the series, and
+                // the cell of each of the bin's tuples: both shared by
+                // every tuning the spike clears.
+                let mut ranked: Option<(Vec<usize>, Vec<usize>)> = None;
+                for (det, (alarms, seen)) in dets.iter().zip(alarms.iter_mut().zip(&mut seen)) {
+                    let thr = center + det.lambda * spread;
+                    if d <= thr {
+                        continue;
+                    }
+                    let tuples = sorted[t].get_or_insert_with(|| {
+                        // Sorted for a deterministic mining input
+                        // (Apriori support counting is order-insensitive
+                        // anyway).
+                        let mut tuples: Vec<(PacketTuple, u32)> =
+                            self.bin_tuples[t].iter().map(|(&tp, &n)| (tp, n)).collect();
+                        tuples.sort_unstable_by_key(|&(tp, _)| tp);
+                        tuples
+                    });
+                    let (ranking, cells) = ranked.get_or_insert_with(|| {
+                        let mut contrib: Vec<(usize, f64)> = kl_contributions(
+                            hists[fi][t].counts(),
+                            hists[fi][t - 1].counts(),
+                            PSEUDO,
+                        )
                         .into_iter()
                         .enumerate()
                         .filter(|&(_, v)| v > 0.0)
                         .collect();
-                // Contributions are > 0.0, so `total_cmp` orders them
-                // exactly as `partial_cmp` would.
-                contrib.sort_by(|a, b| b.1.total_cmp(&a.1));
-                let top: FastSet<usize> = contrib
-                    .iter()
-                    .take(self.top_cells)
-                    .map(|&(c, _)| c)
-                    .collect();
-                if top.is_empty() {
-                    continue;
-                }
-                // Suspicious packets: feature value in a top cell.
-                // The accumulated 4-tuples stand in for the packets
-                // (multiplicity preserved; sorted for a deterministic
-                // mining input — Apriori support counting is
-                // order-insensitive anyway).
-                let sample_hist = &hists[fi][t];
-                let mut tuples: Vec<(&PacketTuple, u32)> =
-                    bin_tuples[t].iter().map(|(tp, &n)| (tp, n)).collect();
-                tuples.sort_unstable_by_key(|(tp, _)| **tp);
-                let mut suspicious: Vec<Transaction> = Vec::new();
-                for (tp, n) in tuples {
-                    if top.contains(&sample_hist.bin_of(tp.feature_key(*f))) {
-                        suspicious
-                            .extend(std::iter::repeat_with(|| tp.transaction()).take(n as usize));
-                    }
-                }
-                if suspicious.len() < 5 {
-                    continue;
-                }
-                let mined = mine_rules(&suspicious, self.min_support);
-                // The last bin also holds the window's tail past
-                // `t_bins · bin_us`, so its alarms end at the window's end.
-                let bin_end = if t + 1 == t_bins {
-                    window.end_us
-                } else {
-                    (window.start_us + (t as u64 + 1) * self.bin_us).min(window.end_us)
-                };
-                let bin_window = TimeWindow::new(window.start_us + t as u64 * self.bin_us, bin_end);
-                for (rule, _count) in mined.rules {
-                    if rule.degree() == 0 {
+                        // Contributions are > 0.0, so `total_cmp` orders
+                        // them exactly as `partial_cmp` would.
+                        contrib.sort_by(|a, b| b.1.total_cmp(&a.1));
+                        let cells = tuples
+                            .iter()
+                            .map(|(tp, _)| hists[fi][t].bin_of(tp.feature_key(*f)))
+                            .collect();
+                        (contrib.into_iter().map(|(c, _)| c).collect(), cells)
+                    });
+                    let top = &ranking[..det.top_cells.min(ranking.len())];
+                    if top.is_empty() {
                         continue;
                     }
-                    // A degree-1 rule that only names a well-known
-                    // service port describes the background, not a
-                    // change signature — Brauckhoff et al.'s extraction
-                    // filters such baseline itemsets out.
-                    if rule.degree() == 1 && is_bare_service_port(&rule) {
+                    // Suspicious packets: feature value in a top cell.
+                    // The accumulated 4-tuples stand in for the packets
+                    // (multiplicity preserved).
+                    let mut suspicious: Vec<Transaction> = Vec::new();
+                    for ((tp, n), cell) in tuples.iter().zip(&*cells) {
+                        if top.contains(cell) {
+                            suspicious.extend(
+                                std::iter::repeat_with(|| tp.transaction()).take(*n as usize),
+                            );
+                        }
+                    }
+                    if suspicious.len() < 5 {
                         continue;
                     }
-                    if seen.insert((t, rule)) {
-                        alarms.push(Alarm {
-                            detector: DetectorKind::Kl,
-                            tuning: self.tuning,
-                            window: bin_window,
-                            scope: AlarmScope::Rule(rule),
-                            score: d / (thr + 1e-12),
-                        });
+                    let mined = mine_rules(&suspicious, det.min_support);
+                    // The last bin also holds the window's tail past
+                    // `t_bins · bin_us`, so its alarms end at the window's end.
+                    let bin_end = if t + 1 == t_bins {
+                        window.end_us
+                    } else {
+                        (window.start_us + (t as u64 + 1) * bin_us).min(window.end_us)
+                    };
+                    let bin_window = TimeWindow::new(window.start_us + t as u64 * bin_us, bin_end);
+                    for (rule, _count) in mined.rules {
+                        if rule.degree() == 0 {
+                            continue;
+                        }
+                        // A degree-1 rule that only names a well-known
+                        // service port describes the background, not a
+                        // change signature — Brauckhoff et al.'s extraction
+                        // filters such baseline itemsets out.
+                        if rule.degree() == 1 && is_bare_service_port(&rule) {
+                            continue;
+                        }
+                        if seen.insert((t, rule)) {
+                            alarms.push(Alarm {
+                                detector: DetectorKind::Kl,
+                                tuning: det.tuning,
+                                window: bin_window,
+                                scope: AlarmScope::Rule(rule),
+                                score: d / (thr + 1e-12),
+                            });
+                        }
                     }
                 }
             }

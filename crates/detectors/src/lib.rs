@@ -140,9 +140,13 @@ pub trait IncrementalDetector: Send {
     /// finishes all the configurations of its observation group in
     /// one call. Returns one alarm list per entry of `tunings`, in
     /// that order; a repeated tuning gets its alarms again. Work that
-    /// no threshold reads (PCA's full subspace fits, Hough's per-row
-    /// baselines) is done once per call. The four families' `finish`
-    /// is this call with their own tuning alone.
+    /// no threshold reads is done once per call: PCA's full subspace
+    /// fits; Hough's per-row baselines, ρ table and single pass over
+    /// its flow log; KL's divergence series, median and MAD per
+    /// feature and its sort of each flagged bin's tuples. Hough and
+    /// KL finish each distinct tuning once and copy its alarms to the
+    /// repeats. The four families' `finish` is this call with their
+    /// own tuning alone.
     ///
     /// The default reports nothing: only accumulators whose detector
     /// returns an [`observation_key`](Detector::observation_key) are
@@ -155,6 +159,35 @@ pub trait IncrementalDetector: Send {
     fn label(&self) -> String {
         format!("{}/{}", self.kind(), self.tuning())
     }
+}
+
+/// One alarm list per entry of `tunings`, from one call of `finish`
+/// with the distinct tunings (in [`Tuning::ALL`] order), which returns
+/// one list per tuning it is given. A repeated tuning gets a copy.
+pub(crate) fn finish_each_once(
+    tunings: &[Tuning],
+    finish: impl FnOnce(&[Tuning]) -> Vec<Vec<Alarm>>,
+) -> Vec<Vec<Alarm>> {
+    let distinct: Vec<Tuning> = Tuning::ALL
+        .into_iter()
+        .filter(|t| tunings.contains(t))
+        .collect();
+    let mut by_tuning: [Vec<Alarm>; 3] = Default::default();
+    for (t, alarms) in distinct.iter().zip(finish(&distinct)) {
+        by_tuning[t.index()] = alarms;
+    }
+    tunings
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            let alarms = &mut by_tuning[t.index()];
+            if tunings[i + 1..].contains(t) {
+                alarms.clone()
+            } else {
+                std::mem::take(alarms)
+            }
+        })
+        .collect()
 }
 
 /// A traffic anomaly detector with one fixed parameter set

@@ -127,7 +127,7 @@ impl Detector for Keyless {
 fn custom_sets_keep_the_callers_order() {
     let lt = synth(13);
     type Build = fn() -> Vec<Box<dyn Detector>>;
-    let sets: [(&str, Build); 3] = [
+    let sets: [(&str, Build); 4] = [
         ("duplicated configuration", || {
             vec![
                 Box::new(KlDetector::new(Tuning::Sensitive)),
@@ -138,6 +138,16 @@ fn custom_sets_keep_the_callers_order() {
             vec![
                 Box::new(HoughDetector::new(Tuning::Optimal)),
                 Box::new(PcaDetector::new(Tuning::Sensitive)),
+            ]
+        }),
+        // One shared finish for all four: the repeats must not take
+        // more line bits than three distinct tunings do.
+        ("thrice-repeated configuration", || {
+            vec![
+                Box::new(HoughDetector::new(Tuning::Sensitive)),
+                Box::new(HoughDetector::new(Tuning::Sensitive)),
+                Box::new(HoughDetector::new(Tuning::Sensitive)),
+                Box::new(HoughDetector::new(Tuning::Conservative)),
             ]
         }),
         ("keyless configuration among keyed ones", || {

@@ -7,7 +7,11 @@
 //! is a map pixel → (packet count, set of contributing flow keys), the
 //! row median sorts the non-zero counts, and every candidate line
 //! recomputes ρ over all active pixels. Alarms of all three tunings
-//! must be identical to the detector's, over:
+//! must be identical to the detector's solo `finish` of each tuning,
+//! to one `finish_tunings(&Tuning::ALL)` call (the call the
+//! production drain makes, which shares the ρ table, the votes and
+//! the log pass between tunings), and to a call with a repeated,
+//! out-of-order tuning list, over:
 //!
 //! - synthetic days with a worm, a port scan and a flood, one of them
 //!   61 s long (the time bin is not a whole number of microseconds);
@@ -17,7 +21,8 @@
 //! - packets stamped before and after the capture window.
 
 use mawilab::detectors::{
-    Alarm, AlarmScope, ChunkView, Detector, DetectorKind, HoughDetector, Tuning,
+    Alarm, AlarmScope, ChunkView, Detector, DetectorKind, HoughDetector, IncrementalDetector,
+    Tuning,
 };
 use mawilab::model::{FlowKey, Packet, TimeWindow, Trace, TraceMeta};
 use mawilab::synth::{AnomalySpec, SynthConfig, TraceGenerator};
@@ -157,16 +162,16 @@ fn reference(tuning: Tuning, meta: &TraceMeta, packets: &[Packet]) -> Vec<Alarm>
     out
 }
 
-/// The detector over `packets` cut into `width_us` chunks by
-/// timestamp (stamps outside the window fall into the first or last
+/// An accumulator of `tuning` fed `packets` cut into `width_us` chunks
+/// by timestamp (stamps outside the window fall into the first or last
 /// chunk), each chunk's packets reversed when `reverse` is set.
-fn detector(
+fn observed(
     tuning: Tuning,
     meta: &TraceMeta,
     packets: &[Packet],
     width_us: u64,
     reverse: bool,
-) -> Vec<Alarm> {
+) -> Box<dyn IncrementalDetector> {
     let window = meta.window();
     let mut chunks: Vec<Vec<Packet>> = Vec::new();
     for p in packets {
@@ -188,7 +193,7 @@ fn detector(
             packets: &chunk,
         });
     }
-    inc.finish()
+    inc
 }
 
 fn day(seed: u64, duration_s: u32, anomaly: AnomalySpec) -> Trace {
@@ -215,27 +220,50 @@ fn day(seed: u64, duration_s: u32, anomaly: AnomalySpec) -> Trace {
 }
 
 fn assert_matches_reference(trace: &Trace) {
+    use Tuning::{Conservative, Optimal, Sensitive};
     let meta = &trace.meta;
-    for tuning in Tuning::ALL {
-        let want = reference(tuning, meta, &trace.packets);
+    let want = Tuning::ALL.map(|t| reference(t, meta, &trace.packets));
+    for (tuning, want) in Tuning::ALL.iter().zip(&want) {
         assert!(
             !want.is_empty(),
             "{tuning:?}: no alarm, comparison is vacuous"
         );
-        for (width_us, reverse) in [
-            (5_000_000, false),
-            (u64::MAX, false),
-            (300_000, false),
-            (300_000, true),
-            (5_000_000, true),
-        ] {
-            let got = detector(tuning, meta, &trace.packets, width_us, reverse);
+    }
+    for (width_us, reverse) in [
+        (5_000_000, false),
+        (u64::MAX, false),
+        (300_000, false),
+        (300_000, true),
+        (5_000_000, true),
+    ] {
+        let case = format!("{width_us} µs chunks, reversed {reverse}");
+        for tuning in Tuning::ALL {
+            let got = observed(tuning, meta, &trace.packets, width_us, reverse).finish();
+            let want = &want[tuning.index()];
             assert!(
-                got == want,
-                "{tuning:?}, {width_us} µs chunks, reversed {reverse}: {} alarms, reference {}",
+                got == *want,
+                "{tuning:?} solo, {case}: {} alarms, reference {}",
                 got.len(),
                 want.len()
             );
+        }
+        let shared = observed(Optimal, meta, &trace.packets, width_us, reverse);
+        let lists: [&[Tuning]; 2] = [
+            &Tuning::ALL,
+            &[Sensitive, Conservative, Sensitive, Sensitive, Optimal],
+        ];
+        for tunings in lists {
+            let got = shared.finish_tunings(tunings);
+            assert_eq!(got.len(), tunings.len(), "{tunings:?}, {case}");
+            for (tuning, got) in tunings.iter().zip(&got) {
+                let want = &want[tuning.index()];
+                assert!(
+                    got == want,
+                    "{tuning:?} in {tunings:?}, {case}: {} alarms, reference {}",
+                    got.len(),
+                    want.len()
+                );
+            }
         }
     }
 }
