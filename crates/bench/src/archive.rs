@@ -3,7 +3,7 @@
 //! Streams a day sample of the simulated 2001–2009 archive — the
 //! curated 13-day default, or a **month-scale consecutive sweep**
 //! (`--days N` / `--months`) spanning a link-era boundary — through
-//! [`run_days_streaming`], reduces every day to a [`DaySummary`] plus
+//! [`run_days_wrapped`], reduces every day to a [`DaySummary`] plus
 //! a throughput record, and writes `results/BENCH_archive.json` with
 //! the longitudinal stability metrics ([`mawilab_eval::longitudinal`]:
 //! churn, drift, monthly trajectory, era transitions, outbreak
@@ -17,12 +17,9 @@
 //! the thread-determinism suite and CI can run tiny-scale passes
 //! in-process and assert the schema.
 
-use crate::harness::{
-    peak_rss_kb, run_days_streaming, run_days_streaming_wrapped, DayFailure, SourceWrap,
-    StreamingDayContext,
-};
+use crate::harness::{peak_rss_kb, run_days_wrapped, DayContext, DayFailure, NoWrap, SourceWrap};
 use mawilab_combiner::{strategy_agreement, ConfidenceThresholds};
-use mawilab_core::{PipelineConfig, StrategyKind};
+use mawilab_core::PipelineConfig;
 use mawilab_eval::ground_truth::DEFAULT_MIN_COVERAGE;
 use mawilab_eval::{stability_report, DaySummary, GroundTruthMatcher, StabilityReport, WormStatus};
 use mawilab_label::MawilabLabel;
@@ -33,9 +30,7 @@ use std::collections::HashSet;
 /// The pipeline configuration every archive sweep runs with: the
 /// default pipeline plus the default dual confidence thresholds, so
 /// labels carry a real abstention tier and the stability report's
-/// `churn_confident` measures something. Both collectors (plain and
-/// wrapped) share this one function — the determinism comparisons
-/// only hold if every sweep labels under the same thresholds.
+/// `churn_confident` measures something.
 pub fn archive_config() -> PipelineConfig {
     PipelineConfig {
         confidence_thresholds: Some(ConfidenceThresholds::default()),
@@ -168,20 +163,21 @@ pub struct ArchiveDayRecord {
     /// agree with the day's decision.
     pub agreement_hist: [u64; 5],
     /// Wall-clock of the single-pass drain, seconds (generation
-    /// excluded; see [`StreamingDayContext::wall`]).
+    /// excluded; see [`DayContext::wall`]).
     pub wall_s: f64,
     /// Drain throughput, packets/second.
     pub pps: f64,
 }
 
-fn reduce_day(ctx: &StreamingDayContext<'_>) -> ArchiveDayRecord {
+fn reduce_day(ctx: &DayContext<'_>) -> ArchiveDayRecord {
     let (report, stats) = (ctx.report, ctx.stats);
 
     // Every strategy's verdict on the day's vote table — the flips
     // between them day over day are a headline stability metric.
-    let strategies: Vec<(&'static str, Vec<mawilab_combiner::Decision>)> = StrategyKind::ALL
+    let strategies: Vec<(&'static str, Vec<mawilab_combiner::Decision>)> = ctx
+        .per_strategy
         .iter()
-        .map(|&k| (k.name(), k.build().classify(&report.votes)))
+        .map(|(k, decisions)| (k.name(), decisions.clone()))
         .collect();
 
     // Worm detection status against ground truth: which injected worm
@@ -280,15 +276,9 @@ fn assemble_outcome(outcomes: Vec<Result<ArchiveDayRecord, DayFailure>>) -> Arch
 
 /// Runs the sweep single-pass — each generated day drains once, in
 /// chunks, through the online pipeline behind a rewind-refusing seal
-/// ([`run_days_streaming`]) — and reduces it to an [`ArchiveOutcome`].
+/// ([`run_days_wrapped`]) — and reduces it to an [`ArchiveOutcome`].
 pub fn collect_archive(args: &ArchiveBenchArgs) -> ArchiveOutcome {
-    assemble_outcome(run_days_streaming(
-        &args.days,
-        args.scale,
-        args.chunk_us,
-        archive_config(),
-        reduce_day,
-    ))
+    collect_archive_wrapped(args, &NoWrap)
 }
 
 /// [`collect_archive`] with a [`SourceWrap`] applied to each day's
@@ -298,7 +288,7 @@ pub fn collect_archive(args: &ArchiveBenchArgs) -> ArchiveOutcome {
 /// hook CI uses to seal the whole sweep behind rewind-refusing
 /// wrappers.
 pub fn collect_archive_wrapped(args: &ArchiveBenchArgs, wrap: &dyn SourceWrap) -> ArchiveOutcome {
-    assemble_outcome(run_days_streaming_wrapped(
+    assemble_outcome(run_days_wrapped(
         &args.days,
         args.scale,
         args.chunk_us,

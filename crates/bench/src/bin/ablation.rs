@@ -16,7 +16,7 @@
 
 use mawilab_bench::{out, run_days, Args};
 use mawilab_core::PipelineConfig;
-use mawilab_eval::ground_truth::{score_strategy, GroundTruthMatcher};
+use mawilab_eval::ground_truth::{score_strategy, GroundTruthMatcher, DEFAULT_MIN_COVERAGE};
 use mawilab_model::Granularity;
 use mawilab_similarity::SimilarityMeasure;
 
@@ -60,9 +60,9 @@ fn main() {
     let mut table = Vec::new();
     let mut rows = Vec::new();
     for (name, config) in variants {
-        let granularity = config.granularity;
         let per_day = run_days(&days, args.scale, config, |ctx| {
-            let matcher = GroundTruthMatcher::new(ctx.view, &ctx.labeled_trace.truth, granularity);
+            let matcher =
+                GroundTruthMatcher::from_item_ids(ctx.item_ids, ctx.truth, DEFAULT_MIN_COVERAGE);
             let s = score_strategy(&matcher, &ctx.report.communities, &ctx.report.decisions);
             (
                 s.detected.len(),
@@ -71,7 +71,8 @@ fn main() {
                 s.false_accepted,
                 ctx.report.communities.single_count(),
             )
-        });
+        })
+        .expect("synthetic archive days drain without source errors");
         let detected: usize = per_day.iter().map(|r| r.0).sum();
         let total: usize = per_day.iter().map(|r| r.1).sum();
         let accepted: usize = per_day.iter().map(|r| r.2).sum();

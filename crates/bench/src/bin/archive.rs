@@ -3,11 +3,11 @@
 //!
 //! Streams an archive day sample — the curated 2001–2009 default (all
 //! three link eras, both worm epochs), or a consecutive month-scale
-//! sweep — through `run_days_streaming` and writes
-//! `results/BENCH_archive.json` with label churn, per-strategy
-//! decision flip rates, anomalous-set Jaccard drift, the monthly
-//! stability trajectory, era transitions, worm outbreak response and
-//! the per-day throughput trajectory.
+//! sweep — through `run_days_wrapped`, the day runner every bench bin
+//! shares, and writes `results/BENCH_archive.json` with label churn,
+//! per-strategy decision flip rates, anomalous-set Jaccard drift, the
+//! monthly stability trajectory, era transitions, worm outbreak
+//! response and the per-day throughput trajectory.
 //!
 //! The sweep runs **single-pass**: each day is generated in memory
 //! and drained once through the online pipeline from a

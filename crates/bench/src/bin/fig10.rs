@@ -39,7 +39,8 @@ fn main() {
             }
         }
         v
-    });
+    })
+    .expect("synthetic archive days drain without source errors");
     let pooled: Vec<(HeuristicCategory, f64)> = per_day.into_iter().flatten().collect();
 
     println!("\n== Fig 10: PDF of rejected communities' relative distance ==");

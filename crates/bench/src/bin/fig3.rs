@@ -16,9 +16,10 @@
 
 use mawilab_bench::{out, run_days, Args};
 use mawilab_core::PipelineConfig;
+use mawilab_detectors::TraceView;
 use mawilab_eval::{cdf_points, dists::discrete_pmf};
 use mawilab_label::summary::summarize_community;
-use mawilab_model::Granularity;
+use mawilab_model::{FlowTable, Granularity};
 use mawilab_similarity::SimilarityEstimator;
 
 const GRANULARITIES: [Granularity; 3] = [
@@ -47,12 +48,14 @@ fn main() {
             supports: Default::default(),
             degrees: Default::default(),
         };
+        let flows = FlowTable::build(&ctx.trace.packets);
+        let view = TraceView::new(ctx.trace, &flows);
         for (gi, granularity) in GRANULARITIES.into_iter().enumerate() {
             let estimator = SimilarityEstimator {
                 granularity,
                 ..Default::default()
             };
-            let communities = estimator.estimate(ctx.view, ctx.report.communities.alarms.clone());
+            let communities = estimator.estimate(&view, ctx.report.communities.alarms.clone());
             let sizes = communities.sizes();
             stats.singles[gi] = communities.single_count();
             for (c, &size) in sizes.iter().enumerate() {
@@ -60,13 +63,14 @@ fn main() {
                     continue; // panels (b)-(d) exclude singles
                 }
                 stats.sizes[gi].push(size);
-                let s = summarize_community(ctx.view, &communities, c, 0.2);
+                let s = summarize_community(&view, &communities, c, 0.2);
                 stats.supports[gi].push(s.rule_support * 100.0);
                 stats.degrees[gi].push(s.rule_degree.round() as u32);
             }
         }
         stats
-    });
+    })
+    .expect("synthetic archive days drain without source errors");
 
     let names = ["packet", "uniflow", "biflow"];
     if args.wants_panel("a") {

@@ -13,7 +13,9 @@
 
 use mawilab_bench::{out, run_days, Args};
 use mawilab_core::PipelineConfig;
+use mawilab_detectors::TraceView;
 use mawilab_label::summary::summarize_community;
+use mawilab_model::FlowTable;
 
 fn main() {
     let args = Args::parse();
@@ -22,15 +24,18 @@ fn main() {
 
     // Pool (size, degree, support%) triples over all communities.
     let per_day = run_days(&days, args.scale, PipelineConfig::default(), |ctx| {
+        let flows = FlowTable::build(&ctx.trace.packets);
+        let view = TraceView::new(ctx.trace, &flows);
         let communities = &ctx.report.communities;
         let sizes = communities.sizes();
         (0..communities.community_count())
             .map(|c| {
-                let s = summarize_community(ctx.view, communities, c, 0.2);
+                let s = summarize_community(&view, communities, c, 0.2);
                 (sizes[c], s.rule_degree, s.rule_support * 100.0)
             })
             .collect::<Vec<_>>()
-    });
+    })
+    .expect("synthetic archive days drain without source errors");
     let triples: Vec<(usize, f64, f64)> = per_day.into_iter().flatten().collect();
 
     // Logarithmic size bins: 1, 2, 3-4, 5-8, ..., 513+.

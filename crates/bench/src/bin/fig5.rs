@@ -72,7 +72,8 @@ fn main() {
             }
         }
         acc
-    });
+    })
+    .expect("synthetic archive days drain without source errors");
 
     // Merge days.
     let mut grid: HashMap<Key, Cell> = HashMap::new();

@@ -64,7 +64,8 @@ fn main() {
             }
         }
         d
-    });
+    })
+    .expect("synthetic archive days drain without source errors");
 
     let pdf_of = |values: &[f64]| pdf_histogram(values, 20, 0.0, 1.0);
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;

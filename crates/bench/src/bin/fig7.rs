@@ -37,7 +37,8 @@ fn main() {
             v.push((*kind, r.accepted, r.rejected));
         }
         (ctx.date, v)
-    });
+    })
+    .expect("synthetic archive days drain without source errors");
 
     for (panel, accepted) in [("a", true), ("b", false)] {
         if !args.wants_panel(panel) {

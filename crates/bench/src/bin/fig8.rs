@@ -48,7 +48,8 @@ fn main() {
                 )
             })
             .collect(),
-    });
+    })
+    .expect("synthetic archive days drain without source errors");
 
     let panels: [(&str, DetectorKind, bool); 3] = [
         ("a", DetectorKind::Gamma, false), // rejected

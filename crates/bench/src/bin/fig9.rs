@@ -69,7 +69,8 @@ fn main() {
             }
         }
         acc
-    });
+    })
+    .expect("synthetic archive days drain without source errors");
 
     // Merge.
     let mut merged = Acc::default();

@@ -14,8 +14,9 @@
 use mawilab_bench::{out, run_days, Args};
 use mawilab_core::{PipelineConfig, StrategyKind};
 use mawilab_detectors::DetectorKind;
-use mawilab_eval::ground_truth::{score_detector, score_strategy, GroundTruthMatcher};
-use mawilab_model::Granularity;
+use mawilab_eval::ground_truth::{
+    score_detector, score_strategy, GroundTruthMatcher, DEFAULT_MIN_COVERAGE,
+};
 
 fn main() {
     let args = Args::parse();
@@ -30,7 +31,7 @@ fn main() {
 
     let per_day = run_days(&days, args.scale, PipelineConfig::default(), |ctx| {
         let matcher =
-            GroundTruthMatcher::new(ctx.view, &ctx.labeled_trace.truth, Granularity::Uniflow);
+            GroundTruthMatcher::from_item_ids(ctx.item_ids, ctx.truth, DEFAULT_MIN_COVERAGE);
         let per_strategy = ctx
             .per_strategy
             .iter()
@@ -53,7 +54,8 @@ fn main() {
             per_strategy,
             per_detector,
         }
-    });
+    })
+    .expect("synthetic archive days drain without source errors");
 
     let total: usize = per_day.iter().map(|d| d.total).sum();
     println!(

@@ -1,21 +1,21 @@
 //! §6 runtime claim: "the current implementation requires only a few
 //! minutes to combine alarms with a 15-minute traffic trace".
 //!
-//! Runs the full pipeline on a real-size 900-second trace and reports
-//! its total wall clock (perfbench owns the per-stage profile). Use
-//! `--scale` to push the packet rate toward MAWI levels.
+//! Drains a real-size 900-second trace once through `OnlinePipeline`
+//! and reports its total wall clock (perfbench owns the per-stage
+//! profile). Use `--scale` to push the packet rate toward MAWI levels.
 //!
 //! ```sh
 //! cargo run --release -p mawilab-bench --bin runtime [-- --scale 1.0]
 //! ```
 
 use mawilab_bench::{out, Args};
-use mawilab_core::{MawilabPipeline, PipelineConfig};
-use mawilab_model::TraceDate;
+use mawilab_core::{OnlinePipeline, PipelineConfig};
+use mawilab_model::{NoRewindSource, SourceError, TraceChunker, TraceDate, DEFAULT_CHUNK_US};
 use mawilab_synth::{ArchiveConfig, ArchiveSimulator};
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), SourceError> {
     let args = Args::parse();
     let sim = ArchiveSimulator::new(ArchiveConfig {
         scale: args.scale,
@@ -34,9 +34,10 @@ fn main() {
         lt.trace.mean_rate_mbps()
     );
 
-    let pipeline = MawilabPipeline::new(PipelineConfig::default());
+    let pipeline = OnlinePipeline::new(PipelineConfig::default());
+    let mut sealed = NoRewindSource::new(TraceChunker::new(lt.trace, DEFAULT_CHUNK_US));
     let t1 = Instant::now();
-    let report = pipeline.run(&lt.trace);
+    let report = pipeline.run(&mut sealed)?.report;
     let total = t1.elapsed();
 
     println!(
@@ -58,4 +59,5 @@ fn main() {
         total.as_secs_f64(),
         if claim_ok { "HOLDS" } else { "EXCEEDED" }
     );
+    Ok(())
 }

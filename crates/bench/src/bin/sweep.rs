@@ -13,9 +13,8 @@
 use mawilab_bench::{out, run_days, Args};
 use mawilab_combiner::Decision;
 use mawilab_core::PipelineConfig;
-use mawilab_eval::ground_truth::{score_strategy, GroundTruthMatcher};
+use mawilab_eval::ground_truth::{score_strategy, GroundTruthMatcher, DEFAULT_MIN_COVERAGE};
 use mawilab_eval::{attack_ratio_by_class, gain_cost};
-use mawilab_model::Granularity;
 
 const THETAS: [f64; 6] = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0];
 
@@ -39,7 +38,7 @@ fn main() {
 
     let per_day = run_days(&days, args.scale, PipelineConfig::default(), |ctx| {
         let matcher =
-            GroundTruthMatcher::new(ctx.view, &ctx.labeled_trace.truth, Granularity::Uniflow);
+            GroundTruthMatcher::from_item_ids(ctx.item_ids, ctx.truth, DEFAULT_MIN_COVERAGE);
         THETAS
             .iter()
             .map(|&theta| {
@@ -61,7 +60,8 @@ fn main() {
                 )
             })
             .collect::<Vec<_>>()
-    });
+    })
+    .expect("synthetic archive days drain without source errors");
 
     println!("\n== §4.2.3: widening SCANN's acceptance by relative distance θ ==");
     let mut table = Vec::new();

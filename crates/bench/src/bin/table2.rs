@@ -21,7 +21,8 @@ fn main() {
             &ctx.report.decisions,
             None,
         )
-    });
+    })
+    .expect("synthetic archive days drain without source errors");
     let total = per_day
         .iter()
         .fold(GainCost::default(), |acc, gc| GainCost {

@@ -10,8 +10,9 @@
 //! The shared pieces live here:
 //! * [`cli`] — the tiny flag parser every binary uses
 //!   (`--years`, `--days`, `--scale`, `--out`, `--panel`);
-//! * [`harness`] — the archive→pipeline day runner with thread-pool
-//!   parallelism across days;
+//! * [`harness`] — the one archive day runner: every bin labels its
+//!   days through the production single-pass `OnlinePipeline`, with
+//!   thread-pool parallelism across days;
 //! * [`archive`] — the longitudinal label-stability benchmark behind
 //!   the `archive` bin (`results/BENCH_archive.json`);
 //! * [`out`] — aligned-table printing and CSV emission under
@@ -26,6 +27,5 @@ pub mod out;
 
 pub use cli::Args;
 pub use harness::{
-    peak_rss_kb, run_days, run_days_streaming, run_days_streaming_wrapped, DayContext, DayFailure,
-    NoWrap, SourceWrap, StreamingDayContext,
+    peak_rss_kb, run_days, run_days_wrapped, DayContext, DayFailure, NoWrap, SourceWrap,
 };

@@ -13,7 +13,7 @@
 use mawilab_bench::archive::{
     collect_archive_wrapped, default_sweep_start, month_sweep_days, ArchiveBenchArgs,
 };
-use mawilab_bench::{run_days_streaming, run_days_streaming_wrapped, SourceWrap};
+use mawilab_bench::{run_days_wrapped, NoWrap, SourceWrap};
 use mawilab_core::PipelineConfig;
 use mawilab_model::pcap::PcapError;
 use mawilab_model::{
@@ -126,7 +126,7 @@ fn harness_seam_reports_failures_in_day_order() {
     // The low-level harness contract: one Result per day, in order.
     let days = month_sweep_days(TraceDate::new(2005, 6, 1), 3);
     let bad_day = days[2];
-    let outcomes = run_days_streaming_wrapped(
+    let outcomes = run_days_wrapped(
         &days,
         0.2,
         DEFAULT_CHUNK_US,
@@ -145,7 +145,9 @@ fn harness_seam_reports_failures_in_day_order() {
 #[test]
 fn zero_chunk_width_fails_every_day_with_a_typed_error() {
     let days = month_sweep_days(TraceDate::new(2005, 6, 1), 2);
-    let outcomes = run_days_streaming(&days, 0.2, 0, PipelineConfig::default(), |ctx| ctx.date);
+    let outcomes = run_days_wrapped(&days, 0.2, 0, PipelineConfig::default(), &NoWrap, |ctx| {
+        ctx.date
+    });
     assert_eq!(outcomes.len(), days.len());
     for (outcome, &date) in outcomes.iter().zip(&days) {
         let failure = outcome.as_ref().unwrap_err();

@@ -285,17 +285,35 @@ mod tests {
     fn item_id_matcher_equals_view_matcher() {
         // The streaming constructor, fed the ids an ItemIndex assigns
         // in stream order, indexes exactly what the batch constructor
-        // indexes from the flow table.
+        // indexes from the flow table, at every granularity.
         let (lt, flows) = run();
         let view = TraceView::new(&lt.trace, &flows);
-        let from_view = GroundTruthMatcher::new(&view, &lt.truth, Granularity::Uniflow);
-        let mut ids = Vec::new();
-        mawilab_model::ItemIndex::new(Granularity::Uniflow).ids_of(&lt.trace.packets, &mut ids);
-        let from_ids = GroundTruthMatcher::from_item_ids(&ids, &lt.truth, DEFAULT_MIN_COVERAGE);
-        assert_eq!(from_view.anomaly_ids(), from_ids.anomaly_ids());
-        assert_eq!(from_view.attack_ids(), from_ids.attack_ids());
-        let all: Vec<u32> = (0..flows.uniflow_count() as u32).collect();
-        assert_eq!(from_view.detected_by(&all), from_ids.detected_by(&all));
+        for (granularity, units) in [
+            (Granularity::Packet, flows.packet_count()),
+            (Granularity::Uniflow, flows.uniflow_count()),
+            (Granularity::Biflow, flows.biflow_count()),
+        ] {
+            let from_view = GroundTruthMatcher::new(&view, &lt.truth, granularity);
+            let mut ids = Vec::new();
+            mawilab_model::ItemIndex::new(granularity).ids_of(&lt.trace.packets, &mut ids);
+            let from_ids = GroundTruthMatcher::from_item_ids(&ids, &lt.truth, DEFAULT_MIN_COVERAGE);
+            assert_eq!(
+                from_view.anomaly_ids(),
+                from_ids.anomaly_ids(),
+                "{granularity:?}"
+            );
+            assert_eq!(
+                from_view.attack_ids(),
+                from_ids.attack_ids(),
+                "{granularity:?}"
+            );
+            let all: Vec<u32> = (0..units as u32).collect();
+            assert_eq!(
+                from_view.detected_by(&all),
+                from_ids.detected_by(&all),
+                "{granularity:?}"
+            );
+        }
     }
 
     #[test]

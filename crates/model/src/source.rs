@@ -138,6 +138,27 @@ pub trait PacketSource {
     fn rewind(&mut self) -> Result<(), SourceError>;
 }
 
+/// A borrowed source streams as the source itself, so a wrapper such
+/// as [`NoRewindSource`] can seal a source the caller keeps: after the
+/// drain, a [`TraceChunker`] still lends its trace.
+impl<S: PacketSource + ?Sized> PacketSource for &mut S {
+    fn meta(&self) -> &TraceMeta {
+        (**self).meta()
+    }
+
+    fn bin_us(&self) -> u64 {
+        (**self).bin_us()
+    }
+
+    fn next_chunk(&mut self) -> Result<Option<&PacketChunk>, SourceError> {
+        (**self).next_chunk()
+    }
+
+    fn rewind(&mut self) -> Result<(), SourceError> {
+        (**self).rewind()
+    }
+}
+
 /// A [`PacketSource`] wrapper that refuses to rewind — the live-link
 /// contract made checkable. Wrapping a source in `NoRewindSource`
 /// proves a consumer is genuinely single-pass: any rewind attempt
@@ -162,11 +183,6 @@ impl<S: PacketSource> NoRewindSource<S> {
     /// single-pass consumer).
     pub fn rewinds_refused(&self) -> usize {
         self.rewinds_refused
-    }
-
-    /// Recovers the wrapped source.
-    pub fn into_inner(self) -> S {
-        self.inner
     }
 }
 
@@ -416,7 +432,8 @@ mod tests {
     fn no_rewind_source_streams_once_then_refuses_replay() {
         let trace = trace_with_offsets(&[0, 1, 2_000_000]);
         let want = trace.packets.clone();
-        let mut src = NoRewindSource::new(TraceChunker::new(trace, 1_000_000));
+        let mut inner = TraceChunker::new(trace, 1_000_000);
+        let mut src = NoRewindSource::new(&mut inner);
         assert_eq!(collect_packets(&mut src).unwrap(), want);
         assert_eq!(src.rewinds_refused(), 0);
         assert!(matches!(
@@ -429,9 +446,8 @@ mod tests {
         ));
         assert_eq!(src.rewinds_refused(), 2);
         // The refusal leaves the stream itself untouched: still
-        // drained, recoverable.
+        // drained, and the borrowed source rewinds once unsealed.
         assert!(src.next_chunk().unwrap().is_none());
-        let mut inner = src.into_inner();
         inner.rewind().unwrap();
         assert_eq!(collect_packets(&mut inner).unwrap(), want);
     }

@@ -5,27 +5,30 @@
 //! ```
 //!
 //! Generates a 60-second trace with a representative anomaly mix,
-//! runs the full MAWILab pipeline (12 detector configurations →
-//! similarity graph → Louvain communities → SCANN), and prints the
-//! labeled anomalies with their association-rule summaries.
+//! drains it once through the production `OnlinePipeline` (12
+//! detector configurations → similarity graph → Louvain communities
+//! → SCANN; the batch `MawilabPipeline` is its oracle), and prints
+//! the labeled anomalies with their association-rule summaries.
 
-use mawilab::core::{MawilabPipeline, PipelineConfig};
+use mawilab::core::{OnlinePipeline, PipelineConfig};
 use mawilab::label::MawilabLabel;
+use mawilab::model::{NoRewindSource, SourceError, TraceChunker, DEFAULT_CHUNK_US};
 use mawilab::synth::{SynthConfig, TraceGenerator};
 use std::time::Instant;
 
-fn main() {
-    let labeled_trace = TraceGenerator::new(SynthConfig::default().with_seed(7)).generate();
+fn main() -> Result<(), SourceError> {
+    let day = TraceGenerator::new(SynthConfig::default().with_seed(7)).generate();
     println!(
         "trace {} — {} packets, {:.1}% injected anomalous traffic",
-        labeled_trace.trace.meta.date,
-        labeled_trace.trace.len(),
-        labeled_trace.truth.anomalous_fraction() * 100.0
+        day.trace.meta.date,
+        day.trace.len(),
+        day.truth.anomalous_fraction() * 100.0
     );
 
-    let pipeline = MawilabPipeline::new(PipelineConfig::default());
+    let mut source = NoRewindSource::new(TraceChunker::new(day.trace, DEFAULT_CHUNK_US));
+    let pipeline = OnlinePipeline::new(PipelineConfig::default());
     let start = Instant::now();
-    let report = pipeline.run(&labeled_trace.trace);
+    let report = pipeline.run(&mut source)?.report;
     let elapsed = start.elapsed();
 
     println!(
@@ -49,7 +52,8 @@ fn main() {
     }
 
     println!("\nground truth for reference:");
-    for a in labeled_trace.truth.anomalies() {
+    for a in day.truth.anomalies() {
         println!("  {a}");
     }
+    Ok(())
 }

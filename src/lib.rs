@@ -12,18 +12,23 @@
 //! MAWILab four-level taxonomy (`Anomalous` / `Suspicious` / `Notice` /
 //! `Benign`).
 //!
-//! Start with [`core::MawilabPipeline`] for the end-to-end flow, or see
-//! the `examples/` directory:
+//! Start with [`core::OnlinePipeline`], the production labeler, which
+//! drains a packet source once (here an in-memory day, sealed against
+//! rewinding); the batch [`core::MawilabPipeline`] is its oracle. See
+//! also the `examples/` directory:
 //!
 //! ```no_run
-//! use mawilab::core::{MawilabPipeline, PipelineConfig};
-//! use mawilab::synth::{TraceGenerator, SynthConfig};
+//! use mawilab::core::{OnlinePipeline, PipelineConfig};
+//! use mawilab::model::{NoRewindSource, TraceChunker, DEFAULT_CHUNK_US};
+//! use mawilab::synth::{SynthConfig, TraceGenerator};
 //!
-//! let trace = TraceGenerator::new(SynthConfig::default().with_seed(7)).generate();
-//! let report = MawilabPipeline::new(PipelineConfig::default()).run(&trace.trace);
-//! for anomaly in report.labeled.anomalies() {
+//! let day = TraceGenerator::new(SynthConfig::default().with_seed(7)).generate();
+//! let mut source = NoRewindSource::new(TraceChunker::new(day.trace, DEFAULT_CHUNK_US));
+//! let online = OnlinePipeline::new(PipelineConfig::default()).run(&mut source)?;
+//! for anomaly in online.report.labeled.anomalies() {
 //!     println!("{anomaly}");
 //! }
+//! # Ok::<(), mawilab::model::SourceError>(())
 //! ```
 
 pub use mawilab_combiner as combiner;
