@@ -18,8 +18,8 @@
 //! in-process and assert the schema.
 
 use crate::harness::{peak_rss_kb, run_days_wrapped, DayContext, DayFailure, NoWrap, SourceWrap};
-use mawilab_combiner::{strategy_agreement, ConfidenceThresholds};
-use mawilab_core::PipelineConfig;
+use mawilab_combiner::ConfidenceThresholds;
+use mawilab_core::{PipelineConfig, StrategyKind};
 use mawilab_eval::ground_truth::DEFAULT_MIN_COVERAGE;
 use mawilab_eval::{stability_report, DaySummary, GroundTruthMatcher, StabilityReport, WormStatus};
 use mawilab_label::MawilabLabel;
@@ -209,13 +209,19 @@ fn reduce_day(ctx: &DayContext<'_>) -> ArchiveDayRecord {
 
     // Confidence-tier populations and the strategy-agreement
     // histogram of the day — the per-day inputs of the JSON's
-    // `confidence` block.
+    // `confidence` block. A community's agreement counts the paper's
+    // four strategies (not majority) that share the pipeline's verdict.
     let mut tier_counts = [0u64; 3];
     for lc in &report.labeled.communities {
         tier_counts[lc.confidence.tier.index()] += 1;
     }
     let mut agreement_hist = [0u64; 5];
-    for agree in strategy_agreement(&report.votes, &report.decisions) {
+    for (c, own) in report.decisions.iter().enumerate() {
+        let agree = ctx
+            .per_strategy
+            .iter()
+            .filter(|(k, d)| *k != StrategyKind::Majority && d[c].accepted == own.accepted)
+            .count();
         agreement_hist[agree] += 1;
     }
 

@@ -13,25 +13,24 @@
 
 use mawilab_bench::{out, run_days, Args};
 use mawilab_core::PipelineConfig;
-use mawilab_detectors::TraceView;
-use mawilab_label::summary::summarize_community;
-use mawilab_model::FlowTable;
 
 fn main() {
     let args = Args::parse();
     let days = args.days();
     eprintln!("fig4: {} days at scale {}", days.len(), args.scale);
 
-    // Pool (size, degree, support%) triples over all communities.
+    // Pool (size, degree, support%) triples over all communities. The
+    // default configuration mines each community's summary at uniflow
+    // granularity with 20 % support while it labels.
     let per_day = run_days(&days, args.scale, PipelineConfig::default(), |ctx| {
-        let flows = FlowTable::build(&ctx.trace.packets);
-        let view = TraceView::new(ctx.trace, &flows);
-        let communities = &ctx.report.communities;
-        let sizes = communities.sizes();
-        (0..communities.community_count())
-            .map(|c| {
-                let s = summarize_community(&view, communities, c, 0.2);
-                (sizes[c], s.rule_degree, s.rule_support * 100.0)
+        let sizes = ctx.report.communities.sizes();
+        ctx.report
+            .labeled
+            .communities
+            .iter()
+            .map(|lc| {
+                let s = &lc.summary;
+                (sizes[lc.community], s.rule_degree, s.rule_support * 100.0)
             })
             .collect::<Vec<_>>()
     })

@@ -116,13 +116,6 @@ pub struct LabelConfidence {
     pub tier: ConfidenceTier,
 }
 
-impl LabelConfidence {
-    /// True unless the label sits in the abstention band.
-    pub fn is_confident(&self) -> bool {
-        self.tier != ConfidenceTier::Uncertain
-    }
-}
-
 /// Maps a SCANN decision to its boundary-margin component in
 /// `[0, 1]`: 0.5 on the decision boundary, → 1 deep inside the
 /// accepted region, → 0 deep inside the rejected region. The
@@ -226,30 +219,6 @@ pub fn label_confidences(
         .collect()
 }
 
-/// Per-community agreement count of the four paper strategies with
-/// the given decisions (used by the archive bench's agreement
-/// histogram): for community `c`, how many of the four strategies
-/// reach the same accept/reject verdict as `decisions[c]`.
-pub fn strategy_agreement(table: &VoteTable, decisions: &[Decision]) -> Vec<usize> {
-    assert_eq!(decisions.len(), table.len());
-    if table.is_empty() {
-        return Vec::new();
-    }
-    let all = [
-        Average.classify(table),
-        Minimum.classify(table),
-        Maximum.classify(table),
-        Scann::default().classify_detailed(table),
-    ];
-    (0..table.len())
-        .map(|c| {
-            all.iter()
-                .filter(|d| d[c].accepted == decisions[c].accepted)
-                .count()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,7 +268,10 @@ mod tests {
                 ConfidenceTier::Benign
             };
             assert_eq!(lc.tier, expect);
-            assert!(lc.is_confident(), "thresholds-off must never abstain");
+            assert!(
+                lc.tier != ConfidenceTier::Uncertain,
+                "thresholds-off must never abstain"
+            );
         }
     }
 
@@ -327,7 +299,7 @@ mod tests {
     }
 
     #[test]
-    fn score_is_monotone_in_strategy_agreement() {
+    fn score_is_monotone_in_strategy_accepts() {
         for k in 0..PAPER_STRATEGIES {
             assert!(
                 confidence_score(k + 1, 0.4, 0.25) > confidence_score(k, 0.4, 0.25),
@@ -371,19 +343,6 @@ mod tests {
             assert!(lc.score.is_finite());
             assert!((0.0..=1.0).contains(&lc.score));
         }
-    }
-
-    #[test]
-    fn strategy_agreement_counts_consensus_with_the_decision() {
-        let t = mixed_table();
-        let decisions = Scann::default().classify_detailed(&t);
-        let agree = strategy_agreement(&t, &decisions);
-        assert_eq!(agree.len(), t.len());
-        // SCANN itself always agrees with its own decisions.
-        assert!(agree.iter().all(|&k| (1..=PAPER_STRATEGIES).contains(&k)));
-        // Unanimous and silent rows get full agreement.
-        assert_eq!(agree[0], PAPER_STRATEGIES);
-        assert_eq!(agree[4], PAPER_STRATEGIES);
     }
 
     #[test]

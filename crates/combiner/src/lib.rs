@@ -32,8 +32,8 @@ pub mod strategies;
 pub mod votes;
 
 pub use confidence::{
-    confidence_score, label_confidences, margin_component, strategy_agreement,
-    ConfidenceThresholds, ConfidenceTier, LabelConfidence,
+    confidence_score, label_confidences, margin_component, ConfidenceThresholds, ConfidenceTier,
+    LabelConfidence,
 };
 pub use scann::{Scann, SCANN_MAX_ROUNDS};
 pub use strategies::{Average, CombinationStrategy, MajorityVote, Maximum, Minimum};

@@ -73,14 +73,6 @@ impl VoteTable {
         out
     }
 
-    /// Number of distinct detectors voting for community `c`.
-    pub fn detector_count(&self, c: usize) -> usize {
-        DetectorKind::ALL
-            .iter()
-            .filter(|d| self.confidence(c, **d) > 0.0)
-            .count()
-    }
-
     /// Total votes (configurations) for community `c`.
     pub fn vote_count(&self, c: usize) -> usize {
         self.votes[c].iter().filter(|&&v| v).count()
@@ -136,9 +128,8 @@ mod tests {
     }
 
     #[test]
-    fn detector_and_vote_counts() {
+    fn vote_count_counts_configurations() {
         let t = VoteTable::from_rows(vec![fig2_row()]);
-        assert_eq!(t.detector_count(0), 2);
         assert_eq!(t.vote_count(0), 5);
     }
 

@@ -13,7 +13,7 @@
 //!    association-rule summaries (`mawilab-label`).
 //!
 //! [`OnlinePipeline`] is the production labeler: it drains a packet
-//! source once and buckets the labels per horizon window.
+//! source once and labels the day at end of stream.
 //! [`MawilabPipeline`] is the batch form over an in-memory trace and
 //! the oracle the single-pass path is tested against, byte for byte.
 //! [`benchmark`] hosts the downstream use-case the database exists

@@ -58,25 +58,13 @@
 //! `lag ≥ stream` (every chunk still fresh) produce identical labels,
 //! which `tests/online_equivalence.rs` pins across seeds × chunk
 //! widths × thread counts.
-//!
-//! ## Per-horizon windows
-//!
-//! Labels are bucketed into [`LabeledWindow`]s on a fixed horizon
-//! grid (default [`DEFAULT_HORIZON_US`]). Every label is computed at
-//! end of stream, because the detectors alarm in `finish()`, so every
-//! window exists once [`OnlinePipeline::run`] returns — as MAWILab
-//! publishes one label file per archive day after the whole trace.
-//! The flattened windows are exactly the run's labeled communities —
-//! bucketing never re-labels.
 
 use crate::pipeline::{combine_and_label, PipelineConfig, PipelineReport};
 use mawilab_detectors::{
     observation_groups, observe_all, standard_configurations, ChunkView, Detector,
 };
-use mawilab_label::{
-    label_communities_streaming, window_communities, CommunityEvidence, LabeledWindow,
-};
-use mawilab_model::{chunk_window, ItemIndex, PacketSource, SourceError};
+use mawilab_label::{label_communities_streaming, CommunityEvidence};
+use mawilab_model::{ItemIndex, PacketSource, SourceError};
 use mawilab_similarity::{HorizonExtractor, HorizonStats, HorizonTraffic};
 
 /// Default evidence-retention lag: 30 s — six default chunks, two
@@ -84,7 +72,10 @@ use mawilab_similarity::{HorizonExtractor, HorizonStats, HorizonTraffic};
 /// detector's analysis bin.
 pub const DEFAULT_LAG_US: u64 = 30_000_000;
 
-/// Default horizon window width: 60 s of labels per window.
+/// Width of the 60 s label windows that perfbench's traced drain
+/// still times as its `label.windows` stage. The pipeline itself does
+/// not bucket labels; this constant goes once perfbench times the
+/// production drain instead.
 pub const DEFAULT_HORIZON_US: u64 = 60_000_000;
 
 /// Chunks below this packet count are observed inline rather than
@@ -112,7 +103,7 @@ pub struct StreamStats {
 }
 
 /// Everything one single-pass run produced: the batch oracle's report
-/// plus ingest statistics and the per-horizon label windows.
+/// plus the drain's ingest and horizon statistics.
 #[derive(Debug)]
 pub struct OnlineReport {
     /// The run's report — byte-identical to what the batch oracle
@@ -121,28 +112,8 @@ pub struct OnlineReport {
     pub report: PipelineReport,
     /// Ingest statistics of the drain.
     pub stats: StreamStats,
-    /// The labels bucketed by horizon window: one [`LabeledWindow`]
-    /// per window, in window order. Flattening their communities reproduces
-    /// `report.labeled.communities` exactly.
-    pub windows: Vec<LabeledWindow>,
     /// Retire/fresh accounting of the horizon extractor.
     pub horizon_stats: HorizonStats,
-}
-
-/// Horizon windows of `horizon_us` from `origin_us` needed to cover
-/// the stream up to its high-water mark and every community span
-/// start.
-fn window_count(
-    origin_us: u64,
-    horizon_us: u64,
-    high_water_us: u64,
-    max_community_start_us: Option<u64>,
-) -> usize {
-    let cover_end = high_water_us.max(max_community_start_us.map_or(0, |s| s + 1));
-    if cover_end <= origin_us {
-        return 0;
-    }
-    (cover_end - origin_us).div_ceil(horizon_us) as usize
 }
 
 /// The end-to-end single-pass MAWILab pipeline.
@@ -150,18 +121,16 @@ pub struct OnlinePipeline {
     config: PipelineConfig,
     detectors: Vec<Box<dyn Detector>>,
     lag_us: u64,
-    horizon_us: u64,
 }
 
 impl OnlinePipeline {
     /// Builds the pipeline with the paper's 12 standard detector
-    /// configurations and the default lag/horizon.
+    /// configurations and the default lag.
     pub fn new(config: PipelineConfig) -> Self {
         OnlinePipeline {
             config,
             detectors: standard_configurations(),
             lag_us: DEFAULT_LAG_US,
-            horizon_us: DEFAULT_HORIZON_US,
         }
     }
 
@@ -181,17 +150,6 @@ impl OnlinePipeline {
         self
     }
 
-    /// Sets the horizon window width (µs) of the label windows,
-    /// rejecting a zero width with
-    /// [`SourceError::InvalidHorizonWidth`].
-    pub fn with_horizon_us(mut self, horizon_us: u64) -> Result<Self, SourceError> {
-        if horizon_us == 0 {
-            return Err(SourceError::InvalidHorizonWidth(horizon_us));
-        }
-        self.horizon_us = horizon_us;
-        Ok(self)
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &PipelineConfig {
         &self.config
@@ -209,9 +167,7 @@ impl OnlinePipeline {
     ) -> Result<OnlineReport, SourceError> {
         self.config.validate()?;
         let meta = source.meta().clone();
-        let origin_us = meta.window().start_us;
         let mut stats = StreamStats::default();
-        let mut high_water_us = origin_us;
 
         // The one drain: each observation group (a detector family's
         // three tunings) observes each chunk once (fanned out across
@@ -229,7 +185,6 @@ impl OnlinePipeline {
             stats.chunks += 1;
             stats.packets += chunk.packets.len() as u64;
             stats.peak_chunk_packets = stats.peak_chunk_packets.max(chunk.packets.len());
-            high_water_us = high_water_us.max(chunk.window.end_us);
             let view = ChunkView::of_chunk(&meta, chunk);
             let accumulators = groups.accumulators_mut();
             if chunk.packets.len() < FANOUT_MIN_CHUNK_PACKETS {
@@ -275,24 +230,9 @@ impl OnlinePipeline {
                 )
             },
         );
-
-        // Bucket the labels onto the horizon grid.
-        let labeled = &report.labeled.communities;
-        let max_start = labeled.iter().map(|c| c.window.start_us).max();
-        let n_windows = window_count(origin_us, self.horizon_us, high_water_us, max_start);
-        let windows = window_communities(origin_us, self.horizon_us, n_windows, labeled)
-            .into_iter()
-            .enumerate()
-            .map(|(k, communities)| LabeledWindow {
-                window: chunk_window(origin_us, self.horizon_us, k as u64),
-                communities,
-            })
-            .collect();
-
         Ok(OnlineReport {
             report,
             stats,
-            windows,
             horizon_stats,
         })
     }
@@ -334,59 +274,6 @@ mod tests {
         assert!(online.stats.chunks > 1, "expected a multi-chunk stream");
         assert_eq!(online.stats.packets, lt.trace.len() as u64);
         assert!(online.stats.peak_chunk_packets < lt.trace.len());
-    }
-
-    #[test]
-    fn windows_flatten_back_to_the_labeled_communities() {
-        let lt = small_trace();
-        let mut source = TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US);
-        let online = OnlinePipeline::new(PipelineConfig::default())
-            .run(&mut source)
-            .unwrap();
-        assert!(!online.windows.is_empty());
-        let flattened: Vec<usize> = online
-            .windows
-            .iter()
-            .flat_map(|w| &w.communities)
-            .map(|c| c.community)
-            .collect();
-        let direct: Vec<usize> = online
-            .report
-            .labeled
-            .communities
-            .iter()
-            .map(|c| c.community)
-            .collect();
-        assert_eq!(flattened, direct, "bucketing never re-labels");
-        // Interior windows hold exactly the communities whose span
-        // starts inside them (window 0 / the last window also absorb
-        // off-grid folds).
-        let last = online.windows.len() - 1;
-        for (k, w) in online.windows.iter().enumerate() {
-            for c in &w.communities {
-                let in_window = w.window.contains(c.window.start_us);
-                let folded_front = k == 0 && c.window.start_us < w.window.start_us;
-                let folded_back = k == last && c.window.start_us >= w.window.end_us;
-                assert!(
-                    in_window || folded_front || folded_back,
-                    "community start {} outside window {:?}",
-                    c.window.start_us,
-                    w.window
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn zero_horizon_width_is_a_typed_error() {
-        let err = OnlinePipeline::new(PipelineConfig::default())
-            .with_horizon_us(0)
-            .err()
-            .expect("a zero horizon width must be rejected");
-        assert!(matches!(err, SourceError::InvalidHorizonWidth(0)), "{err}");
-        assert!(OnlinePipeline::new(PipelineConfig::default())
-            .with_horizon_us(1)
-            .is_ok());
     }
 
     /// Runs a configuration that mining or Louvain would reject only
@@ -431,7 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_stream_yields_no_windows() {
+    fn empty_stream_yields_no_alarms_and_no_communities() {
         let meta = mawilab_model::TraceMeta::standard(mawilab_model::TraceDate::new(2004, 6, 2));
         let trace = mawilab_model::Trace::new(meta, vec![]);
         let mut source = NoRewindSource::new(TraceChunker::new(trace, DEFAULT_CHUNK_US));
@@ -440,7 +327,7 @@ mod tests {
             .unwrap();
         assert_eq!(source.rewinds_refused(), 0);
         assert_eq!(online.report.alarm_count(), 0);
-        assert!(online.windows.is_empty());
+        assert!(online.report.labeled.communities.is_empty());
         assert_eq!(online.stats.chunks, 0);
     }
 }

@@ -31,18 +31,9 @@ pub struct GroundTruthMatcher {
 }
 
 impl GroundTruthMatcher {
-    /// Indexes the truth at the estimator's granularity.
+    /// Indexes the truth at the estimator's granularity, with the
+    /// [`DEFAULT_MIN_COVERAGE`] threshold.
     pub fn new(view: &TraceView<'_>, truth: &GroundTruth, granularity: Granularity) -> Self {
-        Self::with_coverage(view, truth, granularity, DEFAULT_MIN_COVERAGE)
-    }
-
-    /// Indexes with an explicit coverage threshold.
-    pub fn with_coverage(
-        view: &TraceView<'_>,
-        truth: &GroundTruth,
-        granularity: Granularity,
-        min_coverage: f64,
-    ) -> Self {
         Self::build(
             |i| match granularity {
                 Granularity::Packet => i as u32,
@@ -50,7 +41,7 @@ impl GroundTruthMatcher {
                 Granularity::Biflow => view.flows.biflow_of(i),
             },
             truth,
-            min_coverage,
+            DEFAULT_MIN_COVERAGE,
         )
     }
 
@@ -319,9 +310,11 @@ mod tests {
     #[test]
     fn higher_coverage_threshold_detects_less() {
         let (lt, flows) = run();
-        let view = TraceView::new(&lt.trace, &flows);
-        let loose = GroundTruthMatcher::with_coverage(&view, &lt.truth, Granularity::Uniflow, 0.01);
-        let strict = GroundTruthMatcher::with_coverage(&view, &lt.truth, Granularity::Uniflow, 0.9);
+        let ids: Vec<u32> = (0..flows.packet_count())
+            .map(|i| flows.uniflow_of(i))
+            .collect();
+        let loose = GroundTruthMatcher::from_item_ids(&ids, &lt.truth, 0.01);
+        let strict = GroundTruthMatcher::from_item_ids(&ids, &lt.truth, 0.9);
         let all: Vec<u32> = (0..flows.uniflow_count() as u32).collect();
         assert!(strict.detected_by(&all).len() <= loose.detected_by(&all).len());
     }

@@ -65,7 +65,7 @@ impl Drop for WorkerGuard {
 /// True when the calling thread is one of these helpers' workers — a
 /// fan-out started here would run inline (see the module docs on the
 /// one-fan-out-level policy).
-pub fn in_worker() -> bool {
+fn in_worker() -> bool {
     IN_WORKER.with(|f| f.get())
 }
 

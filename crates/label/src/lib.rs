@@ -16,8 +16,6 @@
 //!   concise labels MAWILab publishes instead of raw alarms (§5, §6).
 //! * [`output`] — writers for a MAWILab-style CSV and an
 //!   admd-flavoured XML annotation file.
-//! * [`window`] — per-horizon [`LabeledWindow`]s of a day's labels,
-//!   all computed at end of stream.
 
 #![forbid(unsafe_code)]
 
@@ -26,7 +24,7 @@ pub mod heuristics;
 pub mod output;
 pub mod summary;
 pub mod taxonomy;
-pub mod window;
+mod window;
 
 pub use evidence::CommunityEvidence;
 pub use heuristics::{classify_packets, HeuristicCategory, HeuristicLabel, TrafficProfile};
@@ -34,7 +32,7 @@ pub use summary::{summarize_community, CommunitySummary};
 pub use taxonomy::{
     label_communities, label_communities_streaming, label_of, LabeledCommunity, MawilabLabel,
 };
-pub use window::{window_communities, LabeledWindow};
+pub use window::window_communities;
 // Re-exported so labeling callers can speak the confidence vocabulary
 // without a direct combiner dependency.
 pub use mawilab_combiner::{ConfidenceThresholds, ConfidenceTier, LabelConfidence};

@@ -1,23 +1,6 @@
-//! Per-horizon label windows.
-//!
-//! The online pipeline buckets a day's labels **per horizon window**.
-//! Every label is computed at end of stream (the detectors alarm in
-//! `finish()`), so the windows are a partition of the day's labels,
-//! not a feed that fills in early. [`LabeledWindow`] is one window:
-//! the communities whose span starts inside it.
+//! Bucketing a day's labels into fixed-width windows by span start.
 
 use crate::taxonomy::LabeledCommunity;
-use mawilab_model::TimeWindow;
-
-/// One horizon window's labels, as emitted by the online pipeline.
-#[derive(Debug, Clone)]
-pub struct LabeledWindow {
-    /// The horizon window `[start, end)` the labels cover.
-    pub window: TimeWindow,
-    /// Communities whose span starts in this window, in community
-    /// order.
-    pub communities: Vec<LabeledCommunity>,
-}
 
 /// Partitions labeled communities into `n_windows` horizon windows of
 /// `horizon_us` starting at `origin_us`. A community lands in the
@@ -25,6 +8,11 @@ pub struct LabeledWindow {
 /// horizon window; the start decides, so each community is published
 /// exactly once). Spans starting before `origin_us` fold into window
 /// 0, spans past the grid into the last window.
+///
+/// No pipeline calls this: MAWILab publishes one label set per
+/// archive day, after the whole trace. perfbench's traced drain still
+/// times it as its `label.windows` stage, and it goes once perfbench
+/// times the production drain instead.
 pub fn window_communities(
     origin_us: u64,
     horizon_us: u64,
@@ -50,6 +38,7 @@ mod tests {
     use crate::heuristics::HeuristicLabel;
     use crate::summary::CommunitySummary;
     use crate::taxonomy::MawilabLabel;
+    use mawilab_model::TimeWindow;
 
     fn community(id: usize, start_us: u64, len_us: u64) -> LabeledCommunity {
         LabeledCommunity {

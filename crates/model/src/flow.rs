@@ -143,60 +143,18 @@ impl fmt::Display for BiflowKey {
     }
 }
 
-/// Per-flow aggregate statistics, used by the Table-1 heuristics and
-/// the Hough detector.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct FlowStats {
-    /// Number of packets in the flow.
-    pub packets: u32,
-    /// Total bytes.
-    pub bytes: u64,
-    /// Packets with SYN set.
-    pub syn: u32,
-    /// Packets with RST set.
-    pub rst: u32,
-    /// Packets with FIN set.
-    pub fin: u32,
-    /// First packet timestamp (µs).
-    pub first_ts: u64,
-    /// Last packet timestamp (µs).
-    pub last_ts: u64,
-}
-
-impl FlowStats {
-    fn update(&mut self, p: &Packet) {
-        if self.packets == 0 {
-            self.first_ts = p.ts_us;
-        }
-        self.packets += 1;
-        self.bytes += p.len as u64;
-        self.syn += p.flags.is_syn() as u32;
-        self.rst += p.flags.is_rst() as u32;
-        self.fin += p.flags.is_fin() as u32;
-        self.last_ts = p.ts_us;
-    }
-
-    /// Flow duration in microseconds (0 for single-packet flows).
-    pub fn duration_us(&self) -> u64 {
-        self.last_ts.saturating_sub(self.first_ts)
-    }
-}
-
 /// Packet→flow index for one trace, at both flow granularities.
 ///
 /// Built in a single pass over the packets. Uniflow and biflow ids are
 /// assigned densely in order of first appearance, so they double as
-/// indices into the per-flow statistics vectors.
+/// indices into the key vectors.
 #[derive(Debug, Clone)]
 pub struct FlowTable {
     uni_of_packet: Vec<FlowId>,
     bi_of_packet: Vec<FlowId>,
     uni_keys: Vec<FlowKey>,
     bi_keys: Vec<BiflowKey>,
-    uni_stats: Vec<FlowStats>,
-    bi_stats: Vec<FlowStats>,
     uni_index: FastMap<FlowKey, FlowId>,
-    bi_index: FastMap<BiflowKey, FlowId>,
 }
 
 impl FlowTable {
@@ -207,28 +165,22 @@ impl FlowTable {
             bi_of_packet: Vec::with_capacity(packets.len()),
             uni_keys: Vec::new(),
             bi_keys: Vec::new(),
-            uni_stats: Vec::new(),
-            bi_stats: Vec::new(),
             uni_index: FastMap::default(),
-            bi_index: FastMap::default(),
         };
+        let mut bi_index: FastMap<BiflowKey, FlowId> = FastMap::default();
         for p in packets {
             let uk = FlowKey::of(p);
             let uid = *t.uni_index.entry(uk).or_insert_with(|| {
                 t.uni_keys.push(uk);
-                t.uni_stats.push(FlowStats::default());
                 (t.uni_keys.len() - 1) as FlowId
             });
-            t.uni_stats[uid as usize].update(p);
             t.uni_of_packet.push(uid);
 
             let bk = BiflowKey::from_flow(&uk);
-            let bid = *t.bi_index.entry(bk).or_insert_with(|| {
+            let bid = *bi_index.entry(bk).or_insert_with(|| {
                 t.bi_keys.push(bk);
-                t.bi_stats.push(FlowStats::default());
                 (t.bi_keys.len() - 1) as FlowId
             });
-            t.bi_stats[bid as usize].update(p);
             t.bi_of_packet.push(bid);
         }
         t
@@ -269,29 +221,9 @@ impl FlowTable {
         &self.bi_keys[id as usize]
     }
 
-    /// Statistics of uniflow `id`.
-    pub fn uniflow_stats(&self, id: FlowId) -> &FlowStats {
-        &self.uni_stats[id as usize]
-    }
-
-    /// Statistics of biflow `id`.
-    pub fn biflow_stats(&self, id: FlowId) -> &FlowStats {
-        &self.bi_stats[id as usize]
-    }
-
     /// Looks up the id of a unidirectional key, if seen in the trace.
     pub fn find_uniflow(&self, key: &FlowKey) -> Option<FlowId> {
         self.uni_index.get(key).copied()
-    }
-
-    /// Looks up the id of a bidirectional key, if seen in the trace.
-    pub fn find_biflow(&self, key: &BiflowKey) -> Option<FlowId> {
-        self.bi_index.get(key).copied()
-    }
-
-    /// All unidirectional keys, indexed by flow id.
-    pub fn uniflow_keys(&self) -> &[FlowKey] {
-        &self.uni_keys
     }
 }
 
@@ -446,31 +378,11 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate_flags_and_bytes() {
-        let t = FlowTable::build(&pkts());
-        let fwd = t.uniflow_of(0);
-        let s = t.uniflow_stats(fwd);
-        assert_eq!(s.packets, 2); // SYN + ACK
-        assert_eq!(s.syn, 1);
-        assert_eq!(s.bytes, 80);
-        assert_eq!(s.first_ts, 0);
-        assert_eq!(s.last_ts, 20);
-        assert_eq!(s.duration_us(), 20);
-
-        let bi = t.biflow_of(0);
-        let bs = t.biflow_stats(bi);
-        assert_eq!(bs.packets, 3);
-        assert_eq!(bs.syn, 2); // SYN + SYN/ACK
-    }
-
-    #[test]
     fn lookup_by_key_round_trips() {
         let t = FlowTable::build(&pkts());
         for (i, p) in pkts().iter().enumerate() {
             let uk = FlowKey::of(p);
             assert_eq!(t.find_uniflow(&uk), Some(t.uniflow_of(i)));
-            let bk = BiflowKey::of(p);
-            assert_eq!(t.find_biflow(&bk), Some(t.biflow_of(i)));
         }
         let missing = FlowKey {
             src: ip(250),
@@ -496,7 +408,6 @@ mod tests {
         assert_eq!(t.uniflow_of(0), 0);
         assert_eq!(t.uniflow_of(1), 1);
         assert_eq!(t.uniflow_of(3), 2);
-        assert_eq!(t.uniflow_keys().len(), t.uniflow_count());
     }
 
     #[test]

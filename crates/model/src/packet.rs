@@ -164,8 +164,7 @@ impl fmt::Display for TcpFlags {
 /// Timestamps are **microseconds since the Unix epoch** so that traces
 /// from different archive days compare directly. For ICMP packets the
 /// `sport`/`dport` fields carry the ICMP type and code respectively
-/// (a common trick in flow records, also used by the MAWI tooling);
-/// [`Packet::icmp_type`] / [`Packet::icmp_code`] expose them readably.
+/// (a common trick in flow records, also used by the MAWI tooling).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// Capture timestamp, µs since the Unix epoch.
@@ -236,16 +235,6 @@ impl Packet {
             proto: Protocol::Icmp,
             flags: TcpFlags::empty(),
         }
-    }
-
-    /// ICMP message type, if this is an ICMP packet.
-    pub fn icmp_type(&self) -> Option<u8> {
-        (self.proto == Protocol::Icmp).then_some(self.sport as u8)
-    }
-
-    /// ICMP message code, if this is an ICMP packet.
-    pub fn icmp_code(&self) -> Option<u8> {
-        (self.proto == Protocol::Icmp).then_some(self.dport as u8)
     }
 
     /// Source port if the protocol carries ports, else `None`.
@@ -326,10 +315,9 @@ mod tests {
     }
 
     #[test]
-    fn icmp_type_code_accessors() {
+    fn icmp_type_code_ride_in_the_port_fields_but_ports_are_hidden() {
         let p = Packet::icmp(0, ip(10, 0, 0, 1), ip(10, 0, 0, 2), 8, 0, 64);
-        assert_eq!(p.icmp_type(), Some(8));
-        assert_eq!(p.icmp_code(), Some(0));
+        assert_eq!((p.sport, p.dport), (8, 0));
         assert_eq!(p.src_port(), None);
         assert_eq!(p.dst_port(), None);
     }
@@ -347,7 +335,6 @@ mod tests {
         );
         assert_eq!(p.src_port(), Some(1234));
         assert_eq!(p.dst_port(), Some(80));
-        assert_eq!(p.icmp_type(), None);
     }
 
     #[test]

@@ -32,22 +32,6 @@ impl TrafficRule {
         TrafficRule::default()
     }
 
-    /// Rule pinning only the source host.
-    pub fn src_host(ip: Ipv4Addr) -> Self {
-        TrafficRule {
-            src: Some(ip),
-            ..Default::default()
-        }
-    }
-
-    /// Rule pinning only the destination host.
-    pub fn dst_host(ip: Ipv4Addr) -> Self {
-        TrafficRule {
-            dst: Some(ip),
-            ..Default::default()
-        }
-    }
-
     /// Rule pinning only the destination port (optionally protocol).
     pub fn dst_port(port: u16, proto: Option<Protocol>) -> Self {
         TrafficRule {
@@ -175,7 +159,11 @@ mod tests {
     #[test]
     fn generalizes_partial_order() {
         let any = TrafficRule::any();
-        let host = TrafficRule::src_host(ip(1));
+        let src_host = |i| TrafficRule {
+            src: Some(ip(i)),
+            ..Default::default()
+        };
+        let host = src_host(1);
         let full = TrafficRule {
             src: Some(ip(1)),
             dport: Some(80),
@@ -185,7 +173,7 @@ mod tests {
         assert!(host.generalizes(&full));
         assert!(any.generalizes(&full));
         assert!(!full.generalizes(&host));
-        assert!(!host.generalizes(&TrafficRule::src_host(ip(2))));
+        assert!(!host.generalizes(&src_host(2)));
         // Reflexive.
         assert!(full.generalizes(&full));
     }
@@ -203,7 +191,10 @@ mod tests {
     #[test]
     fn generalization_implies_match_superset() {
         // If a generalizes b and a packet matches b, it must match a.
-        let a = TrafficRule::dst_host(ip(2));
+        let a = TrafficRule {
+            dst: Some(ip(2)),
+            ..Default::default()
+        };
         let b = TrafficRule {
             dst: Some(ip(2)),
             dport: Some(80),

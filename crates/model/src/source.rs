@@ -74,9 +74,6 @@ pub enum SourceError {
     RewindUnsupported(&'static str),
     /// A zero chunk width was requested — time bins must be positive.
     InvalidChunkWidth(u64),
-    /// A zero horizon window width was requested — label windows must
-    /// be positive.
-    InvalidHorizonWidth(u64),
     /// A rule-mining support threshold outside `(0, 1]` was requested.
     InvalidMinSupport(f64),
     /// A Louvain resolution that is not positive was requested.
@@ -92,9 +89,6 @@ impl fmt::Display for SourceError {
             }
             SourceError::InvalidChunkWidth(w) => {
                 write!(f, "chunk bin width must be positive, got {w}")
-            }
-            SourceError::InvalidHorizonWidth(w) => {
-                write!(f, "horizon window width must be positive, got {w}")
             }
             SourceError::InvalidMinSupport(s) => {
                 write!(f, "rule support threshold must be in (0, 1], got {s}")

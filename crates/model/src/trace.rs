@@ -175,15 +175,6 @@ impl LinkEra {
             LinkEra::Full150Mbps
         }
     }
-
-    /// Nominal capacity in Mbps.
-    pub fn capacity_mbps(&self) -> f64 {
-        match self {
-            LinkEra::Car18Mbps => 18.0,
-            LinkEra::Full100Mbps => 100.0,
-            LinkEra::Full150Mbps => 150.0,
-        }
-    }
 }
 
 /// Metadata attached to a trace.
@@ -388,7 +379,6 @@ mod tests {
             LinkEra::for_date(TraceDate::new(2007, 6, 1)),
             LinkEra::Full150Mbps
         );
-        assert_eq!(LinkEra::Full150Mbps.capacity_mbps(), 150.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Similarity graph construction and community mining.
 
 use crate::extractor::{extract_traffic, intersection_size};
-use mawilab_detectors::{Alarm, DetectorKind, TraceView, Tuning};
+use mawilab_detectors::{Alarm, DetectorKind, TraceView};
 use mawilab_graph::{louvain, Graph, Partition};
 use mawilab_model::{FastMap, FastSet, Granularity};
 
@@ -183,7 +183,7 @@ pub struct AlarmCommunities {
     /// Granularity the traffic sets are expressed in.
     pub granularity: Granularity,
     /// Per-community member lists, computed once at construction —
-    /// `detectors_in` / `config_hit` / `community_window` and the vote
+    /// `detectors_in` / `community_window` and the vote
     /// table all iterate members repeatedly, and the former O(n)
     /// scan per call dominated labeling on alarm-heavy days.
     members: Vec<Vec<usize>>,
@@ -262,13 +262,6 @@ impl AlarmCommunities {
         kinds.sort();
         kinds.dedup();
         kinds
-    }
-
-    /// Whether configuration (detector, tuning) has ≥1 alarm in `c`.
-    pub fn config_hit(&self, c: usize, detector: DetectorKind, tuning: Tuning) -> bool {
-        self.members(c)
-            .iter()
-            .any(|&m| self.alarms[m].detector == detector && self.alarms[m].tuning == tuning)
     }
 
     /// Earliest-start / latest-end window over a community's alarms.
@@ -389,20 +382,6 @@ mod tests {
         let c = estimate_sets(sets, alarms);
         assert_eq!(c.community_count(), 1);
         assert_eq!(c.community_traffic(0), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn config_hit_distinguishes_tunings() {
-        let sets = vec![vec![1], vec![1]];
-        let alarms = vec![
-            mk_alarm(DetectorKind::Kl, Tuning::Optimal),
-            mk_alarm(DetectorKind::Kl, Tuning::Sensitive),
-        ];
-        let c = estimate_sets(sets, alarms);
-        assert!(c.config_hit(0, DetectorKind::Kl, Tuning::Optimal));
-        assert!(c.config_hit(0, DetectorKind::Kl, Tuning::Sensitive));
-        assert!(!c.config_hit(0, DetectorKind::Kl, Tuning::Conservative));
-        assert!(!c.config_hit(0, DetectorKind::Pca, Tuning::Optimal));
     }
 
     #[test]

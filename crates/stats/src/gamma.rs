@@ -63,22 +63,6 @@ impl Gamma {
         Some(Gamma::new(m * m / v, v / m))
     }
 
-    /// Natural log of the density at `x` (−∞ for `x ≤ 0`).
-    pub fn ln_pdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return f64::NEG_INFINITY;
-        }
-        (self.alpha - 1.0) * x.ln()
-            - x / self.beta
-            - ln_gamma(self.alpha)
-            - self.alpha * self.beta.ln()
-    }
-
-    /// Density at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        self.ln_pdf(x).exp()
-    }
-
     /// Draws one sample (Marsaglia–Tsang 2000; for α < 1 draws from
     /// Gamma(α+1) and applies the `U^{1/α}` boost).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
@@ -106,37 +90,6 @@ impl Gamma {
     }
 }
 
-/// Lanczos approximation of `ln Γ(x)` for `x > 0`
-/// (g = 7, n = 9 coefficients; |relative error| < 1e-13 on the domain
-/// the detector touches).
-pub fn ln_gamma(x: f64) -> f64 {
-    assert!(x > 0.0, "ln_gamma needs positive argument");
-    const G: f64 = 7.0;
-    const COEF: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    if x < 0.5 {
-        // Reflection formula keeps accuracy for small x.
-        let pi = std::f64::consts::PI;
-        return (pi / (pi * x).sin()).ln() - ln_gamma(1.0 - x);
-    }
-    let x = x - 1.0;
-    let mut a = COEF[0];
-    let t = x + G + 0.5;
-    for (i, &c) in COEF.iter().enumerate().skip(1) {
-        a += c / (x + i as f64);
-    }
-    0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,47 +97,10 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn ln_gamma_matches_factorials() {
-        // Γ(n) = (n-1)!
-        let facts: [f64; 7] = [1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0];
-        for (i, &f) in facts.iter().enumerate() {
-            let x = (i + 1) as f64;
-            assert!((ln_gamma(x) - f.ln()).abs() < 1e-10, "ln_gamma({x})");
-        }
-    }
-
-    #[test]
-    fn ln_gamma_half_is_sqrt_pi() {
-        assert!((ln_gamma(0.5) - std::f64::consts::PI.sqrt().ln()).abs() < 1e-10);
-    }
-
-    #[test]
     fn moments_match_parameters() {
         let g = Gamma::new(3.0, 2.0);
         assert_eq!(g.mean(), 6.0);
         assert_eq!(g.variance(), 12.0);
-    }
-
-    #[test]
-    fn pdf_integrates_to_one() {
-        let g = Gamma::new(2.5, 1.5);
-        // Trapezoidal integration on [0, 60].
-        let n = 60_000;
-        let h = 60.0 / n as f64;
-        let mut s = 0.0;
-        for i in 0..=n {
-            let x = i as f64 * h;
-            let w = if i == 0 || i == n { 0.5 } else { 1.0 };
-            s += w * g.pdf(x);
-        }
-        assert!((s * h - 1.0).abs() < 1e-6, "integral = {}", s * h);
-    }
-
-    #[test]
-    fn pdf_is_zero_for_nonpositive_x() {
-        let g = Gamma::new(2.0, 1.0);
-        assert_eq!(g.pdf(0.0), 0.0);
-        assert_eq!(g.pdf(-1.0), 0.0);
     }
 
     #[test]

@@ -42,46 +42,14 @@ impl Histogram {
 
     /// Adds one observation of `key`.
     pub fn add(&mut self, key: u64) {
-        self.add_weighted(key, 1);
-    }
-
-    /// Adds `w` observations of `key`.
-    pub fn add_weighted(&mut self, key: u64, w: u64) {
         let idx = self.bin_of(key);
-        self.counts[idx] += w;
-        self.total += w;
+        self.counts[idx] += 1;
+        self.total += 1;
     }
 
     /// Raw cell counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts
-    }
-
-    /// Count in the cell `key` folds into.
-    pub fn count_of(&self, key: u64) -> u64 {
-        self.counts[self.bin_of(key)]
-    }
-
-    /// Probability vector (uniform when empty so divergence against an
-    /// empty histogram stays finite).
-    pub fn probabilities(&self) -> Vec<f64> {
-        if self.total == 0 {
-            let p = 1.0 / self.counts.len() as f64;
-            return vec![p; self.counts.len()];
-        }
-        self.counts
-            .iter()
-            .map(|&c| c as f64 / self.total as f64)
-            .collect()
-    }
-
-    /// Shannon entropy in nats.
-    pub fn entropy(&self) -> f64 {
-        self.probabilities()
-            .iter()
-            .filter(|&&p| p > 0.0)
-            .map(|&p| -p * p.ln())
-            .sum()
     }
 
     /// Cells sorted by count, descending: `(bin index, count)`.
@@ -127,38 +95,7 @@ mod tests {
         h.add(42);
         h.add(42);
         h.add(42);
-        assert_eq!(h.count_of(42), 3);
-    }
-
-    #[test]
-    fn probabilities_sum_to_one() {
-        let mut h = Histogram::new(32);
-        for k in 0..1000u64 {
-            h.add_weighted(k, (k % 7) + 1);
-        }
-        let s: f64 = h.probabilities().iter().sum();
-        assert!((s - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_histogram_is_uniform() {
-        let h = Histogram::new(4);
-        assert_eq!(h.probabilities(), vec![0.25; 4]);
-        assert!((h.entropy() - (4.0f64).ln()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn concentrated_histogram_has_low_entropy() {
-        let mut concentrated = Histogram::new(64);
-        for _ in 0..1000 {
-            concentrated.add(7);
-        }
-        let mut spread = Histogram::new(64);
-        for k in 0..1000u64 {
-            spread.add(k * 2654435761);
-        }
-        assert!(concentrated.entropy() < spread.entropy());
-        assert_eq!(concentrated.entropy(), 0.0);
+        assert_eq!(h.counts()[h.bin_of(42)], 3);
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! Statistical substrate shared by the detectors, the synthetic-trace
 //! generator and the evaluation harness:
 //!
-//! * [`histogram`] — fixed-width feature histograms with probability
-//!   normalisation, as used by the KL-divergence detector.
+//! * [`histogram`] — fixed-width hashed feature histograms, as used
+//!   by the KL-divergence detector.
 //! * [`divergence`] — Kullback–Leibler (smoothed) and Jensen–Shannon
 //!   divergences between discrete distributions.
-//! * [`gamma`] — the Gamma(α, β) distribution: density, moments,
+//! * [`gamma`] — the Gamma(α, β) distribution: moments,
 //!   method-of-moments fitting (the estimator Dewaele et al.'s
 //!   multi-resolution detector relies on) and Marsaglia–Tsang sampling.
 //! * [`samplers`] — heavy-tail and counting distributions needed to
