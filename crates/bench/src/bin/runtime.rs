@@ -3,7 +3,9 @@
 //!
 //! Drains a real-size 900-second trace once through `OnlinePipeline`
 //! and reports its total wall clock (perfbench owns the per-stage
-//! profile). Use `--scale` to push the packet rate toward MAWI levels.
+//! profile) and the bytes the drain's evidence, horizon and unit
+//! index hold at end of stream. Use `--scale` to push the packet rate
+//! toward MAWI levels.
 //!
 //! ```sh
 //! cargo run --release -p mawilab-bench --bin runtime [-- --scale 1.0]
@@ -37,8 +39,9 @@ fn main() -> Result<(), SourceError> {
     let pipeline = OnlinePipeline::new(PipelineConfig::default());
     let mut sealed = NoRewindSource::new(TraceChunker::new(lt.trace, DEFAULT_CHUNK_US));
     let t1 = Instant::now();
-    let report = pipeline.run(&mut sealed)?.report;
+    let online = pipeline.run(&mut sealed)?;
     let total = t1.elapsed();
+    let (report, stats) = (&online.report, &online.stats);
 
     println!(
         "\n{} alarms → {} communities → {} anomalous",
@@ -52,6 +55,23 @@ fn main() -> Result<(), SourceError> {
             vec!["trace synthesis".into(), format!("{synth_time:?}")],
             vec!["pipeline total".into(), format!("{total:?}")],
         ],
+    );
+    let per_packet = |bytes: usize| bytes as f64 / stats.packets.max(1) as f64;
+    println!();
+    out::print_table(
+        &["drain state at end of stream", "bytes", "bytes/packet"],
+        &[
+            ("evidence", stats.evidence_bytes),
+            ("horizon records + unit keys", stats.horizon_bytes),
+            ("unit index", stats.unit_index_bytes),
+        ]
+        .map(|(part, bytes)| {
+            vec![
+                part.into(),
+                bytes.to_string(),
+                format!("{:.1}", per_packet(bytes)),
+            ]
+        }),
     );
     let claim_ok = total.as_secs() < 300;
     println!(

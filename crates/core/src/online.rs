@@ -6,10 +6,10 @@
 //! evidence gathering in the same pass: as each chunk streams past,
 //! each detector family observes it once *and* the
 //! extraction/labeling evidence is banked
-//! (traffic-unit ids from the incremental `ItemIndex`, 16-byte
-//! `(unit id, ts, direction)` records filed under those ids in the
-//! [`HorizonExtractor`], monoidal per-unit
-//! [`CommunityEvidence`] profiles). Nothing is ever re-read: a
+//! (traffic-unit ids from the incremental `ItemIndex`, 12-byte
+//! `(ts, direction, unit id)` records filed under those ids in the
+//! [`HorizonExtractor`], three counters per flow in
+//! [`CommunityEvidence`]). Nothing is ever re-read: a
 //! [`NoRewindSource`](mawilab_model::NoRewindSource)-wrapped source
 //! completes a whole archive sweep with zero rewind calls.
 //!
@@ -100,6 +100,15 @@ pub struct StreamStats {
     pub peak_chunk_packets: usize,
     /// Distinct traffic units assigned during extraction.
     pub items: usize,
+    /// Bytes of labeling evidence held at the end of the drain
+    /// ([`CommunityEvidence::heap_bytes`]).
+    pub evidence_bytes: usize,
+    /// Bytes of horizon records and unit keys held at the end of the
+    /// drain ([`HorizonExtractor::heap_bytes`]).
+    pub horizon_bytes: usize,
+    /// Bytes of the traffic-unit id index at the end of the drain
+    /// ([`ItemIndex::heap_bytes`]).
+    pub unit_index_bytes: usize,
 }
 
 /// Everything one single-pass run produced: the batch oracle's report
@@ -201,6 +210,9 @@ impl OnlinePipeline {
         // Every configuration finishes its own tuning over its group's
         // state; alarms come back in configuration order.
         let alarms = groups.finish();
+        stats.evidence_bytes = evidence.heap_bytes();
+        stats.horizon_bytes = horizon.heap_bytes();
+        stats.unit_index_bytes = index.heap_bytes();
 
         // End of stream: resolve the finished alarms against the
         // banked evidence.

@@ -6,10 +6,13 @@
 //! walk back over packets, so [`CommunityEvidence`] accumulates the
 //! same information chunk by chunk during the drain:
 //!
-//! * at flow granularities, one additive [`TrafficProfile`] per flow
-//!   — a community's profile is the merge over its flows' profiles,
-//!   identical to profiling its packet list because flows partition
-//!   packets and each community counts a flow at most once;
+//! * at flow granularities, three counters per flow (packets, SYN,
+//!   SYN/RST/FIN: 12 bytes). The flow's key, held by `ItemIndex`,
+//!   fixes its protocol and ports, so a community's profile is
+//!   rebuilt from its flows' counters and keys
+//!   ([`TrafficProfile::add_flow`]) — identical to profiling its
+//!   packet list because flows partition packets and each community
+//!   counts a flow at most once;
 //! * at packet granularity, a profile and a [`Transaction`] per
 //!   *matched* packet only (a packet-granularity traffic unit is in a
 //!   community exactly when the packet itself matched an alarm, so no
@@ -22,20 +25,25 @@
 //! state once extraction finalizes — landing on the same bytes as
 //! accumulating matched packets only.
 //!
-//! Memory is O(distinct flows) / O(matched packets), never O(trace)
-//! (deferred packet-granularity evidence peaks at O(packets in the
-//! lag's reach) before `retain_matched`).
+//! Memory is 12 bytes per distinct flow at flow granularities. At
+//! packet granularity it is O(packets): every packet's evidence is
+//! banked until `retain_matched` runs at end of stream, which leaves
+//! O(matched packets).
 
 use crate::heuristics::TrafficProfile;
 use mawilab_mining::Transaction;
 use mawilab_model::{FastMap, FastSet, Granularity, ItemIndex, Packet};
+use std::mem::size_of;
+
+/// `[packets, SYN packets, SYN/RST/FIN packets]` of one flow.
+type FlowCounts = [u32; 3];
 
 /// Per-traffic-unit evidence for heuristic and summary labeling.
 #[derive(Debug, Clone)]
 pub struct CommunityEvidence {
     granularity: Granularity,
-    /// Dense per-flow profiles (uniflow/biflow granularities).
-    flow_profiles: Vec<TrafficProfile>,
+    /// Dense per-flow counters (uniflow/biflow granularities).
+    flow_counts: Vec<FlowCounts>,
     /// Per-matched-packet profiles (packet granularity).
     packet_profiles: FastMap<u32, TrafficProfile>,
     /// Per-matched-packet transactions (packet granularity).
@@ -47,16 +55,16 @@ impl CommunityEvidence {
     pub fn new(granularity: Granularity) -> Self {
         CommunityEvidence {
             granularity,
-            flow_profiles: Vec::new(),
+            flow_counts: Vec::new(),
             packet_profiles: FastMap::default(),
             packet_transactions: FastMap::default(),
         }
     }
 
     /// Folds one chunk in. `ids[i]` is the traffic-unit id of
-    /// `packets[i]`. Flow granularities accumulate one profile per
-    /// flow. Packet granularity **defers**: it banks evidence for
-    /// *every* packet, to be filtered down by
+    /// `packets[i]`. Flow granularities count each flow's packets,
+    /// SYNs and SYN/RST/FINs. Packet granularity **defers**: it banks
+    /// evidence for *every* packet, to be filtered down by
     /// [`retain_matched`](Self::retain_matched) once extraction
     /// finalizes. Packet-granularity ids are unique per packet, so
     /// bank-then-filter lands on byte-identical state to
@@ -67,10 +75,14 @@ impl CommunityEvidence {
             Granularity::Uniflow | Granularity::Biflow => {
                 for (p, &id) in packets.iter().zip(ids) {
                     let idx = id as usize;
-                    if idx >= self.flow_profiles.len() {
-                        self.flow_profiles.resize(idx + 1, TrafficProfile::new());
+                    if idx >= self.flow_counts.len() {
+                        self.flow_counts.resize(idx + 1, [0; 3]);
                     }
-                    self.flow_profiles[idx].add(p);
+                    let f = p.flags;
+                    let counts = &mut self.flow_counts[idx];
+                    counts[0] += 1;
+                    counts[1] += u32::from(f.is_syn());
+                    counts[2] += u32::from(f.is_syn() || f.is_rst() || f.is_fin());
                 }
             }
             Granularity::Packet => {
@@ -95,14 +107,25 @@ impl CommunityEvidence {
     }
 
     /// Merged profile of a community's (sorted, deduplicated) traffic
-    /// ids — identical to profiling the community's packet list.
-    pub fn profile_of(&self, ids: &[u32]) -> TrafficProfile {
+    /// ids — identical to profiling the community's packet list. At
+    /// flow granularities each flow's protocol and ports come from its
+    /// key in `index`, the index that assigned the ids.
+    pub fn profile_of(&self, ids: &[u32], index: &ItemIndex) -> TrafficProfile {
         let mut out = TrafficProfile::new();
         match self.granularity {
-            Granularity::Uniflow | Granularity::Biflow => {
+            Granularity::Uniflow => {
                 for &id in ids {
-                    if let Some(p) = self.flow_profiles.get(id as usize) {
-                        out.merge(p);
+                    if let Some(&counts) = self.flow_counts.get(id as usize) {
+                        let k = index.uniflow_key(id);
+                        out.add_flow(k.proto, (k.sport, k.dport), counts);
+                    }
+                }
+            }
+            Granularity::Biflow => {
+                for &id in ids {
+                    if let Some(&counts) = self.flow_counts.get(id as usize) {
+                        let k = index.biflow_key(id);
+                        out.add_flow(k.proto, (k.aport, k.bport), counts);
                     }
                 }
             }
@@ -115,6 +138,15 @@ impl CommunityEvidence {
             }
         }
         out
+    }
+
+    /// Bytes the evidence holds: each table's capacity times its
+    /// element size (hash tables' control bytes not counted).
+    /// Deterministic for a given stream.
+    pub fn heap_bytes(&self) -> usize {
+        self.flow_counts.capacity() * size_of::<FlowCounts>()
+            + self.packet_profiles.capacity() * size_of::<(u32, TrafficProfile)>()
+            + self.packet_transactions.capacity() * size_of::<(u32, Transaction)>()
     }
 
     /// The Apriori transactions of a community's traffic ids, in id
@@ -184,8 +216,25 @@ mod tests {
         let mut community: Vec<u32> = ids.clone();
         community.sort_unstable();
         community.dedup();
-        let streamed = ev.profile_of(&community).classify();
-        assert_eq!(streamed, classify_packets(&pkts));
+        let streamed = ev.profile_of(&community, &index);
+        assert_eq!(streamed, TrafficProfile::collect(&pkts));
+        assert_eq!(streamed.classify(), classify_packets(&pkts));
+    }
+
+    #[test]
+    fn flow_evidence_holds_twelve_bytes_per_unit() {
+        let pkts: Vec<Packet> = (0..1000u16)
+            .map(|i| Packet::tcp(i as u64, ip(1), 1024 + i, ip(2), 80, TcpFlags::syn(), 48))
+            .collect();
+        for g in [Granularity::Uniflow, Granularity::Biflow] {
+            let mut index = ItemIndex::new(g);
+            let mut ids = Vec::new();
+            index.ids_of(&pkts, &mut ids);
+            let mut ev = CommunityEvidence::new(g);
+            ev.observe_units(&pkts, &ids);
+            assert_eq!(ev.flow_counts.len(), 1000, "{g}");
+            assert_eq!(ev.heap_bytes(), 12 * ev.flow_counts.capacity(), "{g}");
+        }
     }
 
     #[test]
@@ -205,11 +254,11 @@ mod tests {
 
         let matched_pkts: Vec<Packet> = matched.iter().map(|&i| pkts[i]).collect();
         assert_eq!(
-            deferred.profile_of(&community).packet_count(),
+            deferred.profile_of(&community, &index).packet_count(),
             community.len()
         );
         assert_eq!(
-            deferred.profile_of(&community).classify(),
+            deferred.profile_of(&community, &index).classify(),
             classify_packets(&matched_pkts)
         );
         let expected: Vec<Transaction> = matched_pkts.iter().map(Transaction::of_packet).collect();

@@ -106,15 +106,18 @@ impl fmt::Display for HeuristicLabel {
 /// rules consume (port shares, TCP flag ratios, ICMP share).
 ///
 /// Profiles are monoidal — [`add`](TrafficProfile::add) folds one
-/// packet in, [`merge`](TrafficProfile::merge) combines two profiles
-/// — so a community's profile can be assembled from per-flow
-/// profiles accumulated chunk by chunk during streaming ingest, and
-/// the result is bit-identical to profiling the community's packet
-/// list in one batch pass.
+/// packet in, [`add_flow`](TrafficProfile::add_flow) a whole flow,
+/// [`merge`](TrafficProfile::merge) combines two profiles — so a
+/// community's profile can be assembled from per-unit evidence
+/// accumulated chunk by chunk during streaming ingest, and the result
+/// is bit-identical to profiling the community's packet list in one
+/// batch pass.
 /// Counters are `u32` and port slots are keyed positionally by the
-/// static `TCP_PORTS`/`UDP_PORTS` tables: the streaming pipeline
-/// keeps one profile per live flow, so the struct is packed to 76
-/// bytes rather than carrying redundant port labels.
+/// static `TCP_PORTS`/`UDP_PORTS` tables (76 bytes). The streaming
+/// pipeline holds one profile per packet only at packet granularity.
+/// At flow granularities the key fixes the protocol and ports, so it
+/// holds three counters per flow and rebuilds the profile at label
+/// time through [`add_flow`](TrafficProfile::add_flow).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrafficProfile {
     total: u32,
@@ -172,6 +175,40 @@ impl TrafficProfile {
                 for (slot, &port) in self.port_udp.iter_mut().zip(UDP_PORTS.iter()) {
                     if pkt.sport == port || pkt.dport == port {
                         *slot += 1;
+                    }
+                }
+            }
+            Protocol::Other(_) => {}
+        }
+    }
+
+    /// Folds in a whole flow whose packets all carry protocol `proto`
+    /// and the port pair `ports` (either orientation: the port test is
+    /// symmetric, so a biflow's `(aport, bport)` works too). `counts`
+    /// is `[packets, SYN packets, SYN/RST/FIN packets]`; the flag
+    /// counts only count for TCP, as in [`add`](TrafficProfile::add).
+    /// Equal to [`add`](TrafficProfile::add)ing each of the flow's
+    /// packets.
+    pub fn add_flow(&mut self, proto: Protocol, ports: (u16, u16), counts: [u32; 3]) {
+        let [total, syn, ctrl] = counts;
+        self.total += total;
+        let touches = |port: u16| ports.0 == port || ports.1 == port;
+        match proto {
+            Protocol::Icmp => self.icmp += total,
+            Protocol::Tcp => {
+                self.tcp += total;
+                self.syn += syn;
+                self.ctrl += ctrl;
+                for (slot, &port) in self.port_tcp.iter_mut().zip(TCP_PORTS.iter()) {
+                    if touches(port) {
+                        *slot += total;
+                    }
+                }
+            }
+            Protocol::Udp => {
+                for (slot, &port) in self.port_udp.iter_mut().zip(UDP_PORTS.iter()) {
+                    if touches(port) {
+                        *slot += total;
                     }
                 }
             }

@@ -173,10 +173,10 @@ pub fn label_communities(
 ///
 /// Produces exactly what [`label_communities`] produces on the
 /// materialised trace: taxonomy labels come from the decisions
-/// (identical inputs), heuristic labels from merged per-unit
-/// [`crate::heuristics::TrafficProfile`]s (additive, so merge order
-/// is irrelevant), and summaries from the same transactions in the
-/// same sorted-id order. `fallback_window` replaces the batch path's
+/// (identical inputs), heuristic labels from per-unit evidence
+/// folded into one [`crate::heuristics::TrafficProfile`] (additive,
+/// so fold order is irrelevant), and summaries from the same
+/// transactions in the same sorted-id order. `fallback_window` replaces the batch path's
 /// `view.trace.meta.window()` for alarm-less communities.
 pub fn label_communities_streaming(
     fallback_window: TimeWindow,
@@ -200,7 +200,7 @@ pub fn label_communities_streaming(
     (0..communities.community_count())
         .map(|c| {
             let ids = communities.community_traffic(c);
-            let heuristic = evidence.profile_of(&ids).classify();
+            let heuristic = evidence.profile_of(&ids, index).classify();
             let txs = evidence.transactions_of(&ids, index);
             let mined = mine_rules(&txs, min_support);
             let summary = CommunitySummary {

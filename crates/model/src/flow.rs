@@ -311,6 +311,17 @@ impl ItemIndex {
         &self.bi_keys[id as usize]
     }
 
+    /// Bytes the index holds: its key maps and key tables, each at
+    /// capacity times element size (hash tables' control bytes not
+    /// counted). Deterministic for a given stream.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.uni_index.capacity() * size_of::<(FlowKey, FlowId)>()
+            + self.uni_keys.capacity() * size_of::<FlowKey>()
+            + self.bi_index.capacity() * size_of::<(BiflowKey, FlowId)>()
+            + self.bi_keys.capacity() * size_of::<BiflowKey>()
+    }
+
     /// Number of traffic units assigned so far.
     pub fn item_count(&self) -> usize {
         match self.granularity {

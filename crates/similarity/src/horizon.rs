@@ -7,14 +7,14 @@
 //! [`AlarmScope`](mawilab_detectors::AlarmScope) is a pure function of
 //! the 5-tuple ([`AlarmScope::matches_key`](mawilab_detectors::AlarmScope::matches_key))
 //! and alarm time windows only ever test `ts`, so the banked record is
-//! tiny — `(unit id, ts, direction)`, 16 bytes — and is filed under
-//! the unit id the caller already assigned (`ItemIndex`'s dense
-//! first-appearance id), so banking hashes nothing. The unit's 5-tuple
-//! is kept once, in a table indexed by unit id: the key of its first
-//! packet. All packets of one unit share that 5-tuple up to direction;
-//! a packet travelling the other way (a biflow reply) sets the
-//! record's direction flag. At packet granularity every unit is one
-//! record.
+//! tiny — `(ts, direction, unit id)`, 12 bytes, the direction in the
+//! timestamp word's top bit — and is filed under the unit id the
+//! caller already assigned (`ItemIndex`'s dense first-appearance id),
+//! so banking hashes nothing. The unit's 5-tuple is kept once, in a
+//! table indexed by unit id: the key of its first packet. All packets
+//! of one unit share that 5-tuple up to direction; a packet travelling
+//! the other way (a biflow reply) sets the record's direction bit. At
+//! packet granularity every unit is one record.
 //!
 //! The sliding horizon only decides how long records stay
 //! chunk-shaped: once the stream's high-water mark passes a chunk's
@@ -45,19 +45,48 @@ use mawilab_detectors::Alarm;
 use mawilab_model::{FastSet, FlowKey, Packet, TimeWindow};
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::mem::size_of;
 use std::ops::Range;
 
 /// Units per shard of the resolve fan-out.
 const UNIT_SHARD: usize = 1 << 14;
 
 /// One banked packet: everything alarm matching can ever ask about,
-/// given its unit's key.
+/// given its unit's key. Packed to 12 bytes (4-byte aligned), the
+/// horizon's per-packet cost.
 #[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
 struct Record {
-    ts_us: u64,
+    /// The packet's timestamp (µs), with [`REVERSE`] set when its
+    /// 5-tuple is the reverse of its unit's key.
+    ts_word: u64,
     unit: u32,
-    /// The packet's 5-tuple is the reverse of its unit's key.
-    reverse: bool,
+}
+
+/// The direction bit of [`Record::ts_word`]. Timestamps never reach
+/// it: a pcap timestamp is at most `u32::MAX` seconds plus
+/// `u32::MAX` µs, below 2^53 µs.
+const REVERSE: u64 = 1 << 63;
+
+impl Record {
+    fn new(ts_us: u64, unit: u32, reverse: bool) -> Self {
+        debug_assert!(
+            ts_us < REVERSE,
+            "timestamp {ts_us} µs reaches the direction bit"
+        );
+        Record {
+            ts_word: ts_us | if reverse { REVERSE } else { 0 },
+            unit,
+        }
+    }
+
+    fn ts_us(self) -> u64 {
+        self.ts_word & !REVERSE
+    }
+
+    fn reverse(self) -> bool {
+        self.ts_word & REVERSE != 0
+    }
 }
 
 /// A not-yet-retired chunk of records. Matching only ever tests a
@@ -130,6 +159,8 @@ impl HorizonExtractor {
     /// Banks one chunk of the drain. `ids[i]` must be the traffic-unit
     /// id of `packets[i]` (incremental `ItemIndex`, stream order), so
     /// all packets of one id share one 5-tuple up to direction.
+    /// Timestamps must stay below 2^63 µs, the record's direction bit
+    /// (a pcap timestamp is below 2^53 µs).
     pub fn observe(&mut self, chunk_window: TimeWindow, packets: &[Packet], ids: &[u32]) {
         assert_eq!(packets.len(), ids.len(), "one id per packet required");
         let mut records = Vec::with_capacity(packets.len());
@@ -153,11 +184,7 @@ impl HorizonExtractor {
                     false
                 }
             };
-            records.push(Record {
-                ts_us: p.ts_us,
-                unit,
-                reverse,
-            });
+            records.push(Record::new(p.ts_us, unit, reverse));
         }
         self.fresh.push_back(RawChunk {
             window: chunk_window,
@@ -184,6 +211,21 @@ impl HorizonExtractor {
     /// Number of packet records currently held raw (inside the lag).
     pub fn fresh_records(&self) -> u64 {
         self.fresh.iter().map(|c| c.records.len() as u64).sum()
+    }
+
+    /// Bytes the extractor holds: the banked records (logged and
+    /// still inside the lag) and the unit key table, each at capacity
+    /// times element size. Deterministic for a given stream.
+    pub fn heap_bytes(&self) -> usize {
+        let records = self.log.capacity()
+            + self
+                .fresh
+                .iter()
+                .map(|c| c.records.capacity())
+                .sum::<usize>();
+        records * size_of::<Record>()
+            + self.fresh.capacity() * size_of::<RawChunk>()
+            + self.keys.capacity() * size_of::<Option<FlowKey>>()
     }
 
     /// Resolves the finished alarm set against everything banked: the
@@ -213,7 +255,7 @@ impl HorizonExtractor {
         let log = std::mem::take(&mut self.log);
         group_by_bucket(
             log.iter()
-                .map(|r| (2 * r.unit as usize + usize::from(r.reverse), r.ts_us)),
+                .map(|r| (2 * r.unit as usize + usize::from(r.reverse()), r.ts_us())),
             2 * self.keys.len(),
         )
     }
@@ -533,38 +575,63 @@ mod tests {
     #[test]
     fn biflow_replies_match_through_the_reversed_key() {
         // A conversation whose first packet goes 1 → 2; only the reply
-        // (2 → 1) falls in the window of a `SrcHost(2)` alarm.
-        let meta = TraceMeta::standard(TraceDate::new(2004, 6, 2));
-        let base = meta.window().start_us;
-        let packets = [
-            Packet::tcp(base, ip(1), 1000, ip(2), 80, TcpFlags::syn(), 60),
-            Packet::tcp(
-                base + 2_000_000,
-                ip(2),
-                80,
-                ip(1),
-                1000,
-                TcpFlags::syn_ack(),
-                60,
-            ),
-        ];
-        let mk = |scope, start_s: u64, end_s: u64| Alarm {
-            detector: DetectorKind::Kl,
-            tuning: Tuning::Optimal,
-            window: TimeWindow::new(base + start_s * 1_000_000, base + end_s * 1_000_000),
-            scope,
-            score: 1.0,
-        };
-        let alarms = vec![
-            mk(AlarmScope::SrcHost(ip(2)), 1, 3),
-            mk(AlarmScope::SrcHost(ip(2)), 0, 1),
-            mk(AlarmScope::DstHost(ip(2)), 0, 3),
-        ];
-        let mut ex = HorizonExtractor::new(0);
-        ex.observe(TimeWindow::new(base, base + 5_000_000), &packets, &[0, 0]);
-        let out = ex.finalize(&alarms);
-        assert_eq!(out.traffic, vec![vec![0], vec![], vec![0]]);
-        assert_eq!(out.stats.units, 1);
+        // (2 → 1) falls in the window of a `SrcHost(2)` alarm. Run once
+        // on the archive day and once near the top of the pcap range
+        // (`u32::MAX` seconds), where the timestamp word's high bits
+        // sit right under the direction bit.
+        let day = TraceMeta::standard(TraceDate::new(2004, 6, 2))
+            .window()
+            .start_us;
+        let top = (u64::from(u32::MAX) - 5) * 1_000_000 + 999_999;
+        for base in [day, top] {
+            let packets = [
+                Packet::tcp(base, ip(1), 1000, ip(2), 80, TcpFlags::syn(), 60),
+                Packet::tcp(
+                    base + 2_000_000,
+                    ip(2),
+                    80,
+                    ip(1),
+                    1000,
+                    TcpFlags::syn_ack(),
+                    60,
+                ),
+            ];
+            let mk = |scope, start_s: u64, end_s: u64| Alarm {
+                detector: DetectorKind::Kl,
+                tuning: Tuning::Optimal,
+                window: TimeWindow::new(base + start_s * 1_000_000, base + end_s * 1_000_000),
+                scope,
+                score: 1.0,
+            };
+            let alarms = vec![
+                mk(AlarmScope::SrcHost(ip(2)), 1, 3),
+                mk(AlarmScope::SrcHost(ip(2)), 0, 1),
+                mk(AlarmScope::DstHost(ip(2)), 0, 3),
+                mk(AlarmScope::DstHost(ip(1)), 1, 3),
+            ];
+            let mut ex = HorizonExtractor::new(0);
+            ex.observe(TimeWindow::new(base, base + 5_000_000), &packets, &[0, 0]);
+            let reply = ex.log[1];
+            assert!(reply.reverse() && !ex.log[0].reverse(), "base {base}");
+            assert_eq!(reply.ts_us(), base + 2_000_000);
+            let out = ex.finalize(&alarms);
+            assert_eq!(
+                out.traffic,
+                vec![vec![0], vec![], vec![0], vec![0]],
+                "base {base}"
+            );
+            assert_eq!(out.stats.units, 1);
+        }
+    }
+
+    #[test]
+    fn records_are_twelve_bytes_and_keep_the_whole_unit_range() {
+        assert_eq!(size_of::<Record>(), 12);
+        let ts = u64::from(u32::MAX) * 1_000_000 + 999_999;
+        for (unit, reverse) in [(u32::MAX, true), (u32::MAX, false), (0, true)] {
+            let r = Record::new(ts, unit, reverse);
+            assert_eq!((r.ts_us(), { r.unit }, r.reverse()), (ts, unit, reverse));
+        }
     }
 
     #[test]

@@ -115,41 +115,47 @@ struct RunStore {
 impl RunStore {
     /// Builds `runs` runs from `(run, alarm)` pairs: a counting sort
     /// groups the pairs by run, then each run is sorted by window
-    /// start.
+    /// start and deduplicated in place, compacting the grouped array
+    /// into the store.
     fn build(pairs: &[(u32, u32)], runs: usize, alarms: &[Alarm]) -> Self {
-        let (starts, mut grouped) = group_by_bucket(
+        let (mut bounds, mut entries) = group_by_bucket(
             pairs.iter().map(|&(r, a)| {
                 let w = &alarms[a as usize].window;
                 (r as usize, (w.start_us, w.end_us, a))
             }),
             runs,
         );
-        let mut store = RunStore {
-            entries: Vec::with_capacity(pairs.len()),
-            prefix_max_end: Vec::with_capacity(pairs.len()),
-            bounds: Vec::with_capacity(runs + 1),
-        };
-        store.bounds.push(0);
+        let mut prefix_max_end = Vec::with_capacity(entries.len());
+        // Run `r` is read from `entries[read..bounds[r + 1]]` and
+        // written back from `write`, never ahead of the read.
+        let (mut read, mut write) = (0, 0);
         for r in 0..runs {
-            let run = &mut grouped[starts[r]..starts[r + 1]];
-            run.sort_unstable();
-            // A scope listing one flow key twice registers its alarm
-            // twice; the copies are equal entries, adjacent after the
-            // sort.
-            let from = store.entries.len();
-            for &e in run.iter() {
-                if store.entries.len() == from || store.entries.last() != Some(&e) {
-                    store.entries.push(e);
-                }
-            }
+            let end = bounds[r + 1];
+            entries[read..end].sort_unstable();
+            bounds[r] = write;
             let mut max_end = 0u64;
-            for &(_, end, _) in &store.entries[from..] {
-                max_end = max_end.max(end);
-                store.prefix_max_end.push(max_end);
+            for i in read..end {
+                let e = entries[i];
+                // A scope listing one flow key twice registers its
+                // alarm twice; the copies are equal entries, adjacent
+                // after the sort.
+                if write > bounds[r] && entries[write - 1] == e {
+                    continue;
+                }
+                entries[write] = e;
+                write += 1;
+                max_end = max_end.max(e.1);
+                prefix_max_end.push(max_end);
             }
-            store.bounds.push(store.entries.len());
+            read = end;
         }
-        store
+        bounds[runs] = write;
+        entries.truncate(write);
+        RunStore {
+            entries,
+            prefix_max_end,
+            bounds,
+        }
     }
 
     fn get(&self, run: u32) -> AlarmRun<'_> {
@@ -384,7 +390,7 @@ mod tests {
     fn candidates_agree_with_direct_matching() {
         let w1 = TimeWindow::new(0, 100);
         let w2 = TimeWindow::new(50, 150);
-        let alarms = vec![
+        let mut alarms = vec![
             alarm(AlarmScope::SrcHost(ip(1)), w1),
             alarm(AlarmScope::DstHost(ip(2)), w2),
             alarm(AlarmScope::FlowSet(vec![key(1, 10, 2, 20)]), w1),
@@ -404,16 +410,47 @@ mod tests {
                 }),
                 TimeWindow::new(10, 20),
             ),
+            // A FlowSet listing one key twice.
+            alarm(
+                AlarmScope::FlowSet(vec![key(3, 5, 4, 99), key(3, 5, 4, 99)]),
+                w1,
+            ),
+            // One key named by several alarms, windows arriving out of
+            // order.
+            alarm(
+                AlarmScope::FlowSet(vec![key(5, 1, 6, 2)]),
+                TimeWindow::new(120, 160),
+            ),
+            alarm(
+                AlarmScope::FlowSet(vec![key(5, 1, 6, 2), key(1, 10, 2, 20)]),
+                TimeWindow::new(40, 60),
+            ),
+            alarm(
+                AlarmScope::FlowSet(vec![key(5, 1, 6, 2)]),
+                TimeWindow::new(0, 15),
+            ),
         ];
+        // A rule shared by many alarms, latest window first.
+        let shared = TrafficRule {
+            sport: Some(5),
+            ..Default::default()
+        };
+        for i in (0..12u64).rev() {
+            let window = TimeWindow::new(i * 13, i * 13 + 20);
+            alarms.push(alarm(AlarmScope::Rule(shared), window));
+        }
         let index = AlarmIndex::new(&alarms);
         let keys = [
             key(1, 10, 2, 20),
             key(3, 5, 4, 99),
             key(3, 5, 4, 98),
+            key(5, 1, 6, 2),
             key(9, 9, 9, 9),
         ];
         for k in &keys {
-            for ts in [0u64, 10, 49, 50, 99, 100, 149, 200] {
+            for ts in [
+                0u64, 10, 14, 15, 49, 50, 59, 99, 100, 121, 149, 159, 160, 200,
+            ] {
                 let got = stabbed(&index, k, &[ts]);
                 let want: Vec<u32> = alarms
                     .iter()

@@ -5,9 +5,13 @@ use mawilab::combiner::{
     Average, CombinationStrategy, MajorityVote, Maximum, Minimum, Scann, VoteTable,
 };
 use mawilab::graph::{louvain, modularity, Graph, Partition};
+use mawilab::label::{CommunityEvidence, TrafficProfile};
 use mawilab::mining::{apriori, Transaction};
 use mawilab::model::pcap::{read_pcap, write_pcap};
-use mawilab::model::{BiflowKey, FlowKey, Packet, Protocol, TcpFlags, Trace, TraceDate, TraceMeta};
+use mawilab::model::{
+    BiflowKey, FlowKey, Granularity, ItemIndex, Packet, Protocol, TcpFlags, Trace, TraceDate,
+    TraceMeta,
+};
 use mawilab::similarity::SimilarityMeasure;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -202,6 +206,84 @@ proptest! {
         for d in Scann::default().classify(&table) {
             if let Some(rel) = d.relative_distance {
                 prop_assert!(rel >= 0.0);
+            }
+        }
+    }
+}
+
+/// Every Table-1 port, and two that no rule names.
+const PROFILE_PORTS: [u16; 15] = [
+    1023, 5554, 9898, 135, 445, 139, 80, 8080, 20, 21, 22, 53, 137, 40000, 0,
+];
+
+/// Packets over four hosts and the Table-1 ports, so flows repeat,
+/// biflows see both directions, and a rule's port sits on either
+/// side. Every protocol carries arbitrary flag bits.
+fn arb_profile_packet() -> impl Strategy<Value = Packet> {
+    (
+        0u64..1_000,
+        0u8..4,
+        0u8..4,
+        0..PROFILE_PORTS.len(),
+        0..PROFILE_PORTS.len(),
+        0u8..4,
+        any::<u8>(),
+    )
+        .prop_map(|(ts, src, dst, sport, dport, proto, flags)| Packet {
+            ts_us: ts,
+            src: Ipv4Addr::new(10, 0, 0, src),
+            dst: Ipv4Addr::new(10, 0, 0, dst),
+            sport: PROFILE_PORTS[sport],
+            dport: PROFILE_PORTS[dport],
+            len: 60,
+            proto: match proto {
+                0 => Protocol::Tcp,
+                1 => Protocol::Udp,
+                2 => Protocol::Icmp,
+                _ => Protocol::Other(47),
+            },
+            flags: TcpFlags(flags),
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A community's profile rebuilt from per-flow counters and flow
+    /// keys equals profiling its packets, at uniflow and biflow
+    /// granularity, and so does its Table-1 label.
+    #[test]
+    fn derived_flow_profiles_equal_packet_profiles(
+        packets in prop::collection::vec(arb_profile_packet(), 0..80),
+        split in 0usize..80,
+        pick in any::<u64>(),
+    ) {
+        for g in [Granularity::Uniflow, Granularity::Biflow] {
+            let mut index = ItemIndex::new(g);
+            let mut ids = Vec::new();
+            index.ids_of(&packets, &mut ids);
+            let mut evidence = CommunityEvidence::new(g);
+            let cut = split.min(packets.len());
+            evidence.observe_units(&packets[..cut], &ids[..cut]);
+            evidence.observe_units(&packets[cut..], &ids[cut..]);
+            let mut units = ids.clone();
+            units.sort_unstable();
+            units.dedup();
+            // The whole trace, and the community of the units `pick`
+            // selects.
+            let community: Vec<u32> =
+                units.iter().copied().filter(|&u| pick >> (u % 64) & 1 == 1).collect();
+            let members: Vec<Packet> = packets
+                .iter()
+                .zip(&ids)
+                .filter(|(_, id)| community.binary_search(id).is_ok())
+                .map(|(p, _)| *p)
+                .collect();
+            for (units, packets) in [(&units, &packets), (&community, &members)] {
+                let derived = evidence.profile_of(units, &index);
+                let direct = TrafficProfile::collect(packets.iter());
+                prop_assert_eq!(&derived, &direct, "{}", g);
+                prop_assert_eq!(derived.classify(), direct.classify(), "{}", g);
             }
         }
     }
