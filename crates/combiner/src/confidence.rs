@@ -1,4 +1,5 @@
-//! Per-label confidence from combiner evidence (ROADMAP item 2).
+//! Per-label confidence from combiner evidence (ROADMAP, "Explain
+//! every label").
 //!
 //! A hard accept/reject throws away most of what the combiner knows:
 //! how many of the paper's four strategies concur, how far SCANN

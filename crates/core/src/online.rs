@@ -96,7 +96,9 @@ pub struct StreamStats {
     /// Packets the drain consumed.
     pub packets: u64,
     /// Largest number of packets alive at once — the size of the
-    /// biggest single chunk. This is the constant-memory bound.
+    /// biggest single chunk. It bounds the packets held, not the
+    /// drain's memory: the evidence, horizon and unit-index bytes
+    /// below grow with the stream.
     pub peak_chunk_packets: usize,
     /// Distinct traffic units assigned during extraction.
     pub items: usize,

@@ -213,7 +213,7 @@ impl MawilabPipeline {
     /// [`PipelineConfig::validate`]; the message is the typed error's.
     pub fn run(&self, trace: &Trace) -> PipelineReport {
         if let Err(e) = self.config.validate() {
-            panic!("invalid pipeline configuration: {e}"); // lint:allow(panic-free-data-plane): the batch oracle's run returns no Result yet (ROADMAP item 7); this is the documented early panic that replaces the asserts in mining and Louvain
+            panic!("invalid pipeline configuration: {e}"); // lint:allow(panic-free-data-plane): the batch oracle's run returns no Result yet (ROADMAP, "perfbench traces the production drain"); this is the documented early panic that replaces the asserts in mining and Louvain
         }
         let flows = FlowTable::build(&trace.packets);
         let view = TraceView::new(trace, &flows);

@@ -102,12 +102,6 @@ impl Matrix {
         out
     }
 
-    /// Matrix–vector product.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(self.cols, v.len(), "dimension mismatch");
-        (0..self.rows).map(|i| dot(self.row(i), v)).collect()
-    }
-
     /// Gram matrix `selfᵀ × self` (symmetric `cols × cols`), computed
     /// without materialising the transpose.
     pub fn gram(&self) -> Matrix {
@@ -135,16 +129,6 @@ impl Matrix {
     /// Frobenius norm.
     pub fn frobenius(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Elementwise maximum absolute difference to another matrix.
-    pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
     }
 }
 
@@ -204,6 +188,24 @@ impl fmt::Debug for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Matrix {
+        /// Matrix–vector product.
+        pub(crate) fn matvec(&self, v: &[f64]) -> Vec<f64> {
+            assert_eq!(self.cols, v.len(), "dimension mismatch");
+            (0..self.rows).map(|i| dot(self.row(i), v)).collect()
+        }
+
+        /// Elementwise maximum absolute difference to another matrix.
+        pub(crate) fn max_abs_diff(&self, other: &Matrix) -> f64 {
+            assert_eq!((self.rows, self.cols), (other.rows, other.cols));
+            self.data
+                .iter()
+                .zip(&other.data)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0, f64::max)
+        }
+    }
 
     #[test]
     fn identity_times_anything_is_identity_map() {

@@ -39,7 +39,8 @@ pub enum PcaComponents {
 pub struct Pca {
     mean: Vec<f64>,
     scale: Vec<f64>,
-    /// Principal axes as columns, `vars × k`.
+    /// Principal axes as rows, `k × vars`, so each projection reads
+    /// one contiguous row.
     components: Matrix,
     /// Variance explained by each retained component.
     explained: Vec<f64>,
@@ -129,7 +130,7 @@ impl Pca {
         Pca {
             mean,
             scale,
-            components: eig.vectors,
+            components: eig.vectors.transpose(),
             explained: eig.values.iter().map(|&l| l.max(0.0)).collect(),
             total_variance,
         }
@@ -146,12 +147,11 @@ impl Pca {
     /// subspace sizes of one matrix fit it once.
     pub fn truncate(&self, k: usize) -> Self {
         let k = k.clamp(1, self.k());
-        let vars = self.components.rows();
-        let mut components = Matrix::zeros(vars, k);
+        let mut components = Matrix::zeros(k, self.components.cols());
         for j in 0..k {
-            for i in 0..vars {
-                components[(i, j)] = self.components[(i, j)];
-            }
+            components
+                .row_mut(j)
+                .copy_from_slice(self.components.row(j));
         }
         Pca {
             mean: self.mean.clone(),
@@ -164,20 +164,12 @@ impl Pca {
 
     /// Number of retained components.
     pub fn k(&self) -> usize {
-        self.components.cols()
+        self.components.rows()
     }
 
     /// Variance explained by each retained component.
     pub fn explained(&self) -> &[f64] {
         &self.explained
-    }
-
-    /// Fraction of total variance captured by the retained subspace.
-    pub fn explained_fraction(&self) -> f64 {
-        if self.total_variance <= 0.0 {
-            return 1.0;
-        }
-        self.explained.iter().sum::<f64>() / self.total_variance
     }
 
     fn standardise(&self, row: &[f64]) -> Vec<f64> {
@@ -188,13 +180,18 @@ impl Pca {
             .collect()
     }
 
+    /// Scores of a standardised observation: its dot product with
+    /// each principal axis.
+    fn scores(&self, z: &[f64]) -> Vec<f64> {
+        (0..self.k())
+            .map(|j| dot(z, self.components.row(j)))
+            .collect()
+    }
+
     /// Scores (coordinates in the principal subspace) of one
     /// observation.
     pub fn transform(&self, row: &[f64]) -> Vec<f64> {
-        let z = self.standardise(row);
-        (0..self.k())
-            .map(|j| dot(&z, &self.components.col(j)))
-            .collect()
+        self.scores(&self.standardise(row))
     }
 
     /// The residual vector of one observation: its standardised form
@@ -203,39 +200,43 @@ impl Pca {
     /// subspace — the sketch-bin localisation signal of the PCA
     /// detector.
     pub fn residual(&self, row: &[f64]) -> Vec<f64> {
-        let z = self.standardise(row);
-        let scores: Vec<f64> = (0..self.k())
-            .map(|j| dot(&z, &self.components.col(j)))
-            .collect();
-        let mut e = z;
+        let mut e = self.standardise(row);
+        let scores = self.scores(&e);
         for (j, &s) in scores.iter().enumerate() {
-            let comp = self.components.col(j);
-            for (ei, &cj) in e.iter_mut().zip(&comp) {
+            for (ei, &cj) in e.iter_mut().zip(self.components.row(j)) {
                 *ei -= s * cj;
             }
         }
         e
-    }
-
-    /// Squared prediction error (SPE / Q-statistic): squared norm of
-    /// the observation's residual outside the principal subspace. This
-    /// is the anomaly score of the subspace method.
-    pub fn residual_sq(&self, row: &[f64]) -> f64 {
-        let z = self.standardise(row);
-        let scores = (0..self.k())
-            .map(|j| dot(&z, &self.components.col(j)))
-            .collect::<Vec<f64>>();
-        let mut resid_sq = dot(&z, &z);
-        for s in scores {
-            resid_sq -= s * s;
-        }
-        resid_sq.max(0.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Pca {
+        /// Fraction of total variance captured by the retained
+        /// subspace.
+        fn explained_fraction(&self) -> f64 {
+            if self.total_variance <= 0.0 {
+                return 1.0;
+            }
+            self.explained.iter().sum::<f64>() / self.total_variance
+        }
+
+        /// Squared prediction error (SPE / Q-statistic): squared norm
+        /// of the observation's residual outside the principal
+        /// subspace.
+        fn residual_sq(&self, row: &[f64]) -> f64 {
+            let z = self.standardise(row);
+            let mut resid_sq = dot(&z, &z);
+            for s in self.scores(&z) {
+                resid_sq -= s * s;
+            }
+            resid_sq.max(0.0)
+        }
+    }
 
     /// Observations lying (noisily) on the line y = x: one dominant
     /// component.

@@ -77,24 +77,26 @@ impl Svd {
     pub fn rank(&self) -> usize {
         self.sigma.len()
     }
-
-    /// Reconstructs `U Σ Vᵀ`.
-    pub fn reconstruct(&self) -> Matrix {
-        let r = self.rank();
-        let mut us = self.u.clone();
-        for j in 0..r {
-            for i in 0..us.rows() {
-                us[(i, j)] *= self.sigma[j];
-            }
-        }
-        us.matmul(&self.v.transpose())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::matrix::dot;
+
+    impl Svd {
+        /// Reconstructs `U Σ Vᵀ`.
+        fn reconstruct(&self) -> Matrix {
+            let r = self.rank();
+            let mut us = self.u.clone();
+            for j in 0..r {
+                for i in 0..us.rows() {
+                    us[(i, j)] *= self.sigma[j];
+                }
+            }
+            us.matmul(&self.v.transpose())
+        }
+    }
 
     #[test]
     fn reconstructs_full_rank_matrix() {
