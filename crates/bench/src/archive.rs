@@ -9,6 +9,8 @@
 //! churn, drift, monthly trajectory, era transitions, outbreak
 //! response) next to each day's wall and throughput and the sweep's
 //! peak RSS. Generation and per-stage timings belong to perfbench.
+//! The document is one `out::Json` tree built by `archive_json` and
+//! written by `Json::render`.
 //! This is the repo's month-scale answer to the operational question
 //! the paper's Figs. 7–8 raise: do the labels stay put while the
 //! archive changes under the pipeline?
@@ -18,14 +20,16 @@
 //! in-process and assert the schema.
 
 use crate::harness::{peak_rss_kb, run_days_wrapped, DayContext, DayFailure, NoWrap, SourceWrap};
+use crate::out::{obj, Json};
 use mawilab_combiner::ConfidenceThresholds;
-use mawilab_core::{PipelineConfig, StrategyKind};
+use mawilab_core::{PipelineConfig, StrategyKind, StreamStats};
 use mawilab_eval::ground_truth::DEFAULT_MIN_COVERAGE;
 use mawilab_eval::{stability_report, DaySummary, GroundTruthMatcher, StabilityReport, WormStatus};
 use mawilab_label::MawilabLabel;
 use mawilab_model::{LinkEra, TraceDate, DEFAULT_CHUNK_US};
 use mawilab_synth::AnomalyKind;
 use std::collections::HashSet;
+use std::io;
 
 /// The pipeline configuration every archive sweep runs with: the
 /// default pipeline plus the default dual confidence thresholds, so
@@ -140,14 +144,8 @@ pub fn default_month_days() -> Vec<TraceDate> {
 pub struct ArchiveDayRecord {
     /// The stability-relevant reduction of the day.
     pub summary: DaySummary,
-    /// Packets of the stream.
-    pub packets: u64,
-    /// Chunks of the stream.
-    pub chunks: usize,
-    /// Largest single chunk.
-    pub peak_chunk_packets: usize,
-    /// Traffic units seen.
-    pub items: usize,
+    /// The drain's ingest statistics.
+    pub stats: StreamStats,
     /// Alarms raised.
     pub alarms: usize,
     /// Communities found.
@@ -165,12 +163,10 @@ pub struct ArchiveDayRecord {
     /// Wall-clock of the single-pass drain, seconds (generation
     /// excluded; see [`DayContext::wall`]).
     pub wall_s: f64,
-    /// Drain throughput, packets/second.
-    pub pps: f64,
 }
 
 fn reduce_day(ctx: &DayContext<'_>) -> ArchiveDayRecord {
-    let (report, stats) = (ctx.report, ctx.stats);
+    let report = ctx.report;
 
     // Every strategy's verdict on the day's vote table — the flips
     // between them day over day are a headline stability metric.
@@ -225,21 +221,15 @@ fn reduce_day(ctx: &DayContext<'_>) -> ArchiveDayRecord {
         agreement_hist[agree] += 1;
     }
 
-    let summary = DaySummary::new(ctx.date, &report.labeled.communities, &strategies, worms);
-    let wall_s = ctx.wall.as_secs_f64();
     ArchiveDayRecord {
-        packets: stats.packets,
-        chunks: stats.chunks,
-        peak_chunk_packets: stats.peak_chunk_packets,
-        items: stats.items,
+        summary: DaySummary::new(ctx.date, &report.labeled.communities, &strategies, worms),
+        stats: *ctx.stats,
         alarms: report.alarm_count(),
         communities: report.community_count(),
         anomalous: report.labeled.count(MawilabLabel::Anomalous),
         tier_counts,
         agreement_hist,
-        wall_s,
-        pps: stats.packets as f64 / wall_s.max(1e-9),
-        summary,
+        wall_s: ctx.wall.as_secs_f64(),
     }
 }
 
@@ -320,10 +310,10 @@ pub fn deterministic_view(outcome: &ArchiveOutcome) -> String {
                 "{} packets={} chunks={} peak={} items={} alarms={} communities={} \
                  anomalous={} tiers={:?} agreement={:?} summary={:?}",
                 r.summary.date,
-                r.packets,
-                r.chunks,
-                r.peak_chunk_packets,
-                r.items,
+                r.stats.packets,
+                r.stats.chunks,
+                r.stats.peak_chunk_packets,
+                r.stats.items,
                 r.alarms,
                 r.communities,
                 r.anomalous,
@@ -339,34 +329,6 @@ pub fn deterministic_view(outcome: &ArchiveOutcome) -> String {
         outcome.failed,
         outcome.stability
     )
-}
-
-fn f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        // Belt and braces: the metrics are built to be finite; a
-        // non-finite value must not silently corrupt the JSON.
-        "null".to_string()
-    }
-}
-
-/// Escapes free-form text (error messages carry OS-supplied strings)
-/// for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Link-era boundaries crossed by consecutive days of a sample.
@@ -386,286 +348,168 @@ fn era_boundaries_evaluated(outcome: &ArchiveOutcome) -> usize {
     era_boundaries_crossed(&dates)
 }
 
-/// Formats the top-level `confidence` block: the thresholds the sweep
-/// labeled under, pooled tier populations (summing to the pooled
-/// community count), the pooled strategy-agreement histogram, and the
-/// headline churn comparison — all matches versus the
+/// The benchmark JSON document. Next to the per-day records and the
+/// stability report sits the `confidence` block: the thresholds the
+/// sweep labeled under, pooled tier populations (summing to the
+/// pooled community count), the pooled strategy-agreement histogram,
+/// and the headline churn comparison — all matches versus the
 /// confidently-labeled subset. The abstention tier earns its place
 /// when `churn_confident` sits below `churn_all`.
-fn format_confidence_json(outcome: &ArchiveOutcome) -> String {
+fn archive_json(args: &ArchiveBenchArgs, outcome: &ArchiveOutcome) -> Json {
+    let ArchiveOutcome {
+        records,
+        failed,
+        stability,
+    } = outcome;
     let thresholds = archive_config()
         .confidence_thresholds
         .expect("archive sweeps always label with thresholds");
     let mut tiers = [0u64; 3];
     let mut agreement = [0u64; 5];
-    let mut communities = 0u64;
-    for r in &outcome.records {
+    let mut communities = 0usize;
+    for r in records {
         for (t, n) in tiers.iter_mut().zip(&r.tier_counts) {
             *t += n;
         }
         for (a, n) in agreement.iter_mut().zip(&r.agreement_hist) {
             *a += n;
         }
-        communities += r.communities as u64;
+        communities += r.communities;
     }
-    let hist: Vec<String> = agreement.iter().map(|n| n.to_string()).collect();
-    format!(
-        "{{\n    \"thresholds\": {{\"low\": {}, \"high\": {}}},\n    \
-         \"communities\": {},\n    \
-         \"tiers\": {{\"anomalous\": {}, \"uncertain\": {}, \"benign\": {}}},\n    \
-         \"agreement_hist\": [{}],\n    \
-         \"churn_all\": {},\n    \"churn_confident\": {}\n  }}",
-        f(thresholds.low),
-        f(thresholds.high),
-        communities,
-        tiers[0],
-        tiers[1],
-        tiers[2],
-        hist.join(", "),
-        f(outcome.stability.label_churn),
-        f(outcome.stability.label_churn_confident),
-    )
-}
-
-/// Formats the benchmark JSON document.
-fn format_archive_json(args: &ArchiveBenchArgs, outcome: &ArchiveOutcome) -> String {
-    let ArchiveOutcome {
-        records,
-        failed,
-        stability,
-    } = outcome;
-    let day_rows: Vec<String> = records
-        .iter()
-        .map(|r| {
-            let worms: Vec<String> = r
-                .summary
-                .worms
-                .iter()
-                .map(|w| {
-                    format!(
-                        "{{\"worm\": \"{}\", \"labeled_anomalous\": {}}}",
-                        w.worm, w.labeled_anomalous
-                    )
-                })
-                .collect();
-            format!(
-                "    {{\"date\": \"{}\", \"packets\": {}, \"chunks\": {}, \
-                 \"peak_chunk_packets\": {}, \"items\": {}, \"alarms\": {}, \
-                 \"communities\": {}, \"anomalous\": {}, \"identities\": {}, \
-                 \"tiers\": [{}, {}, {}], \"strategy_agreement\": [{}], \
-                 \"wall_s\": {}, \"packets_per_s\": {}, \"worms\": [{}]}}",
-                r.summary.date,
-                r.packets,
-                r.chunks,
-                r.peak_chunk_packets,
-                r.items,
-                r.alarms,
-                r.communities,
-                r.anomalous,
-                r.summary.labels.len(),
-                r.tier_counts[0],
-                r.tier_counts[1],
-                r.tier_counts[2],
-                r.agreement_hist
-                    .iter()
-                    .map(|n| n.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                f(r.wall_s),
-                f(r.pps),
-                worms.join(", "),
-            )
-        })
-        .collect();
-
-    let failed_rows: Vec<String> = failed
-        .iter()
-        .map(|(date, error)| {
-            format!(
-                "    {{\"date\": \"{}\", \"error\": \"{}\"}}",
-                date,
-                json_escape(error)
-            )
-        })
-        .collect();
-
-    let pair_rows: Vec<String> = stability
-        .pairs
-        .iter()
-        .map(|p| {
-            let strategies: Vec<String> = p
-                .strategies
-                .iter()
-                .map(|s| {
-                    format!(
-                        "{{\"strategy\": \"{}\", \"matched\": {}, \"flips\": {}, \
-                         \"flip_rate\": {}}}",
-                        s.strategy,
-                        s.matched,
-                        s.flips,
-                        f(s.flip_rate())
-                    )
-                })
-                .collect();
-            format!(
-                "      {{\"from\": \"{}\", \"to\": \"{}\", \"gap_days\": {}, \
-                 \"matched\": {}, \"label_flips\": {}, \"churn\": {}, \
-                 \"matched_confident\": {}, \"label_flips_confident\": {}, \
-                 \"churn_confident\": {}, \
-                 \"jaccard_anomalous\": {}, \"jaccard_drift\": {}, \
-                 \"strategies\": [{}]}}",
-                p.from,
-                p.to,
-                p.gap_days,
-                p.matched,
-                p.label_flips,
-                f(p.churn()),
-                p.matched_confident,
-                p.label_flips_confident,
-                f(p.churn_confident()),
-                f(p.jaccard_anomalous),
-                f(p.jaccard_drift()),
-                strategies.join(", "),
-            )
-        })
-        .collect();
-
-    let flip_rows: Vec<String> = stability
-        .strategy_flip_rates
-        .iter()
-        .map(|(name, rate)| format!("{{\"strategy\": \"{name}\", \"flip_rate\": {}}}", f(*rate)))
-        .collect();
-
-    let monthly_rows: Vec<String> = stability
-        .monthly
-        .iter()
-        .map(|m| {
-            format!(
-                "      {{\"year\": {}, \"month\": {}, \"pairs\": {}, \"matched\": {}, \
-                 \"flips\": {}, \"churn\": {}, \"jaccard_drift\": {}}}",
-                m.year,
-                m.month,
-                m.pairs,
-                m.matched,
-                m.flips,
-                f(m.churn()),
-                f(m.jaccard_drift()),
-            )
-        })
-        .collect();
-
-    let transition_rows: Vec<String> = stability
-        .era_transitions
-        .iter()
-        .map(|t| {
-            format!(
-                "      {{\"from\": \"{}\", \"to\": \"{}\", \"from_era\": \"{:?}\", \
-                 \"to_era\": \"{:?}\", \"matched\": {}, \"label_flips\": {}, \
-                 \"churn\": {}, \"jaccard_drift\": {}}}",
-                t.from,
-                t.to,
-                t.from_era,
-                t.to_era,
-                t.matched,
-                t.label_flips,
-                f(t.churn()),
-                f(t.jaccard_drift),
-            )
-        })
-        .collect();
-
-    let opt_date = |d: Option<TraceDate>| d.map_or("null".to_string(), |d| format!("\"{d}\""));
-    let outbreak_rows: Vec<String> = stability
-        .outbreaks
-        .iter()
-        .map(|o| {
-            format!(
-                "    {{\"worm\": \"{}\", \"onset\": {}, \"first_labeled\": {}, \
-                 \"response_days\": {}, \"residual_days\": {}, \
-                 \"residual_stable_days\": {}, \"residual_stability\": {}}}",
-                o.worm,
-                opt_date(o.onset),
-                opt_date(o.first_labeled),
-                o.response_days
-                    .map_or("null".to_string(), |d| d.to_string()),
-                o.residual_days,
-                o.residual_stable_days,
-                f(o.residual_stability()),
-            )
-        })
-        .collect();
-
     let hardware = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    format!(
-        "{{\n  \"generated_by\": \"cargo run --release -p mawilab-bench --bin archive\",\n  \
-         \"hardware_threads\": {},\n  \
-         \"note\": \"wall times measured on a host with {} hardware thread(s){}; no parallel-scaling claim is made from them\",\n  \
-         \"scale\": {},\n  \"chunk_us\": {},\n  \"sampled_days\": {},\n  \
-         \"first_day\": {},\n  \"last_day\": {},\n  \
-         \"era_boundaries_crossed\": {},\n  \
-         \"max_stability_gap_days\": {},\n  \
-         \"days\": [\n{}\n  ],\n  \
-         \"failed_days\": [{}],\n  \
-         \"stability\": {{\n    \"label_churn\": {},\n    \
-         \"label_churn_confident\": {},\n    \"jaccard_drift\": {},\n    \
-         \"strategy_flip_rates\": [{}],\n    \
-         \"monthly\": [\n{}\n    ],\n    \
-         \"era_transitions\": [\n{}\n    ],\n    \
-         \"adjacent_pairs\": [\n{}\n    ]\n  }},\n  \
-         \"confidence\": {},\n  \
-         \"outbreaks\": [\n{}\n  ],\n  \
-         \"peak_rss_kb\": {}\n}}\n",
-        hardware,
-        hardware,
+    let note = format!(
+        "wall times measured on a host with {hardware} hardware thread(s){}; \
+         no parallel-scaling claim is made from them",
         if hardware == 1 {
             " — the day-level fan-out runs effectively sequentially here"
         } else {
             ""
+        }
+    );
+    let date = |r: Option<&ArchiveDayRecord>| r.map(|r| r.summary.date.to_string());
+    obj! {
+        "generated_by" => "cargo run --release -p mawilab-bench --bin archive",
+        "hardware_threads" => hardware,
+        "note" => note,
+        "scale" => Json::Exact(args.scale),
+        "chunk_us" => args.chunk_us,
+        "sampled_days" => records.len(),
+        "first_day" => date(records.first()),
+        "last_day" => date(records.last()),
+        "era_boundaries_crossed" => era_boundaries_evaluated(outcome),
+        "max_stability_gap_days" => MAX_STABILITY_GAP_DAYS,
+        "days" => Json::arr(records.iter().map(|r| obj! {
+            "date" => r.summary.date.to_string(),
+            "packets" => r.stats.packets,
+            "chunks" => r.stats.chunks,
+            "peak_chunk_packets" => r.stats.peak_chunk_packets,
+            "items" => r.stats.items,
+            "alarms" => r.alarms,
+            "communities" => r.communities,
+            "anomalous" => r.anomalous,
+            "identities" => r.summary.labels.len(),
+            "tiers" => Json::arr(r.tier_counts),
+            "strategy_agreement" => Json::arr(r.agreement_hist),
+            "wall_s" => r.wall_s,
+            "packets_per_s" => r.stats.packets as f64 / r.wall_s.max(1e-9),
+            "worms" => Json::arr(r.summary.worms.iter().map(|w| obj! {
+                "worm" => w.worm,
+                "labeled_anomalous" => w.labeled_anomalous,
+            })),
+        })),
+        "failed_days" => Json::arr(failed.iter().map(|(d, error)| obj! {
+            "date" => d.to_string(),
+            "error" => error.as_str(),
+        })),
+        "stability" => obj! {
+            "label_churn" => stability.label_churn,
+            "label_churn_confident" => stability.label_churn_confident,
+            "jaccard_drift" => stability.jaccard_drift,
+            "strategy_flip_rates" => Json::arr(stability.strategy_flip_rates.iter().map(
+                |&(name, rate)| obj! { "strategy" => name, "flip_rate" => rate },
+            )),
+            "monthly" => Json::arr(stability.monthly.iter().map(|m| obj! {
+                "year" => m.year,
+                "month" => m.month,
+                "pairs" => m.pairs,
+                "matched" => m.matched,
+                "flips" => m.flips,
+                "churn" => m.churn(),
+                "jaccard_drift" => m.jaccard_drift(),
+            })),
+            "era_transitions" => Json::arr(stability.era_transitions.iter().map(|t| obj! {
+                "from" => t.from.to_string(),
+                "to" => t.to.to_string(),
+                "from_era" => format!("{:?}", t.from_era),
+                "to_era" => format!("{:?}", t.to_era),
+                "matched" => t.matched,
+                "label_flips" => t.label_flips,
+                "churn" => t.churn(),
+                "jaccard_drift" => t.jaccard_drift,
+            })),
+            "adjacent_pairs" => Json::arr(stability.pairs.iter().map(|p| obj! {
+                "from" => p.from.to_string(),
+                "to" => p.to.to_string(),
+                "gap_days" => p.gap_days,
+                "matched" => p.matched,
+                "label_flips" => p.label_flips,
+                "churn" => p.churn(),
+                "matched_confident" => p.matched_confident,
+                "label_flips_confident" => p.label_flips_confident,
+                "churn_confident" => p.churn_confident(),
+                "jaccard_anomalous" => p.jaccard_anomalous,
+                "jaccard_drift" => p.jaccard_drift(),
+                "strategies" => Json::arr(p.strategies.iter().map(|s| obj! {
+                    "strategy" => s.strategy,
+                    "matched" => s.matched,
+                    "flips" => s.flips,
+                    "flip_rate" => s.flip_rate(),
+                })),
+            })),
         },
-        args.scale,
-        args.chunk_us,
-        outcome.records.len(),
-        opt_date(outcome.records.first().map(|r| r.summary.date)),
-        opt_date(outcome.records.last().map(|r| r.summary.date)),
-        era_boundaries_evaluated(outcome),
-        MAX_STABILITY_GAP_DAYS,
-        day_rows.join(",\n"),
-        if failed_rows.is_empty() {
-            String::new()
-        } else {
-            format!("\n{}\n  ", failed_rows.join(",\n"))
+        "confidence" => obj! {
+            "thresholds" => obj! { "low" => thresholds.low, "high" => thresholds.high },
+            "communities" => communities,
+            "tiers" => obj! {
+                "anomalous" => tiers[0],
+                "uncertain" => tiers[1],
+                "benign" => tiers[2],
+            },
+            "agreement_hist" => Json::arr(agreement),
+            "churn_all" => stability.label_churn,
+            "churn_confident" => stability.label_churn_confident,
         },
-        f(stability.label_churn),
-        f(stability.label_churn_confident),
-        f(stability.jaccard_drift),
-        flip_rows.join(", "),
-        monthly_rows.join(",\n"),
-        transition_rows.join(",\n"),
-        pair_rows.join(",\n"),
-        format_confidence_json(outcome),
-        outbreak_rows.join(",\n"),
-        peak_rss_kb().unwrap_or(0),
-    )
+        "outbreaks" => Json::arr(stability.outbreaks.iter().map(|o| obj! {
+            "worm" => o.worm,
+            "onset" => o.onset.map(|d| d.to_string()),
+            "first_labeled" => o.first_labeled.map(|d| d.to_string()),
+            "response_days" => o.response_days,
+            "residual_days" => o.residual_days,
+            "residual_stable_days" => o.residual_stable_days,
+            "residual_stability" => o.residual_stability(),
+        })),
+        "peak_rss_kb" => peak_rss_kb().unwrap_or(0),
+    }
 }
 
 /// Runs the benchmark and returns the JSON document it wrote to
-/// `<out_dir>/BENCH_archive.json`.
-pub fn run_archive_bench(args: &ArchiveBenchArgs) -> String {
+/// `<out_dir>/BENCH_archive.json`. The directory is created before
+/// the first day, so an unwritable `out_dir` fails at once instead of
+/// after the sweep.
+pub fn run_archive_bench(args: &ArchiveBenchArgs) -> io::Result<String> {
+    std::fs::create_dir_all(&args.out_dir)?;
     eprintln!(
         "archive longitudinal benchmark: {} days, scale {} …",
         args.days.len(),
         args.scale
     );
-    let outcome = collect_archive(args);
-    let json = format_archive_json(args, &outcome);
-
-    std::fs::create_dir_all(&args.out_dir).expect("creating out dir");
+    let json = archive_json(args, &collect_archive(args)).render() + "\n";
     let path = format!("{}/BENCH_archive.json", args.out_dir);
-    std::fs::write(&path, &json).expect("writing BENCH_archive.json");
+    std::fs::write(&path, &json)?;
     eprintln!("wrote {path}");
-    json
+    Ok(json)
 }
 
 #[cfg(test)]
@@ -707,15 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn json_escape_handles_hostile_error_text() {
-        assert_eq!(
-            json_escape("a \"quoted\" \\path\nline2\ttab\u{1}"),
-            "a \\\"quoted\\\" \\\\path\\nline2\\ttab\\u0001"
-        );
-        assert_eq!(json_escape("plain message"), "plain message");
-    }
-
-    #[test]
     fn failed_days_render_into_the_json() {
         let outcome = ArchiveOutcome {
             records: Vec::new(),
@@ -725,12 +560,27 @@ mod tests {
             )],
             stability: stability_report(&[], MAX_STABILITY_GAP_DAYS),
         };
-        let json = format_archive_json(&ArchiveBenchArgs::default(), &outcome);
+        let json = archive_json(&ArchiveBenchArgs::default(), &outcome).render();
         assert!(json.contains("\"failed_days\": [\n"));
         assert!(!json.contains("\"warm\""));
         assert!(json.contains("{\"date\": \"2006-07-01\", \"error\": \"day 2006-07-01: source \\\"x\\\" broke\\nbadly\"}"));
         assert!(json.contains("\"sampled_days\": 0"));
         assert!(json.contains("\"first_day\": null"));
+    }
+
+    #[test]
+    fn unwritable_out_dir_fails_before_the_first_day() {
+        let file = std::env::temp_dir().join("mawilab-archive-out-is-a-file");
+        std::fs::write(&file, "not a directory").unwrap();
+        let args = ArchiveBenchArgs {
+            // A sweep at this scale panics in `ArchiveSimulator::new`,
+            // so an `Err` proves no day ran.
+            scale: 0.0,
+            days: smoke_archive_days(),
+            out_dir: file.join("out").to_str().unwrap().to_string(),
+            ..Default::default()
+        };
+        assert!(run_archive_bench(&args).is_err());
     }
 
     /// The tiny-scale end-to-end smoke: runs the real benchmark on
@@ -758,7 +608,7 @@ mod tests {
             "smoke deterministic_view moved: len {} fnv1a {fnv:#018x}",
             view.len()
         );
-        let json = run_archive_bench(&args);
+        let json = run_archive_bench(&args).unwrap();
         assert_eq!(
             json,
             std::fs::read_to_string(dir.join("BENCH_archive.json")).unwrap()
@@ -868,7 +718,7 @@ mod tests {
             out_dir: dir.to_str().unwrap().to_string(),
             ..Default::default()
         };
-        let json = run_archive_bench(&args);
+        let json = run_archive_bench(&args).unwrap();
         assert!(json.contains("\"era_boundaries_crossed\": 1"));
         // Six consecutive days → five 1-day pairs, of which the
         // era-boundary crossing is itemised as a transition and the

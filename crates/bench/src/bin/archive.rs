@@ -105,6 +105,9 @@ fn main() {
         // a scale explicitly.
         args.scale = 0.25;
     }
-    let json = run_archive_bench(&args);
+    let json = run_archive_bench(&args).unwrap_or_else(|e| {
+        eprintln!("archive: cannot write under `{}`: {e}", args.out_dir);
+        std::process::exit(1)
+    });
     println!("{json}");
 }

@@ -15,8 +15,9 @@
 //!   thread-pool parallelism across days;
 //! * [`archive`] — the longitudinal label-stability benchmark behind
 //!   the `archive` bin (`results/BENCH_archive.json`);
-//! * [`out`] — aligned-table printing and CSV emission under
-//!   `results/`.
+//! * [`out`] — aligned-table printing, CSV emission under
+//!   `results/`, and `out::Json`, the writer of
+//!   `BENCH_archive.json`.
 
 #![forbid(unsafe_code)]
 

@@ -239,11 +239,7 @@ pub struct StrategyFlips {
 impl StrategyFlips {
     /// Flips over matches (0 when nothing matched).
     pub fn flip_rate(&self) -> f64 {
-        if self.matched == 0 {
-            0.0
-        } else {
-            self.flips as f64 / self.matched as f64
-        }
+        ratio(self.flips as f64, self.matched)
     }
 }
 
@@ -275,11 +271,7 @@ pub struct AdjacentPair {
 impl AdjacentPair {
     /// Label flips over matches (0 when nothing matched).
     pub fn churn(&self) -> f64 {
-        if self.matched == 0 {
-            0.0
-        } else {
-            self.label_flips as f64 / self.matched as f64
-        }
+        ratio(self.label_flips as f64, self.matched)
     }
 
     /// Label flips over the confidently-labeled matches (0 when
@@ -288,11 +280,7 @@ impl AdjacentPair {
     /// concentrated in the uncertain band stop counting against the
     /// service once the band abstains.
     pub fn churn_confident(&self) -> f64 {
-        if self.matched_confident == 0 {
-            0.0
-        } else {
-            self.label_flips_confident as f64 / self.matched_confident as f64
-        }
+        ratio(self.label_flips_confident as f64, self.matched_confident)
     }
 
     /// `1 - jaccard_anomalous`: how much of the anomalous picture
@@ -488,20 +476,12 @@ pub struct MonthlyStability {
 impl MonthlyStability {
     /// Pooled label churn of the month (0 when nothing matched).
     pub fn churn(&self) -> f64 {
-        if self.matched == 0 {
-            0.0
-        } else {
-            self.flips as f64 / self.matched as f64
-        }
+        ratio(self.flips as f64, self.matched)
     }
 
     /// Mean Jaccard drift of the month (0 when no pairs).
     pub fn jaccard_drift(&self) -> f64 {
-        if self.pairs == 0 {
-            0.0
-        } else {
-            self.drift_sum / self.pairs as f64
-        }
+        ratio(self.drift_sum, self.pairs)
     }
 }
 
@@ -529,11 +509,17 @@ pub struct EraTransition {
 impl EraTransition {
     /// Label churn across the boundary.
     pub fn churn(&self) -> f64 {
-        if self.matched == 0 {
-            0.0
-        } else {
-            self.label_flips as f64 / self.matched as f64
-        }
+        ratio(self.label_flips as f64, self.matched)
+    }
+}
+
+/// `num / den`, or 0 when `den` is 0: every rate here reads "nothing
+/// to compare" as no churn.
+fn ratio(num: f64, den: usize) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num / den as f64
     }
 }
 
@@ -640,24 +626,12 @@ pub fn stability_report(days: &[DaySummary], max_gap_days: i64) -> StabilityRepo
         }
     }
     StabilityReport {
-        label_churn: if matched == 0 {
-            0.0
-        } else {
-            flips as f64 / matched as f64
-        },
-        label_churn_confident: if matched_conf == 0 {
-            0.0
-        } else {
-            flips_conf as f64 / matched_conf as f64
-        },
-        jaccard_drift: if pairs.is_empty() {
-            0.0
-        } else {
-            drift_sum / pairs.len() as f64
-        },
+        label_churn: ratio(flips as f64, matched),
+        label_churn_confident: ratio(flips_conf as f64, matched_conf),
+        jaccard_drift: ratio(drift_sum, pairs.len()),
         strategy_flip_rates: strat
             .into_values()
-            .map(|(name, m, f)| (name, if m == 0 { 0.0 } else { f as f64 / m as f64 }))
+            .map(|(name, m, f)| (name, ratio(f as f64, m)))
             .collect(),
         outbreaks: outbreak_response(days),
         monthly: monthly_stability(&pairs),
