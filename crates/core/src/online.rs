@@ -8,8 +8,9 @@
 //! extraction/labeling evidence is banked
 //! (traffic-unit ids from the incremental `ItemIndex`, 12-byte
 //! `(ts, direction, unit id)` records filed under those ids in the
-//! [`HorizonExtractor`], three counters per flow in
-//! [`CommunityEvidence`]). Nothing is ever re-read: a
+//! [`HorizonExtractor`], three counters per traffic unit in
+//! [`CommunityEvidence`] at every granularity, a packet-granularity
+//! unit being a uniflow of one packet). Nothing is ever re-read: a
 //! [`NoRewindSource`](mawilab_model::NoRewindSource)-wrapped source
 //! completes a whole archive sweep with zero rewind calls.
 //!
@@ -220,10 +221,9 @@ impl OnlinePipeline {
         // banked evidence.
         let HorizonTraffic {
             traffic,
-            matched,
             stats: horizon_stats,
+            ..
         } = horizon.finalize(&alarms);
-        evidence.retain_matched(&matched);
         stats.items = index.item_count();
 
         // Steps 2–4: the batch pipeline's graph, Louvain, combine and
@@ -288,6 +288,23 @@ mod tests {
         assert!(online.stats.chunks > 1, "expected a multi-chunk stream");
         assert_eq!(online.stats.packets, lt.trace.len() as u64);
         assert!(online.stats.peak_chunk_packets < lt.trace.len());
+    }
+
+    #[test]
+    fn packet_granularity_evidence_holds_twelve_bytes_per_packet() {
+        let config = PipelineConfig {
+            granularity: mawilab_model::Granularity::Packet,
+            ..PipelineConfig::default()
+        };
+        let mut source = TraceChunker::new(small_trace().trace, DEFAULT_CHUNK_US);
+        let stats = OnlinePipeline::new(config).run(&mut source).unwrap().stats;
+        // 12 B of counters per packet, plus at most 2× `Vec` growth slack.
+        assert!(
+            stats.evidence_bytes as u64 <= 24 * stats.packets,
+            "evidence holds {} B for {} packets",
+            stats.evidence_bytes,
+            stats.packets
+        );
     }
 
     /// Runs a configuration that mining or Louvain would reject only

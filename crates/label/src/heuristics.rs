@@ -105,19 +105,18 @@ impl fmt::Display for HeuristicLabel {
 /// Additive traffic profile: the per-packet counters the Table-1
 /// rules consume (port shares, TCP flag ratios, ICMP share).
 ///
-/// Profiles are monoidal — [`add`](TrafficProfile::add) folds one
-/// packet in, [`add_flow`](TrafficProfile::add_flow) a whole flow,
-/// [`merge`](TrafficProfile::merge) combines two profiles — so a
+/// [`add`](TrafficProfile::add) folds one packet in and
+/// [`add_flow`](TrafficProfile::add_flow) a whole flow, so a
 /// community's profile can be assembled from per-unit evidence
 /// accumulated chunk by chunk during streaming ingest, and the result
 /// is bit-identical to profiling the community's packet list in one
 /// batch pass.
 /// Counters are `u32` and port slots are keyed positionally by the
 /// static `TCP_PORTS`/`UDP_PORTS` tables (76 bytes). The streaming
-/// pipeline holds one profile per packet only at packet granularity.
-/// At flow granularities the key fixes the protocol and ports, so it
-/// holds three counters per flow and rebuilds the profile at label
-/// time through [`add_flow`](TrafficProfile::add_flow).
+/// pipeline holds no profiles during the drain: a unit's key fixes
+/// its protocol and ports (a packet-granularity unit is a flow of one
+/// packet), so it holds three counters per unit and rebuilds the
+/// profile at label time through [`add_flow`](TrafficProfile::add_flow).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrafficProfile {
     total: u32,
@@ -213,22 +212,6 @@ impl TrafficProfile {
                 }
             }
             Protocol::Other(_) => {}
-        }
-    }
-
-    /// Combines another profile into this one (disjoint packet sets
-    /// assumed, as with per-flow partitions).
-    pub fn merge(&mut self, other: &TrafficProfile) {
-        self.total += other.total;
-        self.icmp += other.icmp;
-        self.tcp += other.tcp;
-        self.syn += other.syn;
-        self.ctrl += other.ctrl;
-        for (a, b) in self.port_tcp.iter_mut().zip(other.port_tcp.iter()) {
-            *a += b;
-        }
-        for (a, b) in self.port_udp.iter_mut().zip(other.port_udp.iter()) {
-            *a += b;
         }
     }
 

@@ -235,12 +235,14 @@ impl FlowTable {
 /// the table's per-packet vectors. Feeding the same packet sequence
 /// chunk by chunk therefore yields ids interchangeable with the batch
 /// pipeline's, which is what makes streaming and batch traffic sets
-/// byte-identical. Memory is O(distinct flows) at flow granularities
-/// and O(1) at packet granularity (ids are just the running index).
+/// byte-identical. A packet-granularity unit is a uniflow of one
+/// packet: its id is the running packet index and its key goes into
+/// the uniflow key table, so [`uniflow_key`](Self::uniflow_key) serves
+/// packet ids too. Memory is O(distinct flows) at flow granularities
+/// and one key per packet at packet granularity.
 #[derive(Debug, Clone)]
 pub struct ItemIndex {
     granularity: Granularity,
-    next_packet: u32,
     uni_index: FastMap<FlowKey, FlowId>,
     uni_keys: Vec<FlowKey>,
     bi_index: FastMap<BiflowKey, FlowId>,
@@ -252,7 +254,6 @@ impl ItemIndex {
     pub fn new(granularity: Granularity) -> Self {
         ItemIndex {
             granularity,
-            next_packet: 0,
             uni_index: FastMap::default(),
             uni_keys: Vec::new(),
             bi_index: FastMap::default(),
@@ -271,9 +272,8 @@ impl ItemIndex {
     pub fn id_of(&mut self, p: &Packet) -> u32 {
         match self.granularity {
             Granularity::Packet => {
-                let id = self.next_packet;
-                self.next_packet += 1;
-                id
+                self.uni_keys.push(FlowKey::of(p));
+                (self.uni_keys.len() - 1) as FlowId
             }
             Granularity::Uniflow => {
                 let key = FlowKey::of(p);
@@ -300,8 +300,8 @@ impl ItemIndex {
         out.extend(packets.iter().map(|p| self.id_of(p)));
     }
 
-    /// Key of uniflow `id` (panics unless built at uniflow
-    /// granularity with `id` already assigned).
+    /// Key of uniflow `id`, or of packet `id` at packet granularity
+    /// (panics at biflow granularity, or if `id` is not assigned yet).
     pub fn uniflow_key(&self, id: FlowId) -> &FlowKey {
         &self.uni_keys[id as usize]
     }
@@ -325,8 +325,7 @@ impl ItemIndex {
     /// Number of traffic units assigned so far.
     pub fn item_count(&self) -> usize {
         match self.granularity {
-            Granularity::Packet => self.next_packet as usize,
-            Granularity::Uniflow => self.uni_keys.len(),
+            Granularity::Packet | Granularity::Uniflow => self.uni_keys.len(),
             Granularity::Biflow => self.bi_keys.len(),
         }
     }

@@ -357,7 +357,7 @@ impl<R: Read + Seek> StreamingPcapReader<R> {
     }
 
     /// Reads records until a parsable packet, EOF, or an error.
-    fn next_packet(&mut self) -> Result<Option<Packet>, PcapError> {
+    fn read_packet(&mut self) -> Result<Option<Packet>, PcapError> {
         loop {
             match read_record(&mut self.r, self.swapped, &mut self.frame)? {
                 RecordRead::Packet(p) => return Ok(Some(p)),
@@ -388,7 +388,7 @@ impl<R: Read + Seek> PacketSource for StreamingPcapReader<R> {
         }
         let first = match self.pending.take() {
             Some(p) => p,
-            None => match self.next_packet()? {
+            None => match self.read_packet()? {
                 Some(p) => p,
                 None => {
                     self.done = true;
@@ -402,7 +402,7 @@ impl<R: Read + Seek> PacketSource for StreamingPcapReader<R> {
         self.buf.packets.clear();
         self.buf.packets.push(first);
         loop {
-            match self.next_packet()? {
+            match self.read_packet()? {
                 Some(p) => {
                     if chunk_index(start_us, self.bin_us, p.ts_us) <= k {
                         self.buf.packets.push(p);

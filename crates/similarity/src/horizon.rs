@@ -115,13 +115,15 @@ pub struct HorizonStats {
 
 /// What [`HorizonExtractor::finalize`] produces: the per-alarm traffic
 /// sets (same shape as [`extract_traffic`](crate::extract_traffic)'s) plus
-/// the set of unit ids that matched ≥ 1 alarm (what deferred
-/// packet-granularity evidence is filtered down to).
+/// the set of unit ids that matched ≥ 1 alarm.
 #[derive(Debug)]
 pub struct HorizonTraffic {
     /// One sorted, deduplicated unit-id set per alarm, in alarm order.
     pub traffic: Vec<Vec<u32>>,
-    /// Every unit id that matched at least one alarm.
+    /// Every unit id that matched at least one alarm. The pipeline
+    /// reads no matched set; this one is kept only for perfbench's
+    /// traced drain, which hands it to
+    /// `CommunityEvidence::retain_matched`.
     pub matched: FastSet<u32>,
     /// Retire/fresh accounting of the drain.
     pub stats: HorizonStats,

@@ -249,16 +249,17 @@ fn arb_profile_packet() -> impl Strategy<Value = Packet> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// A community's profile rebuilt from per-flow counters and flow
-    /// keys equals profiling its packets, at uniflow and biflow
-    /// granularity, and so does its Table-1 label.
+    /// A community's profile rebuilt from per-unit counters and unit
+    /// keys equals profiling its packets, at every granularity, and so
+    /// does its Table-1 label. At packet granularity its transactions
+    /// are also those of its packets, in id order.
     #[test]
     fn derived_flow_profiles_equal_packet_profiles(
         packets in prop::collection::vec(arb_profile_packet(), 0..80),
         split in 0usize..80,
         pick in any::<u64>(),
     ) {
-        for g in [Granularity::Uniflow, Granularity::Biflow] {
+        for g in [Granularity::Packet, Granularity::Uniflow, Granularity::Biflow] {
             let mut index = ItemIndex::new(g);
             let mut ids = Vec::new();
             index.ids_of(&packets, &mut ids);
@@ -284,6 +285,12 @@ proptest! {
                 let direct = TrafficProfile::collect(packets.iter());
                 prop_assert_eq!(&derived, &direct, "{}", g);
                 prop_assert_eq!(derived.classify(), direct.classify(), "{}", g);
+                if g == Granularity::Packet {
+                    // Packet ids are stream positions, so id order is
+                    // stream order.
+                    let direct: Vec<Transaction> = packets.iter().map(Transaction::of_packet).collect();
+                    prop_assert_eq!(evidence.transactions_of(units, &index), direct);
+                }
             }
         }
     }
