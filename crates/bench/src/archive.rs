@@ -600,11 +600,11 @@ mod tests {
         };
         let view = deterministic_view(&collect_archive(&args));
         let fnv = view.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x1_0000_0000_01b3)
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
         });
         assert_eq!(
             (view.len(), fnv),
-            (14_994, 0x1ead_3db5_ba85_6b63),
+            (14_994, 0x8483_acb5_ba85_6b63),
             "smoke deterministic_view moved: len {} fnv1a {fnv:#018x}",
             view.len()
         );

@@ -24,12 +24,12 @@ use mawilab_bench::archive::{
 const VIEW_LEN: usize = 256_299;
 
 /// FNV-1a 64 of the pinned view.
-const VIEW_FNV: u64 = 0xca3f_1806_b7a9_7d1d;
+const VIEW_FNV: u64 = 0x42a2_7906_b7a9_7d1d;
 
 /// FNV-1a, 64-bit.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x1_0000_0000_01b3)
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
     })
 }
 

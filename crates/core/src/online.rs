@@ -46,19 +46,22 @@
 //! ```
 //!
 //! Each record is banked under the unit id `ItemIndex` just assigned,
-//! so the horizon hashes nothing per packet; the lag only decides how
-//! long records stay chunk-shaped. At end of stream every record,
-//! retired or fresh, is resolved through the same path: the log is
-//! sorted by unit into time runs, and each unit stabs the alarm index
-//! once with its key. The lag never touches alarm timing: the
-//! paper's detectors calibrate on whole-trace state (PCA subspace,
-//! Gamma fits, KL reference histograms), so alarms finalize at end of
-//! stream and byte-identity with the batch oracle
-//! ([`MawilabPipeline`](crate::MawilabPipeline)) holds at *every* lag —
-//! `lag = 0` (every chunk retired on arrival) through
-//! `lag ≥ stream` (every chunk still fresh) produce identical labels,
-//! which `tests/online_equivalence.rs` pins across seeds × chunk
-//! widths × thread counts.
+//! so the horizon hashes nothing per packet; the lag, fixed at
+//! [`DEFAULT_LAG_US`], only decides how long records stay
+//! chunk-shaped. At end of stream every record, retired or fresh, is
+//! resolved through the same path: the log is sorted by unit into
+//! time runs, and each unit stabs the alarm index once with its key.
+//! The lag never touches alarm timing: the paper's detectors
+//! calibrate on whole-trace state (PCA subspace, Gamma fits, KL
+//! reference histograms), so alarms finalize at end of stream and the
+//! horizon resolves the same traffic at any lag. `horizon.rs` pins
+//! that where the lag lives: lag 0 (every chunk retired on arrival),
+//! 10 s and a day (every chunk still fresh) against the sequential
+//! extractor, plus a mid-lag split with an alarm straddling the
+//! retire boundary. Byte-identity of the whole drain with the batch
+//! oracle ([`MawilabPipeline`](crate::MawilabPipeline)) is pinned by
+//! `tests/online_equivalence.rs` across seeds × chunk widths ×
+//! granularities × thread counts.
 
 use crate::pipeline::{combine_and_label, PipelineConfig, PipelineReport};
 use mawilab_detectors::{
@@ -66,11 +69,12 @@ use mawilab_detectors::{
 };
 use mawilab_label::{label_communities_streaming, CommunityEvidence};
 use mawilab_model::{ItemIndex, PacketSource, SourceError};
-use mawilab_similarity::{HorizonExtractor, HorizonStats, HorizonTraffic};
+use mawilab_similarity::{HorizonExtractor, HorizonTraffic};
 
-/// Default evidence-retention lag: 30 s — six default chunks, two
-/// orders of magnitude below a day, comfortably above every
-/// detector's analysis bin.
+/// The evidence-retention lag [`OnlinePipeline::run`] gives its
+/// horizon: 30 s — six default chunks, two orders of magnitude below a
+/// day, comfortably above every detector's analysis bin. It sets how
+/// long banked records stay chunk-shaped, never the labels.
 pub const DEFAULT_LAG_US: u64 = 30_000_000;
 
 /// Width of the 60 s label windows that perfbench's traced drain
@@ -115,7 +119,7 @@ pub struct StreamStats {
 }
 
 /// Everything one single-pass run produced: the batch oracle's report
-/// plus the drain's ingest and horizon statistics.
+/// plus the drain's ingest statistics.
 #[derive(Debug)]
 pub struct OnlineReport {
     /// The run's report — byte-identical to what the batch oracle
@@ -124,25 +128,21 @@ pub struct OnlineReport {
     pub report: PipelineReport,
     /// Ingest statistics of the drain.
     pub stats: StreamStats,
-    /// Retire/fresh accounting of the horizon extractor.
-    pub horizon_stats: HorizonStats,
 }
 
 /// The end-to-end single-pass MAWILab pipeline.
 pub struct OnlinePipeline {
     config: PipelineConfig,
     detectors: Vec<Box<dyn Detector>>,
-    lag_us: u64,
 }
 
 impl OnlinePipeline {
     /// Builds the pipeline with the paper's 12 standard detector
-    /// configurations and the default lag.
+    /// configurations.
     pub fn new(config: PipelineConfig) -> Self {
         OnlinePipeline {
             config,
             detectors: standard_configurations(),
-            lag_us: DEFAULT_LAG_US,
         }
     }
 
@@ -151,14 +151,6 @@ impl OnlinePipeline {
     /// group).
     pub fn with_detectors(mut self, detectors: Vec<Box<dyn Detector>>) -> Self {
         self.detectors = detectors;
-        self
-    }
-
-    /// Sets the evidence-retention lag (µs): how long banked records
-    /// stay chunk-shaped before they retire into the horizon's record
-    /// log. Labels are byte-identical at any lag.
-    pub fn with_lag_us(mut self, lag_us: u64) -> Self {
-        self.lag_us = lag_us;
         self
     }
 
@@ -191,7 +183,7 @@ impl OnlinePipeline {
         groups.begin(&meta);
         let mut index = ItemIndex::new(self.config.granularity);
         let mut evidence = CommunityEvidence::new(self.config.granularity);
-        let mut horizon = HorizonExtractor::new(self.lag_us);
+        let mut horizon = HorizonExtractor::new(DEFAULT_LAG_US);
         let mut ids: Vec<u32> = Vec::new();
         while let Some(chunk) = source.next_chunk()? {
             stats.chunks += 1;
@@ -219,11 +211,7 @@ impl OnlinePipeline {
 
         // End of stream: resolve the finished alarms against the
         // banked evidence.
-        let HorizonTraffic {
-            traffic,
-            stats: horizon_stats,
-            ..
-        } = horizon.finalize(&alarms);
+        let HorizonTraffic { traffic, .. } = horizon.finalize(&alarms);
         stats.items = index.item_count();
 
         // Steps 2–4: the batch pipeline's graph, Louvain, combine and
@@ -244,11 +232,7 @@ impl OnlinePipeline {
                 )
             },
         );
-        Ok(OnlineReport {
-            report,
-            stats,
-            horizon_stats,
-        })
+        Ok(OnlineReport { report, stats })
     }
 }
 

@@ -18,7 +18,7 @@
 //! reports source or destination IP addresses".
 
 use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
-use crate::{ChunkView, Detector, IncrementalDetector, ObservationKey};
+use crate::{Accumulator, ChunkView, Detector, Family, IncrementalDetector, ObservationKey};
 use mawilab_model::{FastSet, TimeWindow, TraceMeta};
 use mawilab_sketch::SketchFamily;
 use mawilab_stats::{mad, median, Gamma};
@@ -187,13 +187,7 @@ impl Detector for GammaDetector {
     }
 
     fn incremental(&self) -> Box<dyn IncrementalDetector> {
-        Box::new(GammaAccumulator {
-            det: self.clone(),
-            window: None,
-            t_bins: 0,
-            seen: 0,
-            dirs: Vec::new(),
-        })
+        Accumulator::boxed(self)
     }
 
     fn observation_key(&self) -> Option<ObservationKey> {
@@ -218,86 +212,63 @@ struct GammaDirState {
     hosts: FastSet<u32>,
 }
 
-/// Incremental form of [`GammaDetector`]: chunk observation folds
-/// packets into per-(row, bin) count series keyed by absolute time
-/// bin; the Gamma fitting and sketch reversal run once at finish.
-pub struct GammaAccumulator {
-    det: GammaDetector,
-    window: Option<TimeWindow>,
+/// The incremental state of [`GammaDetector`]: chunk observation
+/// folds packets into per-(row, bin) count series keyed by absolute
+/// time bin; the Gamma fitting and sketch reversal run once at finish.
+pub(crate) struct GammaState {
+    window: TimeWindow,
     t_bins: usize,
-    seen: u64,
-    dirs: Vec<GammaDirState>,
+    /// Source then destination.
+    dirs: [GammaDirState; 2],
 }
 
-impl IncrementalDetector for GammaAccumulator {
-    fn kind(&self) -> DetectorKind {
-        DetectorKind::Gamma
-    }
+impl Family for GammaDetector {
+    type State = GammaState;
 
-    fn tuning(&self) -> Tuning {
-        self.det.tuning
-    }
-
-    fn begin(&mut self, meta: &TraceMeta) {
+    /// `None` below eight time bins.
+    fn begin(&self, meta: &TraceMeta) -> Option<GammaState> {
         let window = meta.window();
-        self.window = Some(window);
-        self.t_bins = (window.len_us() / self.det.delta_us) as usize;
-        self.seen = 0;
-        self.dirs = if self.t_bins < 8 {
-            Vec::new() // too short to analyse; observe() becomes a no-op
-        } else {
-            vec![
-                self.det.direction_state(Direction::Src, self.t_bins),
-                self.det.direction_state(Direction::Dst, self.t_bins),
-            ]
-        };
+        let t_bins = (window.len_us() / self.delta_us) as usize;
+        (t_bins >= 8).then(|| GammaState {
+            window,
+            t_bins,
+            dirs: [
+                self.direction_state(Direction::Src, t_bins),
+                self.direction_state(Direction::Dst, t_bins),
+            ],
+        })
     }
 
-    fn observe(&mut self, chunk: &ChunkView<'_>) {
-        if self.dirs.is_empty() {
-            return;
-        }
-        let window = self.window.expect("observe before begin"); // lint:allow(panic-free-data-plane): begin() runs before observe() in the chunk driver
-        self.seen += chunk.packets.len() as u64;
+    fn observe(&self, state: &mut GammaState, chunk: &ChunkView<'_>) {
         for p in chunk.packets {
-            let Some(dt) = p.ts_us.checked_sub(window.start_us) else {
+            let Some(dt) = p.ts_us.checked_sub(state.window.start_us) else {
                 continue;
             };
-            let t = (dt / self.det.delta_us) as usize;
-            if t >= self.t_bins {
+            let t = (dt / self.delta_us) as usize;
+            if t >= state.t_bins {
                 continue;
             }
-            for state in &mut self.dirs {
-                let ip = match state.dir {
+            for dir in &mut state.dirs {
+                let ip = match dir.dir {
                     Direction::Src => u32::from(p.src),
                     Direction::Dst => u32::from(p.dst),
                 };
-                state.hosts.insert(ip);
-                for (row, per_bin) in state.series.iter_mut().enumerate() {
-                    per_bin[state.sketch.bin(row, ip as u64)][t] += 1.0;
+                dir.hosts.insert(ip);
+                for (row, per_bin) in dir.series.iter_mut().enumerate() {
+                    per_bin[dir.sketch.bin(row, ip as u64)][t] += 1.0;
                 }
             }
         }
     }
 
-    fn finish(&mut self) -> Vec<Alarm> {
-        self.finish_tunings(&[self.det.tuning])
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn finish_tunings(&self, tunings: &[Tuning]) -> Vec<Vec<Alarm>> {
-        if self.seen == 0 {
-            return vec![Vec::new(); tunings.len()];
-        }
-        let window = self.window.expect("finish before begin"); // lint:allow(panic-free-data-plane): begin() runs before finish() in the chunk driver
+    fn finish_tunings(&self, state: &GammaState, tunings: &[Tuning]) -> Vec<Vec<Alarm>> {
         tunings
             .iter()
             .map(|&t| {
                 let det = GammaDetector::new(t);
                 let mut out = Vec::new();
-                for state in &self.dirs {
-                    det.finish_direction(state, window, &mut out);
+                for dir in &state.dirs {
+                    det.finish_direction(dir, state.window, &mut out);
                 }
                 out
             })

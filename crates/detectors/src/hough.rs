@@ -40,7 +40,9 @@
 //! sorts its own flow keys.
 
 use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
-use crate::{finish_each_once, ChunkView, Detector, IncrementalDetector, ObservationKey};
+use crate::{
+    finish_each_once, Accumulator, ChunkView, Detector, Family, IncrementalDetector, ObservationKey,
+};
 use mawilab_model::{FlowKey, Protocol, TimeWindow, TraceMeta};
 
 /// Most flow keys one alarm reports: the smallest, in key order.
@@ -479,15 +481,7 @@ impl Detector for HoughDetector {
     }
 
     fn incremental(&self) -> Box<dyn IncrementalDetector> {
-        Box::new(HoughAccumulator {
-            det: self.clone(),
-            window: None,
-            bin_us: 1,
-            seen: 0,
-            planes: [Vec::new(), Vec::new()],
-            log: Vec::new(),
-            scratch: Vec::new(),
-        })
+        Accumulator::boxed(self)
     }
 
     fn observation_key(&self) -> Option<ObservationKey> {
@@ -498,23 +492,21 @@ impl Detector for HoughDetector {
     }
 }
 
-/// Incremental form of [`HoughDetector`]: chunk observation counts
-/// packets into the two dense pictures (one `time_bins × y_bins`
-/// plane each, keyed by absolute time bin) and appends the chunk's
-/// distinct (time bin, flow key) pairs to a log both pictures share.
-/// Each pair is one `pack`ed `u128` (16 bytes, as the tuple was), so
-/// the chunk's dedup is an integer sort. The per-row baselines, the
-/// Hough transform, peak extraction and flow gathering run at finish.
-/// A [`finish_tunings`] call builds each picture's baselines, ρ table
-/// and votes once and reads the log once; only the peaks and the
-/// gather of each line's pixels are per distinct tuning.
+/// The incremental state of [`HoughDetector`]: chunk observation
+/// counts packets into the two dense pictures (one `time_bins ×
+/// y_bins` plane each, keyed by absolute time bin) and appends the
+/// chunk's distinct (time bin, flow key) pairs to a log both pictures
+/// share. Each pair is one `pack`ed `u128` (16 bytes, as the tuple
+/// was), so the chunk's dedup is an integer sort. The per-row
+/// baselines, the Hough transform, peak extraction and flow gathering
+/// run at finish. A [`finish_tunings`] call builds each picture's
+/// baselines, ρ table and votes once and reads the log once; only the
+/// peaks and the gather of each line's pixels are per distinct tuning.
 ///
 /// [`finish_tunings`]: IncrementalDetector::finish_tunings
-pub struct HoughAccumulator {
-    det: HoughDetector,
-    window: Option<TimeWindow>,
+pub(crate) struct HoughState {
+    window: TimeWindow,
     bin_us: u64,
-    seen: u64,
     /// Packet counts per picture (in [`PICTURES`] order), indexed by
     /// [`HoughDetector::cell`].
     planes: [Vec<u32>; 2],
@@ -525,77 +517,59 @@ pub struct HoughAccumulator {
     scratch: Vec<u128>,
 }
 
-impl IncrementalDetector for HoughAccumulator {
-    fn kind(&self) -> DetectorKind {
-        DetectorKind::Hough
-    }
+impl Family for HoughDetector {
+    type State = HoughState;
 
-    fn tuning(&self) -> Tuning {
-        self.det.tuning
-    }
-
-    fn begin(&mut self, meta: &TraceMeta) {
+    /// Every trace is analysed: the picture has `time_bins` columns
+    /// however short the window.
+    fn begin(&self, meta: &TraceMeta) -> Option<HoughState> {
         let window = meta.window();
-        self.window = Some(window);
-        self.bin_us = (window.len_us() / self.det.time_bins as u64).max(1);
-        self.seen = 0;
-        for plane in &mut self.planes {
-            plane.clear();
-            plane.resize(self.det.time_bins * self.det.y_bins, 0);
-        }
-        self.log.clear();
+        let plane = vec![0; self.time_bins * self.y_bins];
+        Some(HoughState {
+            window,
+            bin_us: (window.len_us() / self.time_bins as u64).max(1),
+            planes: [plane.clone(), plane],
+            log: Vec::new(),
+            scratch: Vec::new(),
+        })
     }
 
-    fn observe(&mut self, chunk: &ChunkView<'_>) {
-        let window = self.window.expect("observe before begin"); // lint:allow(panic-free-data-plane): begin() runs before observe() in the chunk driver
-        self.seen += chunk.packets.len() as u64;
-        let det = &self.det;
-        self.scratch.clear();
+    fn observe(&self, state: &mut HoughState, chunk: &ChunkView<'_>) {
+        state.scratch.clear();
         for p in chunk.packets {
-            let x = det.time_bin(window.start_us, self.bin_us, p.ts_us);
+            let x = self.time_bin(state.window.start_us, state.bin_us, p.ts_us);
             let packed = pack(x, &FlowKey::of(p));
-            for (plane, picture) in self.planes.iter_mut().zip(PICTURES) {
-                plane[det.cell(x as usize, picture.y(packed, det.y_bins))] += 1;
+            for (plane, picture) in state.planes.iter_mut().zip(PICTURES) {
+                plane[self.cell(x as usize, picture.y(packed, self.y_bins))] += 1;
             }
-            self.scratch.push(packed);
+            state.scratch.push(packed);
         }
-        self.scratch.sort_unstable();
-        self.scratch.dedup();
-        self.log.extend_from_slice(&self.scratch);
-    }
-
-    fn finish(&mut self) -> Vec<Alarm> {
-        self.finish_tunings(&[self.det.tuning])
-            .pop()
-            .unwrap_or_default()
+        state.scratch.sort_unstable();
+        state.scratch.dedup();
+        state.log.extend_from_slice(&state.scratch);
     }
 
     /// Builds each picture's ρ table and votes once, at the lowest
     /// `pixel_min`; each distinct tuning chooses its lines from them,
     /// and one log pass gathers every line's flows.
-    fn finish_tunings(&self, tunings: &[Tuning]) -> Vec<Vec<Alarm>> {
+    fn finish_tunings(&self, state: &HoughState, tunings: &[Tuning]) -> Vec<Vec<Alarm>> {
         let Some(floor) = tunings.iter().map(|&t| thresholds(t).0).min() else {
             return Vec::new();
         };
-        if self.seen == 0 {
-            return vec![Vec::new(); tunings.len()];
-        }
-        let window = self.window.expect("finish before begin"); // lint:allow(panic-free-data-plane): begin() runs before finish() in the chunk driver
-        let det = &self.det;
         finish_each_once(tunings, |distinct| {
             let dets: Vec<HoughDetector> =
                 distinct.iter().map(|&t| HoughDetector::new(t)).collect();
             // Per picture, each tuning's lines; the picture's ρ table
             // is dropped once they are chosen.
-            let lines = self.planes.each_ref().map(|plane| {
-                let table = det.rho_table(det.rising_pixels(plane, floor));
-                let votes = det.votes(&table, &dets);
+            let lines = state.planes.each_ref().map(|plane| {
+                let table = self.rho_table(self.rising_pixels(plane, floor));
+                let votes = self.votes(&table, &dets);
                 dets.iter()
                     .zip(&votes)
                     .map(|(det, votes)| det.choose_lines(&table, votes))
                     .collect::<Vec<_>>()
             });
-            let mut flows = det.line_flows(&lines, &self.log).map(Vec::into_iter);
+            let mut flows = self.line_flows(&lines, &state.log).map(Vec::into_iter);
             dets.iter()
                 .enumerate()
                 .map(|(i, det)| {
@@ -603,7 +577,7 @@ impl IncrementalDetector for HoughAccumulator {
                     for (lines, flows) in lines.iter().zip(&mut flows) {
                         for (line, keys) in lines[i].iter().zip(flows.by_ref().take(lines[i].len()))
                         {
-                            alarms.push(det.alarm(window, self.bin_us, line, keys));
+                            alarms.push(det.alarm(state.window, state.bin_us, line, keys));
                         }
                     }
                     alarms

@@ -17,7 +17,9 @@
 //! is why its tunings are the most precise rather than the loudest.
 
 use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
-use crate::{finish_each_once, ChunkView, Detector, IncrementalDetector, ObservationKey};
+use crate::{
+    finish_each_once, Accumulator, ChunkView, Detector, Family, IncrementalDetector, ObservationKey,
+};
 use mawilab_mining::{mine_rules, Transaction};
 use mawilab_model::{FastMap, FastSet, TimeWindow, TraceMeta};
 use mawilab_stats::{kl_contributions, kl_divergence_counts, mad, median, Histogram};
@@ -148,14 +150,7 @@ impl Detector for KlDetector {
     }
 
     fn incremental(&self) -> Box<dyn IncrementalDetector> {
-        Box::new(KlAccumulator {
-            det: self.clone(),
-            window: None,
-            t_bins: 0,
-            seen: 0,
-            hists: Vec::new(),
-            bin_tuples: Vec::new(),
-        })
+        Accumulator::boxed(self)
     }
 
     fn observation_key(&self) -> Option<ObservationKey> {
@@ -166,7 +161,7 @@ impl Detector for KlDetector {
     }
 }
 
-/// Incremental form of [`KlDetector`]: chunk observation folds
+/// The incremental state of [`KlDetector`]: chunk observation folds
 /// packets into per-(feature, bin) histograms plus per-bin 4-tuple
 /// counts keyed by absolute time bin; divergence thresholding and
 /// rule mining run at finish. A [`finish_tunings`] call computes each
@@ -176,67 +171,46 @@ impl Detector for KlDetector {
 /// mining are per distinct tuning.
 ///
 /// [`finish_tunings`]: IncrementalDetector::finish_tunings
-pub struct KlAccumulator {
-    det: KlDetector,
-    window: Option<TimeWindow>,
+pub(crate) struct KlState {
+    window: TimeWindow,
     t_bins: usize,
-    seen: u64,
     /// `hists[feature][t]`.
     hists: Vec<Vec<Histogram>>,
     /// Distinct 4-tuples with multiplicities, per time bin.
     bin_tuples: Vec<FastMap<PacketTuple, u32>>,
 }
 
-impl IncrementalDetector for KlAccumulator {
-    fn kind(&self) -> DetectorKind {
-        DetectorKind::Kl
-    }
+impl Family for KlDetector {
+    type State = KlState;
 
-    fn tuning(&self) -> Tuning {
-        self.det.tuning
-    }
-
-    fn begin(&mut self, meta: &TraceMeta) {
+    /// `None` below three time bins.
+    fn begin(&self, meta: &TraceMeta) -> Option<KlState> {
         let window = meta.window();
-        self.window = Some(window);
-        self.t_bins = (window.len_us() / self.det.bin_us) as usize;
-        self.seen = 0;
-        if self.t_bins < 3 {
-            self.hists = Vec::new();
-            self.bin_tuples = Vec::new();
-        } else {
-            self.hists = FEATURES
+        let t_bins = (window.len_us() / self.bin_us) as usize;
+        (t_bins >= 3).then(|| KlState {
+            window,
+            t_bins,
+            hists: FEATURES
                 .iter()
                 .map(|_| {
-                    (0..self.t_bins)
-                        .map(|_| Histogram::new(self.det.hist_bins))
+                    (0..t_bins)
+                        .map(|_| Histogram::new(self.hist_bins))
                         .collect()
                 })
-                .collect();
-            self.bin_tuples = vec![FastMap::default(); self.t_bins];
-        }
+                .collect(),
+            bin_tuples: vec![FastMap::default(); t_bins],
+        })
     }
 
-    fn observe(&mut self, chunk: &ChunkView<'_>) {
-        if self.hists.is_empty() {
-            return;
-        }
-        let window = self.window.expect("observe before begin"); // lint:allow(panic-free-data-plane): begin() runs before observe() in the chunk driver
-        self.seen += chunk.packets.len() as u64;
+    fn observe(&self, state: &mut KlState, chunk: &ChunkView<'_>) {
         for p in chunk.packets {
-            let t = ((p.ts_us.saturating_sub(window.start_us) / self.det.bin_us) as usize)
-                .min(self.t_bins - 1);
+            let t = ((p.ts_us.saturating_sub(state.window.start_us) / self.bin_us) as usize)
+                .min(state.t_bins - 1);
             for (fi, f) in FEATURES.iter().enumerate() {
-                self.hists[fi][t].add(f.key(p));
+                state.hists[fi][t].add(f.key(p));
             }
-            *self.bin_tuples[t].entry(PacketTuple::of(p)).or_insert(0) += 1;
+            *state.bin_tuples[t].entry(PacketTuple::of(p)).or_insert(0) += 1;
         }
-    }
-
-    fn finish(&mut self) -> Vec<Alarm> {
-        self.finish_tunings(&[self.det.tuning])
-            .pop()
-            .unwrap_or_default()
     }
 
     /// Computes each feature's divergence series, median and MAD once,
@@ -244,23 +218,25 @@ impl IncrementalDetector for KlAccumulator {
     /// flagged bin's tuples the first time a tuning needs them; each
     /// distinct tuning cuts at its own threshold and mines its own top
     /// cells.
-    fn finish_tunings(&self, tunings: &[Tuning]) -> Vec<Vec<Alarm>> {
-        if self.hists.is_empty() || self.seen == 0 {
-            return vec![Vec::new(); tunings.len()];
-        }
-        let window = self.window.expect("finish before begin"); // lint:allow(panic-free-data-plane): begin() runs before finish() in the chunk driver
+    fn finish_tunings(&self, state: &KlState, tunings: &[Tuning]) -> Vec<Vec<Alarm>> {
         finish_each_once(tunings, |distinct| {
             let dets: Vec<KlDetector> = distinct.iter().map(|&t| KlDetector::new(t)).collect();
-            self.finish_analysis(&dets, window)
+            self.finish_analysis(state, &dets)
         })
     }
 }
 
-impl KlAccumulator {
+impl KlDetector {
     /// The batch analysis over fully accumulated histogram state, one
     /// alarm list per detector of `dets` (which differ in tuning only).
-    fn finish_analysis(&self, dets: &[KlDetector], window: TimeWindow) -> Vec<Vec<Alarm>> {
-        let (hists, t_bins, bin_us) = (&self.hists, self.t_bins, self.det.bin_us);
+    fn finish_analysis(&self, state: &KlState, dets: &[KlDetector]) -> Vec<Vec<Alarm>> {
+        let KlState {
+            window,
+            t_bins,
+            ref hists,
+            ref bin_tuples,
+        } = *state;
+        let bin_us = self.bin_us;
         let mut alarms = vec![Vec::new(); dets.len()];
         let mut seen: Vec<FastSet<(usize, mawilab_model::TrafficRule)>> =
             vec![FastSet::default(); dets.len()];
@@ -301,7 +277,7 @@ impl KlAccumulator {
                         // (Apriori support counting is order-insensitive
                         // anyway).
                         let mut tuples: Vec<(PacketTuple, u32)> =
-                            self.bin_tuples[t].iter().map(|(&tp, &n)| (tp, n)).collect();
+                            bin_tuples[t].iter().map(|(&tp, &n)| (tp, n)).collect();
                         tuples.sort_unstable_by_key(|&(tp, _)| tp);
                         tuples
                     });

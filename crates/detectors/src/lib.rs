@@ -161,6 +161,85 @@ pub trait IncrementalDetector: Send {
     }
 }
 
+/// A detector family's side of the accumulator lifecycle, over its own
+/// per-trace state (which holds the trace window). [`Accumulator`]
+/// runs the lifecycle once for all four families.
+pub(crate) trait Family: Detector + Clone + 'static {
+    /// What the family folds chunks into.
+    type State: Send + 'static;
+
+    /// The state for a trace, or `None` when the trace is too short
+    /// to analyse: such a trace reports nothing, as does an
+    /// accumulator never begun.
+    fn begin(&self, meta: &TraceMeta) -> Option<Self::State>;
+
+    /// Folds one chunk of packets into `state`.
+    fn observe(&self, state: &mut Self::State, chunk: &ChunkView<'_>);
+
+    /// One alarm list per entry of `tunings`, in that order, from
+    /// state that observed at least one packet (see
+    /// [`IncrementalDetector::finish_tunings`]).
+    fn finish_tunings(&self, state: &Self::State, tunings: &[Tuning]) -> Vec<Vec<Alarm>>;
+}
+
+/// The incremental form of every family's configurations: family
+/// state exists only after [`begin`](IncrementalDetector::begin) built
+/// it, so "not begun" and "too short to analyse" are the same empty
+/// accumulator, which observes nothing and reports no alarms.
+pub(crate) struct Accumulator<F: Family> {
+    det: F,
+    state: Option<F::State>,
+    /// Packets observed since `begin`; with none, `finish` reports
+    /// nothing.
+    seen: u64,
+}
+
+impl<F: Family> Accumulator<F> {
+    /// A not yet begun accumulator for `det`.
+    pub(crate) fn boxed(det: &F) -> Box<dyn IncrementalDetector> {
+        Box::new(Accumulator {
+            det: det.clone(),
+            state: None,
+            seen: 0,
+        })
+    }
+}
+
+impl<F: Family> IncrementalDetector for Accumulator<F> {
+    fn kind(&self) -> DetectorKind {
+        self.det.kind()
+    }
+
+    fn tuning(&self) -> Tuning {
+        self.det.tuning()
+    }
+
+    fn begin(&mut self, meta: &TraceMeta) {
+        self.state = self.det.begin(meta);
+        self.seen = 0;
+    }
+
+    fn observe(&mut self, chunk: &ChunkView<'_>) {
+        if let Some(state) = &mut self.state {
+            self.seen += chunk.packets.len() as u64;
+            self.det.observe(state, chunk);
+        }
+    }
+
+    fn finish(&mut self) -> Vec<Alarm> {
+        self.finish_tunings(&[self.det.tuning()])
+            .pop()
+            .unwrap_or_default()
+    }
+
+    fn finish_tunings(&self, tunings: &[Tuning]) -> Vec<Vec<Alarm>> {
+        match &self.state {
+            Some(state) if self.seen > 0 => self.det.finish_tunings(state, tunings),
+            _ => vec![Vec::new(); tunings.len()],
+        }
+    }
+}
+
 /// One alarm list per entry of `tunings`, from one call of `finish`
 /// with the distinct tunings (in [`Tuning::ALL`] order), which returns
 /// one list per tuning it is given. A repeated tuning gets a copy.
@@ -448,6 +527,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn unbegun_accumulators_report_nothing_and_begin_resets_a_used_one() {
+        let lt = TraceGenerator::new(SynthConfig::default().with_seed(42)).generate();
+        let whole = ChunkView::whole_trace(&lt.trace);
+        let run = |inc: &mut Box<dyn IncrementalDetector>| {
+            inc.begin(&lt.trace.meta);
+            inc.observe(&whole);
+            inc.finish()
+        };
+        let mut alarms = 0;
+        for config in standard_configurations() {
+            let mut inc = config.incremental();
+            inc.observe(&whole);
+            assert!(inc.finish().is_empty(), "{} not begun", config.label());
+            assert_eq!(
+                inc.finish_tunings(&Tuning::ALL),
+                vec![Vec::<Alarm>::new(); 3],
+                "{} not begun",
+                config.label()
+            );
+            let fresh = run(&mut config.incremental());
+            run(&mut inc);
+            assert_eq!(run(&mut inc), fresh, "{} reused", config.label());
+            alarms += fresh.len();
+        }
+        assert!(alarms > 0, "the reuse check compared empty alarm lists");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! communities (Fig. 5) — so its sensitive tuning flags aggressively.
 
 use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
-use crate::{ChunkView, Detector, IncrementalDetector, ObservationKey};
+use crate::{Accumulator, ChunkView, Detector, Family, IncrementalDetector, ObservationKey};
 use mawilab_linalg::pca::{ColumnScaling, PcaComponents};
 use mawilab_linalg::{Matrix, Pca};
 use mawilab_model::{FastMap, FastSet, TimeWindow, TraceMeta};
@@ -146,15 +146,7 @@ impl Detector for PcaDetector {
     }
 
     fn incremental(&self) -> Box<dyn IncrementalDetector> {
-        Box::new(PcaAccumulator {
-            det: self.clone(),
-            window: None,
-            t_bins: 0,
-            seen: 0,
-            sketch: None,
-            counts: Vec::new(),
-            active: Vec::new(),
-        })
+        Accumulator::boxed(self)
     }
 
     fn observation_key(&self) -> Option<ObservationKey> {
@@ -170,116 +162,75 @@ impl Detector for PcaDetector {
     }
 }
 
-/// Incremental form of [`PcaDetector`]: chunk observation folds
+/// The incremental state of [`PcaDetector`]: chunk observation folds
 /// packets into per-row time×bin count matrices keyed by absolute
 /// time bin; the robust subspace fit and sketch reversal run once at
 /// finish.
-pub struct PcaAccumulator {
-    det: PcaDetector,
-    window: Option<TimeWindow>,
+pub(crate) struct PcaState {
+    window: TimeWindow,
     t_bins: usize,
-    seen: u64,
-    sketch: Option<SketchFamily>,
+    sketch: SketchFamily,
     counts: Vec<Matrix>,
     active: Vec<FastSet<u32>>,
 }
 
-impl IncrementalDetector for PcaAccumulator {
-    fn kind(&self) -> DetectorKind {
-        DetectorKind::Pca
-    }
+impl Family for PcaDetector {
+    type State = PcaState;
 
-    fn tuning(&self) -> Tuning {
-        self.det.tuning
-    }
-
-    fn begin(&mut self, meta: &TraceMeta) {
+    /// `None` below four time bins.
+    fn begin(&self, meta: &TraceMeta) -> Option<PcaState> {
         let window = meta.window();
-        self.window = Some(window);
-        self.t_bins = (window.len_us() / self.det.bin_us) as usize;
-        self.seen = 0;
-        if self.t_bins < 4 {
-            self.sketch = None;
-            self.counts = Vec::new();
-            self.active = Vec::new();
-        } else {
-            self.sketch = Some(SketchFamily::new(
-                self.det.sketch_rows,
-                self.det.sketch_width,
-                self.det.seed,
-            ));
-            self.counts =
-                vec![Matrix::zeros(self.t_bins, self.det.sketch_width); self.det.sketch_rows];
-            self.active = vec![FastSet::default(); self.t_bins];
-        }
+        let t_bins = (window.len_us() / self.bin_us) as usize;
+        (t_bins >= 4).then(|| PcaState {
+            window,
+            t_bins,
+            sketch: SketchFamily::new(self.sketch_rows, self.sketch_width, self.seed),
+            counts: vec![Matrix::zeros(t_bins, self.sketch_width); self.sketch_rows],
+            active: vec![FastSet::default(); t_bins],
+        })
     }
 
-    fn observe(&mut self, chunk: &ChunkView<'_>) {
-        let Some(sketch) = &self.sketch else { return };
-        let window = self.window.expect("observe before begin"); // lint:allow(panic-free-data-plane): begin() runs before observe() in the chunk driver
-        self.seen += chunk.packets.len() as u64;
+    fn observe(&self, state: &mut PcaState, chunk: &ChunkView<'_>) {
         for p in chunk.packets {
             // Packets stamped outside the nominal window (clock skew
             // in real captures) are skipped.
-            let Some(dt) = p.ts_us.checked_sub(window.start_us) else {
+            let Some(dt) = p.ts_us.checked_sub(state.window.start_us) else {
                 continue;
             };
-            let t = (dt / self.det.bin_us) as usize;
-            if t >= self.t_bins {
+            let t = (dt / self.bin_us) as usize;
+            if t >= state.t_bins {
                 continue;
             }
             let key = u32::from(p.src) as u64;
-            for (row, m) in self.counts.iter_mut().enumerate() {
-                m[(t, sketch.bin(row, key))] += 1.0;
+            for (row, m) in state.counts.iter_mut().enumerate() {
+                m[(t, state.sketch.bin(row, key))] += 1.0;
             }
-            self.active[t].insert(u32::from(p.src));
+            state.active[t].insert(u32::from(p.src));
         }
-    }
-
-    fn finish(&mut self) -> Vec<Alarm> {
-        self.finish_tunings(&[self.det.tuning])
-            .pop()
-            .unwrap_or_default()
     }
 
     /// Fits each sketch row's full subspace once; every tuning
     /// truncates it for its first robust pass and refits its own
     /// trimmed rows.
-    fn finish_tunings(&self, tunings: &[Tuning]) -> Vec<Vec<Alarm>> {
-        let (Some(sketch), Some(window)) = (&self.sketch, self.window) else {
-            return vec![Vec::new(); tunings.len()];
-        };
-        if self.seen == 0 {
-            return vec![Vec::new(); tunings.len()];
-        }
-        let full: Vec<Pca> = self.counts.iter().map(PcaDetector::full_fit).collect();
+    fn finish_tunings(&self, state: &PcaState, tunings: &[Tuning]) -> Vec<Vec<Alarm>> {
+        let full: Vec<Pca> = state.counts.iter().map(PcaDetector::full_fit).collect();
         tunings
             .iter()
-            .map(|&t| {
-                PcaDetector::new(t).finish_analysis(
-                    sketch,
-                    window,
-                    self.t_bins,
-                    &self.counts,
-                    &full,
-                    &self.active,
-                )
-            })
+            .map(|&t| PcaDetector::new(t).finish_analysis(state, &full))
             .collect()
     }
 }
 
 impl PcaDetector {
     /// The batch analysis over fully accumulated sketch state.
-    fn finish_analysis(
-        &self,
-        sketch: &SketchFamily,
-        window: TimeWindow,
-        t_bins: usize,
-        counts: &[Matrix],
-        full: &[Pca],
-        active: &[FastSet<u32>],
-    ) -> Vec<Alarm> {
+    fn finish_analysis(&self, state: &PcaState, full: &[Pca]) -> Vec<Alarm> {
+        let PcaState {
+            window,
+            t_bins,
+            ref sketch,
+            ref counts,
+            ref active,
+        } = *state;
         // Per row: subspace fit → flagged (time, bin) pairs.
         // flagged[row][t] = boolean bin vector (empty Vec = untouched).
         let mut flagged: Vec<Vec<Vec<bool>>> = vec![vec![Vec::new(); t_bins]; self.sketch_rows];

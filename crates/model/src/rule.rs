@@ -72,23 +72,6 @@ impl TrafficRule {
             && self.dport.is_none_or(|v| v == k.dport)
             && self.proto.is_none_or(|v| v == k.proto)
     }
-
-    /// Whether every packet matching `other` also matches `self`
-    /// (i.e. `self` is equal to or more general than `other`).
-    pub fn generalizes(&self, other: &TrafficRule) -> bool {
-        fn cover<T: PartialEq>(a: &Option<T>, b: &Option<T>) -> bool {
-            match (a, b) {
-                (None, _) => true,
-                (Some(x), Some(y)) => x == y,
-                (Some(_), None) => false,
-            }
-        }
-        cover(&self.src, &other.src)
-            && cover(&self.sport, &other.sport)
-            && cover(&self.dst, &other.dst)
-            && cover(&self.dport, &other.dport)
-            && cover(&self.proto, &other.proto)
-    }
 }
 
 impl fmt::Display for TrafficRule {
@@ -157,28 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn generalizes_partial_order() {
-        let any = TrafficRule::any();
-        let src_host = |i| TrafficRule {
-            src: Some(ip(i)),
-            ..Default::default()
-        };
-        let host = src_host(1);
-        let full = TrafficRule {
-            src: Some(ip(1)),
-            dport: Some(80),
-            ..Default::default()
-        };
-        assert!(any.generalizes(&host));
-        assert!(host.generalizes(&full));
-        assert!(any.generalizes(&full));
-        assert!(!full.generalizes(&host));
-        assert!(!host.generalizes(&src_host(2)));
-        // Reflexive.
-        assert!(full.generalizes(&full));
-    }
-
-    #[test]
     fn display_uses_star_for_wildcards() {
         let r = TrafficRule {
             src: Some(ip(1)),
@@ -186,22 +147,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(r.to_string(), "<10.0.0.1, *, *, 80>");
-    }
-
-    #[test]
-    fn generalization_implies_match_superset() {
-        // If a generalizes b and a packet matches b, it must match a.
-        let a = TrafficRule {
-            dst: Some(ip(2)),
-            ..Default::default()
-        };
-        let b = TrafficRule {
-            dst: Some(ip(2)),
-            dport: Some(80),
-            ..Default::default()
-        };
-        assert!(a.generalizes(&b));
-        let p = pkt();
-        assert!(b.matches(&p) && a.matches(&p));
     }
 }

@@ -211,20 +211,6 @@ pub fn chunk_window(window_start_us: u64, bin_us: u64, k: u64) -> TimeWindow {
     TimeWindow::new(start, start + bin_us)
 }
 
-/// Drains a source from its current position, concatenating every
-/// remaining chunk into one packet vector. The equivalence oracle of
-/// the streaming test suites: `collect_packets(source)` must equal the
-/// batch-materialised trace for any chunk width.
-pub fn collect_packets<S: PacketSource + ?Sized>(
-    source: &mut S,
-) -> Result<Vec<Packet>, SourceError> {
-    let mut out = Vec::new();
-    while let Some(chunk) = source.next_chunk()? {
-        out.extend_from_slice(&chunk.packets);
-    }
-    Ok(out)
-}
-
 /// [`PacketSource`] over an in-memory [`Trace`].
 ///
 /// This is the adapter that lets batch-held traces (tests, the synth
@@ -310,6 +296,15 @@ mod tests {
 
     fn ip(d: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, d)
+    }
+
+    /// Every packet a source yields from its current position on.
+    fn drain<S: PacketSource + ?Sized>(source: &mut S) -> Vec<Packet> {
+        let mut out = Vec::new();
+        while let Some(chunk) = source.next_chunk().unwrap() {
+            out.extend_from_slice(&chunk.packets);
+        }
+        out
     }
 
     fn trace_with_offsets(offsets_us: &[u64]) -> Trace {
@@ -404,18 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn collect_packets_reassembles_the_trace() {
-        let trace = trace_with_offsets(&[0, 1, 2_000_000, 2_500_000, 9_000_000]);
-        let want = trace.packets.clone();
-        let mut src = TraceChunker::new(trace, 1_000_000);
-        assert_eq!(collect_packets(&mut src).unwrap(), want);
-        // Drained source yields nothing more; after rewind, everything.
-        assert!(collect_packets(&mut src).unwrap().is_empty());
-        src.rewind().unwrap();
-        assert_eq!(collect_packets(&mut src).unwrap(), want);
-    }
-
-    #[test]
     fn empty_trace_yields_no_chunks() {
         let meta = TraceMeta::standard(TraceDate::new(2004, 5, 3));
         let mut src = TraceChunker::new(Trace::new(meta, vec![]), DEFAULT_CHUNK_US);
@@ -428,7 +411,7 @@ mod tests {
         let want = trace.packets.clone();
         let mut inner = TraceChunker::new(trace, 1_000_000);
         let mut src = NoRewindSource::new(&mut inner);
-        assert_eq!(collect_packets(&mut src).unwrap(), want);
+        assert_eq!(drain(&mut src), want);
         assert_eq!(src.rewinds_refused(), 0);
         assert!(matches!(
             src.rewind(),
@@ -443,6 +426,6 @@ mod tests {
         // drained, and the borrowed source rewinds once unsealed.
         assert!(src.next_chunk().unwrap().is_none());
         inner.rewind().unwrap();
-        assert_eq!(collect_packets(&mut inner).unwrap(), want);
+        assert_eq!(drain(&mut inner), want);
     }
 }

@@ -7,37 +7,16 @@
 //! to stay finite — the standard treatment in the anomaly-detection
 //! literature.
 
-/// Smoothing mass added to every cell before normalising.
-const SMOOTHING: f64 = 1e-9;
-
-/// Kullback–Leibler divergence `D(p ‖ q)` in nats, with additive
-/// smoothing so that empty `q` cells do not produce infinities.
-///
-/// # Panics
-/// Panics if the slices differ in length or are empty.
-pub fn kl_divergence(p: &[f64], q: &[f64]) -> f64 {
-    assert_eq!(p.len(), q.len(), "distribution lengths differ");
-    assert!(!p.is_empty(), "empty distributions");
-    let ps: f64 = p.iter().sum::<f64>() + SMOOTHING * p.len() as f64;
-    let qs: f64 = q.iter().sum::<f64>() + SMOOTHING * q.len() as f64;
-    let mut d = 0.0;
-    for (&pi, &qi) in p.iter().zip(q) {
-        let pn = (pi + SMOOTHING) / ps;
-        let qn = (qi + SMOOTHING) / qs;
-        d += pn * (pn / qn).ln();
-    }
-    d.max(0.0) // clamp away -0.0 / tiny negative rounding
-}
-
 /// Kullback–Leibler divergence `D(p ‖ q)` between two *count*
 /// histograms with Laplace smoothing: `pseudo` observations are added
 /// to every cell before normalising.
 ///
-/// Unlike [`kl_divergence`]'s fixed additive mass, the pseudo-count is
-/// calibrated to the sample size, so cells that flip between zero and
-/// a handful of observations contribute `O(p · ln(c/pseudo))` instead
-/// of `O(p · ln(p/1e-9))` — sparse-cell churn no longer dominates the
-/// divergence of a genuinely shifted distribution.
+/// Unlike a fixed additive mass (say 1e-9 per normalised cell), the
+/// pseudo-count is calibrated to the sample size, so cells that flip
+/// between zero and a handful of observations contribute
+/// `O(p · ln(c/pseudo))` instead of `O(p · ln(p/1e-9))` — sparse-cell
+/// churn no longer dominates the divergence of a genuinely shifted
+/// distribution.
 ///
 /// # Panics
 /// Panics if the slices differ in length, are empty, or `pseudo` is
@@ -75,57 +54,9 @@ fn smoothed_terms<'a>(p: &'a [u64], q: &'a [u64], pseudo: f64) -> impl Iterator<
     })
 }
 
-/// Jensen–Shannon divergence (symmetric, bounded by ln 2).
-pub fn js_divergence(p: &[f64], q: &[f64]) -> f64 {
-    assert_eq!(p.len(), q.len(), "distribution lengths differ");
-    let m: Vec<f64> = p.iter().zip(q).map(|(&a, &b)| 0.5 * (a + b)).collect();
-    0.5 * kl_divergence(p, &m) + 0.5 * kl_divergence(q, &m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kl_of_identical_is_zero() {
-        let p = [0.25, 0.25, 0.25, 0.25];
-        assert!(kl_divergence(&p, &p) < 1e-12);
-    }
-
-    #[test]
-    fn kl_is_positive_for_different_distributions() {
-        let p = [0.9, 0.1];
-        let q = [0.1, 0.9];
-        assert!(kl_divergence(&p, &q) > 0.5);
-    }
-
-    #[test]
-    fn kl_is_asymmetric() {
-        let p = [0.8, 0.1, 0.1];
-        let q = [0.4, 0.3, 0.3];
-        let dpq = kl_divergence(&p, &q);
-        let dqp = kl_divergence(&q, &p);
-        assert!((dpq - dqp).abs() > 1e-3);
-    }
-
-    #[test]
-    fn smoothing_keeps_zero_cells_finite() {
-        let p = [1.0, 0.0];
-        let q = [0.0, 1.0];
-        let d = kl_divergence(&p, &q);
-        assert!(d.is_finite());
-        assert!(d > 1.0); // still clearly large
-    }
-
-    #[test]
-    fn kl_accepts_unnormalised_counts() {
-        // Count histograms should behave like their normalised form.
-        let p = [90.0, 10.0];
-        let q = [10.0, 90.0];
-        let pn = [0.9, 0.1];
-        let qn = [0.1, 0.9];
-        assert!((kl_divergence(&p, &q) - kl_divergence(&pn, &qn)).abs() < 1e-6);
-    }
 
     #[test]
     fn counts_kl_of_identical_is_zero() {
@@ -176,14 +107,13 @@ mod tests {
             "flood ({shift:.3}) must dominate churn ({churn:.3})"
         );
 
-        // And the same churn under the old absolute smoothing scores
-        // several times higher — the noise floor the Laplace variant
-        // exists to remove.
-        let norm = |c: &[u64]| {
-            let tot: u64 = c.iter().sum();
-            c.iter().map(|&x| x as f64 / tot as f64).collect::<Vec<_>>()
-        };
-        let old_churn = kl_divergence(&norm(&churn_a), &norm(&churn_b));
+        // And the same churn under an absolute smoothing of 1e-9 per
+        // normalised cell (a pseudo-count of 1e-9 times the equal
+        // totals) scores several times higher — the noise floor the
+        // Laplace variant exists to remove.
+        let total: u64 = churn_a.iter().sum();
+        assert_eq!(total, churn_b.iter().sum::<u64>());
+        let old_churn = kl_divergence_counts(&churn_a, &churn_b, 1e-9 * total as f64);
         assert!(
             churn < 0.5 * old_churn,
             "laplace churn ({churn:.3}) must undercut absolute-smoothing churn ({old_churn:.3})"
@@ -205,25 +135,14 @@ mod tests {
     }
 
     #[test]
-    fn js_is_symmetric_and_bounded() {
-        let p = [1.0, 0.0, 0.0];
-        let q = [0.0, 0.0, 1.0];
-        let d1 = js_divergence(&p, &q);
-        let d2 = js_divergence(&q, &p);
-        assert!((d1 - d2).abs() < 1e-12);
-        assert!(d1 <= (2.0f64).ln() + 1e-9);
-        assert!(d1 > 0.5);
-    }
-
-    #[test]
     #[should_panic(expected = "lengths differ")]
     fn mismatched_lengths_panic() {
-        kl_divergence(&[0.5, 0.5], &[1.0]);
+        kl_divergence_counts(&[1, 1], &[2], 0.5);
     }
 
     #[test]
     #[should_panic(expected = "empty")]
     fn empty_distributions_panic() {
-        kl_divergence(&[], &[]);
+        kl_divergence_counts(&[], &[], 0.5);
     }
 }

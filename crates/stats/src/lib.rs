@@ -5,8 +5,8 @@
 //!
 //! * [`histogram`] — fixed-width hashed feature histograms, as used
 //!   by the KL-divergence detector.
-//! * [`divergence`] — Kullback–Leibler (smoothed) and Jensen–Shannon
-//!   divergences between discrete distributions.
+//! * [`divergence`] — the Laplace-smoothed Kullback–Leibler divergence
+//!   between count histograms, and its per-cell terms.
 //! * [`gamma`] — the Gamma(α, β) distribution: moments,
 //!   method-of-moments fitting (the estimator Dewaele et al.'s
 //!   multi-resolution detector relies on) and Marsaglia–Tsang sampling.
@@ -14,8 +14,8 @@
 //!   synthesise Internet-like traffic (Zipf, Pareto, log-normal,
 //!   exponential, Poisson). Implemented here rather than pulling
 //!   `rand_distr`, keeping the substrate self-contained.
-//! * [`summary`] — running moments, quantiles, median/MAD robust
-//!   scale, and EWMA baselines used for adaptive thresholds.
+//! * [`summary`] — moments, quantiles and the median/MAD robust scale
+//!   used for adaptive thresholds.
 
 #![forbid(unsafe_code)]
 
@@ -25,8 +25,8 @@ pub mod histogram;
 pub mod samplers;
 pub mod summary;
 
-pub use divergence::{js_divergence, kl_contributions, kl_divergence, kl_divergence_counts};
+pub use divergence::{kl_contributions, kl_divergence_counts};
 pub use gamma::Gamma;
 pub use histogram::Histogram;
 pub use samplers::{Exponential, LogNormal, Pareto, Poisson, Zipf};
-pub use summary::{ewma, mad, mean, median, quantile, stddev, variance, Welford};
+pub use summary::{mad, mean, median, quantile, stddev, variance};

@@ -1,9 +1,9 @@
-//! Summary statistics: moments, quantiles, robust scale, EWMA.
+//! Summary statistics: moments, quantiles, robust scale.
 //!
 //! The detectors derive adaptive thresholds from these primitives:
-//! the PCA detector's Q-statistic uses residual mean/stddev, the Gamma
+//! the PCA detector cuts residual energy at median + λ·MAD, the Gamma
 //! detector normalises distances by median/MAD across sketch bins, and
-//! the KL detector maintains an EWMA baseline of per-bin divergences.
+//! the KL detector cuts its divergence series at median + λ·MAD.
 
 /// Arithmetic mean (0 for an empty slice).
 pub fn mean(xs: &[f64]) -> f64 {
@@ -62,72 +62,6 @@ pub fn mad(xs: &[f64]) -> f64 {
     let med = median(xs);
     let devs: Vec<f64> = xs.iter().map(|x| (x - med).abs()).collect();
     1.4826 * median(&devs)
-}
-
-/// Exponentially weighted moving average of a series with smoothing
-/// factor `alpha ∈ (0, 1]`; element `i` of the result is the EWMA
-/// *after* absorbing `xs[i]`.
-pub fn ewma(xs: &[f64], alpha: f64) -> Vec<f64> {
-    assert!(alpha > 0.0 && alpha <= 1.0, "EWMA alpha outside (0,1]");
-    let mut out = Vec::with_capacity(xs.len());
-    let mut acc = None;
-    for &x in xs {
-        let next = match acc {
-            None => x,
-            Some(prev) => alpha * x + (1.0 - alpha) * prev,
-        };
-        out.push(next);
-        acc = Some(next);
-    }
-    out
-}
-
-/// Welford's online mean/variance accumulator — single pass, numerically
-/// stable, usable while streaming packets.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Fresh accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorbs one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Running mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Unbiased running variance (0 below two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Running standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -195,52 +129,8 @@ mod tests {
     }
 
     #[test]
-    fn ewma_alpha_one_is_identity() {
-        let xs = [1.0, 5.0, 2.0];
-        assert_eq!(ewma(&xs, 1.0), xs.to_vec());
-    }
-
-    #[test]
-    fn ewma_smooths_towards_history() {
-        let xs = [0.0, 0.0, 0.0, 10.0];
-        let out = ewma(&xs, 0.5);
-        assert_eq!(out[2], 0.0);
-        assert_eq!(out[3], 5.0);
-    }
-
-    #[test]
-    fn welford_matches_batch_statistics() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        assert_eq!(w.count(), 8);
-        assert!((w.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((w.variance() - variance(&xs)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_is_stable_for_large_offsets() {
-        // Classic catastrophic-cancellation case for naive two-pass.
-        let base = 1e9;
-        let xs: Vec<f64> = (0..1000).map(|i| base + (i % 10) as f64).collect();
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        assert!((w.variance() - variance(&xs)).abs() < 1e-6);
-    }
-
-    #[test]
     #[should_panic(expected = "outside")]
     fn quantile_out_of_range_panics() {
         quantile(&[1.0], 1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn ewma_zero_alpha_panics() {
-        ewma(&[1.0], 0.0);
     }
 }

@@ -6,7 +6,7 @@
 //! horizon is retired into a flat per-unit record log — yet its labels must
 //! be byte-identical to the batch `MawilabPipeline::run` on the
 //! materialised trace (the equivalence oracle) across seeds, chunk
-//! widths, horizon lags, granularities and thread counts. Every
+//! widths, granularities and thread counts. Every
 //! online run here goes through a [`NoRewindSource`] seal, so "single
 //! pass" is enforced by construction, not just claimed.
 //!
@@ -79,14 +79,12 @@ fn assert_online_equals_oracle(
     lt: &mawilab::synth::LabeledTrace,
     config: &PipelineConfig,
     chunk_us: u64,
-    lag_us: u64,
     what: &str,
-) -> mawilab::core::OnlineReport {
+) {
     let oracle = MawilabPipeline::new(config.clone()).run(&lt.trace);
 
     let mut sealed = NoRewindSource::new(TraceChunker::new(lt.trace.clone(), chunk_us));
     let online = OnlinePipeline::new(config.clone())
-        .with_lag_us(lag_us)
         .run(&mut sealed)
         .unwrap();
     assert_eq!(sealed.rewinds_refused(), 0, "online path rewound ({what})");
@@ -108,7 +106,6 @@ fn assert_online_equals_oracle(
         &online.report.labeled.communities,
         &oracle.labeled.communities,
     );
-    online
 }
 
 #[test]
@@ -121,40 +118,7 @@ fn single_pass_equals_batch_across_seeds_and_chunk_widths() {
                 &lt,
                 &config,
                 chunk_us,
-                mawilab::core::DEFAULT_LAG_US,
                 &format!("seed {seed}, chunk {chunk_us}"),
-            );
-        }
-    }
-}
-
-#[test]
-fn lag_governs_retention_not_labels() {
-    // The detectors only alarm at finish(), so the horizon lag must
-    // not change a single output byte — it only decides how much raw
-    // evidence stays resident. lag=0 retires everything immediately;
-    // a day-scale lag retires nothing.
-    let lt = synth(222);
-    let config = PipelineConfig::default();
-    let day_us: u64 = 86_400_000_000;
-    for lag_us in [0, 15_000_000, day_us] {
-        let online = assert_online_equals_oracle(
-            &lt,
-            &config,
-            DEFAULT_CHUNK_US,
-            lag_us,
-            &format!("lag {lag_us}"),
-        );
-        if lag_us == 0 {
-            assert_eq!(
-                online.horizon_stats.fresh_chunks, 0,
-                "lag=0 must retire every chunk as soon as the next high-water lands"
-            );
-        }
-        if lag_us == day_us {
-            assert_eq!(
-                online.horizon_stats.retired_chunks, 0,
-                "a day-scale lag on a 60 s trace must retire nothing"
             );
         }
     }
@@ -176,7 +140,6 @@ fn single_pass_equals_batch_at_every_granularity() {
             &lt,
             &config,
             DEFAULT_CHUNK_US,
-            mawilab::core::DEFAULT_LAG_US,
             &format!("granularity {granularity}"),
         );
     }
@@ -199,27 +162,6 @@ fn the_seal_refuses_a_replay_after_a_single_pass_run() {
     assert!(
         sealed.next_chunk().unwrap().is_none(),
         "stream already drained"
-    );
-}
-
-#[test]
-fn anomaly_outlasting_the_lag_labels_identically() {
-    // A 12 s SYN flood outlasts the 5 s lag, so its first records
-    // retire into the log while it is still sending; its labels must
-    // still equal the batch oracle's.
-    let lt = synth(3333);
-    let config = PipelineConfig::default();
-    let oracle = MawilabPipeline::new(config.clone()).run(&lt.trace);
-
-    let mut sealed = NoRewindSource::new(TraceChunker::new(lt.trace.clone(), DEFAULT_CHUNK_US));
-    let online = OnlinePipeline::new(config)
-        .with_lag_us(5_000_000)
-        .run(&mut sealed)
-        .unwrap();
-    assert_eq!(sealed.rewinds_refused(), 0);
-    assert_labels_identical(
-        &online.report.labeled.communities,
-        &oracle.labeled.communities,
     );
 }
 
