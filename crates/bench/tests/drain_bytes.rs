@@ -5,11 +5,13 @@
 //! about 1.47 M packets — once per granularity, and prints the
 //! evidence, horizon and unit-index bytes per packet with an FNV-1a 64
 //! digest of the labels, so a memory change can show both its bytes
-//! and that the labels did not move. It checks the evidence bound:
+//! and that the labels did not move. It checks the evidence bound —
 //! three `u32` counters per traffic unit, at most 24 bytes per packet
-//! with `Vec` growth slack, at every granularity.
+//! with `Vec` growth slack, at every granularity — and pins the labels
+//! digest of each granularity. `month_view` pins uniflow labels only;
+//! this is the day-scale pin of packet and biflow labels.
 //!
-//! Ignored by default (about 2 s in release, after the build):
+//! Ignored by default (about 4 s in release, after the build):
 //!
 //! ```sh
 //! cargo test --release -p mawilab-bench --test drain_bytes -- --ignored --nocapture
@@ -28,6 +30,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// FNV-1a 64 of the `Debug` rendering of the day's labels, per
+/// granularity.
+const LABELS_FNV: [(Granularity, u64); 3] = [
+    (Granularity::Packet, 0xdd9c_d772_61d8_b22b),
+    (Granularity::Uniflow, 0xa540_1cd1_3d1e_c64a),
+    (Granularity::Biflow, 0x34f6_8a2b_4cce_c082),
+];
+
 #[test]
 #[ignore = "scale-4 day at three granularities; run with --release -- --ignored --nocapture"]
 fn drain_bytes_per_packet_at_every_granularity() {
@@ -40,11 +50,8 @@ fn drain_bytes_per_packet_at_every_granularity() {
     .trace;
     let mut rows = Vec::new();
     let mut over = Vec::new();
-    for granularity in [
-        Granularity::Packet,
-        Granularity::Uniflow,
-        Granularity::Biflow,
-    ] {
+    let mut moved = Vec::new();
+    for (granularity, pinned) in LABELS_FNV {
         let config = PipelineConfig {
             granularity,
             ..Default::default()
@@ -57,16 +64,17 @@ fn drain_bytes_per_packet_at_every_granularity() {
         if stats.evidence_bytes as u64 > 24 * stats.packets {
             over.push(granularity);
         }
+        let labels = fnv1a(format!("{:?}", online.report.labeled).as_bytes());
+        if labels != pinned {
+            moved.push(granularity);
+        }
         rows.push(vec![
             granularity.to_string(),
             stats.packets.to_string(),
             per_packet(stats.evidence_bytes),
             per_packet(stats.horizon_bytes),
             per_packet(stats.unit_index_bytes),
-            format!(
-                "{:#018x}",
-                fnv1a(format!("{:?}", online.report.labeled).as_bytes())
-            ),
+            format!("{labels:#018x}"),
         ]);
     }
     out::print_table(
@@ -81,4 +89,5 @@ fn drain_bytes_per_packet_at_every_granularity() {
         &rows,
     );
     assert!(over.is_empty(), "evidence above 24 B/packet at {over:?}");
+    assert!(moved.is_empty(), "labels moved at {moved:?}; digests above");
 }

@@ -34,7 +34,6 @@
 
 use crate::strategies::CombinationStrategy;
 use crate::votes::{Decision, VoteTable, N_CONFIGS};
-use mawilab_linalg::ca::CaDims;
 use mawilab_linalg::matrix::distance;
 use mawilab_linalg::{CorrespondenceAnalysis, Matrix};
 
@@ -43,17 +42,18 @@ use mawilab_linalg::{CorrespondenceAnalysis, Matrix};
 /// deterministic stop. Clean tables converge in 2–3 rounds.
 pub const SCANN_MAX_ROUNDS: usize = 8;
 
+/// Retained CA dimensionality.
+///
+/// For a two-class vote table the dominant axis *is* the
+/// accept/reject direction; additional axes encode *which detector
+/// bloc* voted, which blurs nearest-reference classification. SCANN
+/// keeps only the dominant axis — the very low dimensionality Merz's
+/// formulation operates at.
+const CA_DIMS: usize = 1;
+
 /// The SCANN combination strategy.
 #[derive(Debug, Clone, Copy)]
 pub struct Scann {
-    /// Retained CA dimensionality.
-    ///
-    /// For a two-class vote table the dominant axis *is* the
-    /// accept/reject direction; additional axes encode *which
-    /// detector bloc* voted, which blurs nearest-reference
-    /// classification. The default keeps only the dominant axis —
-    /// the very low dimensionality Merz's formulation operates at.
-    pub dims: CaDims,
     /// Upper bound on CA re-fit rounds. `1` disables the convergence
     /// loop entirely and reproduces the single-round oracle byte for
     /// byte.
@@ -63,7 +63,6 @@ pub struct Scann {
 impl Default for Scann {
     fn default() -> Self {
         Scann {
-            dims: CaDims::Count(1),
             max_rounds: SCANN_MAX_ROUNDS,
         }
     }
@@ -140,7 +139,7 @@ impl Scann {
             .map(|c| Self::indicator_row(table.row(c)))
             .collect();
         let t = Matrix::from_rows(&rows);
-        let ca = CorrespondenceAnalysis::fit(&t, self.dims);
+        let ca = CorrespondenceAnalysis::fit(&t, CA_DIMS);
         let total_inertia: f64 = ca.inertia().iter().sum();
         if total_inertia < 1e-12 {
             // Degenerate: all rows share one profile; no geometry to
@@ -169,7 +168,7 @@ impl Scann {
                 .map(|c| Self::augmented_row(table.row(c), decisions[c].accepted))
                 .collect();
             let t = Matrix::from_rows(&rows);
-            let ca = CorrespondenceAnalysis::fit(&t, self.dims);
+            let ca = CorrespondenceAnalysis::fit(&t, CA_DIMS);
             if ca.inertia().iter().sum::<f64>() < 1e-12 {
                 // The augmented table lost its geometry (cannot happen
                 // unless the class columns are uniform AND the votes
@@ -394,10 +393,7 @@ mod tests {
         // `max_rounds = 1` must reproduce the seed single-round path
         // byte for byte, on every table shape including degenerate
         // fallbacks.
-        let capped = Scann {
-            max_rounds: 1,
-            ..Scann::default()
-        };
+        let capped = Scann { max_rounds: 1 };
         for t in [
             structured(),
             realistic(),
@@ -421,7 +417,6 @@ mod tests {
             let converged = Scann::default().classify_detailed(&t);
             let extra = Scann {
                 max_rounds: 2 * SCANN_MAX_ROUNDS,
-                ..Scann::default()
             }
             .classify_detailed(&t);
             assert_eq!(converged, extra, "assignment not a fixed point");

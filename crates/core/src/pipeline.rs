@@ -62,17 +62,15 @@ impl StrategyKind {
 
 /// Pipeline configuration. The default matches the paper's released
 /// settings: uniflow granularity, Simpson similarity, SCANN
-/// combination, 20% rule support, no edge pruning, classical
-/// modularity.
+/// combination, 20% rule support, classical modularity. The similarity
+/// graph has no pruning setting: it links every pair of alarms whose
+/// traffic intersects (paper §2.1).
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Traffic granularity for the similarity estimator.
     pub granularity: Granularity,
     /// Edge-weight measure of the similarity graph.
     pub measure: SimilarityMeasure,
-    /// Similarity-graph edges at or below this weight are dropped
-    /// (0.0 = keep every intersecting pair, the paper's setting).
-    pub min_similarity: f64,
     /// Louvain resolution (1.0 = classical modularity).
     pub resolution: f64,
     /// Combination strategy.
@@ -91,7 +89,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             granularity: Granularity::Uniflow,
             measure: SimilarityMeasure::Simpson,
-            min_similarity: 0.0,
             resolution: 1.0,
             strategy: StrategyKind::Scann,
             min_support: 0.2,
@@ -119,13 +116,12 @@ impl PipelineConfig {
     }
 
     /// The similarity estimator this configuration describes — the
-    /// single place the pipeline's four estimator knobs are wired
+    /// single place the pipeline's three estimator knobs are wired
     /// through, shared by the batch and single-pass pipelines.
     pub fn estimator(&self) -> SimilarityEstimator {
         SimilarityEstimator {
             granularity: self.granularity,
             measure: self.measure,
-            min_similarity: self.min_similarity,
             resolution: self.resolution,
         }
     }

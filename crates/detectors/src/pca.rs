@@ -22,7 +22,6 @@
 
 use crate::alarm::{Alarm, AlarmScope, DetectorKind, Tuning};
 use crate::{Accumulator, ChunkView, Detector, Family, IncrementalDetector, ObservationKey};
-use mawilab_linalg::pca::{ColumnScaling, PcaComponents};
 use mawilab_linalg::{Matrix, Pca};
 use mawilab_model::{FastMap, FastSet, TimeWindow, TraceMeta};
 use mawilab_sketch::SketchFamily;
@@ -76,7 +75,7 @@ impl PcaDetector {
     /// component kept: what [`robust_fit`](Self::robust_fit)'s first
     /// pass truncates, identical for every tuning.
     fn full_fit(m: &Matrix) -> Pca {
-        Pca::fit_scaled(m, PcaComponents::Count(m.cols()), ColumnScaling::Poisson)
+        Pca::fit(m, m.cols())
     }
 
     /// Robust subspace fit: a first PCA pass marks observations that
@@ -91,7 +90,6 @@ impl PcaDetector {
     /// ([`full_fit`](Self::full_fit)); the first pass is its leading
     /// `components`, so the tunings of one accumulator share it.
     fn robust_fit(&self, m: &Matrix, full: &Pca) -> Pca {
-        let k = PcaComponents::Count(self.components);
         let first = full.truncate(self.components);
         let n = m.rows();
         let scores: Vec<Vec<f64>> = (0..n).map(|t| first.transform(m.row(t))).collect();
@@ -129,7 +127,7 @@ impl PcaDetector {
         keep.sort_unstable();
         if keep.len() < n {
             let rows: Vec<Vec<f64>> = keep.iter().map(|&t| m.row(t).to_vec()).collect();
-            Pca::fit_scaled(&Matrix::from_rows(&rows), k, ColumnScaling::Poisson)
+            Pca::fit(&Matrix::from_rows(&rows), self.components)
         } else {
             first
         }

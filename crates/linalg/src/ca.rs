@@ -12,28 +12,31 @@
 //! Implementation follows the standard transition-formula formulation:
 //! with correspondence matrix `P = N/n`, row masses `r`, column masses
 //! `c`, the standardised residuals `S = D_r^{-1/2}(P − rcᵀ)D_c^{-1/2}`
-//! are decomposed by thin SVD `S = UΣVᵀ`; column standard coordinates
-//! are `Γ = D_c^{-1/2}V` and row principal coordinates are the row
+//! are decomposed as `S = UΣVᵀ`; column standard coordinates are
+//! `Γ = D_c^{-1/2}V` and row principal coordinates are the row
 //! profiles times `Γ`. Supplementary rows use the same profile×Γ
 //! transition, which is what makes nearest-reference classification
 //! well defined.
+//!
+//! Only `V` and `Σ` are needed, so the fit takes them from the
+//! symmetric eigendecomposition of `SᵀS`: `V` are its eigenvectors and
+//! `σᵢ = √λᵢ`, and `U` is never formed. Squaring the condition number
+//! is harmless here: SCANN's tables are 0/1 indicator columns (at most
+//! 26 of them) whose singular values lie within a few orders of
+//! magnitude of each other. Directions with `λ ≤ 10⁻¹²·λmax` are
+//! dropped, which also discards CA's trivial dimension.
 //!
 //! All-zero columns (a detector configuration that never fired) and
 //! all-zero rows are dropped from the decomposition; supplementary
 //! projection ignores dropped columns, mirroring how CA software
 //! treats structurally empty categories.
 
+use crate::eigen::SymmetricEigen;
 use crate::matrix::Matrix;
-use crate::svd::Svd;
 
-/// How many CA dimensions to keep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CaDims {
-    /// Fixed count (clamped to the available rank).
-    Count(usize),
-    /// Enough dimensions to capture this fraction of total inertia.
-    InertiaFraction(f64),
-}
+/// Relative eigenvalue cutoff: directions of `SᵀS` with
+/// `λ ≤ RANK_TOL·λmax` are numerically zero.
+const RANK_TOL: f64 = 1e-12;
 
 /// A fitted correspondence analysis.
 #[derive(Debug, Clone)]
@@ -52,12 +55,15 @@ pub struct CorrespondenceAnalysis {
 
 impl CorrespondenceAnalysis {
     /// Fits CA on a non-negative count table (rows = observations,
-    /// e.g. communities; columns = categories, e.g. config votes).
+    /// e.g. communities; columns = categories, e.g. config votes),
+    /// keeping `dims` dimensions, clamped to at least 1 and at most the
+    /// numerical rank of the standardised residuals (0 when they
+    /// vanish).
     ///
     /// # Panics
     /// Panics on negative entries, or when the table has no positive
     /// mass at all.
-    pub fn fit(table: &Matrix, dims: CaDims) -> Self {
+    pub fn fit(table: &Matrix, dims: usize) -> Self {
         let (n, m) = (table.rows(), table.cols());
         let mut total = 0.0;
         for i in 0..n {
@@ -91,34 +97,32 @@ impl CorrespondenceAnalysis {
                 s[(i, jj)] = (p - r[i] * c[j]) / (r[i] * c[j]).sqrt();
             }
         }
-        let svd = Svd::with_tolerance(&s, 1e-12);
-
-        // Decide the number of dimensions.
-        let inertia_all: Vec<f64> = svd.sigma.iter().map(|&x| x * x).collect();
-        let total_inertia: f64 = inertia_all.iter().sum();
-        let rank = svd.rank();
-        let k = match dims {
-            CaDims::Count(k) => k.clamp(1, rank.max(1)).min(rank),
-            CaDims::InertiaFraction(f) => {
-                assert!(f > 0.0 && f <= 1.0, "inertia fraction outside (0,1]");
-                let mut acc = 0.0;
-                let mut k = 0;
-                for &lam in &inertia_all {
-                    acc += lam;
-                    k += 1;
-                    if total_inertia > 0.0 && acc / total_inertia >= f {
-                        break;
-                    }
-                }
-                k
-            }
-        };
+        // Right singular vectors and values of S, from SᵀS: the
+        // eigenvalues are descending, so the kept directions are a
+        // prefix.
+        let eig = SymmetricEigen::new(&s.gram());
+        let cutoff = RANK_TOL * eig.values.first().copied().unwrap_or(0.0).max(0.0);
+        let rank = eig
+            .values
+            .iter()
+            .take_while(|&&lam| lam > cutoff && lam > 0.0)
+            .count();
+        let k = dims.clamp(1, rank.max(1)).min(rank);
+        // Inertia is σ² with σ = √λ, not λ itself: the rounding is part
+        // of the figures SCANN's inertia tests and the pins read.
+        let inertia: Vec<f64> = eig.values[..k]
+            .iter()
+            .map(|&lam| {
+                let sigma = lam.sqrt();
+                sigma * sigma
+            })
+            .collect();
 
         // Column standard coordinates Γ = D_c^{-1/2} V (kept dims).
         let mut gamma = Matrix::zeros(mk, k);
         for (jj, &j) in kept_cols.iter().enumerate() {
             for d in 0..k {
-                gamma[(jj, d)] = svd.v[(jj, d)] / c[j].sqrt();
+                gamma[(jj, d)] = eig.vectors[(jj, d)] / c[j].sqrt();
             }
         }
 
@@ -142,7 +146,7 @@ impl CorrespondenceAnalysis {
             col_standard: gamma,
             kept_cols,
             row_principal: rows,
-            inertia: inertia_all.into_iter().take(k).collect(),
+            inertia,
             n_cols: m,
         }
     }
@@ -205,7 +209,7 @@ mod tests {
 
     #[test]
     fn blocks_separate_in_first_dimension() {
-        let ca = CorrespondenceAnalysis::fit(&blocked_table(), CaDims::Count(1));
+        let ca = CorrespondenceAnalysis::fit(&blocked_table(), 1);
         let first: Vec<f64> = (0..6).map(|i| ca.row_coords(i)[0]).collect();
         // Rows in the same block share a sign; blocks have opposite signs.
         assert!(first[0] * first[1] > 0.0);
@@ -218,14 +222,14 @@ mod tests {
     fn supplementary_projection_matches_active_twin() {
         // Projecting a row identical to an active row must land on it.
         let t = blocked_table();
-        let ca = CorrespondenceAnalysis::fit(&t, CaDims::Count(2));
+        let ca = CorrespondenceAnalysis::fit(&t, 2);
         let proj = ca.project_row(&[5.0, 4.0, 0.0, 1.0]);
         assert!(distance(&proj, ca.row_coords(0)) < 1e-9);
     }
 
     #[test]
     fn supplementary_lands_near_its_block() {
-        let ca = CorrespondenceAnalysis::fit(&blocked_table(), CaDims::Count(2));
+        let ca = CorrespondenceAnalysis::fit(&blocked_table(), 2);
         let like_block_a = ca.project_row(&[1.0, 1.0, 0.0, 0.0]);
         let like_block_b = ca.project_row(&[0.0, 0.0, 1.0, 1.0]);
         let d_a0 = distance(&like_block_a, ca.row_coords(0));
@@ -243,7 +247,7 @@ mod tests {
             vec![1.0, 0.0, 2.0],
             vec![3.0, 0.0, 0.0],
         ]);
-        let ca = CorrespondenceAnalysis::fit(&t, CaDims::Count(2));
+        let ca = CorrespondenceAnalysis::fit(&t, 2);
         assert!(ca.dims() >= 1);
         // Projection with mass only on the dropped column → origin.
         let proj = ca.project_row(&[0.0, 7.0, 0.0]);
@@ -253,16 +257,46 @@ mod tests {
     #[test]
     fn zero_rows_map_to_origin() {
         let t = Matrix::from_rows(&[vec![1.0, 2.0], vec![0.0, 0.0], vec![2.0, 1.0]]);
-        let ca = CorrespondenceAnalysis::fit(&t, CaDims::Count(1));
+        let ca = CorrespondenceAnalysis::fit(&t, 1);
         assert!(ca.row_coords(1).iter().all(|&x| x == 0.0));
     }
 
     #[test]
-    fn inertia_fraction_selects_dims() {
-        let ca = CorrespondenceAnalysis::fit(&blocked_table(), CaDims::InertiaFraction(0.8));
-        assert!(ca.dims() >= 1);
-        let ca_all = CorrespondenceAnalysis::fit(&blocked_table(), CaDims::InertiaFraction(1.0));
-        assert!(ca_all.dims() >= ca.dims());
+    fn principal_inertias_are_positive_descending_and_sum_to_chi_square() {
+        let t = blocked_table();
+        let ca = CorrespondenceAnalysis::fit(&t, 10);
+        let inertia = ca.inertia();
+        assert_eq!(inertia.len(), ca.dims());
+        assert!(inertia.iter().all(|&l| l > 0.0), "{inertia:?}");
+        assert!(inertia.windows(2).all(|w| w[0] >= w[1]), "{inertia:?}");
+        // Total inertia is Pearson's χ²/n of the table.
+        let (n, m) = (t.rows(), t.cols());
+        let total: f64 = (0..n).flat_map(|i| t.row(i)).sum();
+        let row = |i: usize| t.row(i).iter().sum::<f64>() / total;
+        let col = |j: usize| (0..n).map(|i| t[(i, j)]).sum::<f64>() / total;
+        let mut chi2 = 0.0;
+        for i in 0..n {
+            for j in 0..m {
+                let e = row(i) * col(j);
+                chi2 += (t[(i, j)] / total - e).powi(2) / e;
+            }
+        }
+        assert!((inertia.iter().sum::<f64>() - chi2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn dims_never_exceed_the_residual_rank() {
+        // Two distinct row profiles over four columns: rank 1.
+        let t = Matrix::from_rows(&[
+            vec![1.0, 0.0, 2.0, 1.0],
+            vec![0.0, 1.0, 1.0, 2.0],
+            vec![2.0, 0.0, 4.0, 2.0],
+        ]);
+        assert_eq!(CorrespondenceAnalysis::fit(&t, 3).dims(), 1);
+        // Three rows, each owning a column: rank 2, inertia 1 per axis.
+        let ca = CorrespondenceAnalysis::fit(&Matrix::identity(3), 5);
+        assert_eq!(ca.dims(), 2);
+        assert!(ca.inertia().iter().all(|&l| (l - 1.0).abs() < 1e-9));
     }
 
     #[test]
@@ -273,16 +307,18 @@ mod tests {
             vec![2.0, 4.0, 6.0],
             vec![3.0, 6.0, 9.0],
         ]);
-        let ca = CorrespondenceAnalysis::fit(&t, CaDims::Count(2));
+        let ca = CorrespondenceAnalysis::fit(&t, 2);
         let total: f64 = ca.inertia().iter().sum();
         assert!(total < 1e-12, "inertia = {total}");
+        // Rank 0 keeps no dimension.
+        assert_eq!(ca.dims(), 0);
     }
 
     #[test]
     fn identity_table_has_maximal_structure() {
         // Perfect association: each row owns one column.
         let t = Matrix::identity(3);
-        let ca = CorrespondenceAnalysis::fit(&t, CaDims::Count(2));
+        let ca = CorrespondenceAnalysis::fit(&t, 2);
         // Rows are maximally spread: pairwise distances all equal and
         // strictly positive.
         let d01 = distance(ca.row_coords(0), ca.row_coords(1));
@@ -295,19 +331,19 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_entry_panics() {
         let t = Matrix::from_rows(&[vec![1.0, -1.0]]);
-        CorrespondenceAnalysis::fit(&t, CaDims::Count(1));
+        CorrespondenceAnalysis::fit(&t, 1);
     }
 
     #[test]
     #[should_panic(expected = "no mass")]
     fn empty_table_panics() {
-        CorrespondenceAnalysis::fit(&Matrix::zeros(3, 3), CaDims::Count(1));
+        CorrespondenceAnalysis::fit(&Matrix::zeros(3, 3), 1);
     }
 
     #[test]
     #[should_panic(expected = "column count mismatch")]
     fn wrong_projection_width_panics() {
-        let ca = CorrespondenceAnalysis::fit(&blocked_table(), CaDims::Count(1));
+        let ca = CorrespondenceAnalysis::fit(&blocked_table(), 1);
         ca.project_row(&[1.0, 2.0]);
     }
 }

@@ -66,11 +66,6 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Column `j` copied into a Vec.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -80,26 +75,6 @@ impl Matrix {
             }
         }
         t
-    }
-
-    /// Matrix product `self × rhs`.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.cols, rhs.rows, "inner dimensions differ");
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                let rrow = rhs.row(k);
-                let orow = out.row_mut(i);
-                for (o, &b) in orow.iter_mut().zip(rrow) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
     }
 
     /// Gram matrix `selfᵀ × self` (symmetric `cols × cols`), computed
@@ -124,11 +99,6 @@ impl Matrix {
             }
         }
         g
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 }
 
@@ -190,6 +160,36 @@ mod tests {
     use super::*;
 
     impl Matrix {
+        /// Column `j` copied into a Vec.
+        pub(crate) fn col(&self, j: usize) -> Vec<f64> {
+            (0..self.rows).map(|i| self[(i, j)]).collect()
+        }
+
+        /// Matrix product `self × rhs`.
+        pub(crate) fn matmul(&self, rhs: &Matrix) -> Matrix {
+            assert_eq!(self.cols, rhs.rows, "inner dimensions differ");
+            let mut out = Matrix::zeros(self.rows, rhs.cols);
+            for i in 0..self.rows {
+                for k in 0..self.cols {
+                    let a = self[(i, k)];
+                    if a == 0.0 {
+                        continue;
+                    }
+                    let rrow = rhs.row(k);
+                    let orow = out.row_mut(i);
+                    for (o, &b) in orow.iter_mut().zip(rrow) {
+                        *o += a * b;
+                    }
+                }
+            }
+            out
+        }
+
+        /// Frobenius norm.
+        pub(crate) fn frobenius(&self) -> f64 {
+            self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
+        }
+
         /// Matrix–vector product.
         pub(crate) fn matvec(&self, v: &[f64]) -> Vec<f64> {
             assert_eq!(self.cols, v.len(), "dimension mismatch");

@@ -9,30 +9,6 @@
 use crate::eigen::SymmetricEigen;
 use crate::matrix::{dot, Matrix};
 
-/// Column scaling policy applied before the covariance fit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ColumnScaling {
-    /// Centre and divide by the sample standard deviation
-    /// (correlation PCA — the default).
-    #[default]
-    UnitVariance,
-    /// Centre and divide by `√(mean+1)` — variance-stabilising for
-    /// Poisson counts, magnitude-preserving for outliers.
-    Poisson,
-    /// Centre only.
-    None,
-}
-
-/// How many principal components to retain.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PcaComponents {
-    /// A fixed number of components (clamped to the variable count).
-    Count(usize),
-    /// Enough components to explain at least this fraction of total
-    /// variance (must be in `(0, 1]`).
-    VarianceFraction(f64),
-}
-
 /// A fitted PCA model: per-column standardisation plus the principal
 /// subspace.
 #[derive(Debug, Clone)]
@@ -42,28 +18,19 @@ pub struct Pca {
     /// Principal axes as rows, `k × vars`, so each projection reads
     /// one contiguous row.
     components: Matrix,
-    /// Variance explained by each retained component.
-    explained: Vec<f64>,
-    total_variance: f64,
 }
 
 impl Pca {
-    /// Fits PCA on `data` (rows = observations, columns = variables).
-    /// Columns are centred and scaled to unit variance (constant
-    /// columns are left unscaled). Needs at least 2 observations and
-    /// 1 variable.
-    pub fn fit(data: &Matrix, components: PcaComponents) -> Self {
-        Self::fit_scaled(data, components, ColumnScaling::UnitVariance)
-    }
-
-    /// Fits PCA with an explicit column-scaling policy.
+    /// Fits PCA on `data` (rows = observations, columns = variables)
+    /// and keeps the leading `k` components, clamped to `1..=vars`.
+    /// Needs at least 2 observations and 1 variable.
     ///
-    /// Count matrices (the PCA detector's sketch×time inputs) should
-    /// use [`ColumnScaling::Poisson`]: dividing by `√(mean+1)`
+    /// Columns are centred and divided by `√(mean+1)`. The detector's
+    /// inputs are sketch×time packet counts, and this scaling
     /// stabilises Poisson variance while *preserving* magnitude, so a
     /// flooded sketch bin keeps its outlying energy instead of being
     /// normalised into the noise floor.
-    pub fn fit_scaled(data: &Matrix, components: PcaComponents, scaling: ColumnScaling) -> Self {
+    pub fn fit(data: &Matrix, k: usize) -> Self {
         let (n, m) = (data.rows(), data.cols());
         assert!(n >= 2, "PCA needs at least two observations");
         assert!(m >= 1, "PCA needs at least one variable");
@@ -77,25 +44,9 @@ impl Pca {
         for v in &mut mean {
             *v /= n as f64;
         }
-        let scale: Vec<f64> = match scaling {
-            ColumnScaling::UnitVariance => {
-                let mut var = vec![0.0; m];
-                for i in 0..n {
-                    for (j, v) in data.row(i).iter().enumerate() {
-                        let d = v - mean[j];
-                        var[j] += d * d;
-                    }
-                }
-                var.iter()
-                    .map(|&s| (s / (n - 1) as f64).sqrt())
-                    .map(|s| if s > 1e-12 { s } else { 1.0 })
-                    .collect()
-            }
-            ColumnScaling::Poisson => mean.iter().map(|&mu| (mu.max(0.0) + 1.0).sqrt()).collect(),
-            ColumnScaling::None => vec![1.0; m],
-        };
+        let scale: Vec<f64> = mean.iter().map(|&mu| (mu.max(0.0) + 1.0).sqrt()).collect();
 
-        // Standardised data → covariance (correlation) matrix.
+        // Scaled data → covariance matrix.
         let mut z = Matrix::zeros(n, m);
         for i in 0..n {
             for j in 0..m {
@@ -109,39 +60,19 @@ impl Pca {
             }
         }
         let eig = SymmetricEigen::new(&cov);
-        let total_variance: f64 = eig.values.iter().map(|&l| l.max(0.0)).sum();
-
-        let k = match components {
-            PcaComponents::Count(k) => k.clamp(1, m),
-            PcaComponents::VarianceFraction(f) => {
-                assert!(f > 0.0 && f <= 1.0, "variance fraction outside (0,1]");
-                let mut acc = 0.0;
-                let mut k = 0;
-                for &l in &eig.values {
-                    acc += l.max(0.0);
-                    k += 1;
-                    if total_variance > 0.0 && acc / total_variance >= f {
-                        break;
-                    }
-                }
-                k.max(1)
-            }
-        };
         Pca {
             mean,
             scale,
             components: eig.vectors.transpose(),
-            explained: eig.values.iter().map(|&l| l.max(0.0)).collect(),
-            total_variance,
         }
         .truncate(k)
     }
 
     /// The fit with only the leading `k` components of this one,
-    /// clamped like [`PcaComponents::Count`] to `1..=self.k()`.
+    /// clamped to `1..=self.k()`.
     ///
-    /// Truncating a full fit (`Count(vars)`) is bitwise equal to
-    /// fitting `Count(k)` on the same data: the eigendecomposition
+    /// Truncating a full fit (`k = vars`) is bitwise equal to
+    /// fitting `k` components on the same data: the eigendecomposition
     /// does not depend on how many components are kept, and every fit
     /// is the full decomposition truncated. Callers that need several
     /// subspace sizes of one matrix fit it once.
@@ -157,19 +88,12 @@ impl Pca {
             mean: self.mean.clone(),
             scale: self.scale.clone(),
             components,
-            explained: self.explained[..k].to_vec(),
-            total_variance: self.total_variance,
         }
     }
 
     /// Number of retained components.
     pub fn k(&self) -> usize {
         self.components.rows()
-    }
-
-    /// Variance explained by each retained component.
-    pub fn explained(&self) -> &[f64] {
-        &self.explained
     }
 
     fn standardise(&self, row: &[f64]) -> Vec<f64> {
@@ -216,15 +140,6 @@ mod tests {
     use super::*;
 
     impl Pca {
-        /// Fraction of total variance captured by the retained
-        /// subspace.
-        fn explained_fraction(&self) -> f64 {
-            if self.total_variance <= 0.0 {
-                return 1.0;
-            }
-            self.explained.iter().sum::<f64>() / self.total_variance
-        }
-
         /// Squared prediction error (SPE / Q-statistic): squared norm
         /// of the observation's residual outside the principal
         /// subspace.
@@ -258,15 +173,18 @@ mod tests {
 
     #[test]
     fn dominant_direction_is_captured() {
-        let pca = Pca::fit(&line_data(), PcaComponents::Count(1));
+        let pca = Pca::fit(&line_data(), 1);
         assert_eq!(pca.k(), 1);
-        assert!(pca.explained_fraction() > 0.99);
+        // The first axis is y = x: both columns share one scale.
+        let axis = pca.components.row(0);
+        assert!((axis[0].abs() - 0.5f64.sqrt()).abs() < 1e-3, "{axis:?}");
+        assert!(axis[0] * axis[1] > 0.0, "{axis:?}");
     }
 
     #[test]
     fn on_subspace_points_have_tiny_residual() {
         let data = line_data();
-        let pca = Pca::fit(&data, PcaComponents::Count(1));
+        let pca = Pca::fit(&data, 1);
         let typical = pca.residual_sq(data.row(10));
         let anomaly = pca.residual_sq(&[5.0, -5.0]); // orthogonal to y=x
         assert!(
@@ -276,18 +194,9 @@ mod tests {
     }
 
     #[test]
-    fn variance_fraction_selects_enough_components() {
-        let data = line_data();
-        let pca = Pca::fit(&data, PcaComponents::VarianceFraction(0.95));
-        assert_eq!(pca.k(), 1); // one component suffices on a line
-        let pca_all = Pca::fit(&data, PcaComponents::VarianceFraction(1.0));
-        assert!(pca_all.explained_fraction() > 0.999_999);
-    }
-
-    #[test]
     fn full_subspace_has_zero_residual() {
         let data = line_data();
-        let pca = Pca::fit(&data, PcaComponents::Count(2));
+        let pca = Pca::fit(&data, 2);
         for i in 0..data.rows() {
             assert!(pca.residual_sq(data.row(i)) < 1e-9);
         }
@@ -295,7 +204,7 @@ mod tests {
 
     #[test]
     fn count_is_clamped_to_variable_count() {
-        let pca = Pca::fit(&line_data(), PcaComponents::Count(10));
+        let pca = Pca::fit(&line_data(), 10);
         assert_eq!(pca.k(), 2);
     }
 
@@ -303,7 +212,7 @@ mod tests {
     fn constant_columns_do_not_blow_up() {
         let rows: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64, 3.0]).collect();
         let data = Matrix::from_rows(&rows);
-        let pca = Pca::fit(&data, PcaComponents::Count(1));
+        let pca = Pca::fit(&data, 1);
         let r = pca.residual_sq(&[25.0, 3.0]);
         assert!(r.is_finite());
     }
@@ -315,8 +224,6 @@ mod tests {
             .iter()
             .chain(&pca.scale)
             .chain(comps)
-            .chain(&pca.explained)
-            .chain([&pca.total_variance])
             .map(|x| x.to_bits())
             .chain([pca.k() as u64])
             .collect()
@@ -338,49 +245,33 @@ mod tests {
                 .collect();
             let data = Matrix::from_rows(&rows);
             let m = data.cols();
-            for scaling in [
-                ColumnScaling::UnitVariance,
-                ColumnScaling::Poisson,
-                ColumnScaling::None,
-            ] {
-                let full = Pca::fit_scaled(&data, PcaComponents::Count(m), scaling);
-                for k in 1..=m + 1 {
-                    let fit = Pca::fit_scaled(&data, PcaComponents::Count(k), scaling);
-                    assert_eq!(
-                        bits(&full.truncate(k)),
-                        bits(&fit),
-                        "seed {seed}, {scaling:?}, k = {k}"
-                    );
-                }
+            let full = Pca::fit(&data, m);
+            for k in 1..=m + 1 {
+                assert_eq!(
+                    bits(&full.truncate(k)),
+                    bits(&Pca::fit(&data, k)),
+                    "seed {seed}, k = {k}"
+                );
             }
         }
     }
 
     #[test]
     fn transform_projects_to_k_dims() {
-        let pca = Pca::fit(&line_data(), PcaComponents::Count(1));
+        let pca = Pca::fit(&line_data(), 1);
         assert_eq!(pca.transform(&[1.0, 1.0]).len(), 1);
     }
 
     #[test]
     #[should_panic(expected = "two observations")]
     fn single_observation_panics() {
-        Pca::fit(
-            &Matrix::from_rows(&[vec![1.0, 2.0]]),
-            PcaComponents::Count(1),
-        );
+        Pca::fit(&Matrix::from_rows(&[vec![1.0, 2.0]]), 1);
     }
 
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn wrong_width_row_panics() {
-        let pca = Pca::fit(&line_data(), PcaComponents::Count(1));
+        let pca = Pca::fit(&line_data(), 1);
         pca.residual_sq(&[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "variance fraction")]
-    fn bad_fraction_panics() {
-        Pca::fit(&line_data(), PcaComponents::VarianceFraction(0.0));
     }
 }

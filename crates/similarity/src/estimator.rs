@@ -53,9 +53,6 @@ pub struct SimilarityEstimator {
     pub granularity: Granularity,
     /// Edge-weight measure (paper: Simpson).
     pub measure: SimilarityMeasure,
-    /// Edges below this weight are dropped (0.0 = keep all
-    /// intersecting pairs, the paper's setting).
-    pub min_similarity: f64,
     /// Louvain resolution (1.0 = classical modularity).
     pub resolution: f64,
 }
@@ -65,7 +62,6 @@ impl Default for SimilarityEstimator {
         SimilarityEstimator {
             granularity: Granularity::Uniflow,
             measure: SimilarityMeasure::Simpson,
-            min_similarity: 0.0,
             resolution: 1.0,
         }
     }
@@ -121,11 +117,11 @@ impl SimilarityEstimator {
         Graph::from_edges(traffic.len(), &edges)
     }
 
-    /// The weighted edge `a—b`, or `None` when its weight falls at or
-    /// below [`min_similarity`](Self::min_similarity) (or is zero).
+    /// The weighted edge `a—b`, or `None` when its weight is zero:
+    /// every intersecting pair is linked (paper §2.1).
     fn edge(&self, a: u32, b: u32, inter: usize, la: usize, lb: usize) -> Option<(u32, u32, f64)> {
         let w = self.measure.value(inter, la, lb);
-        (w > self.min_similarity && w > 0.0).then_some((a, b, w))
+        (w > 0.0).then_some((a, b, w))
     }
 
     /// The retained single-threaded reference implementation: one
@@ -385,18 +381,17 @@ mod tests {
     }
 
     #[test]
-    fn min_similarity_prunes_weak_edges() {
-        let sets = vec![(0..100).collect::<Vec<u32>>(), (99..200).collect()];
-        // Overlap of exactly one item: Simpson = 1/100.
-        let mut est = SimilarityEstimator {
-            min_similarity: 0.05,
-            ..Default::default()
-        };
-        let g = est.build_graph(&sets);
-        assert_eq!(g.edge_count(), 0);
-        est.min_similarity = 0.0;
-        let g2 = est.build_graph(&sets);
-        assert_eq!(g2.edge_count(), 1);
+    fn any_overlap_is_an_edge_and_none_is_not() {
+        // Overlap of exactly one item: Simpson = 1/100, still linked.
+        let sets = vec![
+            (0..100).collect::<Vec<u32>>(),
+            (99..200).collect(),
+            vec![500],
+        ];
+        let g = SimilarityEstimator::default().build_graph(&sets);
+        assert_eq!(g.edge_count(), 1);
+        assert_eq!(g.neighbors(0), &[(1, 0.01)]);
+        assert!(g.neighbors(2).is_empty());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use mawilab::core::{MawilabPipeline, PipelineConfig, StrategyKind};
 use mawilab::model::pcap::{read_pcap, PcapError};
-use mawilab::model::{FlowTable, Granularity, Packet, TcpFlags, Trace, TraceDate, TraceMeta};
-use mawilab::similarity::{SimilarityEstimator, SimilarityMeasure};
+use mawilab::model::{Granularity, Packet, TcpFlags, Trace, TraceDate, TraceMeta};
+use mawilab::similarity::SimilarityMeasure;
 use std::net::Ipv4Addr;
 
 fn meta() -> TraceMeta {
@@ -105,18 +105,6 @@ fn all_measures_and_granularities_run() {
         .run(&trace);
         assert_eq!(report.decisions.len(), report.community_count());
     }
-    // Estimator with an absurd threshold prunes every edge: all
-    // communities become singles.
-    let flows = FlowTable::build(&trace.packets);
-    let view = mawilab::detectors::TraceView::new(&trace, &flows);
-    let alarms = mawilab::detectors::run_all(&mawilab::detectors::standard_configurations(), &view);
-    let est = SimilarityEstimator {
-        min_similarity: 1.1,
-        ..Default::default()
-    };
-    let n_alarms = alarms.len();
-    let communities = est.estimate(&view, alarms);
-    assert_eq!(communities.community_count(), n_alarms);
 }
 
 #[test]

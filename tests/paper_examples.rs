@@ -139,17 +139,13 @@ fn table2_scann_converges_and_keeps_the_consensus() {
 
     let iterated = Scann::default().classify_detailed(&table);
     // Capping at one round reproduces the single-round oracle exactly.
-    let capped = Scann {
-        max_rounds: 1,
-        ..Scann::default()
-    };
+    let capped = Scann { max_rounds: 1 };
     let single = capped.classify_single_round(&table);
     assert_eq!(capped.classify_detailed(&table), single);
     // Convergence reached a fixed point within the default cap: a
     // doubled cap changes nothing.
     let relaxed = Scann {
         max_rounds: 2 * SCANN_MAX_ROUNDS,
-        ..Scann::default()
     };
     assert_eq!(iterated, relaxed.classify_detailed(&table));
     // Table-2 expectation: the converged verdicts keep the clean

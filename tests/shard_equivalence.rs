@@ -55,7 +55,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Dense, clustered traffic: sharded == sequential for every
-    /// measure and with edge pruning active.
+    /// measure.
     #[test]
     fn sharded_build_matches_reference(traffic in arb_traffic()) {
         for measure in [
@@ -63,13 +63,11 @@ proptest! {
             SimilarityMeasure::Jaccard,
             SimilarityMeasure::Constant,
         ] {
-            for min_similarity in [0.0, 0.3] {
-                let est = SimilarityEstimator { measure, min_similarity, ..Default::default() };
-                assert_same_graph(
-                    &est.build_graph(&traffic),
-                    &est.build_graph_sequential(&traffic),
-                )?;
-            }
+            let est = SimilarityEstimator { measure, ..Default::default() };
+            assert_same_graph(
+                &est.build_graph(&traffic),
+                &est.build_graph_sequential(&traffic),
+            )?;
         }
     }
 
